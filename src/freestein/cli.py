@@ -33,7 +33,7 @@ from .errors import (
 )
 from .matrixmodels import EnsembleConfig, mc_moment_table
 from .poincare import poincare_lower_bound
-from .states import centered_free_poisson, validate_state
+from .states import MAX_CUMULANT_ORDER, centered_free_poisson, validate_state
 from .stein import SteinProblem, discrepancy_bounds
 
 EXIT_OK = 0
@@ -272,6 +272,16 @@ def cmd_clt(args):
         )
         norm_upper = None
     else:
+        # the builtin base is evaluated up to order 2 * degree + 2
+        max_degree = (MAX_CUMULANT_ORDER - 2) // 2
+        if args.degree > max_degree:
+            raise BudgetExceededError(
+                f"--degree {args.degree} needs moments of order "
+                f"{2 * args.degree + 2}; the builtin base allows --degree "
+                f"up to {max_degree}",
+                needed=2 * args.degree + 2,
+                available=MAX_CUMULANT_ORDER,
+            )
         builtin = centered_free_poisson(1, max_order=2 * args.degree + 2)
         base = builtin.spec
         norm_upper = builtin.norm_upper

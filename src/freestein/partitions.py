@@ -9,6 +9,11 @@ Enumeration is recursive on the block containing the least element:
 the chosen block splits the remaining positions into independent gaps,
 each of which is partitioned noncrossingly on its own.  Results are
 cached per order behind a lock so concurrent readers are safe.
+
+This is the public enumerator and the test oracle for the moment-
+cumulant formula.  It is not on the moment path: ``states`` applies the
+same first-block recursion to values, so no moment evaluation builds
+the Catalan-many partitions or this cache.
 """
 
 from __future__ import annotations

@@ -5,9 +5,15 @@ backends live here:
 
 * ``MomentTable`` -- an explicit word -> value map up to a max order;
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
-  cumulants through the noncrossing-partition sum
-  ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``,
-  memoized per word.
+  cumulants by the moment-cumulant formula
+  ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
+  It is evaluated without enumerating NC(|w|): grouping the partitions
+  by the block B that holds the first letter gives
+  ``phi(w) = sum over B of kappa(w|B) * prod over the gaps of B of phi(gap)``,
+  whose gaps are contiguous subwords, so one per-state memo serves
+  every word.  Only blocks whose letters spell a prefix of a stored
+  cumulant word are tried.  ``moments_to_cumulants`` solves the same
+  recursion for kappa.
 
 (The third backend, Monte Carlo over matrix ensembles, produces a
 ``MomentTable``; see ``matrixmodels``.)
@@ -39,8 +45,7 @@ import numpy as np
 
 from .algebra import NcPoly, TensorPoly
 from .errors import BudgetExceededError, InvalidStateError
-from .partitions import noncrossing_partitions
-from . import partitions
+from .partitions import noncrossing_partitions  # re-exported; off the moment path
 
 
 def words_up_to(nvars, max_len, min_len=0):
@@ -114,13 +119,19 @@ class MomentTable(MomentFunctional):
         return self.entries.get(word, 0j)
 
 
+# cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block
+# choices for each new word of length m
+MAX_CUMULANT_ORDER = 16
+
+
 @dataclass(frozen=True)
 class CumulantSpec:
     """Free cumulant values kappa(i1,...,im) indexed by words.
 
     Words absent from ``kappa`` have cumulant 0.  ``max_order`` caps the
     word length the induced moment functional will evaluate (it bounds
-    the noncrossing-partition enumeration, not the stored words).
+    the moment recursion, not the stored words).  ``blocks`` is the
+    letter trie of the cumulant words that the recursion walks.
     """
 
     nvars: int
@@ -130,10 +141,8 @@ class CumulantSpec:
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("nvars must be >= 1")
-        if not 1 <= self.max_order <= partitions.MAX_PARTITION_ORDER:
-            raise ValueError(
-                f"max_order must lie in 1..{partitions.MAX_PARTITION_ORDER}"
-            )
+        if not 1 <= self.max_order <= MAX_CUMULANT_ORDER:
+            raise ValueError(f"max_order must lie in 1..{MAX_CUMULANT_ORDER}")
         clean = {}
         for w, v in self.kappa.items():
             w = tuple(w)
@@ -146,6 +155,7 @@ class CumulantSpec:
             if v != 0:
                 clean[w] = v
         object.__setattr__(self, "kappa", clean)
+        object.__setattr__(self, "blocks", _block_trie(clean))
 
     def value(self, word):
         return self.kappa.get(tuple(word), 0j)
@@ -184,34 +194,69 @@ class CumulantState(MomentFunctional):
     def moment(self, word):
         word = tuple(word)
         self._check_word(word)
+        return self._moment(word)
+
+    def _moment(self, word):
+        # subwords of a checked word need no check; the lock guards single
+        # memo operations and is never held across the recursion
         with self._lock:
-            cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        value = _nc_moment(self.spec, word)
-        with self._lock:
-            self._memo[word] = value
+            value = self._memo.get(word)
+        if value is None:
+            value = _first_block_sum(self.spec.blocks, word, self._moment)
+            with self._lock:
+                self._memo[word] = value
         return value
 
 
-def _nc_moment(spec, word):
+def _block_trie(kappa):
+    """Letter trie of cumulant words, ``{letter: [kappa, children]}``.
+
+    Inner nodes carry kappa 0.  A block whose letters leave the trie has
+    cumulant 0 however it is extended, so the recursion drops it there.
+    """
+    root = {}
+    for word, value in kappa.items():
+        node = root
+        for letter in word[:-1]:
+            node = node.setdefault(letter, [0j, {}])[1]
+        node.setdefault(word[-1], [0j, {}])[0] = value
+    return root
+
+
+def _first_block_sum(blocks, word, moment):
+    """Sum over blocks B holding position 0 of the nonempty ``word``:
+    kappa(word|B) times the product of ``moment`` over the gaps B leaves.
+
+    ``blocks`` is a ``_block_trie``; ``moment`` is only called on the
+    nonempty gaps, which are proper contiguous subwords.  With the
+    cumulants of ``blocks`` this is the moment-cumulant formula phi(w),
+    grouped by the block of the first letter (Nica-Speicher, Lecture 11).
+    """
     m = len(word)
-    kappa = spec.kappa
     total = 0j
-    for part in noncrossing_partitions(m):
-        prod = 1.0 + 0j
-        for block in part:
-            v = kappa.get(tuple(word[p] for p in block))
-            if not v:
-                prod = 0j
-                break
-            prod *= v
-        total += prod
+
+    def extend(node, last, acc):
+        # the block ends at ``last``; acc = product of its inner gaps
+        nonlocal total
+        value, children = node
+        if value:
+            tail = moment(word[last + 1:]) if last + 1 < m else 1.0
+            total += value * acc * tail
+        for q in range(last + 1, m):
+            child = children.get(word[q])
+            if child is not None:
+                gap = moment(word[last + 1:q]) if q > last + 1 else 1.0
+                if gap:
+                    extend(child, q, acc * gap)
+
+    first = blocks.get(word[0])
+    if first is not None:
+        extend(first, 0, 1.0 + 0j)
     return total
 
 
 def cumulants_to_moment(spec, word):
-    """Moment of one word under the noncrossing-partition sum."""
+    """Moment of one word under the moment-cumulant formula."""
     word = tuple(word)
     if not word:
         return 1.0 + 0j
@@ -221,32 +266,32 @@ def cumulants_to_moment(spec, word):
             needed=len(word),
             available=spec.max_order,
         )
-    return _nc_moment(spec, word)
+    memo = {}
+
+    def moment(w):
+        value = memo.get(w)
+        if value is None:
+            value = memo[w] = _first_block_sum(spec.blocks, w, moment)
+        return value
+
+    return moment(word)
 
 
 def moments_to_cumulants(phi, max_order):
     """Recursive extraction of free cumulants from word moments.
 
-    kappa(w) = phi(w) - sum over noncrossing partitions with at least two
-    blocks of the products of lower-order cumulants.  Inverse of
-    ``cumulants_to_moment`` up to double-precision rounding.
+    kappa(w) = phi(w) - sum over blocks B holding the first letter,
+    B not all of w, of kappa(w|B) times the moments of the gaps B
+    leaves: the first-block recursion solved for its one term of full
+    length.  Inverse of ``cumulants_to_moment`` up to double-precision
+    rounding.
     """
     phi.check_order(max_order)
     kappa = {}
     for m in range(1, max_order + 1):
-        parts = [p for p in noncrossing_partitions(m) if len(p) > 1]
+        blocks = _block_trie(kappa)  # only cumulants shorter than m
         for word in itertools.product(range(1, phi.nvars + 1), repeat=m):
-            total = 0j
-            for part in parts:
-                prod = 1.0 + 0j
-                for block in part:
-                    v = kappa.get(tuple(word[p] for p in block), 0j)
-                    if not v:
-                        prod = 0j
-                        break
-                    prod *= v
-                total += prod
-            val = phi.moment(word) - total
+            val = phi.moment(word) - _first_block_sum(blocks, word, phi.moment)
             if val != 0:
                 kappa[word] = val
     return CumulantSpec(phi.nvars, kappa, max_order=max_order)

@@ -138,6 +138,16 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "budget_exceeded"
 
 
+def test_clt_builtin_degree_beyond_order_cap(capsys):
+    code, out, err = run(capsys, "clt", "--degree", "8")
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert "--degree" in error["message"]
+    assert "up to 7" in error["message"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -282,26 +282,81 @@ def test_mixed_alternating_words_vanish_for_identity_covariance(rng):
     assert sc.moment(word) == pytest.approx(0.0, abs=1e-12)
 
 
+def _dense_complex_spec(nvars, max_order, seed):
+    """Every word of length >= 2 gets a complex cumulant; neither cyclic
+    nor Hermitian, so the state is not tracial."""
+    import random
+
+    rng = random.Random(seed)
+    kappa = {
+        w: complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        for w in words_up_to(nvars, max_order, min_len=2)
+    }
+    return CumulantSpec(nvars, kappa, max_order=max_order)
+
+
 def test_concurrent_moment_reads_are_consistent():
-    # the memo cache is lock-guarded; hammer it from several threads
+    # the memo cache is shared by all threads; hammer it from several
+    import sys
     import threading
 
-    sc = semicircular(2, max_order=8)
-    words = words_up_to(2, 8, min_len=1)
-    expected = {w: semicircular(2, max_order=8).moment(w) for w in words}
-    errors = []
+    dense = _dense_complex_spec(2, 8, seed=5)
+    assert not CumulantState(dense).tracial
+    cases = [
+        (lambda: semicircular(2, max_order=8),
+         words_up_to(2, 8, min_len=1)),
+        # cold dense state: threads start on different long words, so the
+        # recursion of one fills gap subwords another is reading
+        (lambda: CumulantState(dense), words_up_to(2, 8, min_len=1)[::-1]),
+    ]
+    for make, words in cases:
+        shared = make()
+        expected = {w: make().moment(w) for w in words}
+        errors = []
 
-    def worker():
+        def worker(offset):
+            try:
+                for w in words[offset:] + words[:offset]:
+                    if shared.moment(w) != expected[w]:
+                        errors.append(w)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for w in words:
-                if sc.moment(w) != expected[w]:
-                    errors.append(w)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
+            threads = [threading.Thread(target=worker, args=(k * 37,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+
+def test_order_cap_moments_in_bounded_memory(rng):
+    # at max_order 16 the recursion must neither enumerate NC(16) nor
+    # hold more than a small memo
+    import tracemalloc
+
+    from freestein import partitions
+
+    cached_orders = set(partitions._cache)
+    tracemalloc.start()
+    try:
+        assert semicircular(1, 16).moment((1,) * 16) == catalan(8) == 1430
+        riordan_16 = centered_free_poisson(1, 16).moment((1,) * 16)
+        assert riordan_16 == centered_free_poisson_moment(16) == 227475
+        spec = rand_cumulant_spec(rng, 1, 16)
+        back = moments_to_cumulants(CumulantState(spec), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for w in words_up_to(1, 16, min_len=1):
+        orig = spec.value(w)
+        assert back.value(w) == pytest.approx(orig, abs=1e-9 * max(1.0, abs(orig)))
+    assert peak < 64 * 2**20
+    assert set(partitions._cache) == cached_orders

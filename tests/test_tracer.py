@@ -1,0 +1,45 @@
+"""The benchmark's layer tracer still finds the names it wraps.
+
+``bench/tracer.py`` patches ``states.noncrossing_partitions`` and
+``CumulantState.moment`` and reads ``CumulantState._memo``; this runs
+one traced CLI op so that renaming any of them fails here, not only in
+``bench/run.py --trace 1``.
+"""
+
+import importlib.util
+import os
+
+from freestein import cli, semicircular, serialize, states
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "bench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_cumulant_moments(tmp_path, capsys):
+    sc = semicircular(2, max_order=6)
+    path = tmp_path / "sc2.json"
+    path.write_text(serialize.dumps(
+        serialize.cumulants_to_obj(sc.spec, norm_upper=sc.norm_upper)))
+    moment = states.CumulantState.moment
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        # through the module attribute, which the tracer wraps
+        code = cli.main(["poincare", "--cumulants", str(path), "--degree", "2"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert states.CumulantState.moment is moment
+    calls = tracer.calls_by_layer()
+    assert calls["states.moment"] > 0
+    assert calls["cli.main"] == 1
+    assert tracer.counts["states.moment_evals"] > 0
+    assert tracer.counts["partitions.visited"] == 0
