@@ -11,6 +11,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,7 +32,7 @@ from .errors import (
     InvalidStateError,
     ParseError,
 )
-from .matrixmodels import EnsembleConfig, mc_moment_table
+from .matrixmodels import mc_moment_table
 from .poincare import poincare_lower_bound
 from .states import MAX_CUMULANT_ORDER, centered_free_poisson, validate_state
 from .stein import SteinProblem, discrepancy_bounds
@@ -191,10 +192,7 @@ def _load_state(args, mc_order=8):
         config = serialize.ensemble_from_obj(obj)
         seed = getattr(args, "seed", None)
         if seed is not None:
-            config = EnsembleConfig(
-                size=config.size, samples=config.samples,
-                seed=seed, generators=config.generators,
-            )
+            config = dataclasses.replace(config, seed=seed)
         phi = mc_moment_table(config, mc_order)
     problems = validate_state(phi)
     if problems:
@@ -266,13 +264,16 @@ def cmd_poincare(args):
 
 
 def cmd_clt(args):
+    if args.degree < 0:
+        raise ValueError("degree must be >= 0")
     if args.cumulants:
         base = serialize.cumulants_from_obj(
             _read_json(args.cumulants, "cumulants")
         )
         norm_upper = None
     else:
-        # the builtin base is evaluated up to order 2 * degree + 2
+        # the builtin base is evaluated up to order 2 * degree + 2, and at
+        # least 4 for the fourth moments of the rate table
         max_degree = (MAX_CUMULANT_ORDER - 2) // 2
         if args.degree > max_degree:
             raise BudgetExceededError(
@@ -282,7 +283,7 @@ def cmd_clt(args):
                 needed=2 * args.degree + 2,
                 available=MAX_CUMULANT_ORDER,
             )
-        builtin = centered_free_poisson(1, max_order=2 * args.degree + 2)
+        builtin = centered_free_poisson(1, max_order=max(2 * args.degree + 2, 4))
         base = builtin.spec
         norm_upper = builtin.norm_upper
     try:
@@ -297,12 +298,7 @@ def cmd_clt(args):
 def cmd_mc(args):
     config = serialize.ensemble_from_obj(_read_json(args.ensemble, "ensemble"))
     if args.seed is not None:
-        config = EnsembleConfig(
-            size=config.size,
-            samples=config.samples,
-            seed=args.seed,
-            generators=config.generators,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     table = mc_moment_table(config, args.max_order)
     return serialize.dumps(serialize.table_to_obj(table))
 

@@ -27,7 +27,19 @@ the rest of the library:
 * ``inner_matrix``        <A, B> = (phi (x) phi) Tr(A # B*),
 
 all linear in the first slot and conjugate-linear in the second, plus
-the Gram assemblies shared by the Stein and Poincare solvers.
+the Gram assemblies shared by the Stein and Poincare solvers.  Those
+never build a symbolic product.  With d_i w = sum over k with w[k] = i
+of w[:k] (x) w[k+1:] and the sharp product
+(p1 (x) p2) # (q1 (x) q2) = p1 q1 (x) q2 p2, the Dirichlet Gram is
+
+    G[a, b] = sum_i sum over k in pos_i(w_b), l in pos_i(w_a) of
+              phi(w_b[:k] rev(w_a[:l])) * phi(rev(w_a[l+1:]) w_b[k+1:]),
+
+and both factors are entries of one moment matrix H[u, v] = phi(u rev v)
+over the prefixes and reversed suffixes, so ``dirichlet_gram`` gathers
+them from H with numpy.  ``covariance_gram`` and the positivity check of
+``validate_state`` read the same H.  The exact sharp-product assembly
+lives in the tests as the oracle for these gathers.
 
 Symbolic inputs are exact; evaluation is double-precision complex.
 Every functional caches word moments behind a lock and is safe for
@@ -43,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NcPoly, TensorPoly
+from .algebra import TensorPoly
 from .errors import BudgetExceededError, InvalidStateError
 from .partitions import noncrossing_partitions  # re-exported; off the moment path
 
@@ -193,6 +205,12 @@ class CumulantState(MomentFunctional):
 
     def moment(self, word):
         word = tuple(word)
+        # the memo holds only checked words and their subwords, so a hit
+        # needs no check
+        with self._lock:
+            value = self._memo.get(word)
+        if value is not None:
+            return value
         self._check_word(word)
         return self._moment(word)
 
@@ -356,33 +374,64 @@ def inner_matrix(phi, a, b):
 # Gram assemblies shared by the Stein and Poincare solvers
 
 
+def _derivative_entries(words):
+    """(word index, letter, prefix, reversed suffix) of every term
+    w[:k] (x) w[k+1:] of d_{w[k]} w, word by word."""
+    return [(a, letter, w[:k], w[k + 1:][::-1])
+            for a, w in enumerate(words) for k, letter in enumerate(w)]
+
+
+def _hankel(phi, rows, cols):
+    """H[u, v] = phi(u rev(v)) over the word lists ``rows`` x ``cols``."""
+    hankel = np.empty((len(rows), len(cols)), dtype=complex)
+    for a, u in enumerate(rows):
+        for b, v in enumerate(cols):
+            hankel[a, b] = phi.moment(u + v[::-1])
+    return hankel
+
+
+# cap on the entries of one gathered block in ``dirichlet_gram``
+_GATHER_BLOCK = 1 << 18
+
+
 def dirichlet_gram(phi, words):
     """Hermitian Gram of Jacobian rows over monomial words.
 
     G[a, b] = sum_i (phi (x) phi)( d_i(w_b) # (d_i(w_a))* ), so that the
-    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.
+    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  Each
+    pair of derivative terms contributes
+    phi(w_b[:k] rev(w_a[:l])) phi(rev(w_a[l+1:]) w_b[k+1:]), two entries
+    of one moment matrix H over the prefixes and reversed suffixes.
     """
-    from .algebra import partial_derivative
-
-    n = phi.nvars
-    derivs = []
-    for w in words:
-        p = NcPoly.monomial(w, n)
-        derivs.append([partial_derivative(i, p) for i in range(1, n + 1)])
-    stars = [[d.star() for d in row] for row in derivs]
     size = len(words)
-    gram = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(a, size):
-            total = 0j
-            for i in range(n):
-                prod = derivs[b][i].sharp(stars[a][i])
-                if prod.terms:
-                    total += tensor_moment(phi, prod)
-            gram[a, b] = total
-            if a != b:
-                gram[b, a] = total.conjugate()
-    return gram
+    longest = max((len(w) for w in words), default=0)
+    phi.check_order(2 * max(longest - 1, 0))
+    entries = _derivative_entries(words)
+    index = {}
+    for _, _, pre, rsuf in entries:
+        index.setdefault(pre, len(index))
+        index.setdefault(rsuf, len(index))
+    legs = list(index)
+    hankel = _hankel(phi, legs, legs)
+    re = np.zeros(size * size)
+    im = np.zeros(size * size)
+    for letter in range(1, phi.nvars + 1):
+        group = [e for e in entries if e[1] == letter]
+        if not group:
+            continue
+        owner = np.array([e[0] for e in group])
+        pre = np.array([index[e[2]] for e in group])
+        suf = np.array([index[e[3]] for e in group])
+        step = max(1, _GATHER_BLOCK // len(group))
+        for lo in range(0, len(group), step):
+            rows = slice(lo, lo + step)
+            # term e of d_i w_b against term f of d_i w_a, added to G[a, b]
+            prod = hankel[np.ix_(pre[rows], pre)] * hankel[np.ix_(suf, suf[rows])].T
+            flat = (owner[None, :] * size + owner[rows, None]).ravel()
+            re += np.bincount(flat, prod.real.ravel(), size * size)
+            im += np.bincount(flat, prod.imag.ravel(), size * size)
+    gram = (re + 1j * im).reshape(size, size)
+    return np.triu(gram) + np.triu(gram, 1).conj().T
 
 
 def covariance_gram(phi, words):
@@ -391,14 +440,8 @@ def covariance_gram(phi, words):
     S[a, b] = phi((w_b - phi w_b)(w_a - phi w_a)*), so the variance of
     P = sum_b alpha_b w_b is alpha^H S alpha.
     """
-    means = [phi.moment(w) for w in words]
-    size = len(words)
-    gram = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        ra = words[a][::-1]
-        for b in range(size):
-            gram[a, b] = phi.moment(words[b] + ra) - means[b] * means[a].conjugate()
-    return gram
+    means = np.array([phi.moment(w) for w in words], dtype=complex)
+    return _hankel(phi, words, words).T - np.outer(means.conj(), means)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +521,7 @@ def validate_state(phi, check_order=None, herm_tol=1e-8, psd_tol=1e-8,
 
     half = min(phi.max_order // 2, check_order)
     family = words_up_to(phi.nvars, half)[:max_family]
-    gram = np.empty((len(family), len(family)), dtype=complex)
-    for a, wa in enumerate(family):
-        for b, wb in enumerate(family):
-            gram[a, b] = phi.moment(wa + wb[::-1])
+    gram = _hankel(phi, family, family)
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
     if eigs.min() < -psd_tol:

@@ -27,7 +27,14 @@ A0 minus the estimate stays orthogonal to every basis Jacobian.
 
 Jacobians of tuples concentrated in different coordinate slots are
 orthogonal, and the slot-s block of G does not depend on s, so the
-Gram is assembled once over words and reused for every slot.
+Gram is assembled once over words and reused for every slot.  Both G
+(``states.dirichlet_gram``) and r are read off word indices without
+building a symbolic product: a term c (p (x) q) of D_sk against the
+term w[:k] (x) w[k+1:] of d_k w contributes
+c phi(p rev(w[:k])) phi(rev(w[k+1:]) q) to r_s.  Only the represented
+kernel, ``MinimalKernelResult.kernel``, is assembled exactly, on first
+access.  The exact sharp-product assembly of G and r stays in the tests
+as the oracle.
 
 ``explicit_kernel_distance_sq`` evaluates ||A0 - I||^2 twice for the
 quadratic potential on centered states -- generically through the
@@ -47,6 +54,7 @@ alongside for comparison but can undershoot the true distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,10 +75,12 @@ from .errors import (
     InvalidStateError,
 )
 from .states import (
+    _derivative_entries,
     dirichlet_gram,
+    inner_matrix,
     inner_tuple,
     moment_of_poly,
-    tensor_moment,
+    tensor_moment,  # re-exported; the benchmark's layer tracer wraps it here
     words_up_to,
 )
 
@@ -134,17 +144,8 @@ def stein_residual(prob, a, ps):
     for g, mean, p in zip(prob.gradient, prob.gradient_means, ps):
         pstar = p.star()
         lhs += moment_of_poly(phi, g * pstar) - mean * moment_of_poly(phi, pstar)
-    rhs = _matrix_pairing(phi, a, jacobian(ps))
+    rhs = inner_matrix(phi, a, jacobian(ps))
     return lhs - rhs
-
-
-def _matrix_pairing(phi, a, b):
-    acc = TensorPoly.zero(a.nvars)
-    for i in range(a.size):
-        for j in range(a.size):
-            acc = acc + a.rows[i][j].sharp(b.rows[i][j].star())
-    phi.check_order(acc.max_leg_degree())
-    return tensor_moment(phi, acc)
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
     if method in ("auto", "generic"):
         a0 = explicit_kernel(prob.v)
         diff = a0 - KernelMatrix.identity(n)
-        generic_c = _matrix_pairing(phi, diff, diff)
+        generic_c = inner_matrix(phi, diff, diff)
         if abs(generic_c.imag) > 1e-8 * max(1.0, abs(generic_c.real)):
             raise InvalidStateError(
                 f"distance pairing is not real: {generic_c} (invalid state)"
@@ -280,7 +281,7 @@ class MinimalKernelResult:
     ``sigma_sq`` is the squared projection norm (lower bound on the
     squared discrepancy), ``coefficients`` the least-squares solution
     over ``basis.elements``, ``kernel`` the represented minimal kernel
-    I + sum c_P (JP)(X).
+    I + sum c_P (JP)(X), assembled exactly on first access.
     """
 
     basis: TruncationBasis
@@ -288,7 +289,12 @@ class MinimalKernelResult:
     sigma_sq: float
     gram_rank: int
     null_dim: int
-    kernel: KernelMatrix
+
+    @cached_property
+    def kernel(self):
+        n = self.basis.nvars
+        blocks = [self.coefficients[slot::n] for slot in range(n)]
+        return _assemble_kernel(n, self.basis.words, blocks)
 
 
 def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
@@ -323,29 +329,22 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
     inv_eigs = np.zeros_like(eigs)
     inv_eigs[keep] = 1.0 / eigs[keep]
 
-    a0 = explicit_kernel(prob.v)
-    ident = KernelMatrix.identity(n)
-    diff = a0 - ident
-
-    # r_s[b] = <A0 - I, J e_{w_b, s}> = sum_k (phi (x) phi)(D_sk # (d_k w_b)*)
-    deriv_stars = []
-    for w in words:
-        p = NcPoly.monomial(w, n)
-        deriv_stars.append(
-            [partial_derivative(k, p).star() for k in range(1, n + 1)]
-        )
+    diff = explicit_kernel(prob.v) - KernelMatrix.identity(n)
+    entries = _derivative_entries(words)
 
     sigma_sq = 0.0
     coeff_blocks = []
     for slot in range(n):
-        r = np.zeros(len(words), dtype=complex)
-        for b, _w in enumerate(words):
-            total = 0j
-            for k in range(n):
-                prod = diff.rows[slot][k].sharp(deriv_stars[b][k])
-                if prod.terms:
-                    total += tensor_moment(phi, prod)
-            r[b] = total
+        # r_s[b] = <A0 - I, J e_{w_b, s}> = sum_k (phi (x) phi)(D_sk # (d_k w_b)*);
+        # c (p (x) q) # (pre (x) suf)* = c p rev(pre) (x) rev(suf) q
+        terms = [[(complex(coef), p, q) for (p, q), coef in entry.terms.items()]
+                 for entry in diff.rows[slot]]
+        r = [0j] * len(words)
+        for b, letter, pre, rsuf in entries:
+            rev_pre = pre[::-1]
+            for coef, p, q in terms[letter - 1]:
+                r[b] += coef * phi.moment(p + rev_pre) * phi.moment(rsuf + q)
+        r = np.array(r)
         c = vecs @ (inv_eigs * (vecs.conj().T @ r))
         sigma_sq += float((r.conj() @ c).real)
         coeff_blocks.append(c)
@@ -356,20 +355,13 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
         )
     sigma_sq = max(sigma_sq, 0.0)
 
-    # basis.elements order is (word-major, slot-minor)
-    coefficients = np.zeros(len(basis), dtype=complex)
-    word_index = {w: i for i, w in enumerate(words)}
-    for b_idx, (slot, w) in enumerate(basis.elements):
-        coefficients[b_idx] = coeff_blocks[slot - 1][word_index[w]]
-
-    kernel = _assemble_kernel(n, words, coeff_blocks)
     return MinimalKernelResult(
         basis=basis,
-        coefficients=coefficients,
+        # basis.elements order is (word-major, slot-minor)
+        coefficients=np.column_stack(coeff_blocks).ravel(),
         sigma_sq=sigma_sq,
         gram_rank=n * rank_w,
         null_dim=n * (len(words) - rank_w),
-        kernel=kernel,
     )
 
 

@@ -6,10 +6,22 @@
   acts through transposes, so ``a (x) b -> kron(a, b.T)`` turns the sharp
   product into plain matrix multiplication and (phi (x) phi) into the
   normalized trace.  This checks the entire symbolic/pairing pipeline
-  against dense linear algebra on trace states.
+  against dense linear algebra on trace states;
+* the Dirichlet Gram and the minimal-kernel right-hand side assembled
+  from exact sharp products of Jacobian entries, one ``TensorPoly`` per
+  matrix entry, against which the word-index gathers are checked.
 """
 
 import numpy as np
+
+from freestein import (
+    KernelMatrix,
+    NcPoly,
+    explicit_kernel,
+    partial_derivative,
+    tensor_moment,
+)
+from freestein.states import words_up_to
 
 
 def set_partitions(m):
@@ -118,3 +130,51 @@ def kernel_matrices(kernel, mats, size):
     return [
         [tensor_matrix(q, mats, size) for q in row] for row in kernel.rows
     ]
+
+
+# ---------------------------------------------------------------------------
+# exact sharp-product assembly of the Jacobian Grams
+
+
+def _derivatives(words, n):
+    return [[partial_derivative(i, NcPoly.monomial(w, n)) for i in range(1, n + 1)]
+            for w in words]
+
+
+def sharp_dirichlet_gram(phi, words):
+    """G[a, b] = sum_i (phi (x) phi)(d_i(w_b) # (d_i(w_a))*), every entry
+    from its own exact sharp product."""
+    derivs = _derivatives(words, phi.nvars)
+    gram = np.zeros((len(words), len(words)), dtype=complex)
+    for a, row_a in enumerate(derivs):
+        for b, row_b in enumerate(derivs):
+            for da, db in zip(row_a, row_b):
+                prod = db.sharp(da.star())
+                if prod.terms:
+                    gram[a, b] += tensor_moment(phi, prod)
+    return gram
+
+
+def sharp_minimal_kernel(prob, degree, pinv_tol=1e-10):
+    """(sigma_sq, coefficients) of ``stein.minimal_kernel`` with the Gram
+    and r_s[b] = sum_k (phi (x) phi)((A0 - I)_sk # (d_k w_b)*) built from
+    exact sharp products, solved by the same eigenvalue pseudo-inverse."""
+    phi, n = prob.phi, prob.n
+    words = words_up_to(n, degree)
+    eigs, vecs = np.linalg.eigh(sharp_dirichlet_gram(phi, words))
+    keep = eigs > pinv_tol * max(eigs.max(), 1e-300)
+    pinv = (vecs[:, keep] / eigs[keep]) @ vecs[:, keep].conj().T
+    diff = explicit_kernel(prob.v) - KernelMatrix.identity(n)
+    derivs = _derivatives(words, n)
+    sigma_sq = 0.0
+    coefficients = np.zeros((len(words), n), dtype=complex)
+    for slot in range(n):
+        r = np.array([
+            sum(tensor_moment(phi, diff.rows[slot][k].sharp(row[k].star()))
+                for k in range(n))
+            for row in derivs
+        ])
+        c = pinv @ r
+        sigma_sq += float((r.conj() @ c).real)
+        coefficients[:, slot] = c
+    return sigma_sq, coefficients.ravel()

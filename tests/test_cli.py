@@ -148,6 +148,20 @@ def test_clt_builtin_degree_beyond_order_cap(capsys):
     assert "up to 7" in error["message"]
 
 
+def test_clt_builtin_small_degrees(capsys):
+    # degree 0 still needs the fourth moments of the builtin base
+    code, out, err = run(capsys, "clt", "--ks", "1,4", "--degree", "0")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["1", "4"]
+    assert float(rows[0][1]) == pytest.approx(3.0)
+    # a negative degree is refused before any base is built
+    code, out, err = run(capsys, "clt", "--degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == "degree must be >= 0"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

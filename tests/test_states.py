@@ -86,6 +86,19 @@ def test_budget_exceeded():
         moment_of_poly(sc, t(1, 1) ** 7)
 
 
+def test_warm_state_still_checks_words():
+    # memo hits skip the word check; words outside the memo must not
+    sc = semicircular(2, max_order=6)
+    for w in words_up_to(2, 6):
+        sc.moment(w)
+    for bad in ((3,), (1, 0), (2, 1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            sc.moment(bad)
+    with pytest.raises(BudgetExceededError):
+        sc.moment((1,) * 7)
+    assert sc.moment((1, 1)) == 1
+
+
 # ---------------------------------------------------------------------------
 # moments -> cumulants
 

@@ -7,6 +7,8 @@ import pytest
 
 from freestein import (
     ConsistencyError,
+    CumulantSpec,
+    CumulantState,
     InadmissibleProblemError,
     KernelMatrix,
     NcPoly,
@@ -24,7 +26,7 @@ from freestein import (
     stein_residual,
 )
 from freestein.stein import TruncationBasis
-from freestein.states import words_up_to
+from freestein.states import dirichlet_gram, words_up_to
 
 import bruteforce
 from conftest import (
@@ -410,3 +412,72 @@ def test_stein_residual_budget_error():
     a = explicit_kernel(prob.v)
     with pytest.raises(BudgetExceededError):
         stein_residual(prob, a, (NcPoly.gen(1, 1) ** 4,))
+
+
+# ---------------------------------------------------------------------------
+# word-index Gram assembly against the exact sharp-product oracle
+
+
+def _dense_hermitian_state(nvars, max_order, seed):
+    """Centered state with identity covariance in which every word of
+    length >= 3 has a complex cumulant.  kappa(rev w) = conj kappa(w)
+    keeps it a *-state; nothing makes kappa cyclic, so it is not
+    tracial."""
+    rng = random.Random(seed)
+    kappa = {(i, i): 1.0 for i in range(1, nvars + 1)}
+    for w in words_up_to(nvars, max_order, min_len=3):
+        if w not in kappa:
+            scale = 0.4 / 2 ** (len(w) - 2)
+            v = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+            kappa[w] = complex(v.real, 0.0) if w == w[::-1] else v
+            kappa[w[::-1]] = kappa[w].conjugate()
+    return CumulantState(CumulantSpec(nvars, kappa, max_order=max_order))
+
+
+def _oracle_trace_state(nvars, size, degree):
+    phi, _ = trace_state(np.random.default_rng(31 + nvars), nvars, size,
+                         max(2 * degree - 2, degree + 1), centered=True)
+    return phi
+
+
+ORACLE_CASES = {
+    "trace-n1-d4": lambda: (_oracle_trace_state(1, 6, 4), 4),
+    "trace-n2-d3": lambda: (_oracle_trace_state(2, 5, 3), 3),
+    "trace-n3-d3": lambda: (_oracle_trace_state(3, 5, 3), 3),
+    "cumulant-dense-n2-d4": lambda: (_dense_hermitian_state(2, 6, seed=3), 4),
+}
+
+
+def _assert_rel(value, ref, rel=1e-12):
+    scale = np.abs(np.asarray(ref)).max()
+    assert np.abs(np.asarray(value) - ref).max() <= rel * scale
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_word_index_assembly_matches_sharp_oracle(case):
+    phi, d = ORACLE_CASES[case]()
+    n = phi.nvars
+    assert phi.tracial == case.startswith("trace")
+    with_unit = words_up_to(n, d)
+    for words in (with_unit, with_unit[1:], with_unit[::-1]):
+        ref = bruteforce.sharp_dirichlet_gram(phi, words)
+        _assert_rel(dirichlet_gram(phi, words), ref)
+
+    prob = SteinProblem(phi, quadratic_potential(n))
+    mk = minimal_kernel(prob, d)
+    sigma_sq, coefficients = bruteforce.sharp_minimal_kernel(prob, d)
+    assert sigma_sq > 1e-3
+    _assert_rel(mk.sigma_sq, sigma_sq)
+    _assert_rel(mk.coefficients, coefficients)
+
+
+def test_grams_raise_budget_error_one_order_short():
+    from freestein import BudgetExceededError
+
+    d = 3
+    phi, _ = trace_state(np.random.default_rng(5), 2, 4, 2 * (d - 1) - 1,
+                         centered=True)
+    with pytest.raises(BudgetExceededError):
+        dirichlet_gram(phi, words_up_to(2, d))
+    with pytest.raises(BudgetExceededError):
+        minimal_kernel(SteinProblem(phi, quadratic_potential(2)), d)

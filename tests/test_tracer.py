@@ -1,14 +1,20 @@
 """The benchmark's layer tracer still finds the names it wraps.
 
 ``bench/tracer.py`` patches ``states.noncrossing_partitions`` and
-``CumulantState.moment`` and reads ``CumulantState._memo``; this runs
-one traced CLI op so that renaming any of them fails here, not only in
-``bench/run.py --trace 1``.
+``CumulantState.moment`` and reads ``CumulantState._memo``; it also
+patches ``dirichlet_gram``, ``tensor_moment`` and
+``partial_derivative`` where ``stein`` and ``poincare`` bind them, and
+keeps the Gram that ``dirichlet_gram(phi, words)`` returns.  These
+tests run traced CLI ops so that renaming any of them fails here, not
+only in ``bench/run.py --trace 1``.
 """
 
 import importlib.util
 import os
 
+import numpy as np
+
+from conftest import trace_state
 from freestein import cli, semicircular, serialize, states
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -43,3 +49,24 @@ def test_tracer_records_cumulant_moments(tmp_path, capsys):
     assert calls["cli.main"] == 1
     assert tracer.counts["states.moment_evals"] > 0
     assert tracer.counts["partitions.visited"] == 0
+
+
+def test_tracer_records_dirichlet_grams(tmp_path, capsys):
+    phi, _ = trace_state(np.random.default_rng(3), 2, 4, 4, centered=True)
+    path = tmp_path / "table.json"
+    path.write_text(serialize.dumps(serialize.table_to_obj(phi)))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["stein", "--state", str(path), "--degree", "2"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = tracer.calls_by_layer()
+    # poincare over the 6 nonconstant words of degree <= 2, minimal_kernel
+    # over those and the empty word
+    assert calls["states.dirichlet_gram"] == 2
+    assert sorted(len(g) for g in tracer.grams) == [6, 7]
+    assert all(g.shape == (len(g), len(g)) for g in tracer.grams)
+    assert tracer.counts["states.table_lookups"] > 0
