@@ -8,6 +8,18 @@ fresh GUE matrices.  Word moments are averaged normalized traces over
 from the master seed, so results are identical no matter how sampling
 is scheduled.
 
+Word traces use that the coordinates are Hermitian (GUE draws are
+exactly so; polynomial images and the inputs of
+``moment_table_from_matrices`` are replaced by their Hermitian parts).
+The product of a reversed word is the adjoint, P_rev(u) = P_u^H, so a
+product whose reversal is already built is a conjugate transpose, not
+a GEMM, and a word w = a.b, split at ceil(|w|/2), pairs as
+tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product.  A word
+whose reversal came earlier takes the conjugate of that trace and a
+palindrome's trace is real, so every table is exactly Hermitian
+symmetric.  Running means and variances are arrays indexed by word
+position, updated once per draw.
+
 The output is a ``MomentTable`` carrying per-word standard errors and,
 as the per-coordinate upper norm estimate, the largest spectral norm
 seen across samples.
@@ -81,14 +93,19 @@ def sample_gue(rng, size):
 
 
 def eval_poly_matrices(poly, mats, size):
-    """Evaluate a noncommutative polynomial on concrete matrices."""
+    """Evaluate a noncommutative polynomial on concrete matrices.
+
+    Each monomial's product starts at its first letter and the constant
+    term goes on the diagonal, so no GEMM multiplies by the identity."""
     out = np.zeros((size, size), dtype=complex)
-    eye = np.eye(size)
     for word, coeff in poly.terms.items():
-        acc = eye
-        for letter in word:
+        if not word:
+            out[np.diag_indices(size)] += complex(coeff)
+            continue
+        acc = mats[word[0] - 1]
+        for letter in word[1:]:
             acc = acc @ mats[letter - 1]
-        out = out + complex(coeff) * acc
+        out += complex(coeff) * acc
     return out
 
 
@@ -99,37 +116,61 @@ def _coordinate_matrices(config, rng):
             mats.append(sample_gue(rng, config.size))
         elif isinstance(gen, PolyOfGueGenerator):
             fresh = [sample_gue(rng, config.size) for _ in range(gen.fresh_gues)]
-            mats.append(eval_poly_matrices(gen.poly, fresh, config.size))
+            m = eval_poly_matrices(gen.poly, fresh, config.size)
+            mats.append((m + m.conj().T) / 2)
         else:
             raise ParseError(f"unknown generator {gen!r}", field="generators")
     return mats
 
 
 def _word_traces(mats, size, max_order, words):
-    """Normalized traces of all words, via half-length product tables."""
+    """Normalized traces of ``words`` on Hermitian ``mats``, as a complex
+    array aligned with ``words``.
+
+    ``words`` is graded (every prefix and reversal of a word comes no
+    later than the word itself, as from ``words_up_to``).  Products of
+    at most ceil(max_order / 2) letters are built, each by one GEMM or,
+    when its reversal is built, as that product's adjoint."""
     half = (max_order + 1) // 2
-    prods = {(): np.eye(size, dtype=complex)}
+    prods = {}
     for w in words:
-        if 0 < len(w) <= half:
-            prods[w] = prods[w[:-1]] @ mats[w[-1] - 1]
-    traces = {}
-    for w in words:
+        if len(w) == 1:
+            prods[w] = mats[w[0] - 1]
+        elif len(w) <= half:
+            rev = w[::-1]
+            if rev in prods:
+                prods[w] = np.ascontiguousarray(prods[rev].conj().T)
+            else:
+                prods[w] = prods[w[:-1]] @ mats[w[-1] - 1]
+    traces = np.empty(len(words), dtype=complex)
+    position = {}
+    for k, w in enumerate(words):
+        rev = w[::-1]
+        j = position.get(rev)
+        if j is not None:
+            traces[k] = traces[j].conjugate()
+            continue
+        position[w] = k
         cut = (len(w) + 1) // 2
         left, right = w[:cut], w[cut:]
         if right:
-            traces[w] = np.einsum("ij,ji->", prods[left], prods[right]) / size
+            t = np.vdot(prods[right[::-1]], prods[left]) / size
         else:
-            traces[w] = np.trace(prods[left]) / size
+            t = np.trace(prods[left]) / size
+        # the product of a palindrome is Hermitian
+        traces[k] = t.real if rev == w else t
     return traces
 
 
 def mc_moment_table(config, max_order):
     """Monte Carlo moment table: per-word sample mean, standard error,
     and sampled spectral-norm upper estimates. Deterministic in the seed."""
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     n = config.nvars
     words = words_up_to(n, max_order, min_len=1)
-    mean = {w: 0j for w in words}
-    msq = {w: 0.0 for w in words}
+    mean = np.zeros(len(words), dtype=complex)
+    msq = np.zeros(len(words))
     norm_max = [0.0] * n
 
     streams = np.random.SeedSequence(config.seed).spawn(config.samples)
@@ -141,23 +182,19 @@ def mc_moment_table(config, max_order):
             norm_max[i] = max(norm_max[i], float(np.abs(eigs).max()))
         traces = _word_traces(mats, config.size, max_order, words)
         # Welford over complex values
-        for w, t in traces.items():
-            d = t - mean[w]
-            mean[w] = mean[w] + d / (s + 1)
-            msq[w] += (d.conjugate() * (t - mean[w])).real
+        d = traces - mean
+        mean += d / (s + 1)
+        msq += (d.conj() * (traces - mean)).real
 
     count = config.samples
-    stderr = {
-        w: float(np.sqrt(msq[w] / count / max(count - 1, 1))) for w in words
-    }
-    entries = {w: mean[w] for w in words}
+    stderr = np.sqrt(msq / count / max(count - 1, 1))
     return MomentTable(
         n,
         max_order,
-        entries,
+        dict(zip(words, mean.tolist())),
         tracial=True,
         norm_upper=tuple(norm_max),
-        stderr=stderr,
+        stderr=dict(zip(words, stderr.tolist())),
     )
 
 
@@ -168,7 +205,8 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
     invariant (unit, Hermitian symmetry, positivity, traciality) up to
     floating point, and their spectral norms are exact upper norm
     estimates.  Useful both as a deterministic table backend and as an
-    independent oracle in tests.
+    independent oracle in tests.  Matrices Hermitian within ``atol``
+    are replaced by their Hermitian parts.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     size = mats[0].shape[0]
@@ -177,8 +215,10 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
             raise ValueError("all matrices must share one square shape")
         if np.abs(m - m.conj().T).max() > atol:
             raise ValueError("matrices must be Hermitian")
+    mats = [(m + m.conj().T) / 2 for m in mats]
     n = len(mats)
     words = words_up_to(n, max_order, min_len=1)
     traces = _word_traces(mats, size, max_order, words)
     norms = tuple(float(np.abs(np.linalg.eigvalsh(m)).max()) for m in mats)
-    return MomentTable(n, max_order, traces, tracial=True, norm_upper=norms)
+    return MomentTable(n, max_order, dict(zip(words, traces.tolist())),
+                       tracial=True, norm_upper=norms)

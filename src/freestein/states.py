@@ -102,6 +102,9 @@ class MomentFunctional:
 
     def _check_word(self, word):
         self.check_order(len(word))
+        self._check_letters(word)
+
+    def _check_letters(self, word):
         for letter in word:
             if not 1 <= letter <= self.nvars:
                 raise ValueError(f"letter {letter} out of range 1..{self.nvars}")
@@ -114,6 +117,8 @@ class MomentTable(MomentFunctional):
     """Explicit moment table; absent words within the order budget are 0.
 
     ``stderr`` optionally maps words to Monte Carlo standard errors.
+    Entry words are checked when the table is built, so a lookup that
+    hits an entry needs no check; a lookup that misses is checked.
     """
 
     def __init__(self, nvars, max_order, entries, tracial=False,
@@ -121,14 +126,23 @@ class MomentTable(MomentFunctional):
         super().__init__(nvars, max_order, tracial, norm_upper)
         self.entries = {tuple(w): complex(v) for w, v in entries.items()}
         self.entries.setdefault((), 1.0 + 0j)
+        for word in self.entries:
+            if len(word) > max_order:
+                raise ValueError(
+                    f"entry word of length {len(word)} exceeds max_order "
+                    f"{max_order}")
+            self._check_letters(word)
         self.stderr = (
             {tuple(w): float(s) for w, s in stderr.items()} if stderr else None
         )
 
     def moment(self, word):
         word = tuple(word)
-        self._check_word(word)
-        return self.entries.get(word, 0j)
+        value = self.entries.get(word)
+        if value is None:
+            self._check_word(word)
+            return 0j
+        return value
 
 
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block

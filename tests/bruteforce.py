@@ -9,16 +9,22 @@
   against dense linear algebra on trace states;
 * the Dirichlet Gram and the minimal-kernel right-hand side assembled
   from exact sharp products of Jacobian entries, one ``TensorPoly`` per
-  matrix entry, against which the word-index gathers are checked.
+  matrix entry, against which the word-index gathers are checked;
+* Monte Carlo moment tables from the same spawned sample streams, one
+  ``einsum`` trace per word from identity-started products and a
+  two-pass mean and standard error, against which the reversal-shared
+  inner products and array Welford updates are checked.
 """
 
 import numpy as np
 
 from freestein import (
+    GueGenerator,
     KernelMatrix,
     NcPoly,
     explicit_kernel,
     partial_derivative,
+    sample_gue,
     tensor_moment,
 )
 from freestein.states import words_up_to
@@ -178,3 +184,56 @@ def sharp_minimal_kernel(prob, degree, pinv_tol=1e-10):
         sigma_sq += float((r.conj() @ c).real)
         coefficients[:, slot] = c
     return sigma_sq, coefficients.ravel()
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo tables, one einsum trace per word
+
+
+def einsum_word_traces(mats, size, max_order, words):
+    """{word: tr(word) / N}, splitting each word at ceil(|w|/2) into
+    half-length products started from the identity."""
+    half = (max_order + 1) // 2
+    prods = {(): np.eye(size, dtype=complex)}
+    for w in words:
+        if 0 < len(w) <= half:
+            prods[w] = prods[w[:-1]] @ mats[w[-1] - 1]
+    traces = {}
+    for w in words:
+        cut = (len(w) + 1) // 2
+        left, right = w[:cut], w[cut:]
+        if right:
+            traces[w] = np.einsum("ij,ji->", prods[left], prods[right]) / size
+        else:
+            traces[w] = np.trace(prods[left]) / size
+    return traces
+
+
+def mc_moment_oracle(config, max_order):
+    """(entries, stderr, norm_upper) of ``mc_moment_table`` from the same
+    spawned streams: polynomial coordinates by ``poly_matrix`` and their
+    Hermitian parts, per-word ``einsum`` traces, two-pass statistics."""
+    words = words_up_to(config.nvars, max_order, min_len=1)
+    size = config.size
+    samples = []
+    norms = []
+    for ss in np.random.SeedSequence(config.seed).spawn(config.samples):
+        rng = np.random.default_rng(ss)
+        mats = []
+        for gen in config.generators:
+            if isinstance(gen, GueGenerator):
+                mats.append(sample_gue(rng, size))
+            else:
+                fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
+                m = poly_matrix(gen.poly, fresh, size)
+                mats.append((m + m.conj().T) / 2)
+        norms.append([np.abs(np.linalg.eigvalsh(m)).max() for m in mats])
+        traces = einsum_word_traces(mats, size, max_order, words)
+        samples.append([traces[w] for w in words])
+    samples = np.array(samples)
+    count = config.samples
+    mean = samples.mean(axis=0)
+    spread = (np.abs(samples - mean) ** 2).sum(axis=0)
+    stderr = np.sqrt(spread / count / max(count - 1, 1))
+    return (dict(zip(words, mean.tolist())), dict(zip(words, stderr.tolist())),
+            tuple(float(x) for x in np.max(norms, axis=0)))

@@ -1,4 +1,7 @@
-"""Monte Carlo backend: GUE convention, determinism, convergence."""
+"""Monte Carlo backend: GUE convention, determinism, convergence, and
+the word traces against the per-word ``einsum`` oracle."""
+
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +18,12 @@ from freestein import (
     semicircular,
     validate_state,
 )
+from freestein import cli, matrixmodels
+from freestein.matrixmodels import eval_poly_matrices
 from freestein.states import words_up_to
+
+import bruteforce
+from conftest import rand_hermitian
 
 
 def test_gue_entry_variances():
@@ -112,3 +120,81 @@ def test_trace_state_exactness(np_rng):
 def test_trace_state_rejects_non_hermitian():
     with pytest.raises(ValueError):
         moment_table_from_matrices([np.array([[0.0, 1.0], [0.0, 0.0]])], 2)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want) + 1e-14
+
+
+def _two_gue_poly():
+    """A self-adjoint polynomial of two fresh GUEs with a constant term."""
+    g, h = NcPoly.gen(1, 2), NcPoly.gen(2, 2)
+    p = g * h + g * g * h * g - NcPoly.one(2).scale(0.25)
+    return p + p.star()
+
+
+@pytest.mark.parametrize("generators, max_order, samples", [
+    ((GueGenerator(),), 5, 4),
+    ((GueGenerator(),), 6, 1),
+    ((GueGenerator(), PolyOfGueGenerator(
+        NcPoly.gen(1, 1) * NcPoly.gen(1, 1) - NcPoly.one(1), 1)), 6, 3),
+    ((PolyOfGueGenerator(_two_gue_poly(), 2), GueGenerator(),
+      GueGenerator()), 3, 3),
+    ((GueGenerator(), GueGenerator(), GueGenerator()), 4, 2),
+])
+def test_mc_table_matches_einsum_oracle(generators, max_order, samples):
+    cfg = EnsembleConfig(size=12, samples=samples, seed=31,
+                         generators=generators)
+    table = mc_moment_table(cfg, max_order)
+    entries, stderr, norm_upper = bruteforce.mc_moment_oracle(cfg, max_order)
+    assert table.norm_upper == norm_upper
+    for w in words_up_to(cfg.nvars, max_order, min_len=1):
+        assert _close(table.entries[w], entries[w])
+        assert _close(table.stderr[w], stderr[w])
+        # exact Hermitian symmetry, palindromes real
+        assert table.entries[w[::-1]] == table.entries[w].conjugate()
+
+
+def test_trace_state_matches_direct_products(np_rng):
+    size = 7
+    mats = []
+    for _ in range(3):
+        a = rand_hermitian(np_rng, size)
+        # Hermitian within the default atol only
+        mats.append(a + 1e-14 * np_rng.standard_normal((size, size)))
+    for n, order in ((1, 7), (2, 5), (3, 4)):
+        table = moment_table_from_matrices(mats[:n], order)
+        herm = [(m + m.conj().T) / 2 for m in mats[:n]]
+        for w in words_up_to(n, order, min_len=1):
+            want = np.trace(bruteforce.word_matrix(w, herm, size)) / size
+            assert abs(table.moment(w) - want) <= 1e-12 * max(abs(want), 1.0)
+            assert table.entries[w[::-1]] == table.entries[w].conjugate()
+
+
+def test_eval_poly_matches_identity_started_products(np_rng):
+    size = 9
+    mats = [rand_hermitian(np_rng, size) for _ in range(2)]
+    g1 = NcPoly.gen(1, 1)
+    polys = [
+        (g1 * g1 - NcPoly.one(1), mats[:1]),
+        (NcPoly.one(1).scale(complex(0.25, -1.5)) + g1 * g1 * g1, mats[:1]),
+        (_two_gue_poly(), mats),
+    ]
+    for poly, args in polys:
+        got = eval_poly_matrices(poly, args, size)
+        assert np.array_equal(got, bruteforce.poly_matrix(poly, args, size))
+
+
+def test_mc_rejects_max_order_before_sampling(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking max_order")
+
+    monkeypatch.setattr(matrixmodels, "sample_gue", refuse)
+    cfg = EnsembleConfig(size=8, samples=3, seed=1, generators=(GueGenerator(),))
+    with pytest.raises(ValueError, match="max_order must be >= 1"):
+        mc_moment_table(cfg, 0)
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"N": 8, "samples": 3, "seed": 1,
+                                "generators": [{"kind": "gue"}]}))
+    assert cli.main(["mc", "--ensemble", str(path), "--max-order", "0"]) == 1
+    assert "max_order must be >= 1" in capsys.readouterr().err

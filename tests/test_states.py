@@ -13,6 +13,7 @@ from freestein import (
     KernelMatrix,
     MomentTable,
     NcPoly,
+    ParseError,
     TensorPoly,
     centered_free_poisson,
     cumulants_to_moment,
@@ -25,6 +26,7 @@ from freestein import (
     operator_norm_estimate,
     quadratic_potential,
     semicircular,
+    serialize,
     tensor_moment,
     validate_state,
 )
@@ -97,6 +99,29 @@ def test_warm_state_still_checks_words():
     with pytest.raises(BudgetExceededError):
         sc.moment((1,) * 7)
     assert sc.moment((1, 1)) == 1
+
+
+def test_table_checks_entry_words_once():
+    # entry words are checked at construction, so hits skip the check
+    with pytest.raises(ValueError, match="out of range"):
+        MomentTable(2, 4, {(1, 3): 1.0})
+    with pytest.raises(ValueError, match="out of range"):
+        MomentTable(2, 4, {(0,): 1.0})
+    with pytest.raises(ValueError, match="exceeds max_order"):
+        MomentTable(1, 4, {(1,) * 5: 1.0})
+    with pytest.raises(ParseError):
+        serialize.table_from_obj({"nvars": 1, "max_order": 2, "entries": [
+            {"word": [1, 1, 1], "re": 1.0, "im": 0.0}]})
+    table = MomentTable(2, 4, {(1, 2): 0.5, (1, 1, 2, 2): 0.25})
+    assert table.moment([1, 2]) == 0.5
+    assert table.moment((1, 1, 2, 2)) == 0.25
+    assert table.moment((2, 1)) == 0
+    # absent bad words are still refused
+    for bad in ((3,), (1, 0), (2, 1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            table.moment(bad)
+    with pytest.raises(BudgetExceededError):
+        table.moment((1,) * 5)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@
 ``CumulantState.moment`` and reads ``CumulantState._memo``; it also
 patches ``dirichlet_gram``, ``tensor_moment`` and
 ``partial_derivative`` where ``stein`` and ``poincare`` bind them, and
-keeps the Gram that ``dirichlet_gram(phi, words)`` returns.  These
-tests run traced CLI ops so that renaming any of them fails here, not
-only in ``bench/run.py --trace 1``.
+keeps the Gram that ``dirichlet_gram(phi, words)`` returns.  It wraps
+``cli.mc_moment_table``, ``matrixmodels.sample_gue`` and
+``matrixmodels.eval_poly_matrices``, and ``numpy.linalg.eigvalsh``,
+which the Monte Carlo backend must call through those module
+attributes.  These tests run traced CLI ops so that renaming any of
+them fails here, not only in ``bench/run.py --trace 1``.
 """
 
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -70,3 +74,24 @@ def test_tracer_records_dirichlet_grams(tmp_path, capsys):
     assert sorted(len(g) for g in tracer.grams) == [6, 7]
     assert all(g.shape == (len(g), len(g)) for g in tracer.grams)
     assert tracer.counts["states.table_lookups"] > 0
+
+
+def test_tracer_records_mc_samples(tmp_path, capsys):
+    samples = 3
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"N": 10, "samples": samples, "seed": 5,
+                                "generators": [{"kind": "gue"}, {"kind": "gue"}]}))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["mc", "--ensemble", str(path), "--max-order", "4"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = tracer.calls_by_layer()
+    assert calls["matrixmodels.mc_table"] == 1
+    # one draw and one norm eigensolve per coordinate per sample
+    assert calls["matrixmodels.sample"] == 2 * samples
+    assert calls["matrixmodels.norm_eig"] == 2 * samples
+    assert tracer.counts["matrixmodels.samples"] == samples
