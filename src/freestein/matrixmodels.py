@@ -8,21 +8,30 @@ fresh GUE matrices.  Word moments are averaged normalized traces over
 from the master seed, so results are identical no matter how sampling
 is scheduled.
 
-Word traces use that the coordinates are Hermitian (GUE draws are
+Trace states are tracial and, the coordinates being Hermitian,
+Hermitian symmetric: tr(rotation of w) = tr(w) and tr(rev w) =
+conj tr(w).  So one trace is taken per bracelet class (the words
+reachable by rotation and reversal, see ``states.bracelet_rep``), on
+the class representative, and the table gives each rotation that value
+and each reversed rotation its conjugate.  A class closed under
+reversal has a Hermitian product, so its value is taken real.  Every
+table is therefore exactly tracial and Hermitian symmetric.
+
+The traces use that the coordinates are Hermitian (GUE draws are
 exactly so; polynomial images and the inputs of
 ``moment_table_from_matrices`` are replaced by their Hermitian parts).
 The product of a reversed word is the adjoint, P_rev(u) = P_u^H, so a
 product whose reversal is already built is a conjugate transpose, not
 a GEMM, and a word w = a.b, split at ceil(|w|/2), pairs as
-tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product.  A word
-whose reversal came earlier takes the conjugate of that trace and a
-palindrome's trace is real, so every table is exactly Hermitian
-symmetric.  Running means and variances are arrays indexed by word
-position, updated once per draw.
+tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product.  Running
+means and variances are arrays indexed by class, updated once per draw.
+Before any matrix is built, tables whose words have over
+``MAX_TABLE_LETTERS`` letters, or whose half-length products take over
+``MAX_PRODUCT_BYTES`` bytes, are refused with ``BudgetExceededError``.
 
-The output is a ``MomentTable`` carrying per-word standard errors and,
-as the per-coordinate upper norm estimate, the largest spectral norm
-seen across samples.
+The output is a ``MomentTable`` carrying per-word standard errors (one
+per class) and, as the per-coordinate upper norm estimate, the largest
+spectral norm seen across samples.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NcPoly
-from .errors import ParseError
-from .states import MomentTable, words_up_to
+from .errors import BudgetExceededError, ParseError
+from .states import MomentTable, bracelet_orbit, bracelets_up_to, words_up_to
 
 
 @dataclass(frozen=True)
@@ -123,54 +132,86 @@ def _coordinate_matrices(config, rng):
     return mats
 
 
-def _word_traces(mats, size, max_order, words):
-    """Normalized traces of ``words`` on Hermitian ``mats``, as a complex
-    array aligned with ``words``.
+def _class_traces(mats, size, max_order, reps, closed):
+    """Normalized traces of the bracelet representatives ``reps`` on
+    Hermitian ``mats``, as a complex array aligned with ``reps``.
 
-    ``words`` is graded (every prefix and reversal of a word comes no
-    later than the word itself, as from ``words_up_to``).  Products of
-    at most ceil(max_order / 2) letters are built, each by one GEMM or,
-    when its reversal is built, as that product's adjoint."""
+    Products of at most ceil(max_order / 2) letters are built in graded
+    order, each by one GEMM or, when its reversal is built, as that
+    product's adjoint.  The boolean mask ``closed`` marks the
+    reversal-closed classes, whose products are Hermitian: their traces
+    are taken real."""
     half = (max_order + 1) // 2
     prods = {}
-    for w in words:
+    for w in words_up_to(len(mats), half, min_len=1):
+        rev = w[::-1]
         if len(w) == 1:
             prods[w] = mats[w[0] - 1]
-        elif len(w) <= half:
-            rev = w[::-1]
-            if rev in prods:
-                prods[w] = np.ascontiguousarray(prods[rev].conj().T)
-            else:
-                prods[w] = prods[w[:-1]] @ mats[w[-1] - 1]
-    traces = np.empty(len(words), dtype=complex)
-    position = {}
-    for k, w in enumerate(words):
-        rev = w[::-1]
-        j = position.get(rev)
-        if j is not None:
-            traces[k] = traces[j].conjugate()
-            continue
-        position[w] = k
+        elif rev in prods:
+            prods[w] = np.ascontiguousarray(prods[rev].conj().T)
+        else:
+            prods[w] = prods[w[:-1]] @ mats[w[-1] - 1]
+    traces = np.empty(len(reps), dtype=complex)
+    for k, w in enumerate(reps):
         cut = (len(w) + 1) // 2
         left, right = w[:cut], w[cut:]
         if right:
             t = np.vdot(prods[right[::-1]], prods[left]) / size
         else:
             t = np.trace(prods[left]) / size
-        # the product of a palindrome is Hermitian
-        traces[k] = t.real if rev == w else t
+        traces[k] = t
+    traces[closed] = traces[closed].real
     return traces
 
 
+def _reversal_closed(reps):
+    return np.array([not bracelet_orbit(w)[1] for w in reps], dtype=bool)
+
+
+# caps on a trace table, checked before any matrix is built: the letters
+# of all its words (enumerated to find the class representatives; the
+# length weighs in because every rotation of a word is formed), and the
+# bytes of the half-length products kept per sample
+MAX_TABLE_LETTERS = 1 << 20
+MAX_PRODUCT_BYTES = 1 << 30
+
+
+def _check_trace_budget(nvars, size, max_order):
+    letters = 0
+    for k in range(1, max_order + 1):
+        letters += k * nvars ** k
+        if letters > MAX_TABLE_LETTERS:
+            raise BudgetExceededError(
+                f"a trace table of order {max_order} over {nvars} "
+                f"coordinates has more than {MAX_TABLE_LETTERS} letters",
+                needed=letters, available=MAX_TABLE_LETTERS,
+            )
+    prods = sum(nvars ** k for k in range(1, (max_order + 1) // 2 + 1))
+    nbytes = prods * size * size * 16
+    if nbytes > MAX_PRODUCT_BYTES:
+        raise BudgetExceededError(
+            f"a trace table of order {max_order} over {nvars} coordinates "
+            f"keeps {prods} products of size {size}, {nbytes} bytes; the "
+            f"cap is {MAX_PRODUCT_BYTES}",
+            needed=nbytes, available=MAX_PRODUCT_BYTES,
+        )
+
+
 def mc_moment_table(config, max_order):
-    """Monte Carlo moment table: per-word sample mean, standard error,
-    and sampled spectral-norm upper estimates. Deterministic in the seed."""
+    """Monte Carlo moment table: per-class sample mean, standard error,
+    and sampled spectral-norm upper estimates. Deterministic in the seed.
+
+    Raises ``BudgetExceededError`` before sampling when the table's
+    words have over ``MAX_TABLE_LETTERS`` letters or its products over
+    ``MAX_PRODUCT_BYTES`` bytes."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = config.nvars
-    words = words_up_to(n, max_order, min_len=1)
-    mean = np.zeros(len(words), dtype=complex)
-    msq = np.zeros(len(words))
+    _check_trace_budget(n, config.size, max_order)
+    reps = bracelets_up_to(n, max_order, min_len=1)
+    closed = _reversal_closed(reps)
+    mean = np.zeros(len(reps), dtype=complex)
+    msq = np.zeros(len(reps))
     norm_max = [0.0] * n
 
     streams = np.random.SeedSequence(config.seed).spawn(config.samples)
@@ -180,7 +221,7 @@ def mc_moment_table(config, max_order):
         for i, m in enumerate(mats):
             eigs = np.linalg.eigvalsh(m)
             norm_max[i] = max(norm_max[i], float(np.abs(eigs).max()))
-        traces = _word_traces(mats, config.size, max_order, words)
+        traces = _class_traces(mats, config.size, max_order, reps, closed)
         # Welford over complex values
         d = traces - mean
         mean += d / (s + 1)
@@ -188,13 +229,12 @@ def mc_moment_table(config, max_order):
 
     count = config.samples
     stderr = np.sqrt(msq / count / max(count - 1, 1))
-    return MomentTable(
+    return MomentTable.from_bracelets(
         n,
         max_order,
-        dict(zip(words, mean.tolist())),
-        tracial=True,
+        dict(zip(reps, mean.tolist())),
         norm_upper=tuple(norm_max),
-        stderr=dict(zip(words, stderr.tolist())),
+        stderr=dict(zip(reps, stderr.tolist())),
     )
 
 
@@ -206,7 +246,8 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
     floating point, and their spectral norms are exact upper norm
     estimates.  Useful both as a deterministic table backend and as an
     independent oracle in tests.  Matrices Hermitian within ``atol``
-    are replaced by their Hermitian parts.
+    are replaced by their Hermitian parts.  One trace is taken per
+    bracelet class, under the budget of ``mc_moment_table``.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     size = mats[0].shape[0]
@@ -217,8 +258,11 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
             raise ValueError("matrices must be Hermitian")
     mats = [(m + m.conj().T) / 2 for m in mats]
     n = len(mats)
-    words = words_up_to(n, max_order, min_len=1)
-    traces = _word_traces(mats, size, max_order, words)
+    _check_trace_budget(n, size, max_order)
+    reps = bracelets_up_to(n, max_order, min_len=1)
+    traces = _class_traces(mats, size, max_order, reps,
+                           _reversal_closed(reps))
     norms = tuple(float(np.abs(np.linalg.eigvalsh(m)).max()) for m in mats)
-    return MomentTable(n, max_order, dict(zip(words, traces.tolist())),
-                       tracial=True, norm_upper=norms)
+    return MomentTable.from_bracelets(n, max_order,
+                                      dict(zip(reps, traces.tolist())),
+                                      norm_upper=norms)

@@ -3,20 +3,28 @@
 Polynomial coefficients travel as exact rationals
 (re_num/re_den + i im_num/im_den); moment and cumulant values as
 re/im doubles.  Words are 1-based index arrays, the empty array is the
-unit.  ``dumps`` renders floats with 17 significant digits and keeps
-dictionary insertion order, so identical inputs produce byte-identical
-files.
+unit.  A tracial moment table is written one entry per bracelet class
+when its classes agree exactly (see ``table_to_obj``).  ``dumps``
+renders floats with 17 significant digits and keeps dictionary
+insertion order, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .algebra import ComplexRational, NcPoly, word_key
 from .errors import ParseError
 from .matrixmodels import EnsembleConfig, GueGenerator, PolyOfGueGenerator
-from .states import CumulantSpec, MomentTable
+from .states import (
+    BraceletError,
+    CumulantSpec,
+    MomentTable,
+    bracelet_rep,
+    expand_bracelets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +99,7 @@ def _get(obj, key, kind, path):
             raise ParseError(f"field {path}{key} must be an integer",
                              field=path + key)
     elif kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"field {path}{key} must be a number",
-                             field=path + key)
-        value = float(value)
+        value = _finite(value, path + key)
     elif kind is list:
         if not isinstance(value, list):
             raise ParseError(f"field {path}{key} must be an array",
@@ -106,10 +111,30 @@ def _get(obj, key, kind, path):
     return value
 
 
+def _finite(value, field):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"field {field} must be a number", field=field)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParseError(f"field {field} must be finite, got {value}",
+                         field=field)
+    return value
+
+
+def _norm_upper(obj, nvars, path):
+    """The optional per-coordinate ``norm_upper`` list of finite numbers."""
+    norm_upper = obj.get("norm_upper")
+    if norm_upper is None:
+        return None
+    if not isinstance(norm_upper, list) or len(norm_upper) != nvars:
+        raise ParseError("norm_upper must list one value per coordinate",
+                         field=path + "norm_upper")
+    return tuple(_finite(x, f"{path}norm_upper[{i}]")
+                 for i, x in enumerate(norm_upper))
+
+
 def _word(raw, path):
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
         raise ParseError(f"{path} must be an array of generator indices",
                          field=path)
     return tuple(raw)
@@ -192,12 +217,46 @@ def kernel_to_obj(a):
 # states
 
 
+BRACELET = "bracelet"
+
+
+def _bracelet_values(table):
+    """Representative -> value of a tracial ``table`` whose entries and
+    standard errors are exactly what their representatives expand to;
+    None for any other table."""
+    if not table.tracial:
+        return None
+    words = {w: v for w, v in table.entries.items() if w}
+    values = {}
+    for w in words:
+        rep = bracelet_rep(w)[0]
+        if rep not in words:
+            return None
+        values[rep] = words[rep]
+    try:
+        if expand_bracelets(values) != words:
+            return None
+        if table.stderr is not None:
+            stderr = {w: table.stderr[w] for w in values if w in table.stderr}
+            if expand_bracelets(stderr) != table.stderr:
+                return None
+    except BraceletError:  # a reversal-closed class with a complex value
+        return None
+    return values
+
+
 def table_to_obj(table):
+    """Moment table object.  A tracial table whose bracelet classes
+    agree exactly is written one entry per class, on the class
+    representative, under ``"classes": "bracelet"``; any other table
+    lists every word."""
+    values = _bracelet_values(table)
+    source = table.entries if values is None else values
     entries = []
-    for w in sorted(table.entries, key=word_key):
+    for w in sorted(source, key=word_key):
         if not w:
             continue
-        v = table.entries[w]
+        v = source[w]
         entry = {"word": list(w), "re": float(v.real), "im": float(v.imag)}
         if table.stderr is not None and w in table.stderr:
             entry["stderr"] = table.stderr[w]
@@ -206,37 +265,59 @@ def table_to_obj(table):
         "nvars": table.nvars,
         "max_order": table.max_order,
         "tracial": bool(table.tracial),
-        "entries": entries,
     }
+    if values is not None:
+        obj["classes"] = BRACELET
+    obj["entries"] = entries
     if table.norm_upper is not None:
         obj["norm_upper"] = [float(x) for x in table.norm_upper]
     return obj
 
 
 def table_from_obj(obj, path="state."):
+    """Moment table from its object.  With ``"classes": "bracelet"``
+    each entry is a bracelet class representative, checked as such, and
+    the table holds its whole class; otherwise each entry is one word."""
     nvars = _get(obj, "nvars", int, path)
     max_order = _get(obj, "max_order", int, path)
-    tracial = bool(obj.get("tracial", False))
+    tracial = "tracial" in obj and _get(obj, "tracial", bool, path)
+    classes = obj.get("classes")
+    if classes is not None:
+        if classes != BRACELET:
+            raise ParseError(f"unknown classes format {classes!r}",
+                             field=path + "classes")
+        if not tracial:
+            raise ParseError("bracelet classes need a tracial table",
+                             field=path + "tracial")
     entries = {}
     stderr = {}
+    first = {}
     for idx, e in enumerate(_get(obj, "entries", list, path)):
         epath = f"{path}entries[{idx}]."
+        field = epath.rstrip(".")
         word = _word(_get(e, "word", list, epath), epath + "word")
+        if word in first:
+            raise ParseError(
+                f"{field} repeats the word of {path}entries[{first[word]}]",
+                field=field)
+        first[word] = idx
         entries[word] = complex(_get(e, "re", float, epath),
                                 _get(e, "im", float, epath))
         if "stderr" in e:
             stderr[word] = _get(e, "stderr", float, epath)
-    norm_upper = obj.get("norm_upper")
-    if norm_upper is not None:
-        if not isinstance(norm_upper, list) or len(norm_upper) != nvars:
-            raise ParseError("norm_upper must list one value per coordinate",
-                             field=path + "norm_upper")
-        norm_upper = tuple(float(x) for x in norm_upper)
+    norm_upper = _norm_upper(obj, nvars, path)
     try:
+        if classes is not None:
+            return MomentTable.from_bracelets(
+                nvars, max_order, entries, norm_upper=norm_upper,
+                stderr=stderr or None)
         return MomentTable(
             nvars, max_order, entries, tracial=tracial,
             norm_upper=norm_upper, stderr=stderr or None,
         )
+    except BraceletError as exc:
+        field = f"{path}entries[{first[exc.word]}]"
+        raise ParseError(f"{field}: {exc}", field=field) from exc
     except ValueError as exc:
         raise ParseError(str(exc), field=path.rstrip(".")) from exc
 
@@ -277,13 +358,7 @@ def cumulant_state_from_obj(obj, path="cumulants."):
     from .states import CumulantState
 
     spec = cumulants_from_obj(obj, path)
-    norm_upper = obj.get("norm_upper")
-    if norm_upper is not None:
-        if not isinstance(norm_upper, list) or len(norm_upper) != spec.nvars:
-            raise ParseError("norm_upper must list one value per coordinate",
-                             field=path + "norm_upper")
-        norm_upper = tuple(float(x) for x in norm_upper)
-    return CumulantState(spec, norm_upper=norm_upper)
+    return CumulantState(spec, norm_upper=_norm_upper(obj, spec.nvars, path))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 A state is determined by its word moments phi(t_{i1}...t_{im}).  Two
 backends live here:
 
-* ``MomentTable`` -- an explicit word -> value map up to a max order;
+* ``MomentTable`` -- an explicit word -> value map up to a max order.
+  A tracial table with Hermitian symmetry is fixed by one value per
+  bracelet class (the words reachable by rotation and reversal), which
+  ``MomentTable.from_bracelets`` expands to every word;
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
   cumulants by the moment-cumulant formula
   ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
@@ -70,7 +73,90 @@ def words_up_to(nvars, max_len, min_len=0):
 
 
 def rotations(word):
-    return [word[k:] + word[:k] for k in range(len(word))]
+    m = len(word)
+    twice = word + word
+    return [twice[k:k + m] for k in range(m)]
+
+
+# default tolerance of the Hermitian and cyclic checks of ``validate_state``
+HERM_TOL = 1e-8
+
+# A tracial state with Hermitian symmetry has phi(rotation of w) = phi(w)
+# and phi(rev w) = conj phi(w), so it is fixed by one value per bracelet
+# class: the words reachable from w by rotation and reversal.
+
+
+def bracelet_orbit(rep):
+    """(rotations, reversed rotations) of the class of ``rep``.  The
+    second list is empty when the class is closed under reversal, whose
+    value is then real; a periodic word lists its rotations repeatedly."""
+    rots = rotations(rep) or [rep]
+    back = rep[::-1]
+    # the rotation classes of rep and of its reversal are equal or disjoint
+    return rots, [] if back in rots else rotations(back)
+
+
+def bracelet_rep(word):
+    """(representative, reversed) of the bracelet class of ``word``.
+
+    The representative is the least rotation of ``word`` or of its
+    reversal; ``reversed`` says it came from the reversal, so that
+    phi(word) = conj phi(representative) in a tracial Hermitian state.
+    """
+    return _least(*bracelet_orbit(tuple(word)))
+
+
+def _least(rots, flipped):
+    forward = min(rots)
+    backward = min(flipped, default=forward)
+    if backward < forward:
+        return backward, True
+    return forward, False
+
+
+def bracelets_up_to(nvars, max_len, min_len=0):
+    """Representatives of the bracelet classes of ``words_up_to``, in
+    graded-lexicographic order."""
+    return [w for w in words_up_to(nvars, max_len, min_len)
+            if bracelet_rep(w) == (w, False)]
+
+
+class BraceletError(ValueError):
+    """A key of a representative map that does not represent its class,
+    or a reversal-closed class whose value is not real; ``word`` is the
+    key."""
+
+    def __init__(self, message, word):
+        super().__init__(message)
+        self.word = word
+
+
+def expand_bracelets(values):
+    """Word map of a representative map: each rotation gets the value,
+    each reversed rotation its conjugate, a reversal-closed class its
+    real part.  Values keep their type, so real standard errors expand
+    by the same rule.  Raises ``BraceletError`` on a key that is not its
+    class representative, or on a reversal-closed class whose value has
+    an imaginary part over ``HERM_TOL``."""
+    out = {}
+    for rep, value in values.items():
+        rots, flipped = bracelet_orbit(rep)
+        least = _least(rots, flipped)[0]
+        if least != rep:
+            raise BraceletError(f"word {list(rep)} is not the representative "
+                                f"{list(least)} of its bracelet class", rep)
+        if not flipped:
+            if abs(value.imag) > HERM_TOL:
+                raise BraceletError(
+                    f"the class of {list(rep)} is closed under reversal, so "
+                    f"its value must be real, got {value}", rep)
+            value = type(value)(value.real)
+        for w in rots:
+            out[w] = value
+        conj = value.conjugate()
+        for w in flipped:
+            out[w] = conj
+    return out
 
 
 class MomentFunctional:
@@ -135,6 +221,19 @@ class MomentTable(MomentFunctional):
         self.stderr = (
             {tuple(w): float(s) for w, s in stderr.items()} if stderr else None
         )
+
+    @classmethod
+    def from_bracelets(cls, nvars, max_order, values, norm_upper=None,
+                       stderr=None):
+        """Tracial table from one value (and standard error) per bracelet
+        class, keyed by representative; only those words are checked.
+        Raises ``BraceletError`` as ``expand_bracelets`` does."""
+        table = cls(nvars, max_order, values, tracial=True,
+                    norm_upper=norm_upper, stderr=stderr)
+        table.entries = expand_bracelets(table.entries)
+        if table.stderr is not None:
+            table.stderr = expand_bracelets(table.stderr)
+        return table
 
     def moment(self, word):
         word = tuple(word)
@@ -502,7 +601,7 @@ def operator_norm_estimate(phi, i, order):
 # validation
 
 
-def validate_state(phi, check_order=None, herm_tol=1e-8, psd_tol=1e-8,
+def validate_state(phi, check_order=None, herm_tol=HERM_TOL, psd_tol=1e-8,
                    max_family=64):
     """Return a list of violated invariant descriptions (empty if valid).
 

@@ -1,0 +1,166 @@
+"""Bracelet classes of tracial tables: the class rule, the class counts,
+and a property test of class-format tables built from random Hermitian
+matrix tuples against the per-word ``einsum`` oracle."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freestein import (
+    EnsembleConfig,
+    GueGenerator,
+    MomentTable,
+    mc_moment_table,
+    moment_table_from_matrices,
+    serialize,
+)
+from freestein.states import (
+    BraceletError,
+    bracelet_orbit,
+    bracelet_rep,
+    bracelets_up_to,
+    expand_bracelets,
+    rotations,
+    words_up_to,
+)
+
+import bruteforce
+from conftest import rand_hermitian
+
+
+def test_bracelet_rep_and_orbit():
+    # (1, 2, 3) and its reversal (3, 2, 1) lie in different rotation classes
+    assert bracelet_rep((2, 1, 3)) == ((1, 2, 3), True)
+    assert bracelet_rep((3, 1, 2)) == ((1, 2, 3), False)
+    rots, flipped = bracelet_orbit((1, 2, 3))
+    assert rots == [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+    assert sorted(flipped) == [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    # every binary word of length 3 is a rotation of its reversal
+    assert bracelet_rep((2, 1, 1)) == ((1, 1, 2), False)
+    assert bracelet_orbit((1, 1, 2))[1] == []
+    # pure powers are their own representatives
+    assert bracelet_rep((2,) * 5) == ((2,) * 5, False)
+    assert bracelet_rep(()) == ((), False)
+
+
+def test_expand_bracelets_conjugates_and_realifies():
+    out = expand_bracelets({(1, 2, 3): 1 + 2j, (1, 1, 2): 3 + 1e-12j})
+    assert out[(2, 3, 1)] == 1 + 2j
+    assert out[(3, 2, 1)] == 1 - 2j
+    assert out[(2, 1, 1)] == 3 + 0j and isinstance(out[(2, 1, 1)], complex)
+    # real standard errors expand by the same rule and stay floats
+    assert expand_bracelets({(1, 2, 3): 0.25})[(2, 1, 3)] == 0.25
+    with pytest.raises(BraceletError, match="closed under reversal") as err:
+        expand_bracelets({(1,): 0.5j})
+    assert err.value.word == (1,)
+    with pytest.raises(BraceletError, match="representative") as err:
+        expand_bracelets({(1, 3, 2): 1.0})
+    assert err.value.word == (1, 3, 2)
+
+
+def test_class_counts():
+    assert len(bracelets_up_to(2, 12, min_len=1)) == 558
+    assert len(bracelets_up_to(3, 8, min_len=1)) == 867
+    assert len(bracelets_up_to(2, 6, min_len=1)) == 36
+    # the classes partition the words
+    for n, order in ((2, 7), (3, 5)):
+        reps = bracelets_up_to(n, order, min_len=1)
+        expanded = expand_bracelets(dict.fromkeys(reps, 1.0))
+        assert sorted(expanded) == sorted(words_up_to(n, order, min_len=1))
+
+
+def test_reference_size_table_has_36_entries(np_rng):
+    mats = [rand_hermitian(np_rng, 6) for _ in range(2)]
+    obj = serialize.table_to_obj(moment_table_from_matrices(mats, 6))
+    assert obj["classes"] == "bracelet"
+    assert len(obj["entries"]) == 36
+
+
+def _round_trip(table):
+    obj = serialize.table_to_obj(table)
+    assert obj["classes"] == "bracelet"
+    return serialize.table_from_obj(json.loads(serialize.dumps(obj)))
+
+
+def _assert_bracelet_exact(table, n, order):
+    for w in words_up_to(n, order, min_len=1):
+        v = table.entries[w]
+        for r in rotations(w):
+            assert table.entries[r] == v
+        assert table.entries[w[::-1]] == v.conjugate()
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want) + 1e-14
+
+
+tuples = st.tuples(
+    st.integers(1, 3),            # nvars
+    st.integers(1, 6),            # max_order
+    st.integers(1, 6),            # matrix size
+    st.integers(0, 2**32 - 1),    # seed
+)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(tuples)
+def test_matrix_tables_by_class(params):
+    n, order, size, seed = params
+    rng = np.random.default_rng(seed)
+    mats = [rand_hermitian(rng, size) for _ in range(n)]
+    table = moment_table_from_matrices(mats, order)
+    back = _round_trip(table)
+    assert back.entries == table.entries
+    assert back.tracial and back.norm_upper == table.norm_upper
+    _assert_bracelet_exact(table, n, order)
+    words = words_up_to(n, order, min_len=1)
+    want = bruteforce.einsum_word_traces(mats, size, order, words)
+    for w in words:
+        assert _close(table.entries[w], want[w])
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(tuples, st.integers(2, 3))
+def test_mc_tables_by_class(params, samples):
+    n, order, size, seed = params
+    cfg = EnsembleConfig(size=size, samples=samples, seed=seed,
+                         generators=(GueGenerator(),) * n)
+    table = mc_moment_table(cfg, order)
+    back = _round_trip(table)
+    assert back.entries == table.entries
+    assert back.stderr == table.stderr
+    _assert_bracelet_exact(table, n, order)
+    entries, stderr, _ = bruteforce.mc_moment_oracle(cfg, order)
+    for w in words_up_to(n, order, min_len=1):
+        assert _close(table.entries[w], entries[w])
+        assert _close(table.stderr[w], stderr[w])
+
+
+def test_disagreeing_tracial_table_is_written_by_word():
+    entries = {(1,): 0.0, (1, 2): 0.5, (2, 1): 0.25, (1, 1): 1.0}
+    table = MomentTable(2, 2, entries, tracial=True)
+    obj = serialize.table_to_obj(table)
+    assert "classes" not in obj
+    assert [e["word"] for e in obj["entries"]] == [[1], [1, 1], [1, 2], [2, 1]]
+    # a class with a missing member is not written by class either
+    partial = MomentTable(2, 2, {(1, 2): 0.5}, tracial=True)
+    assert "classes" not in serialize.table_to_obj(partial)
+    # nor one whose standard errors differ within a class
+    noisy = MomentTable(2, 2, {(1, 2): 0.5, (2, 1): 0.5}, tracial=True,
+                        stderr={(1, 2): 0.1, (2, 1): 0.2})
+    assert "classes" not in serialize.table_to_obj(noisy)
+    # nor any non-tracial table
+    plain = MomentTable(1, 2, {(1, 1): 1.0})
+    assert "classes" not in serialize.table_to_obj(plain)
+
+
+def test_closed_classes_are_traced_real_at_any_scale(np_rng):
+    # rounding leaves imaginary parts far above the 1e-8 class tolerance
+    # on traces of this size unless closed classes are traced real
+    mats = [1e3 * rand_hermitian(np_rng, 8) for _ in range(2)]
+    table = moment_table_from_matrices(mats, 6)
+    assert table.entries[(1, 1, 1, 2, 1, 2)].imag == 0
+    assert abs(table.entries[(1, 1, 1, 2, 1, 2)]) > 1e12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from freestein import (
+    BudgetExceededError,
     EnsembleConfig,
     GueGenerator,
     NcPoly,
@@ -198,3 +199,26 @@ def test_mc_rejects_max_order_before_sampling(monkeypatch, tmp_path, capsys):
                                 "generators": [{"kind": "gue"}]}))
     assert cli.main(["mc", "--ensemble", str(path), "--max-order", "0"]) == 1
     assert "max_order must be >= 1" in capsys.readouterr().err
+
+
+def test_trace_budget_fails_before_sampling(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking the budget")
+
+    monkeypatch.setattr(matrixmodels, "sample_gue", refuse)
+    two = EnsembleConfig(size=8, samples=3, seed=1,
+                         generators=(GueGenerator(), GueGenerator()))
+    with pytest.raises(BudgetExceededError, match="letters"):
+        mc_moment_table(two, 30)
+    one = EnsembleConfig(size=8, samples=3, seed=1, generators=(GueGenerator(),))
+    with pytest.raises(BudgetExceededError, match="letters"):
+        mc_moment_table(one, 10**9)
+    wide = EnsembleConfig(size=10**4, samples=1, seed=1,
+                          generators=(GueGenerator(),))
+    with pytest.raises(BudgetExceededError, match="bytes"):
+        mc_moment_table(wide, 2)
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"N": 8, "samples": 3, "seed": 1,
+                                "generators": [{"kind": "gue"}] * 2}))
+    assert cli.main(["mc", "--ensemble", str(path), "--max-order", "30"]) == 4
+    assert "budget_exceeded" in capsys.readouterr().err

@@ -134,3 +134,110 @@ def test_letters_out_of_range_rejected():
              "terms": [{"word": [2], "re_num": 1, "re_den": 1,
                         "im_num": 0, "im_den": 1}]}
         )
+
+
+def _word_table_obj(**extra):
+    obj = {"nvars": 1, "max_order": 4, "tracial": True,
+           "entries": [{"word": [1, 1], "re": 1.0, "im": 0.0},
+                       {"word": [1, 1, 1, 1], "re": 2.0, "im": 0.0}]}
+    obj.update(extra)
+    return obj
+
+
+def _parse_field(obj, parse=serialize.table_from_obj):
+    with pytest.raises(ParseError) as err:
+        parse(obj)
+    return err.value.field
+
+
+def test_table_headers_are_strict():
+    assert _parse_field(_word_table_obj(tracial="false")) == "state.tracial"
+    assert not serialize.table_from_obj(_word_table_obj(tracial=False)).tracial
+    for bad in ([None], ["2"], [float("nan")], [float("inf")], [True]):
+        assert _parse_field(_word_table_obj(norm_upper=bad)) == \
+            "state.norm_upper[0]"
+    assert _parse_field(_word_table_obj(norm_upper=[1.0, 2.0])) == \
+        "state.norm_upper"
+    assert serialize.table_from_obj(_word_table_obj(norm_upper=[2])).norm_upper \
+        == (2.0,)
+
+
+def test_cumulant_norm_upper_is_strict():
+    obj = {"nvars": 1, "max_order": 4,
+           "kappa": [{"word": [1, 1], "re": 1.0, "im": 0.0}]}
+    for bad in ([None], ["2"], [float("nan")]):
+        field = _parse_field(dict(obj, norm_upper=bad),
+                             serialize.cumulant_state_from_obj)
+        assert field == "cumulants.norm_upper[0]"
+
+
+def test_malformed_table_entries_name_the_entry():
+    for key in ("re", "im", "stderr"):
+        obj = _word_table_obj()
+        obj["entries"][1][key] = float("nan")
+        assert _parse_field(obj) == f"state.entries[1].{key}"
+    obj = _word_table_obj()
+    obj["entries"].append({"word": [1, 1], "re": 5.0, "im": 0.0})
+    assert _parse_field(obj) == "state.entries[2]"
+
+
+def _class_table_obj():
+    # the classes of [1, 2] and [1, 1, 2] are closed under reversal
+    return {"nvars": 2, "max_order": 3, "tracial": True, "classes": "bracelet",
+            "entries": [{"word": [1], "re": 0.0, "im": 0.0},
+                        {"word": [1, 2], "re": 0.5, "im": 0.0},
+                        {"word": [1, 1, 2], "re": 0.25, "im": 0.0, "stderr": 0.1},
+                        {"word": [2, 2], "re": 1.0, "im": 0.0}]}
+
+
+def test_class_format_expands_each_class():
+    table = serialize.table_from_obj(_class_table_obj())
+    assert table.tracial
+    assert table.moment((2, 1)) == 0.5
+    assert table.moment((2, 1, 1)) == table.moment((1, 2, 1)) == 0.25
+    assert table.stderr == {(1, 1, 2): 0.1, (1, 2, 1): 0.1, (2, 1, 1): 0.1}
+    assert table.moment((1, 2, 2)) == 0
+    # a closed class within the Hermitian tolerance reads as real
+    obj = _class_table_obj()
+    obj["entries"][1]["im"] = 1e-12
+    assert serialize.table_from_obj(obj).moment((2, 1)) == 0.5
+    back = serialize.table_from_obj(serialize.table_to_obj(table))
+    assert back.entries == table.entries and back.stderr == table.stderr
+
+
+def test_class_format_rejections():
+    obj = _class_table_obj()
+    obj["entries"][1]["word"] = [2, 1]
+    assert _parse_field(obj) == "state.entries[1]"
+    obj = _class_table_obj()
+    obj["entries"].append({"word": [1, 2], "re": 0.5, "im": 0.0})
+    assert _parse_field(obj) == "state.entries[4]"
+    obj = _class_table_obj()
+    obj["entries"][1]["im"] = 1e-6
+    with pytest.raises(ParseError, match="closed under reversal") as err:
+        serialize.table_from_obj(obj)
+    assert err.value.field == "state.entries[1]"
+    assert _parse_field(dict(_class_table_obj(), tracial=False)) == "state.tracial"
+    obj = _class_table_obj()
+    del obj["tracial"]
+    assert _parse_field(obj) == "state.tracial"
+    assert _parse_field(dict(_class_table_obj(), classes="necklace")) == \
+        "state.classes"
+    obj = _class_table_obj()
+    obj["entries"][0]["word"] = [3]
+    assert _parse_field(obj) == "state"
+
+
+def test_word_list_tables_still_load():
+    """Files that list every word keep the word-by-word path: class
+    members that disagree are left for ``validate_state`` to report."""
+    from freestein import validate_state
+
+    obj = {"nvars": 2, "max_order": 2, "tracial": True,
+           "entries": [{"word": [1, 1], "re": 1.0, "im": 0.0},
+                       {"word": [2, 2], "re": 1.0, "im": 0.0},
+                       {"word": [1, 2], "re": 0.5, "im": 0.0},
+                       {"word": [2, 1], "re": 0.25, "im": 0.0}]}
+    table = serialize.table_from_obj(obj)
+    assert table.moment((1, 2)) == 0.5 and table.moment((2, 1)) == 0.25
+    assert any("Hermitian" in p for p in validate_state(table))
