@@ -19,7 +19,6 @@ from .algebra import (
     jacobian,
     partial_derivative,
     quadratic_potential,
-    sharp,
 )
 from .clt import CltExperiment, clt_rate_table, rescale_cumulants, rows_to_csv
 from .errors import (

@@ -374,24 +374,6 @@ class TensorPoly:
             {(a[::-1], b[::-1]): c.conjugate() for (a, b), c in self.terms.items()},
         )
 
-    def left_mul(self, p):
-        """Left bimodule action p . (a (x) b) = (p a) (x) b."""
-        self._check_compat(p)
-        acc = {}
-        for w, cp in p.terms.items():
-            for (a, b), c in self.terms.items():
-                _add_term(acc, (w + a, b), cp * c)
-        return TensorPoly._raw(self.nvars, _prune(acc))
-
-    def right_mul(self, p):
-        """Right bimodule action (a (x) b) . p = a (x) (b p)."""
-        self._check_compat(p)
-        acc = {}
-        for w, cp in p.terms.items():
-            for (a, b), c in self.terms.items():
-                _add_term(acc, (a, b + w), c * cp)
-        return TensorPoly._raw(self.nvars, _prune(acc))
-
     def __eq__(self, other):
         if not isinstance(other, TensorPoly):
             return NotImplemented
@@ -407,11 +389,6 @@ class TensorPoly:
             sb = "*".join(f"t{j}" for j in b) if b else "1"
             bits.append(f"({c!r})*[{sa} (x) {sb}]")
         return " + ".join(bits)
-
-
-def sharp(a, b):
-    """Module-level alias for ``a.sharp(b)``."""
-    return a.sharp(b)
 
 
 def partial_derivative(i, p):

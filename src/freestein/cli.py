@@ -33,9 +33,9 @@ from .errors import (
     ParseError,
 )
 from .matrixmodels import mc_moment_table
-from .poincare import poincare_lower_bound
+from .poincare import PINV_TOL, PSD_TOL, poincare_lower_bound
 from .states import MAX_CUMULANT_ORDER, centered_free_poisson, validate_state
-from .stein import SteinProblem, discrepancy_bounds
+from .stein import CENTERING_TOL, SteinProblem, discrepancy_bounds
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -158,9 +158,9 @@ def _state_flags(p):
 
 
 def _tol_flags(p):
-    p.add_argument("--tol-centering", type=float, default=1e-9)
-    p.add_argument("--tol-psd", type=float, default=1e-8)
-    p.add_argument("--tol-pinv", type=float, default=1e-10)
+    p.add_argument("--tol-centering", type=float, default=CENTERING_TOL)
+    p.add_argument("--tol-psd", type=float, default=PSD_TOL)
+    p.add_argument("--tol-pinv", type=float, default=PINV_TOL)
 
 
 def _read_json(path, what):
@@ -248,7 +248,8 @@ def cmd_stein(args):
         pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
     )
     report = discrepancy_bounds(
-        prob, args.degree, est.c_lower, c_is_upper=False
+        prob, args.degree, est.c_lower, c_is_upper=False,
+        pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
     )
     return serialize.dumps(serialize.stein_report_obj(v, report))
 

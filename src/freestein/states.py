@@ -30,19 +30,20 @@ the rest of the library:
 * ``inner_matrix``        <A, B> = (phi (x) phi) Tr(A # B*),
 
 all linear in the first slot and conjugate-linear in the second, plus
-the Gram assemblies shared by the Stein and Poincare solvers.  Those
-never build a symbolic product.  With d_i w = sum over k with w[k] = i
-of w[:k] (x) w[k+1:] and the sharp product
-(p1 (x) p2) # (q1 (x) q2) = p1 q1 (x) q2 p2, the Dirichlet Gram is
+the Gram assemblies shared by the Stein and Poincare solvers.  The
+inner products and every Gram over words are one numpy gather,
+``pairing_gather``.  With the sharp product (p1 (x) p2) # (q1 (x) q2) = p1 q1 (x) q2 p2,
 
-    G[a, b] = sum_i sum over k in pos_i(w_b), l in pos_i(w_a) of
-              phi(w_b[:k] rev(w_a[:l])) * phi(rev(w_a[l+1:]) w_b[k+1:]),
+    <p (x) q, u (x) v> = (phi (x) phi)((p (x) q) # (u (x) v)*)
+                       = phi(p rev u) * phi(rev v q),
 
-and both factors are entries of one moment matrix H[u, v] = phi(u rev v)
-over the prefixes and reversed suffixes, so ``dirichlet_gram`` gathers
-them from H with numpy.  ``covariance_gram`` and the positivity check of
-``validate_state`` read the same H.  The exact sharp-product assembly
-lives in the tests as the oracle for these gathers.
+and both factors are entries of one moment matrix H[u, v] = phi(u rev v),
+so the inner products, the Dirichlet Gram (the Jacobian terms
+w[:k] (x) w[k+1:] against themselves), the covariance Gram and the
+positivity check of ``validate_state`` (the monomials w (x) 1) are term
+lists handed to the gather.  None of them builds a symbolic product;
+exact ``sharp`` products are for exact output (``algebra``) and for the
+oracle in the tests.
 
 Symbolic inputs are exact; evaluation is double-precision complex.
 Every functional caches word moments behind a lock and is safe for
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TensorPoly
 from .errors import BudgetExceededError, InvalidStateError
 from .partitions import noncrossing_partitions  # re-exported; off the moment path
 
@@ -297,13 +297,6 @@ class CumulantSpec:
                     return False
         return True
 
-    def is_hermitian(self):
-        """kappa(reverse(w)) == conj(kappa(w)) for every stored word."""
-        for w, v in self.kappa.items():
-            if abs(self.kappa.get(w[::-1], 0j) - v.conjugate()) > 0:
-                return False
-        return True
-
 
 class CumulantState(MomentFunctional):
     """Moment functional generated by free cumulants."""
@@ -387,25 +380,16 @@ def _first_block_sum(blocks, word, moment):
 
 
 def cumulants_to_moment(spec, word):
-    """Moment of one word under the moment-cumulant formula."""
+    """Moment of one word under the moment-cumulant formula, evaluated by
+    a fresh ``CumulantState`` without its word checks."""
     word = tuple(word)
-    if not word:
-        return 1.0 + 0j
     if len(word) > spec.max_order:
         raise BudgetExceededError(
             f"word length {len(word)} exceeds cumulant order limit {spec.max_order}",
             needed=len(word),
             available=spec.max_order,
         )
-    memo = {}
-
-    def moment(w):
-        value = memo.get(w)
-        if value is None:
-            value = memo[w] = _first_block_sum(spec.blocks, w, moment)
-        return value
-
-    return moment(word)
+    return CumulantState(spec, tracial=False)._moment(word)
 
 
 def moments_to_cumulants(phi, max_order):
@@ -432,10 +416,6 @@ def moments_to_cumulants(phi, max_order):
 # pairings
 
 
-def _coeff(c):
-    return complex(c)
-
-
 def moment_of_poly(phi, p):
     """phi(p(X)) by linear extension of word moments."""
     if p.nvars != phi.nvars:
@@ -443,7 +423,7 @@ def moment_of_poly(phi, p):
     phi.check_order(p.degree())
     total = 0j
     for w, c in p.terms.items():
-        total += _coeff(c) * phi.moment(w)
+        total += complex(c) * phi.moment(w)
     return total
 
 
@@ -458,92 +438,137 @@ def tensor_moment(phi, q):
     phi.check_order(q.max_leg_degree())
     total = 0j
     for (a, b), c in q.terms.items():
-        total += _coeff(c) * phi.moment(a) * phi.moment(b)
+        total += complex(c) * phi.moment(a) * phi.moment(b)
     return total
+
+
+# cap on the entries of one gathered block in ``pairing_gather``
+_GATHER_BLOCK = 1 << 18
+
+
+def pairing_gather(phi, left, right, shape):
+    """M[x, y] = sum of c_e conj(c_f) phi(l_e rev(l_f)) phi(rev(r_f) r_e)
+    over the terms e of row x in ``left`` and f of row y in ``right``
+    that share a key.
+
+    A term is (owner row, key, coefficient c, left leg l, reversed right
+    leg rev(r)) and stands for c (l (x) r); ``shape`` is (rows of
+    ``left``, rows of ``right``).  Each pair is the pairing
+    <l_e (x) r_e, l_f (x) r_f> = phi(l_e rev(l_f)) phi(rev(r_f) r_e), and
+    both factors are entries of H[u, v] = phi(u rev v), H[l_e, l_f] and
+    H[rev r_f, rev r_e].  The budget is checked once, for the longest
+    pair of legs that some key pairs, and only the entries of H that
+    some pair reads are asked of ``phi``.
+    """
+    groups = {}
+    for side, terms in enumerate((left, right)):
+        for term in terms:
+            groups.setdefault(term[1], ([], []))[side].append(term)
+    index = {}
+    arrays = [[(np.array([t[0] for t in terms]),
+                np.array([t[2] for t in terms], dtype=complex),
+                np.array([index.setdefault(t[3], len(index)) for t in terms]),
+                np.array([index.setdefault(t[4], len(index)) for t in terms]))
+               for terms in group] for group in groups.values() if all(group)]
+    legs = list(index)
+    length = np.array([len(leg) for leg in legs], dtype=int)
+    phi.check_order(int(max((max(length[la].max() + length[lb].max(),
+                              length[ra].max() + length[rb].max())
+                             for (_, _, la, ra), (_, _, lb, rb) in arrays),
+                            default=0)))
+
+    needed = np.zeros((len(legs), len(legs)), dtype=bool)
+    for (_, _, la, ra), (_, _, lb, rb) in arrays:
+        for u, v in ((la, lb), (rb, ra)):
+            needed |= np.outer(np.bincount(u, minlength=len(legs)) > 0,
+                               np.bincount(v, minlength=len(legs)) > 0)
+    us, vs = np.nonzero(needed)
+    backs = [leg[::-1] for leg in legs]
+    hankel = np.zeros(needed.shape, dtype=complex)
+    hankel[us, vs] = [phi.moment(legs[u] + backs[v])
+                      for u, v in zip(us.tolist(), vs.tolist())]
+
+    rows, cols = shape
+    out = np.zeros(rows * cols, dtype=complex)
+    for (oa, ca, la, ra), (ob, cb, lb, rb) in arrays:
+        step = max(1, _GATHER_BLOCK // len(ob))
+        for lo in range(0, len(oa), step):
+            e = slice(lo, lo + step)
+            prod = hankel[np.ix_(la[e], lb)]
+            prod *= ca[e, None]
+            prod *= cb.conj()
+            prod *= hankel[np.ix_(rb, ra[e])].T
+            np.add.at(out, (oa[e, None] * cols + ob).ravel(), prod.ravel())
+    return out.reshape(rows, cols)
+
+
+def tensor_terms(owner, key, q):
+    """``pairing_gather`` terms of the tensor-square element q."""
+    return [(owner, key, complex(c), a, b[::-1]) for (a, b), c in q.terms.items()]
+
+
+def jacobian_terms(words):
+    """``pairing_gather`` terms of the Jacobian rows of the monomials
+    ``words``: w[:k] (x) w[k+1:] of d_{w[k]} w, owned by the index of w
+    and keyed by the letter w[k]."""
+    return [(a, letter, 1.0, w[:k], w[k + 1:][::-1])
+            for a, w in enumerate(words) for k, letter in enumerate(w)]
 
 
 def inner_tuple(phi, ps, rs):
     """<p, r> = sum_i phi(p_i r_i*); conjugate-linear in r."""
     if len(ps) != len(rs):
         raise ValueError("tuple length mismatch")
-    total = 0j
     for p, r in zip(ps, rs):
-        total += moment_of_poly(phi, p * r.star())
-    return total
+        if p.nvars != r.nvars:
+            raise ValueError("mismatched nvars")
+        if p.nvars != phi.nvars:
+            raise ValueError("polynomial/state nvars mismatch")
+
+    def terms(tup):
+        # right legs are empty, so each pair's right factor is phi(()) = 1
+        return [(0, i, complex(c), w, ())
+                for i, p in enumerate(tup) for w, c in p.terms.items()]
+
+    return complex(pairing_gather(phi, terms(ps), terms(rs), (1, 1))[0, 0])
 
 
 def inner_matrix(phi, a, b):
     """<A, B> = (phi (x) phi) Tr(A # B*) = sum_ij (phi (x) phi)(A_ij # B_ij*)."""
     if a.size != b.size or a.nvars != b.nvars:
         raise ValueError("kernel matrix mismatch")
-    acc = TensorPoly.zero(a.nvars)
-    for i in range(a.size):
-        for j in range(a.size):
-            acc = acc + a.rows[i][j].sharp(b.rows[i][j].star())
-    return tensor_moment(phi, acc)
+    if a.nvars != phi.nvars:
+        raise ValueError("tensor/state nvars mismatch")
+
+    def terms(k):
+        return [t for i, row in enumerate(k.rows) for j, q in enumerate(row)
+                for t in tensor_terms(0, (i, j), q)]
+
+    return complex(pairing_gather(phi, terms(a), terms(b), (1, 1))[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # Gram assemblies shared by the Stein and Poincare solvers
 
 
-def _derivative_entries(words):
-    """(word index, letter, prefix, reversed suffix) of every term
-    w[:k] (x) w[k+1:] of d_{w[k]} w, word by word."""
-    return [(a, letter, w[:k], w[k + 1:][::-1])
-            for a, w in enumerate(words) for k, letter in enumerate(w)]
-
-
 def _hankel(phi, rows, cols):
-    """H[u, v] = phi(u rev(v)) over the word lists ``rows`` x ``cols``."""
-    hankel = np.empty((len(rows), len(cols)), dtype=complex)
-    for a, u in enumerate(rows):
-        for b, v in enumerate(cols):
-            hankel[a, b] = phi.moment(u + v[::-1])
-    return hankel
-
-
-# cap on the entries of one gathered block in ``dirichlet_gram``
-_GATHER_BLOCK = 1 << 18
+    """H[u, v] = phi(u rev(v)) over the word lists ``rows`` x ``cols``,
+    the pairing of the monomials u (x) 1 with v (x) 1."""
+    def terms(words):
+        return [(a, (), 1.0, w, ()) for a, w in enumerate(words)]
+    return pairing_gather(phi, terms(rows), terms(cols), (len(rows), len(cols)))
 
 
 def dirichlet_gram(phi, words):
     """Hermitian Gram of Jacobian rows over monomial words.
 
     G[a, b] = sum_i (phi (x) phi)( d_i(w_b) # (d_i(w_a))* ), so that the
-    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  Each
-    pair of derivative terms contributes
-    phi(w_b[:k] rev(w_a[:l])) phi(rev(w_a[l+1:]) w_b[k+1:]), two entries
-    of one moment matrix H over the prefixes and reversed suffixes.
+    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  It is
+    the transposed ``pairing_gather`` of the Jacobian terms with
+    themselves, whose budget check asks for 2 (longest word - 1).
     """
-    size = len(words)
-    longest = max((len(w) for w in words), default=0)
-    phi.check_order(2 * max(longest - 1, 0))
-    entries = _derivative_entries(words)
-    index = {}
-    for _, _, pre, rsuf in entries:
-        index.setdefault(pre, len(index))
-        index.setdefault(rsuf, len(index))
-    legs = list(index)
-    hankel = _hankel(phi, legs, legs)
-    re = np.zeros(size * size)
-    im = np.zeros(size * size)
-    for letter in range(1, phi.nvars + 1):
-        group = [e for e in entries if e[1] == letter]
-        if not group:
-            continue
-        owner = np.array([e[0] for e in group])
-        pre = np.array([index[e[2]] for e in group])
-        suf = np.array([index[e[3]] for e in group])
-        step = max(1, _GATHER_BLOCK // len(group))
-        for lo in range(0, len(group), step):
-            rows = slice(lo, lo + step)
-            # term e of d_i w_b against term f of d_i w_a, added to G[a, b]
-            prod = hankel[np.ix_(pre[rows], pre)] * hankel[np.ix_(suf, suf[rows])].T
-            flat = (owner[None, :] * size + owner[rows, None]).ravel()
-            re += np.bincount(flat, prod.real.ravel(), size * size)
-            im += np.bincount(flat, prod.imag.ravel(), size * size)
-    gram = (re + 1j * im).reshape(size, size)
+    terms = jacobian_terms(words)
+    gram = pairing_gather(phi, terms, terms, (len(words), len(words))).T
     return np.triu(gram) + np.triu(gram, 1).conj().T
 
 
@@ -555,6 +580,14 @@ def covariance_gram(phi, words):
     """
     means = np.array([phi.moment(w) for w in words], dtype=complex)
     return _hankel(phi, words, words).T - np.outer(means.conj(), means)
+
+
+def coordinate_moments(phi):
+    """(means, second): the lists phi(x_i) and phi(x_i x_j), i, j = 1..n,
+    that the centering and covariance hypotheses of the solvers read."""
+    letters = range(1, phi.nvars + 1)
+    return ([phi.moment((i,)) for i in letters],
+            [[phi.moment((i, j)) for j in letters] for i in letters])
 
 
 # ---------------------------------------------------------------------------

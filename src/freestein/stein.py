@@ -27,14 +27,14 @@ A0 minus the estimate stays orthogonal to every basis Jacobian.
 
 Jacobians of tuples concentrated in different coordinate slots are
 orthogonal, and the slot-s block of G does not depend on s, so the
-Gram is assembled once over words and reused for every slot.  Both G
-(``states.dirichlet_gram``) and r are read off word indices without
-building a symbolic product: a term c (p (x) q) of D_sk against the
+Gram is assembled once over words and reused for every slot.  G, r,
+the residual's two sides and the generic distance all come from the one
+pairing gather of ``states``: a term c (p (x) q) of D_sk against the
 term w[:k] (x) w[k+1:] of d_k w contributes
 c phi(p rev(w[:k])) phi(rev(w[k+1:]) q) to r_s.  Only the represented
 kernel, ``MinimalKernelResult.kernel``, is assembled exactly, on first
-access.  The exact sharp-product assembly of G and r stays in the tests
-as the oracle.
+access, since it is exact output.  The exact sharp-product assembly of
+all of them stays in the tests as the oracle.
 
 ``explicit_kernel_distance_sq`` evaluates ||A0 - I||^2 twice for the
 quadratic potential on centered states -- generically through the
@@ -74,19 +74,21 @@ from .errors import (
     InadmissibleProblemError,
     InvalidStateError,
 )
+from .poincare import PINV_TOL, PSD_TOL
 from .states import (
-    _derivative_entries,
+    coordinate_moments,
     dirichlet_gram,
     inner_matrix,
     inner_tuple,
+    jacobian_terms,
     moment_of_poly,
+    pairing_gather,
     tensor_moment,  # re-exported; the benchmark's layer tracer wraps it here
+    tensor_terms,
     words_up_to,
 )
 
 CENTERING_TOL = 1e-9
-PINV_TOL = 1e-10
-PSD_TOL = 1e-8
 AGREE_TOL = 1e-9
 
 
@@ -140,12 +142,9 @@ def stein_residual(prob, a, ps):
         raise ValueError("test tuple length must equal nvars")
     if a.size != prob.n or a.nvars != prob.n:
         raise ValueError("kernel matrix shape mismatch")
-    lhs = 0j
-    for g, mean, p in zip(prob.gradient, prob.gradient_means, ps):
-        pstar = p.star()
-        lhs += moment_of_poly(phi, g * pstar) - mean * moment_of_poly(phi, pstar)
-    rhs = inner_matrix(phi, a, jacobian(ps))
-    return lhs - rhs
+    centered = [g - NcPoly(prob.n, {(): mean})
+                for g, mean in zip(prob.gradient, prob.gradient_means)]
+    return inner_tuple(phi, centered, ps) - inner_matrix(phi, a, jacobian(ps))
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,8 @@ class ExplicitKernelDistance:
     m4_bound_sharp_sq: float
 
 
-def _is_centered(phi, tol=1e-9):
-    return all(
-        abs(phi.moment((i,))) <= tol for i in range(1, phi.nvars + 1)
-    )
+def _is_centered(means, tol=1e-9):
+    return all(abs(m) <= tol for m in means)
 
 
 def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
@@ -182,7 +179,7 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
     phi = prob.phi
     n = prob.n
     quadratic = prob.v == quadratic_potential(n)
-    centered = _is_centered(phi)
+    centered = quadratic and _is_centered(coordinate_moments(phi)[0])
 
     if method not in ("auto", "closed", "generic"):
         raise ValueError(f"unknown method {method!r}")
@@ -230,16 +227,14 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
 
 def _closed_form_distance_sq(phi, n):
     phi.check_order(4)
+    z = coordinate_moments(phi)[1]
     total = 0j
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            t_ijji = phi.moment((i, j, j, i))
-            z_ij = phi.moment((i, j))
-            z_ji = phi.moment((j, i))
-            t_sq = phi.moment((i, i)) * phi.moment((j, j))
-            total += 2 * t_ijji + 2 * z_ij * z_ij + 2 * z_ji * z_ji + 2 * t_sq
-    second = sum(phi.moment((i, i)) for i in range(1, n + 1))
-    value = total / 4.0 - 2.0 * second + n
+    for i in range(n):
+        for j in range(n):
+            t_ijji = phi.moment((i + 1, j + 1, j + 1, i + 1))
+            total += (2 * t_ijji + 2 * z[i][j] * z[i][j] + 2 * z[j][i] * z[j][i]
+                      + 2 * (z[i][i] * z[j][j]))
+    value = total / 4.0 - 2.0 * sum(z[i][i] for i in range(n)) + n
     return value.real
 
 
@@ -262,13 +257,7 @@ class TruncationBasis:
 
     @property
     def words(self):
-        seen = []
-        last = None
-        for _, w in self.elements:
-            if w != last:
-                seen.append(w)
-                last = w
-        return seen
+        return words_up_to(self.nvars, self.degree)
 
     def __len__(self):
         return len(self.elements)
@@ -312,7 +301,7 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
         raise ValueError("degree must be >= 0")
 
     basis = TruncationBasis.build(n, degree)
-    words = words_up_to(n, degree)
+    words = basis.words
     deg_v = prob.v.degree()
     phi.check_order(max(2 * max(degree - 1, 0), deg_v + max(degree - 1, 0), 2))
 
@@ -329,22 +318,16 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
     inv_eigs = np.zeros_like(eigs)
     inv_eigs[keep] = 1.0 / eigs[keep]
 
+    # r_s[b] = <A0 - I, J e_{w_b, s}>: row s of A0 - I against the
+    # Jacobian row of w_b, entry (s, k) keyed by the letter k
     diff = explicit_kernel(prob.v) - KernelMatrix.identity(n)
-    entries = _derivative_entries(words)
+    diff_terms = [t for s, row in enumerate(diff.rows)
+                  for k, q in enumerate(row, 1) for t in tensor_terms(s, k, q)]
+    rhs = pairing_gather(phi, diff_terms, jacobian_terms(words), (n, len(words)))
 
     sigma_sq = 0.0
     coeff_blocks = []
-    for slot in range(n):
-        # r_s[b] = <A0 - I, J e_{w_b, s}> = sum_k (phi (x) phi)(D_sk # (d_k w_b)*);
-        # c (p (x) q) # (pre (x) suf)* = c p rev(pre) (x) rev(suf) q
-        terms = [[(complex(coef), p, q) for (p, q), coef in entry.terms.items()]
-                 for entry in diff.rows[slot]]
-        r = [0j] * len(words)
-        for b, letter, pre, rsuf in entries:
-            rev_pre = pre[::-1]
-            for coef, p, q in terms[letter - 1]:
-                r[b] += coef * phi.moment(p + rev_pre) * phi.moment(rsuf + q)
-        r = np.array(r)
+    for r in rhs:
         c = vecs @ (inv_eigs * (vecs.conj().T @ r))
         sigma_sq += float((r.conj() @ c).real)
         coeff_blocks.append(c)
@@ -407,9 +390,11 @@ class DiscrepancyReport:
     centering_defect: float
 
 
-def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8):
+def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8,
+                       pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
     """Combine the truncated lower bound with both upper bounds.
 
+    ``pinv_tol`` and ``psd_tol`` are passed to ``minimal_kernel``.
     Raises ConsistencyError when a certified upper bound falls below
     the lower bound beyond ``slack`` (possible only for invalid states).
     """
@@ -417,7 +402,7 @@ def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8):
     phi = prob.phi
     n = prob.n
 
-    mk = minimal_kernel(prob, degree)
+    mk = minimal_kernel(prob, degree, pinv_tol=pinv_tol, psd_tol=psd_tol)
     dist = explicit_kernel_distance_sq(prob)
 
     grad_sq = inner_tuple(phi, prob.gradient, prob.gradient).real
@@ -426,13 +411,14 @@ def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8):
     upper_poincare = n + c_opt * grad_sq - 2.0 * grad_x
 
     simplified = None
-    if prob.v == quadratic_potential(n) and _is_centered(phi):
+    if prob.v == quadratic_potential(n):
+        means, second = coordinate_moments(phi)
         iso = all(
-            abs(phi.moment((i, j)) - (1.0 if i == j else 0.0)) <= 1e-8
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
+            abs(second[i][j] - (1.0 if i == j else 0.0)) <= 1e-8
+            for i in range(n)
+            for j in range(n)
         )
-        if iso:
+        if _is_centered(means) and iso:
             simplified = n * (c_opt - 1.0)
 
     if mk.sigma_sq > dist.distance_sq + slack:

@@ -7,9 +7,10 @@
   product into plain matrix multiplication and (phi (x) phi) into the
   normalized trace.  This checks the entire symbolic/pairing pipeline
   against dense linear algebra on trace states;
-* the Dirichlet Gram and the minimal-kernel right-hand side assembled
-  from exact sharp products of Jacobian entries, one ``TensorPoly`` per
-  matrix entry, against which the word-index gathers are checked;
+* the Dirichlet Gram, the minimal-kernel right-hand side, the matrix
+  and tuple pairings and the Stein residual assembled from exact sharp
+  and polynomial products, one ``TensorPoly`` or ``NcPoly`` per matrix
+  entry or coordinate, against which the word-index gathers are checked;
 * Monte Carlo moment tables from the same spawned sample streams, one
   ``einsum`` trace per word from identity-started products and a
   two-pass mean and standard error, against which the reversal-shared
@@ -22,7 +23,10 @@ from freestein import (
     GueGenerator,
     KernelMatrix,
     NcPoly,
+    TensorPoly,
     explicit_kernel,
+    jacobian,
+    moment_of_poly,
     partial_derivative,
     sample_gue,
     tensor_moment,
@@ -184,6 +188,30 @@ def sharp_minimal_kernel(prob, degree, pinv_tol=1e-10):
         sigma_sq += float((r.conj() @ c).real)
         coefficients[:, slot] = c
     return sigma_sq, coefficients.ravel()
+
+
+def sharp_inner_matrix(phi, a, b):
+    """<A, B> = (phi (x) phi) of sum_ij A_ij # B_ij*, summed as one exact
+    ``TensorPoly`` of sharp products."""
+    acc = TensorPoly.zero(a.nvars)
+    for row_a, row_b in zip(a.rows, b.rows):
+        for qa, qb in zip(row_a, row_b):
+            acc = acc + qa.sharp(qb.star())
+    return tensor_moment(phi, acc)
+
+
+def product_inner_tuple(phi, ps, rs):
+    """<p, r> = sum_i phi(p_i r_i*) from exact polynomial products."""
+    return sum(moment_of_poly(phi, p * r.star()) for p, r in zip(ps, rs))
+
+
+def sharp_stein_residual(prob, a, ps):
+    """sum_i [phi(g_i P_i*) - phi(g_i) phi(P_i*)] - <A, JP> with g = Dv(X),
+    both sides from exact products."""
+    phi = prob.phi
+    lhs = sum(moment_of_poly(phi, g * p.star()) - mean * moment_of_poly(phi, p.star())
+              for g, mean, p in zip(prob.gradient, prob.gradient_means, ps))
+    return lhs - sharp_inner_matrix(phi, a, jacobian(ps))
 
 
 # ---------------------------------------------------------------------------

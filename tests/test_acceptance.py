@@ -27,6 +27,7 @@ from freestein import (
     EnsembleConfig,
     GueGenerator,
     KernelMatrix,
+    NcPoly,
     SteinProblem,
     TensorPoly,
     biane_gap_check,
@@ -41,7 +42,6 @@ from freestein import (
     poincare_lower_bound,
     quadratic_potential,
     semicircular,
-    sharp,
     stein_residual,
 )
 from freestein.algebra import delta_gen, partial_derivative
@@ -80,10 +80,10 @@ def test_criterion_1_symbolic_identity_suite():
         p = rand_poly(rng, n, 6, terms=4)
         q = rand_poly(rng, n, 6, terms=4)
         i = rng.randint(1, n)
+        one = NcPoly.one(n)
         lhs = partial_derivative(i, p * q)
-        rhs = partial_derivative(i, p).right_mul(q) + partial_derivative(
-            i, q
-        ).left_mul(p)
+        rhs = (TensorPoly.of(one, q).sharp(partial_derivative(i, p))
+               + TensorPoly.of(p, one).sharp(partial_derivative(i, q)))
         assert lhs == rhs
         cases += 1
 
@@ -92,7 +92,7 @@ def test_criterion_1_symbolic_identity_suite():
         p = rand_poly(rng, n, 6, terms=4)
         total = TensorPoly.zero(n)
         for i in range(1, n + 1):
-            total = total + sharp(partial_derivative(i, p), delta_gen(i, n))
+            total = total + partial_derivative(i, p).sharp(delta_gen(i, n))
         assert total == delta(p)
         cases += 1
 
@@ -100,16 +100,18 @@ def test_criterion_1_symbolic_identity_suite():
         n = rng.choice((1, 2, 3))
         p = rand_poly(rng, n, 5, terms=4)
         q = rand_poly(rng, n, 5, terms=4)
-        assert delta(p * q) == delta(p).right_mul(q) + delta(q).left_mul(p)
+        one = NcPoly.one(n)
+        assert delta(p * q) == (TensorPoly.of(one, q).sharp(delta(p))
+                                + TensorPoly.of(p, one).sharp(delta(q)))
         cases += 1
 
     for _ in range(90):  # sharp associativity and unit
         n = rng.choice((1, 2, 3))
-        a = sharp(delta(rand_poly(rng, n, 3, terms=3)), TensorPoly.one(n))
+        a = delta(rand_poly(rng, n, 3, terms=3)).sharp(TensorPoly.one(n))
         b = delta(rand_poly(rng, n, 3, terms=3))
         c = delta(rand_poly(rng, n, 3, terms=3))
-        assert sharp(sharp(a, b), c) == sharp(a, sharp(b, c))
-        assert sharp(a, TensorPoly.one(n)) == a
+        assert a.sharp(b).sharp(c) == a.sharp(b.sharp(c))
+        assert a.sharp(TensorPoly.one(n)) == a
         cases += 1
 
     for _ in range(90):  # involution laws

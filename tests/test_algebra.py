@@ -16,7 +16,6 @@ from freestein import (
     jacobian,
     partial_derivative,
     quadratic_potential,
-    sharp,
 )
 from freestein.algebra import CR_HALF, delta_gen
 
@@ -69,17 +68,17 @@ def test_tensor_involution_antihomomorphism_for_sharp(rng):
     for _ in range(30):
         a = rand_tensor(rng, 2, 3)
         b = rand_tensor(rng, 2, 3)
-        assert sharp(a, b).star() == sharp(b.star(), a.star())
+        assert a.sharp(b).star() == b.star().sharp(a.star())
 
 
 def test_sharp_examples():
     n = 2
     one = NcPoly.one(n)
-    lhs = sharp(TensorPoly.of(one, t(2, n)), TensorPoly.of(t(1, n), one))
+    lhs = TensorPoly.of(one, t(2, n)).sharp(TensorPoly.of(t(1, n), one))
     assert lhs == TensorPoly.of(t(1, n), t(2, n))
 
     a = TensorPoly.of(t(1, n), one) - TensorPoly.of(one, t(1, n))
-    got = sharp(TensorPoly.of(one, t(2, n)), a)
+    got = TensorPoly.of(one, t(2, n)).sharp(a)
     want = TensorPoly.of(t(1, n), t(2, n)) - TensorPoly.of(one, t(1, n) * t(2, n))
     assert got == want
 
@@ -90,14 +89,14 @@ def test_sharp_unit_and_associativity(rng):
         a = rand_tensor(rng, 2, 3)
         b = rand_tensor(rng, 2, 3)
         c = rand_tensor(rng, 2, 3)
-        assert sharp(a, unit) == a
-        assert sharp(unit, a) == a
-        assert sharp(sharp(a, b), c) == sharp(a, sharp(b, c))
+        assert a.sharp(unit) == a
+        assert unit.sharp(a) == a
+        assert a.sharp(b).sharp(c) == a.sharp(b.sharp(c))
 
 
 def test_sharp_nvars_mismatch():
     with pytest.raises(ValueError):
-        sharp(TensorPoly.one(1), TensorPoly.one(2))
+        TensorPoly.one(1).sharp(TensorPoly.one(2))
 
 
 def test_partial_examples():
@@ -126,14 +125,15 @@ def test_partial_index_range():
 
 
 def test_partial_leibniz(rng):
+    one = NcPoly.one(3)
     for _ in range(50):
         p = rand_poly(rng, 3, 5)
         q = rand_poly(rng, 3, 5)
         for i in (1, 2, 3):
             lhs = partial_derivative(i, p * q)
-            rhs = partial_derivative(i, p).right_mul(q) + partial_derivative(
-                i, q
-            ).left_mul(p)
+            # (1 (x) q) # (a (x) b) = a (x) bq and (p (x) 1) # (a (x) b) = pa (x) b
+            rhs = (TensorPoly.of(one, q).sharp(partial_derivative(i, p))
+                   + TensorPoly.of(p, one).sharp(partial_derivative(i, q)))
             assert lhs == rhs
 
 
@@ -147,7 +147,9 @@ def test_delta_is_derivation(rng):
     for _ in range(40):
         p = rand_poly(rng, 2, 4)
         q = rand_poly(rng, 2, 4)
-        assert delta(p * q) == delta(p).right_mul(q) + delta(q).left_mul(p)
+        one = NcPoly.one(2)
+        assert delta(p * q) == (TensorPoly.of(one, q).sharp(delta(p))
+                                + TensorPoly.of(p, one).sharp(delta(q)))
 
 
 def test_derivation_link(rng):
@@ -157,7 +159,7 @@ def test_derivation_link(rng):
         p = rand_poly(rng, nvars, 6)
         total = TensorPoly.zero(nvars)
         for i in range(1, nvars + 1):
-            total = total + sharp(partial_derivative(i, p), delta_gen(i, nvars))
+            total = total + partial_derivative(i, p).sharp(delta_gen(i, nvars))
         assert total == delta(p)
 
 
@@ -250,7 +252,7 @@ def test_explicit_kernel_quadratic_entries():
     a = explicit_kernel(quadratic_potential(n))
     for i in range(n):
         for j in range(n):
-            want = sharp(delta_gen(i + 1, n), delta_gen(j + 1, n)).scale(CR_HALF)
+            want = delta_gen(i + 1, n).sharp(delta_gen(j + 1, n)).scale(CR_HALF)
             assert a.entry(i, j) == want
 
 
@@ -262,8 +264,8 @@ def test_kernel_identity_algebra(rng):
         ps = tuple(rand_poly(rng, n, 4, terms=3) for _ in range(n))
         prod = explicit_kernel(v).sharp(jacobian(ps).adjoint())
         for i in range(n):
-            want = sharp(
-                delta(cyclic_derivative(i + 1, v)), delta(ps[i]).star()
+            want = delta(cyclic_derivative(i + 1, v)).sharp(
+                delta(ps[i]).star()
             ).scale(CR_HALF)
             assert prod.entry(i, i) == want
 

@@ -108,6 +108,22 @@ def test_stein_free_poisson(fp_cumulants, capsys):
     assert rep["upper_explicit_sq"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_stein_tolerances_reach_both_solves(tmp_path, capsys):
+    fp = centered_free_poisson(2, max_order=8)
+    path = write(tmp_path, "fp2.json",
+                 serialize.cumulants_to_obj(fp.spec, norm_upper=fp.norm_upper))
+    args = ("stein", "--cumulants", path, "--degree", "3")
+    _, out, _ = run(capsys, *args)
+    rep = json.loads(out)
+    assert (rep["gram_rank"], rep["null_dim"]) == (28, 2)
+    # the cutoff drops all but the 2 strongest directions per slot
+    code, out, _ = run(capsys, *args, "--tol-pinv", "0.5")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["gram_rank"], rep["null_dim"]) == (4, 26)
+    assert rep["upper_poincare_sq"] == pytest.approx(0.9998, abs=1e-4)
+
+
 def test_stein_centering_defect_exit_code(tmp_path, sc_cumulants, capsys):
     # D(t) = 1 and phi(1) = 1, so the necessary condition fails
     path = write(tmp_path, "v.json",

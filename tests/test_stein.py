@@ -1,6 +1,7 @@
 """Stein identity, explicit-kernel distance, minimal kernels and bounds."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from freestein import (
     SteinProblem,
     discrepancy_bounds,
     explicit_kernel,
+    BudgetExceededError,
     explicit_kernel_distance_sq,
     inner_matrix,
+    inner_tuple,
     jacobian,
     minimal_kernel,
     moment_table_from_matrices,
@@ -34,6 +37,7 @@ from conftest import (
     rand_hermitian,
     rand_poly,
     rand_selfadjoint_poly,
+    rand_tensor,
     trace_state,
 )
 
@@ -470,14 +474,46 @@ def test_word_index_assembly_matches_sharp_oracle(case):
     _assert_rel(mk.sigma_sq, sigma_sq)
     _assert_rel(mk.coefficients, coefficients)
 
+    # random complex kernels and tuples whose pairings fit the budget
+    rng = random.Random(len(case))
+    leg = phi.max_order // 2
+
+    def kernel():
+        return KernelMatrix(tuple(tuple(rand_tensor(rng, n, leg) for _ in range(n))
+                                  for _ in range(n)))
+
+    for _ in range(3):
+        a, b = kernel(), kernel()
+        ps = tuple(rand_poly(rng, n, leg) for _ in range(n))
+        rs = tuple(rand_poly(rng, n, leg) for _ in range(n))
+        _assert_rel(inner_matrix(phi, a, b), bruteforce.sharp_inner_matrix(phi, a, b))
+        _assert_rel(inner_tuple(phi, ps, rs),
+                    bruteforce.product_inner_tuple(phi, ps, rs))
+        _assert_rel(stein_residual(prob, a, ps),
+                    bruteforce.sharp_stein_residual(prob, a, ps))
+
 
 def test_grams_raise_budget_error_one_order_short():
-    from freestein import BudgetExceededError
-
     d = 3
     phi, _ = trace_state(np.random.default_rng(5), 2, 4, 2 * (d - 1) - 1,
                          centered=True)
-    with pytest.raises(BudgetExceededError):
-        dirichlet_gram(phi, words_up_to(2, d))
-    with pytest.raises(BudgetExceededError):
-        minimal_kernel(SteinProblem(phi, quadratic_potential(2)), d)
+    diff = explicit_kernel(quadratic_potential(2)) - KernelMatrix.identity(2)
+    squares = (t(1, 2) * t(1, 2), t(2, 2))
+    for build in (lambda: dirichlet_gram(phi, words_up_to(2, d)),
+                  lambda: minimal_kernel(SteinProblem(phi, quadratic_potential(2)), d),
+                  lambda: inner_matrix(phi, diff, diff),
+                  lambda: inner_tuple(phi, squares, squares)):
+        with pytest.raises(BudgetExceededError) as info:
+            build()
+        assert (info.value.needed, info.value.available) == (4, 3)
+
+
+def test_minimal_kernel_pairs_legs_of_unequal_length():
+    # the kernel of t^6 / 6 has legs of length 6 that meet only the short
+    # Jacobian legs; pairing them with each other would need order 12
+    sc = semicircular(1, max_order=6)
+    prob = SteinProblem(sc, NcPoly.monomial((1,) * 6, 1, Fraction(1, 6)))
+    assert minimal_kernel(prob, 1).sigma_sq == pytest.approx(16.0, rel=1e-12)
+    with pytest.raises(BudgetExceededError,
+                       match="needs word moments of length 7, backend supports 6"):
+        minimal_kernel(prob, 2)
