@@ -117,6 +117,12 @@ class SteinProblem:
             np.sqrt(sum(abs(c) ** 2 for c in self.gradient_means))
         )
 
+    @cached_property
+    def kernel_defect(self):
+        """A0 - I for the explicit kernel A0 of v, built once and read by
+        both ``minimal_kernel`` and ``explicit_kernel_distance_sq``."""
+        return explicit_kernel(self.v) - KernelMatrix.identity(self.n)
+
     @property
     def admissible(self):
         return all(abs(c) <= self.centering_tol for c in self.gradient_means)
@@ -195,8 +201,7 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
 
     generic = None
     if method in ("auto", "generic"):
-        a0 = explicit_kernel(prob.v)
-        diff = a0 - KernelMatrix.identity(n)
+        diff = prob.kernel_defect
         generic_c = inner_matrix(phi, diff, diff)
         if abs(generic_c.imag) > 1e-8 * max(1.0, abs(generic_c.real)):
             raise InvalidStateError(
@@ -320,7 +325,7 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
 
     # r_s[b] = <A0 - I, J e_{w_b, s}>: row s of A0 - I against the
     # Jacobian row of w_b, entry (s, k) keyed by the letter k
-    diff = explicit_kernel(prob.v) - KernelMatrix.identity(n)
+    diff = prob.kernel_defect
     diff_terms = [t for s, row in enumerate(diff.rows)
                   for k, q in enumerate(row, 1) for t in tensor_terms(s, k, q)]
     rhs = pairing_gather(phi, diff_terms, jacobian_terms(words), (n, len(words)))

@@ -19,7 +19,7 @@ from freestein import (
     semicircular,
     validate_state,
 )
-from freestein import cli, matrixmodels
+from freestein import cli, matrixmodels, serialize
 from freestein.matrixmodels import eval_poly_matrices
 from freestein.states import words_up_to
 
@@ -222,3 +222,64 @@ def test_trace_budget_fails_before_sampling(monkeypatch, tmp_path, capsys):
                                 "generators": [{"kind": "gue"}] * 2}))
     assert cli.main(["mc", "--ensemble", str(path), "--max-order", "30"]) == 4
     assert "budget_exceeded" in capsys.readouterr().err
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    # the backend calls it through np.linalg, where it is replaced
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_order", [2, 6])
+def test_norm_certificate_never_changes_output(max_order, monkeypatch,
+                                               tmp_path, capsys):
+    # a GUE and a 1 - g^2 coordinate, whose largest |eigenvalue| is a
+    # negative one; order 2 builds no square in the traces, order 6 does
+    one_minus_g2 = NcPoly(1, {(): 1, (1, 1): -1})
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({
+        "N": 48, "samples": 30, "seed": 17,
+        "generators": [{"kind": "gue"},
+                       {"kind": "poly_of_gue", "fresh_gues": 1,
+                        "poly": serialize.poly_to_obj(one_minus_g2)}]}))
+    argv = ["mc", "--ensemble", str(path), "--max-order", str(max_order)]
+    calls = _count_eigvalsh(monkeypatch)
+    assert cli.main(argv) == 0
+    certified = capsys.readouterr().out
+    assert 2 <= len(calls) < 60
+    calls.clear()
+    monkeypatch.setattr(matrixmodels, "_norm_below", lambda square, bound: False)
+    assert cli.main(argv) == 0
+    assert len(calls) == 60
+    assert capsys.readouterr().out == certified
+
+
+def test_norm_certificate_edge_cases():
+    x = np.diag([-3.0, 1.0, 2.0]).astype(complex)
+    square = x @ x
+    assert not matrixmodels._norm_below(square, 0.0)
+    assert not matrixmodels._norm_below(square, 3.0)
+    assert not matrixmodels._norm_below(square, 3.0 * (1 + 1e-9))
+    assert matrixmodels._norm_below(square, 3.1)
+    assert matrixmodels._norm_below(square, 3.0 * (1 + 1e-7))
+    # the certificate leaves its square untouched
+    assert np.array_equal(square, x @ x)
+
+
+def test_constant_coordinate_ties_the_max_in_every_sample(monkeypatch):
+    # X = 2I in every sample: its norm ties the running max, which no
+    # certificate proves, so every sample falls back to the eigensolve
+    two = PolyOfGueGenerator(NcPoly(1, {(): 2}), 1)
+    cfg = EnsembleConfig(size=10, samples=6, seed=5, generators=(two,))
+    calls = _count_eigvalsh(monkeypatch)
+    table = mc_moment_table(cfg, 4)
+    assert len(calls) == 6
+    assert table.norm_upper == (2.0,)
+    assert table.moment((1, 1, 1, 1)) == 16.0

@@ -28,6 +28,7 @@ from freestein import (
     centered_free_poisson,
     stein_residual,
 )
+from freestein import stein
 from freestein.stein import TruncationBasis
 from freestein.states import dirichlet_gram, words_up_to
 
@@ -354,6 +355,30 @@ def test_discrepancy_bounds_constant_potential():
     # projection of A0 - I = -I onto the Jacobian span: I is the Jacobian
     # of the coordinates, so the projection has norm at least 1
     assert rep.sigma_lower_sq == pytest.approx(1.0, abs=1e-9)
+
+
+def test_discrepancy_bounds_builds_the_explicit_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return explicit_kernel(v)
+
+    # the name the minimal kernel and the distance resolve at call time
+    monkeypatch.setattr(stein, "explicit_kernel", counted)
+    phi, _ = trace_state(np.random.default_rng(11), 2, 6, 6, centered=True)
+    prob = SteinProblem(phi, quadratic_potential(2))
+    rep = discrepancy_bounds(prob, 3, c_opt=2.5)
+    assert len(calls) == 1
+    # the report as computed before the kernel was shared
+    assert rep.sigma_lower_sq == pytest.approx(0.7097971743781807, rel=1e-12)
+    assert rep.upper_explicit_sq == pytest.approx(1.6596312868055998,
+                                                  rel=1e-12)
+    assert rep.upper_poincare_sq == pytest.approx(2.4600352713293554,
+                                                  rel=1e-12)
+    assert rep.simplified_sq is None
+    assert (rep.gram_rank, rep.null_dim) == (28, 2)
+    assert rep.centering_defect < 1e-15
 
 
 def test_certified_violation_raises(np_rng):
