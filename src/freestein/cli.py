@@ -5,7 +5,7 @@ JSON/CSV formats of ``serialize``; every command validates the loaded
 state before computing and refuses invalid ones.  Exit codes: 0 on
 success, 2 inadmissible problem, 3 invalid state, 4 moment budget
 exceeded, 1 anything else.  Identical configuration and seed produce
-byte-identical output files.
+byte-identical output files at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -238,6 +238,9 @@ def _resolve_potential(args, nvars):
 
 
 def cmd_stein(args):
+    # checked before the state is loaded, which may run the Monte Carlo
+    if args.degree < 0:
+        raise ValueError("degree must be >= 0")
     phi = _load_state(args, mc_order=max(8, 2 * args.degree))
     v = _resolve_potential(args, phi.nvars)
     prob = SteinProblem(phi, v, centering_tol=args.tol_centering)
@@ -255,6 +258,8 @@ def cmd_stein(args):
 
 
 def cmd_poincare(args):
+    if args.degree < 1:
+        raise ValueError("degree must be >= 1")
     phi = _load_state(args, mc_order=max(8, 2 * args.degree))
     est = poincare_lower_bound(
         phi, args.degree,

@@ -8,6 +8,18 @@ fresh GUE matrices.  Word moments are averaged normalized traces over
 from the master seed, so results are identical no matter how sampling
 is scheduled.
 
+Coordinate 1 is drawn in its own eigenbasis.  Every generator is
+unitarily invariant and the coordinates are independent, so with
+X_1 = U diag(lambda) U^H, the tuple (U^H X_i U)_{i >= 2} has the law of
+(X_i)_{i >= 2} and is independent of lambda: replacing X_1 by
+D = diag(lambda) leaves the joint law of every word trace unchanged.
+For a GUE, lambda comes from the beta = 2 Hermite tridiagonal model of
+Dumitriu and Edelman (``sample_gue_spectrum``), with one real
+eigensolve and no dense complex draw; a polynomial coordinate takes the
+eigenvalues of its sampled matrix.  A seed therefore gives a different
+realization, of the same law, than a dense draw of every coordinate
+would.
+
 Trace states are tracial and, the coordinates being Hermitian,
 Hermitian symmetric: tr(rotation of w) = tr(w) and tr(rev w) =
 conj tr(w).  So one trace is taken per bracelet class (the words
@@ -20,34 +32,44 @@ table is therefore exactly tracial and Hermitian symmetric.
 The traces use that the coordinates are Hermitian (GUE draws are
 exactly so; polynomial images and the inputs of
 ``moment_table_from_matrices`` are replaced by their Hermitian parts).
-The product of a reversed word is the adjoint, P_rev(u) = P_u^H, so a
-product whose reversal is already built is a conjugate transpose, not
-a GEMM, and a word w = a.b, split at ceil(|w|/2), pairs as
-tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product.  Running
-means and variances are arrays indexed by class, updated once per draw.
-Before any matrix is built, tables whose words have over
-``MAX_TABLE_LETTERS`` letters, or whose half-length products take over
-``MAX_PRODUCT_BYTES`` bytes, are refused with ``BudgetExceededError``.
+A word w = a.b is split at ceil(|w|/2) and traced as
+tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product, where the
+product of a reversed word is the adjoint, P_rev(u) = P_u^H.  With D
+diagonal, a product 1^j u 1^k is the core P_u scaled along its rows and
+columns: only cores beginning and ending with other letters are built
+as matrices (at order 8 over two coordinates, 6 GEMMs per draw instead
+of 19), pure powers of D stay vectors, and a trace with a diagonal side
+is a weighted diagonal sum.  ``moment_table_from_matrices`` runs the
+same kernel with every coordinate dense.  Running means and variances
+are arrays indexed by class, updated once per draw.  Before any matrix
+is built, tables whose words have over ``MAX_TABLE_LETTERS`` letters,
+or whose half-length products take over ``MAX_PRODUCT_BYTES`` bytes,
+are refused with ``BudgetExceededError``.
 
 The output is a ``MomentTable`` carrying per-word standard errors (one
 per class) and, as the per-coordinate upper norm estimate, the largest
-spectral norm seen across samples.  That maximum is exact: a draw
-whose norm cannot raise it skips its eigensolve, and only on proof.
-The square X^2 = X @ X of each coordinate is built first (it is also
-the trace products' (i, i) entry, so order >= 3 pays no extra GEMM).
-When a Cholesky factorization of tau^2 I - X^2 succeeds, with tau the
-running maximum shrunk by ``CERT_MARGIN``, ||X|| lies below the
-maximum and the draw cannot change it; otherwise the draw is
-eigensolved as before.  The margin dwarfs the factorization's backward
-error (about N u ||X||^2; Higham, *Accuracy and Stability of Numerical
+spectral norm seen across samples.  For coordinate 1 that is the
+largest |lambda|.  For the others the maximum is exact too, though a
+draw whose norm cannot raise it skips its eigensolve, and only on
+proof.  The square X^2 = X @ X of each such coordinate is built first
+(it is also the trace products' (i, i) entry, so order >= 3 pays no
+extra GEMM).  When a Cholesky factorization of tau^2 I - X^2 succeeds,
+with tau the running maximum shrunk by ``CERT_MARGIN``, ||X|| lies
+below the maximum and the draw cannot change it; otherwise the draw is
+eigensolved.  The margin dwarfs the factorization's backward error
+(about N u ||X||^2; Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., section 10.1), so the maximum is the float the
 full eigensolve of every draw gives.  For iid draws the maximum moves
 about ln(samples) + 0.58 times, so most draws are certified.
+
+Tables are byte-identical run to run at a fixed BLAS thread count; the
+GEMMs and eigensolves may round differently under another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +115,8 @@ class EnsembleConfig:
             raise ValueError("matrix size must be >= 1")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.generators:
             raise ValueError("at least one generator required")
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -129,54 +153,181 @@ def eval_poly_matrices(poly, mats, size):
     return out
 
 
-def _coordinate_matrices(config, rng):
-    mats = []
+def sample_gue_spectrum(rng, size):
+    """The eigenvalues, ascending, of one GUE draw in the convention of
+    ``sample_gue``, from the beta = 2 Hermite tridiagonal model: a real
+    symmetric tridiagonal matrix with N(0, 1) diagonal and off-diagonal
+    chi_{2(N-1)}, ..., chi_2 / sqrt 2 (Dumitriu and Edelman, *Matrix
+    models for beta ensembles*, J. Math. Phys. 43, 2002), scaled by
+    1 / sqrt(size).  One real eigensolve, no dense complex draw."""
+    diag = rng.standard_normal(size)
+    off = np.sqrt(rng.chisquare(2.0 * np.arange(size - 1, 0, -1)) / 2)
+    tri = np.diag(diag) + np.diag(off, -1)
+    return np.linalg.eigvalsh(tri) / np.sqrt(size)
+
+
+def _draw(config, rng):
+    """One draw: coordinate 1 as the real vector of its eigenvalues, the
+    others as Hermitian matrices."""
+    coords = []
     for gen in config.generators:
+        first = not coords
         if isinstance(gen, GueGenerator):
-            mats.append(sample_gue(rng, config.size))
+            coords.append(sample_gue_spectrum(rng, config.size) if first
+                          else sample_gue(rng, config.size))
         elif isinstance(gen, PolyOfGueGenerator):
             fresh = [sample_gue(rng, config.size) for _ in range(gen.fresh_gues)]
             m = eval_poly_matrices(gen.poly, fresh, config.size)
-            mats.append((m + m.conj().T) / 2)
+            m = (m + m.conj().T) / 2
+            coords.append(np.linalg.eigvalsh(m) if first else m)
         else:
             raise ParseError(f"unknown generator {gen!r}", field="generators")
-    return mats
+    return coords
 
 
-def _class_traces(mats, size, max_order, reps, closed, squares=None):
-    """Normalized traces of the bracelet representatives ``reps`` on
-    Hermitian ``mats``, as a complex array aligned with ``reps``.
+def _split(w, diagonal):
+    """(j, core, k) with w = 1^j core 1^k, the core empty or beginning
+    and ending with letters other than 1; (0, w, 0) when letter 1 is not
+    diagonal."""
+    if not diagonal:
+        return 0, w, 0
+    j = 0
+    while j < len(w) and w[j] == 1:
+        j += 1
+    if j == len(w):
+        return j, (), 0
+    k = 0
+    while w[-1 - k] == 1:
+        k += 1
+    return j, w[j:len(w) - k], k
 
-    Products of at most ceil(max_order / 2) letters are built in graded
-    order, each by one GEMM or, when its reversal is built, as that
-    product's adjoint.  ``squares``, when given, are the products
-    ``mats[i] @ mats[i]`` already built, taken as the (i, i) products.
-    The boolean mask ``closed`` marks the reversal-closed classes, whose
-    products are Hermitian: their traces are taken real."""
-    half = (max_order + 1) // 2
-    prods = {}
-    if squares is not None and half >= 2:
-        prods = {(i, i): sq for i, sq in enumerate(squares, 1)}
-    for w in words_up_to(len(mats), half, min_len=1):
-        rev = w[::-1]
-        if w in prods:
+
+class _TracePlan(NamedTuple):
+    """What ``_class_traces`` computes for the classes ``reps`` over
+    ``nvars`` coordinates, letter 1 diagonal or not, the same for every
+    draw.
+
+    ``builds`` lists the dense products in graded order: ("letter", core,
+    i) is coordinate i, ("square", core, i) its square, ("adjoint", core,
+    rev core) the adjoint of a built product, and ("gemm", core, prefix,
+    k, i) is P_prefix D^k X_i, one GEMM.  ``singles`` gives a class index
+    c and its trace: ("power", c, m) is tr D^m, ("diag", c, core, q) is
+    tr(D^q P_core), and ("pair", c, u, rev v) is tr(P_u P_v) =
+    <P_rev(v), P_u>.  ``scaled`` maps (u, rev v) to the classes with
+    traces tr(P_u D^p P_v D^q) = <P_rev(v), D^q P_u D^p>, p + q > 0, as
+    (class indices, distinct p, column of each class's p among them,
+    q per class).  Traces are taken before the division by N."""
+
+    reps: list
+    closed: np.ndarray
+    diagonal: bool
+    max_order: int
+    builds: list
+    singles: list
+    scaled: dict
+
+
+def _trace_plan(nvars, max_order, diagonal):
+    """The ``_TracePlan`` of the nonempty bracelet classes up to
+    ``max_order`` over ``nvars`` letters, letter 1 diagonal when
+    ``diagonal``."""
+    reps = bracelets_up_to(nvars, max_order, min_len=1)
+    builds = []
+    built = set()
+    for w in words_up_to(nvars, (max_order + 1) // 2, min_len=1):
+        if _split(w, diagonal)[1] != w:
             continue
         if len(w) == 1:
-            prods[w] = mats[w[0] - 1]
-        elif rev in prods:
-            prods[w] = np.ascontiguousarray(prods[rev].conj().T)
+            builds.append(("letter", w, w[0] - 1))
+        elif w == w[:1] * 2:
+            builds.append(("square", w, w[0] - 1))
+        elif w[::-1] in built:
+            builds.append(("adjoint", w, w[::-1]))
         else:
-            prods[w] = prods[w[:-1]] @ mats[w[-1] - 1]
-    traces = np.empty(len(reps), dtype=complex)
-    for k, w in enumerate(reps):
+            _, prefix, k = _split(w[:-1], diagonal)
+            builds.append(("gemm", w, prefix, k, w[-1] - 1))
+        built.add(w)
+    singles = []
+    scaled = {}
+    for c, w in enumerate(reps):
         cut = (len(w) + 1) // 2
-        left, right = w[:cut], w[cut:]
-        if right:
-            t = np.vdot(prods[right[::-1]], prods[left]) / size
+        ja, u, ka = _split(w[:cut], diagonal)
+        jb, v, kb = _split(w[cut:], diagonal)
+        if not u and not v:
+            singles.append(("power", c, len(w)))
+        elif not v:
+            singles.append(("diag", c, u, ja + ka + jb))
+        elif not u:
+            singles.append(("diag", c, v, ja + jb + kb))
+        elif ka + jb or kb + ja:
+            scaled.setdefault((u, v[::-1]), []).append((c, ka + jb, kb + ja))
         else:
-            t = np.trace(prods[left]) / size
-        traces[k] = t
-    traces[closed] = traces[closed].real
+            singles.append(("pair", c, u, v[::-1]))
+    for key, jobs in scaled.items():
+        idx, ps, qs = (np.array(x) for x in zip(*jobs))
+        distinct, col = np.unique(ps, return_inverse=True)
+        scaled[key] = (idx, distinct, col, qs)
+    return _TracePlan(reps, _reversal_closed(reps), diagonal, max_order,
+                      builds, singles, scaled)
+
+
+def _class_traces(coords, plan, squares=None):
+    """Normalized traces of the bracelet representatives ``plan.reps``
+    on Hermitian ``coords``, as a complex array aligned with them.
+
+    When ``plan.diagonal``, ``coords[0]`` is the real vector lambda of a
+    diagonal coordinate D: a product 1^j u 1^k is P_u scaled by lambda^j
+    along its rows and lambda^k along its columns, and is never built;
+    pure powers of letter 1 stay vectors, and a trace with a diagonal
+    side is a weighted diagonal sum.  Only the cores, products beginning
+    and ending with other letters, are dense; each is a coordinate, the
+    adjoint of its reversal when that is built (P_rev(u) = P_u^H), or
+    one GEMM.  The classes that pair the same two cores through powers
+    of D share one elementwise product C = conj(P_rev(v)) * P_u, and
+    each takes lambda^q . C lambda^p.  ``squares``, when given, maps a
+    letter index i to the product ``coords[i] @ coords[i]`` already
+    built.  The boolean mask ``plan.closed`` marks the reversal-closed
+    classes, whose products are Hermitian: their traces are taken
+    real."""
+    size = coords[-1].shape[0]
+    if plan.diagonal:
+        pows = np.ones((plan.max_order + 1, size))
+        for m in range(1, plan.max_order + 1):
+            pows[m] = pows[m - 1] * coords[0]
+    squares = squares or {}
+    prods = {}
+    for kind, w, *args in plan.builds:
+        if kind == "letter":
+            prods[w] = coords[args[0]]
+        elif kind == "adjoint":
+            prods[w] = np.ascontiguousarray(prods[args[0]].conj().T)
+        elif kind == "square":
+            i = args[0]
+            prods[w] = squares[i] if i in squares else coords[i] @ coords[i]
+        else:
+            prefix, k, i = args
+            left = prods[prefix] * pows[k] if k else prods[prefix]
+            prods[w] = left @ coords[i]
+    traces = np.empty(len(plan.reps), dtype=complex)
+    for kind, c, *args in plan.singles:
+        if kind == "power":
+            traces[c] = pows[args[0]].sum()
+        elif kind == "diag":
+            core, q = args
+            traces[c] = (np.dot(pows[q], np.diagonal(prods[core])) if q
+                         else np.trace(prods[core]))
+        else:
+            traces[c] = np.vdot(prods[args[1]], prods[args[0]])
+    if plan.scaled:
+        # one buffer for every elementwise product, not a fresh array each
+        prod = np.empty((size, size), dtype=complex)
+    for (u, rv), (idx, ps, col, qs) in plan.scaled.items():
+        np.conjugate(prods[rv], out=prod)
+        prod *= prods[u]
+        weighted = (prod @ pows[ps].T)[:, col]
+        traces[idx] = (pows[qs].T * weighted).sum(axis=0)
+    traces /= size
+    traces[plan.closed] = traces[plan.closed].real
     return traces
 
 
@@ -241,14 +392,19 @@ def _check_trace_budget(nvars, size, max_order):
 
 def mc_moment_table(config, max_order):
     """Monte Carlo moment table: per-class sample mean, standard error,
-    and sampled spectral-norm upper estimates. Deterministic in the seed.
+    and sampled spectral-norm upper estimates.  Deterministic in the
+    seed at a fixed BLAS thread count (the GEMMs and eigensolves may
+    round differently under another).
 
+    Each draw holds coordinate 1 as the real vector of its eigenvalues
+    (see the module docstring), whose largest modulus is its norm.
     ``norm_upper`` is, per coordinate, the largest spectral norm over
-    the draws, exactly as if every draw were eigensolved: a draw is
-    eigensolved only when the Cholesky certificate ``_norm_below``
-    cannot prove its norm below the running maximum (always on the
-    first draw).  The squares the certificate needs are handed to the
-    traces, and dropped with the draw before the next one is built.
+    the draws, exactly as if every draw were eigensolved: a dense
+    coordinate is eigensolved only when the Cholesky certificate
+    ``_norm_below`` cannot prove its norm below the running maximum
+    (always on the first draw).  The squares the certificate needs are
+    handed to the traces, and dropped with the draw before the next one
+    is built.
 
     Raises ``BudgetExceededError`` before sampling when the table's
     words have over ``MAX_TABLE_LETTERS`` letters or its products over
@@ -257,24 +413,22 @@ def mc_moment_table(config, max_order):
         raise ValueError("max_order must be >= 1")
     n = config.nvars
     _check_trace_budget(n, config.size, max_order)
-    reps = bracelets_up_to(n, max_order, min_len=1)
-    closed = _reversal_closed(reps)
-    mean = np.zeros(len(reps), dtype=complex)
-    msq = np.zeros(len(reps))
+    plan = _trace_plan(n, max_order, diagonal=True)
+    mean = np.zeros(len(plan.reps), dtype=complex)
+    msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n
 
     streams = np.random.SeedSequence(config.seed).spawn(config.samples)
     for s, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        mats = _coordinate_matrices(config, rng)
-        squares = [m @ m for m in mats]
-        for i, (m, sq) in enumerate(zip(mats, squares)):
+        coords = _draw(config, np.random.default_rng(ss))
+        norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
+        squares = {i: m @ m for i, m in enumerate(coords[1:], 1)}
+        for i, sq in squares.items():
             if not _norm_below(sq, norm_max[i]):
-                eigs = np.linalg.eigvalsh(m)
+                eigs = np.linalg.eigvalsh(coords[i])
                 norm_max[i] = max(norm_max[i], float(np.abs(eigs).max()))
-        traces = _class_traces(mats, config.size, max_order, reps, closed,
-                               squares)
-        del mats, squares
+        traces = _class_traces(coords, plan, squares)
+        del coords, squares
         # Welford over complex values
         d = traces - mean
         mean += d / (s + 1)
@@ -285,9 +439,9 @@ def mc_moment_table(config, max_order):
     return MomentTable.from_bracelets(
         n,
         max_order,
-        dict(zip(reps, mean.tolist())),
+        dict(zip(plan.reps, mean.tolist())),
         norm_upper=tuple(norm_max),
-        stderr=dict(zip(reps, stderr.tolist())),
+        stderr=dict(zip(plan.reps, stderr.tolist())),
     )
 
 
@@ -300,7 +454,8 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
     estimates.  Useful both as a deterministic table backend and as an
     independent oracle in tests.  Matrices Hermitian within ``atol``
     are replaced by their Hermitian parts.  One trace is taken per
-    bracelet class, under the budget of ``mc_moment_table``.
+    bracelet class, under the budget of ``mc_moment_table``, by the
+    same kernel with every coordinate dense.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     size = mats[0].shape[0]
@@ -312,10 +467,9 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
     mats = [(m + m.conj().T) / 2 for m in mats]
     n = len(mats)
     _check_trace_budget(n, size, max_order)
-    reps = bracelets_up_to(n, max_order, min_len=1)
-    traces = _class_traces(mats, size, max_order, reps,
-                           _reversal_closed(reps))
+    plan = _trace_plan(n, max_order, diagonal=False)
+    traces = _class_traces(mats, plan)
     norms = tuple(float(np.abs(np.linalg.eigvalsh(m)).max()) for m in mats)
     return MomentTable.from_bracelets(n, max_order,
-                                      dict(zip(reps, traces.tolist())),
+                                      dict(zip(plan.reps, traces.tolist())),
                                       norm_upper=norms)

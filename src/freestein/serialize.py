@@ -369,6 +369,8 @@ def ensemble_from_obj(obj, path="ensemble."):
     size = _get(obj, "N", int, path)
     samples = _get(obj, "samples", int, path)
     seed = _get(obj, "seed", int, path)
+    if seed < 0:
+        raise ParseError(f"seed must be >= 0, got {seed}", field=path + "seed")
     generators = []
     for idx, g in enumerate(_get(obj, "generators", list, path)):
         gpath = f"{path}generators[{idx}]."

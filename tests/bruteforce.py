@@ -11,10 +11,12 @@
   and tuple pairings and the Stein residual assembled from exact sharp
   and polynomial products, one ``TensorPoly`` or ``NcPoly`` per matrix
   entry or coordinate, against which the word-index gathers are checked;
-* Monte Carlo moment tables from the same spawned sample streams, one
-  ``einsum`` trace per word from identity-started products and a
-  two-pass mean and standard error, against which the reversal-shared
-  inner products and array Welford updates are checked.
+* Monte Carlo moment tables from the same spawned sample streams and
+  the same realization, coordinate 1 a dense diagonal matrix of its
+  eigenvalues, one ``einsum`` trace per word from identity-started
+  products and a two-pass mean and standard error, against which the
+  diagonal scalings, reversal-shared inner products and array Welford
+  updates are checked.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from freestein import (
     sample_gue,
     tensor_moment,
 )
+from freestein.matrixmodels import sample_gue_spectrum
 from freestein.states import words_up_to
 
 
@@ -237,26 +240,52 @@ def einsum_word_traces(mats, size, max_order, words):
     return traces
 
 
-def mc_moment_oracle(config, max_order):
-    """(entries, stderr, norm_upper) of ``mc_moment_table`` from the same
-    spawned streams: polynomial coordinates by ``poly_matrix`` and their
-    Hermitian parts, per-word ``einsum`` traces, two-pass statistics."""
-    words = words_up_to(config.nvars, max_order, min_len=1)
+def mc_draws(config):
+    """Per sample, the coordinates ``mc_moment_table`` realizes from the
+    same spawned streams: coordinate 1 as the dense diagonal matrix of
+    its eigenvalues (the tridiagonal model for a GUE, ``eigvalsh`` of
+    the Hermitian part of ``poly_matrix`` otherwise), the others dense,
+    polynomial ones by ``poly_matrix`` and their Hermitian parts."""
     size = config.size
-    samples = []
-    norms = []
     for ss in np.random.SeedSequence(config.seed).spawn(config.samples):
         rng = np.random.default_rng(ss)
         mats = []
         for gen in config.generators:
             if isinstance(gen, GueGenerator):
-                mats.append(sample_gue(rng, size))
-            else:
-                fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
-                m = poly_matrix(gen.poly, fresh, size)
-                mats.append((m + m.conj().T) / 2)
+                mats.append(sample_gue_spectrum(rng, size) if not mats
+                            else sample_gue(rng, size))
+                continue
+            fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
+            m = poly_matrix(gen.poly, fresh, size)
+            m = (m + m.conj().T) / 2
+            mats.append(np.linalg.eigvalsh(m) if not mats else m)
+        mats[0] = np.diag(mats[0]).astype(complex)
+        yield mats
+
+
+def norm_records(config):
+    """Per coordinate after the first, how many draws of ``mc_draws``
+    have a norm above every earlier one: the draws whose norm no
+    certificate proves below the running maximum."""
+    top = [0.0] * config.nvars
+    records = [0] * config.nvars
+    for mats in mc_draws(config):
+        for i, m in enumerate(mats[1:], 1):
+            norm = np.linalg.norm(m, 2)
+            records[i] += norm > top[i]
+            top[i] = max(top[i], norm)
+    return records[1:]
+
+
+def mc_moment_oracle(config, max_order):
+    """(entries, stderr, norm_upper) of ``mc_moment_table`` on the draws
+    of ``mc_draws``: per-word ``einsum`` traces, two-pass statistics."""
+    words = words_up_to(config.nvars, max_order, min_len=1)
+    samples = []
+    norms = []
+    for mats in mc_draws(config):
         norms.append([np.abs(np.linalg.eigvalsh(m)).max() for m in mats])
-        traces = einsum_word_traces(mats, size, max_order, words)
+        traces = einsum_word_traces(mats, config.size, max_order, words)
         samples.append([traces[w] for w in words])
     samples = np.array(samples)
     count = config.samples

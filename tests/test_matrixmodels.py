@@ -66,20 +66,79 @@ def test_determinism():
     assert t1.norm_upper == t2.norm_upper
 
 
-def test_max_deviation_decreases_with_size():
+def test_gue_power_moments_within_stderr_and_finite_size_bias():
+    # E tr X^m / N of an N x N GUE is the semicircle moment plus a
+    # 1/N^2 bias: 2 + 1/N^2 at m = 4 and 5 + 10/N^2 at m = 6
     sc = semicircular(1)
-    devs = []
+    stderr6 = []
     for size in (50, 100, 200):
         cfg = EnsembleConfig(size=size, samples=200, seed=2024,
                              generators=(GueGenerator(),))
         table = mc_moment_table(cfg, 6)
-        devs.append(
-            max(
-                abs(table.moment(w) - sc.moment(w))
-                for w in words_up_to(1, 6, min_len=1)
-            )
-        )
-    assert devs[0] > devs[1] > devs[2]
+        bias = {4: 1 / size**2, 6: 10 / size**2}
+        for m in range(1, 7):
+            w = (1,) * m
+            dev = abs(table.moment(w) - sc.moment(w))
+            assert dev <= 6 * table.stderr[w] + bias.get(m, 0.0)
+        stderr6.append(table.stderr[(1,) * 6])
+    assert stderr6[0] > stderr6[1] > stderr6[2]
+
+
+def _power_sums(spectra, m):
+    """(mean, standard error) of tr X^m / N over the rows of ``spectra``."""
+    x = (spectra ** m).mean(axis=1)
+    return x.mean(), x.std(ddof=1) / np.sqrt(len(x))
+
+
+def test_tridiagonal_spectrum_has_the_gue_law():
+    size, draws = 20, 3000
+    rng = np.random.default_rng(77)
+    tri = np.array([matrixmodels.sample_gue_spectrum(rng, size)
+                    for _ in range(draws)])
+    dense = np.array([np.linalg.eigvalsh(sample_gue(rng, size))
+                      for _ in range(draws)])
+    for m in (2, 4, 6):
+        (a, sa), (b, sb) = _power_sums(tri, m), _power_sums(dense, m)
+        assert abs(a - b) <= 5 * np.hypot(sa, sb)
+    top_tri, top_dense = tri[:, -1], dense[:, -1]
+    gap = abs(top_tri.mean() - top_dense.mean())
+    spread = np.hypot(top_tri.std(ddof=1), top_dense.std(ddof=1))
+    assert gap <= 5 * spread / np.sqrt(draws)
+
+
+def test_diagonal_basis_has_the_law_of_dense_gues():
+    # the word traces of (diag(eigenvalues of X), Y) and of a dense pair
+    # (X, Y) of independent GUEs have one joint law
+    size, samples, order = 10, 1500, 6
+    cfg = EnsembleConfig(size=size, samples=samples, seed=88,
+                         generators=(GueGenerator(), GueGenerator()))
+    table = mc_moment_table(cfg, order)
+    words = words_up_to(2, order, min_len=1)
+    rng = np.random.default_rng(89)
+    dense = []
+    for _ in range(samples):
+        mats = [sample_gue(rng, size), sample_gue(rng, size)]
+        traces = bruteforce.einsum_word_traces(mats, size, order, words)
+        dense.append([traces[w] for w in words])
+    dense = np.array(dense)
+    mean = dense.mean(axis=0)
+    stderr = dense.std(axis=0, ddof=1) / np.sqrt(samples)
+    for k, w in enumerate(words):
+        combined = np.hypot(table.stderr[w], stderr[k])
+        assert abs(table.entries[w] - mean[k]) <= 5 * combined
+
+
+@pytest.mark.parametrize("n, order", [(1, 9), (2, 8), (3, 6)])
+def test_diagonal_kernel_matches_dense_kernel(n, order, np_rng):
+    size = 9
+    lam = 1.5 * np_rng.standard_normal(size)
+    others = [rand_hermitian(np_rng, size) for _ in range(n - 1)]
+    plan = matrixmodels._trace_plan(n, order, diagonal=True)
+    got = matrixmodels._class_traces([lam] + others, plan)
+    want = moment_table_from_matrices([np.diag(lam)] + others, order)
+    for c, w in enumerate(plan.reps):
+        want_w = want.entries[w]
+        assert abs(got[c] - want_w) <= 1e-12 * max(abs(want_w), 1.0)
 
 
 def test_poly_of_gue_matches_free_poisson():
@@ -186,26 +245,57 @@ def test_eval_poly_matches_identity_started_products(np_rng):
         assert np.array_equal(got, bruteforce.poly_matrix(poly, args, size))
 
 
-def test_mc_rejects_max_order_before_sampling(monkeypatch, tmp_path, capsys):
+def _refuse_sampling(monkeypatch, what):
     def refuse(*args, **kwargs):
-        raise AssertionError("sampled before checking max_order")
+        raise AssertionError(f"sampled before checking {what}")
 
-    monkeypatch.setattr(matrixmodels, "sample_gue", refuse)
+    for name in ("sample_gue", "sample_gue_spectrum"):
+        monkeypatch.setattr(matrixmodels, name, refuse)
+
+
+def _ensemble_file(tmp_path, coordinates=1, seed=1):
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"N": 8, "samples": 3, "seed": seed,
+                                "generators": [{"kind": "gue"}] * coordinates}))
+    return str(path)
+
+
+def test_mc_rejects_max_order_before_sampling(monkeypatch, tmp_path, capsys):
+    _refuse_sampling(monkeypatch, "max_order")
     cfg = EnsembleConfig(size=8, samples=3, seed=1, generators=(GueGenerator(),))
     with pytest.raises(ValueError, match="max_order must be >= 1"):
         mc_moment_table(cfg, 0)
-    path = tmp_path / "ens.json"
-    path.write_text(json.dumps({"N": 8, "samples": 3, "seed": 1,
-                                "generators": [{"kind": "gue"}]}))
-    assert cli.main(["mc", "--ensemble", str(path), "--max-order", "0"]) == 1
+    path = _ensemble_file(tmp_path)
+    assert cli.main(["mc", "--ensemble", path, "--max-order", "0"]) == 1
     assert "max_order must be >= 1" in capsys.readouterr().err
 
 
-def test_trace_budget_fails_before_sampling(monkeypatch, tmp_path, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sampled before checking the budget")
+def test_degree_checked_before_sampling(monkeypatch, tmp_path, capsys):
+    _refuse_sampling(monkeypatch, "--degree")
+    path = _ensemble_file(tmp_path, coordinates=2)
+    for argv, message in ((["poincare", "--degree", "0"], "degree must be >= 1"),
+                          (["stein", "--degree", "-1"], "degree must be >= 0")):
+        assert cli.main(argv + ["--ensemble", path]) == 1
+        assert message in capsys.readouterr().err
 
-    monkeypatch.setattr(matrixmodels, "sample_gue", refuse)
+
+def test_negative_seed_rejected_before_sampling(monkeypatch, tmp_path, capsys):
+    _refuse_sampling(monkeypatch, "the seed")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        EnsembleConfig(size=8, samples=3, seed=-1, generators=(GueGenerator(),))
+    path = _ensemble_file(tmp_path, seed=-5)
+    assert cli.main(["mc", "--ensemble", path]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["field"] == "ensemble.seed"
+    path = _ensemble_file(tmp_path)
+    for argv in (["mc", "--ensemble", path, "--seed", "-3"],
+                 ["poincare", "--ensemble", path, "--seed", "-3"]):
+        assert cli.main(argv) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_trace_budget_fails_before_sampling(monkeypatch, tmp_path, capsys):
+    _refuse_sampling(monkeypatch, "the budget")
     two = EnsembleConfig(size=8, samples=3, seed=1,
                          generators=(GueGenerator(), GueGenerator()))
     with pytest.raises(BudgetExceededError, match="letters"):
@@ -217,10 +307,8 @@ def test_trace_budget_fails_before_sampling(monkeypatch, tmp_path, capsys):
                           generators=(GueGenerator(),))
     with pytest.raises(BudgetExceededError, match="bytes"):
         mc_moment_table(wide, 2)
-    path = tmp_path / "ens.json"
-    path.write_text(json.dumps({"N": 8, "samples": 3, "seed": 1,
-                                "generators": [{"kind": "gue"}] * 2}))
-    assert cli.main(["mc", "--ensemble", str(path), "--max-order", "30"]) == 4
+    path = _ensemble_file(tmp_path, coordinates=2)
+    assert cli.main(["mc", "--ensemble", path, "--max-order", "30"]) == 4
     assert "budget_exceeded" in capsys.readouterr().err
 
 
@@ -243,17 +331,21 @@ def test_norm_certificate_never_changes_output(max_order, monkeypatch,
     # a GUE and a 1 - g^2 coordinate, whose largest |eigenvalue| is a
     # negative one; order 2 builds no square in the traces, order 6 does
     one_minus_g2 = NcPoly(1, {(): 1, (1, 1): -1})
+    obj = {"N": 48, "samples": 30, "seed": 17,
+           "generators": [{"kind": "gue"},
+                          {"kind": "poly_of_gue", "fresh_gues": 1,
+                           "poly": serialize.poly_to_obj(one_minus_g2)}]}
     path = tmp_path / "ens.json"
-    path.write_text(json.dumps({
-        "N": 48, "samples": 30, "seed": 17,
-        "generators": [{"kind": "gue"},
-                       {"kind": "poly_of_gue", "fresh_gues": 1,
-                        "poly": serialize.poly_to_obj(one_minus_g2)}]}))
+    path.write_text(json.dumps(obj))
+    records = bruteforce.norm_records(serialize.ensemble_from_obj(obj))
     argv = ["mc", "--ensemble", str(path), "--max-order", str(max_order)]
     calls = _count_eigvalsh(monkeypatch)
     assert cli.main(argv) == 0
     certified = capsys.readouterr().out
-    assert 2 <= len(calls) < 60
+    # coordinate 1 takes one eigensolve of its tridiagonal model per
+    # draw; coordinate 2 one per record
+    assert 2 <= records[0] < 30
+    assert len(calls) == 30 + records[0]
     calls.clear()
     monkeypatch.setattr(matrixmodels, "_norm_below", lambda square, bound: False)
     assert cli.main(argv) == 0
@@ -274,12 +366,14 @@ def test_norm_certificate_edge_cases():
 
 
 def test_constant_coordinate_ties_the_max_in_every_sample(monkeypatch):
-    # X = 2I in every sample: its norm ties the running max, which no
+    # X = Y = 2I in every sample.  X, coordinate 1, is eigensolved once
+    # per draw to diagonalize it; Y's norm ties the running max, which no
     # certificate proves, so every sample falls back to the eigensolve
     two = PolyOfGueGenerator(NcPoly(1, {(): 2}), 1)
-    cfg = EnsembleConfig(size=10, samples=6, seed=5, generators=(two,))
+    cfg = EnsembleConfig(size=10, samples=6, seed=5, generators=(two, two))
     calls = _count_eigvalsh(monkeypatch)
     table = mc_moment_table(cfg, 4)
-    assert len(calls) == 6
-    assert table.norm_upper == (2.0,)
-    assert table.moment((1, 1, 1, 1)) == 16.0
+    assert len(calls) == 12
+    assert table.norm_upper == (2.0, 2.0)
+    for w in ((1, 1, 1, 1), (2, 2, 2, 2), (1, 2, 1, 2), (1, 1, 2, 2)):
+        assert table.moment(w) == 16.0

@@ -126,6 +126,12 @@ def test_parse_errors_carry_field():
         )
     assert "kind" in err.value.field
 
+    with pytest.raises(ParseError) as err:
+        serialize.ensemble_from_obj(
+            {"N": 4, "samples": 2, "seed": -5, "generators": [{"kind": "gue"}]}
+        )
+    assert err.value.field == "ensemble.seed"
+
 
 def test_letters_out_of_range_rejected():
     with pytest.raises(ParseError):

@@ -8,7 +8,8 @@ keeps the Gram that ``dirichlet_gram(phi, words)`` returns.  It wraps
 ``cli.mc_moment_table``, ``matrixmodels.sample_gue`` and
 ``matrixmodels.eval_poly_matrices``, and ``numpy.linalg.eigvalsh``,
 which the Monte Carlo backend must call through those module
-attributes.  These tests run traced CLI ops so that renaming any of
+attributes (the eigensolve of coordinate 1's tridiagonal model
+included).  These tests run traced CLI ops so that renaming any of
 them fails here, not only in ``bench/run.py --trace 1``.
 """
 
@@ -18,8 +19,9 @@ import os
 
 import numpy as np
 
+import bruteforce
 from conftest import trace_state
-from freestein import cli, sample_gue, semicircular, serialize, states
+from freestein import cli, semicircular, serialize, states
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "bench", "tracer.py")
@@ -91,18 +93,13 @@ def test_tracer_records_mc_samples(tmp_path, capsys):
     assert code == 0
     calls = tracer.calls_by_layer()
     assert calls["matrixmodels.mc_table"] == 1
-    # one draw per coordinate per sample; a norm eigensolve only where
-    # the sample sets a new running max (the Cholesky certificate proves
-    # every other one below it)
-    assert calls["matrixmodels.sample"] == 2 * samples
-    records = 0
-    top = [0.0, 0.0]
-    for ss in np.random.SeedSequence(5).spawn(samples):
-        rng = np.random.default_rng(ss)
-        for i in range(2):
-            norm = np.linalg.norm(sample_gue(rng, 10), 2)
-            records += norm > top[i]
-            top[i] = max(top[i], norm)
-    assert 2 <= records < 2 * samples
-    assert calls["matrixmodels.norm_eig"] == records
+    # coordinate 1 is drawn as eigenvalues, by one eigensolve of its
+    # tridiagonal model and no dense draw; coordinate 2 is one dense draw
+    # per sample, eigensolved only where it sets a new running max (the
+    # Cholesky certificate proves every other one below it)
+    assert calls["matrixmodels.sample"] == samples
+    config = serialize.ensemble_from_obj(json.loads(path.read_text()))
+    records = bruteforce.norm_records(config)[0]
+    assert 1 <= records < samples
+    assert calls["matrixmodels.norm_eig"] == samples + records
     assert tracer.counts["matrixmodels.samples"] == samples
