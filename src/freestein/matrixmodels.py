@@ -8,17 +8,18 @@ fresh GUE matrices.  Word moments are averaged normalized traces over
 from the master seed, so results are identical no matter how sampling
 is scheduled.
 
-Coordinate 1 is drawn in its own eigenbasis.  Every generator is
+A GUE coordinate 1 is drawn in its own eigenbasis.  Every generator is
 unitarily invariant and the coordinates are independent, so with
 X_1 = U diag(lambda) U^H, the tuple (U^H X_i U)_{i >= 2} has the law of
 (X_i)_{i >= 2} and is independent of lambda: replacing X_1 by
 D = diag(lambda) leaves the joint law of every word trace unchanged.
-For a GUE, lambda comes from the beta = 2 Hermite tridiagonal model of
-Dumitriu and Edelman (``sample_gue_spectrum``), with one real
-eigensolve and no dense complex draw; a polynomial coordinate takes the
-eigenvalues of its sampled matrix.  A seed therefore gives a different
-realization, of the same law, than a dense draw of every coordinate
-would.
+lambda comes from the beta = 2 Hermite tridiagonal model of Dumitriu
+and Edelman (``sample_gue_spectrum``), with one real eigensolve and no
+dense complex draw, so such a seed gives a different realization, of
+the same law, than a dense draw of every coordinate would.  A
+polynomial coordinate 1 stays dense: its eigenvalues would cost a dense
+complex eigensolve per draw, more than the GEMMs the diagonal saves
+when it is the only coordinate.
 
 Trace states are tracial and, the coordinates being Hermitian,
 Hermitian symmetric: tr(rotation of w) = tr(w) and tr(rev w) =
@@ -167,19 +168,17 @@ def sample_gue_spectrum(rng, size):
 
 
 def _draw(config, rng):
-    """One draw: coordinate 1 as the real vector of its eigenvalues, the
-    others as Hermitian matrices."""
+    """One draw: a GUE coordinate 1 as the real vector of its
+    eigenvalues, every other coordinate as a Hermitian matrix."""
     coords = []
     for gen in config.generators:
-        first = not coords
         if isinstance(gen, GueGenerator):
-            coords.append(sample_gue_spectrum(rng, config.size) if first
-                          else sample_gue(rng, config.size))
+            coords.append(sample_gue(rng, config.size) if coords
+                          else sample_gue_spectrum(rng, config.size))
         elif isinstance(gen, PolyOfGueGenerator):
             fresh = [sample_gue(rng, config.size) for _ in range(gen.fresh_gues)]
             m = eval_poly_matrices(gen.poly, fresh, config.size)
-            m = (m + m.conj().T) / 2
-            coords.append(np.linalg.eigvalsh(m) if first else m)
+            coords.append((m + m.conj().T) / 2)
         else:
             raise ParseError(f"unknown generator {gen!r}", field="generators")
     return coords
@@ -396,15 +395,18 @@ def mc_moment_table(config, max_order):
     seed at a fixed BLAS thread count (the GEMMs and eigensolves may
     round differently under another).
 
-    Each draw holds coordinate 1 as the real vector of its eigenvalues
-    (see the module docstring), whose largest modulus is its norm.
-    ``norm_upper`` is, per coordinate, the largest spectral norm over
-    the draws, exactly as if every draw were eigensolved: a dense
-    coordinate is eigensolved only when the Cholesky certificate
+    When coordinate 1 is a GUE, each draw holds it as the real vector of
+    its eigenvalues (see the module docstring), whose largest modulus is
+    its norm; otherwise every coordinate is dense.  ``norm_upper`` is,
+    per coordinate, the largest spectral norm over the draws, exactly as
+    if every draw were eigensolved: a dense coordinate is eigensolved
+    only when the Cholesky certificate
     ``_norm_below`` cannot prove its norm below the running maximum
     (always on the first draw).  The squares the certificate needs are
-    handed to the traces, and dropped with the draw before the next one
-    is built.
+    handed to the traces.  A draw's arrays are released as the next
+    draw's replace them, not all before it is built: freeing them first
+    let the allocator hand more of their pages back and fault them in
+    again on every draw.
 
     Raises ``BudgetExceededError`` before sampling when the table's
     words have over ``MAX_TABLE_LETTERS`` letters or its products over
@@ -413,7 +415,9 @@ def mc_moment_table(config, max_order):
         raise ValueError("max_order must be >= 1")
     n = config.nvars
     _check_trace_budget(n, config.size, max_order)
-    plan = _trace_plan(n, max_order, diagonal=True)
+    diagonal = isinstance(config.generators[0], GueGenerator)
+    plan = _trace_plan(n, max_order, diagonal)
+    dense = range(1 if diagonal else 0, n)
     mean = np.zeros(len(plan.reps), dtype=complex)
     msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n
@@ -421,14 +425,14 @@ def mc_moment_table(config, max_order):
     streams = np.random.SeedSequence(config.seed).spawn(config.samples)
     for s, ss in enumerate(streams):
         coords = _draw(config, np.random.default_rng(ss))
-        norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
-        squares = {i: m @ m for i, m in enumerate(coords[1:], 1)}
+        if diagonal:
+            norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
+        squares = {i: coords[i] @ coords[i] for i in dense}
         for i, sq in squares.items():
             if not _norm_below(sq, norm_max[i]):
                 eigs = np.linalg.eigvalsh(coords[i])
                 norm_max[i] = max(norm_max[i], float(np.abs(eigs).max()))
         traces = _class_traces(coords, plan, squares)
-        del coords, squares
         # Welford over complex values
         d = traces - mean
         mean += d / (s + 1)

@@ -12,8 +12,8 @@
   and polynomial products, one ``TensorPoly`` or ``NcPoly`` per matrix
   entry or coordinate, against which the word-index gathers are checked;
 * Monte Carlo moment tables from the same spawned sample streams and
-  the same realization, coordinate 1 a dense diagonal matrix of its
-  eigenvalues, one ``einsum`` trace per word from identity-started
+  the same realization, a GUE coordinate 1 a dense diagonal matrix of
+  its eigenvalues, one ``einsum`` trace per word from identity-started
   products and a two-pass mean and standard error, against which the
   diagonal scalings, reversal-shared inner products and array Welford
   updates are checked.
@@ -242,39 +242,37 @@ def einsum_word_traces(mats, size, max_order, words):
 
 def mc_draws(config):
     """Per sample, the coordinates ``mc_moment_table`` realizes from the
-    same spawned streams: coordinate 1 as the dense diagonal matrix of
-    its eigenvalues (the tridiagonal model for a GUE, ``eigvalsh`` of
-    the Hermitian part of ``poly_matrix`` otherwise), the others dense,
-    polynomial ones by ``poly_matrix`` and their Hermitian parts."""
+    same spawned streams: a GUE coordinate 1 as the dense diagonal
+    matrix of its tridiagonal-model eigenvalues, every other coordinate
+    dense, polynomial ones by ``poly_matrix`` and their Hermitian
+    parts."""
     size = config.size
     for ss in np.random.SeedSequence(config.seed).spawn(config.samples):
         rng = np.random.default_rng(ss)
         mats = []
         for gen in config.generators:
             if isinstance(gen, GueGenerator):
-                mats.append(sample_gue_spectrum(rng, size) if not mats
-                            else sample_gue(rng, size))
+                mats.append(sample_gue(rng, size) if mats else
+                            np.diag(sample_gue_spectrum(rng, size)).astype(complex))
                 continue
             fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
             m = poly_matrix(gen.poly, fresh, size)
-            m = (m + m.conj().T) / 2
-            mats.append(np.linalg.eigvalsh(m) if not mats else m)
-        mats[0] = np.diag(mats[0]).astype(complex)
+            mats.append((m + m.conj().T) / 2)
         yield mats
 
 
 def norm_records(config):
-    """Per coordinate after the first, how many draws of ``mc_draws``
-    have a norm above every earlier one: the draws whose norm no
+    """Per coordinate, how many draws of ``mc_draws`` have a norm above
+    every earlier one: for a dense coordinate, the draws whose norm no
     certificate proves below the running maximum."""
     top = [0.0] * config.nvars
     records = [0] * config.nvars
     for mats in mc_draws(config):
-        for i, m in enumerate(mats[1:], 1):
+        for i, m in enumerate(mats):
             norm = np.linalg.norm(m, 2)
             records[i] += norm > top[i]
             top[i] = max(top[i], norm)
-    return records[1:]
+    return records
 
 
 def mc_moment_oracle(config, max_order):

@@ -129,16 +129,17 @@ def test_diagonal_basis_has_the_law_of_dense_gues():
 
 
 @pytest.mark.parametrize("n, order", [(1, 9), (2, 8), (3, 6)])
-def test_diagonal_kernel_matches_dense_kernel(n, order, np_rng):
+def test_diagonal_kernel_matches_einsum_oracle(n, order, np_rng):
     size = 9
     lam = 1.5 * np_rng.standard_normal(size)
     others = [rand_hermitian(np_rng, size) for _ in range(n - 1)]
     plan = matrixmodels._trace_plan(n, order, diagonal=True)
     got = matrixmodels._class_traces([lam] + others, plan)
-    want = moment_table_from_matrices([np.diag(lam)] + others, order)
+    mats = [np.diag(lam).astype(complex)] + others
+    words = words_up_to(n, order, min_len=1)
+    want = bruteforce.einsum_word_traces(mats, size, order, words)
     for c, w in enumerate(plan.reps):
-        want_w = want.entries[w]
-        assert abs(got[c] - want_w) <= 1e-12 * max(abs(want_w), 1.0)
+        assert abs(got[c] - want[w]) <= 1e-12 * max(abs(want[w]), 1.0)
 
 
 def test_poly_of_gue_matches_free_poisson():
@@ -329,28 +330,35 @@ def _count_eigvalsh(monkeypatch):
 def test_norm_certificate_never_changes_output(max_order, monkeypatch,
                                                tmp_path, capsys):
     # a GUE and a 1 - g^2 coordinate, whose largest |eigenvalue| is a
-    # negative one; order 2 builds no square in the traces, order 6 does
+    # negative one, in both orders; order 2 builds no square in the
+    # traces, order 6 does
     one_minus_g2 = NcPoly(1, {(): 1, (1, 1): -1})
-    obj = {"N": 48, "samples": 30, "seed": 17,
-           "generators": [{"kind": "gue"},
-                          {"kind": "poly_of_gue", "fresh_gues": 1,
-                           "poly": serialize.poly_to_obj(one_minus_g2)}]}
-    path = tmp_path / "ens.json"
-    path.write_text(json.dumps(obj))
-    records = bruteforce.norm_records(serialize.ensemble_from_obj(obj))
-    argv = ["mc", "--ensemble", str(path), "--max-order", str(max_order)]
+    gue = {"kind": "gue"}
+    poly = {"kind": "poly_of_gue", "fresh_gues": 1,
+            "poly": serialize.poly_to_obj(one_minus_g2)}
     calls = _count_eigvalsh(monkeypatch)
-    assert cli.main(argv) == 0
-    certified = capsys.readouterr().out
-    # coordinate 1 takes one eigensolve of its tridiagonal model per
-    # draw; coordinate 2 one per record
-    assert 2 <= records[0] < 30
-    assert len(calls) == 30 + records[0]
-    calls.clear()
-    monkeypatch.setattr(matrixmodels, "_norm_below", lambda square, bound: False)
-    assert cli.main(argv) == 0
-    assert len(calls) == 60
-    assert capsys.readouterr().out == certified
+    for generators in ([gue, poly], [poly, gue]):
+        obj = {"N": 48, "samples": 30, "seed": 17, "generators": generators}
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(obj))
+        records = bruteforce.norm_records(serialize.ensemble_from_obj(obj))
+        argv = ["mc", "--ensemble", str(path), "--max-order", str(max_order)]
+        calls.clear()
+        assert cli.main(argv) == 0
+        certified = capsys.readouterr().out
+        # a GUE coordinate 1 takes one eigensolve of its tridiagonal
+        # model per draw; a dense coordinate one per record
+        assert all(2 <= r < 30 for r in records)
+        if generators[0] is gue:
+            assert len(calls) == 30 + records[1]
+        else:
+            assert len(calls) == records[0] + records[1]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(matrixmodels, "_norm_below", lambda square, bound: False)
+            assert cli.main(argv) == 0
+        assert len(calls) == 60
+        assert capsys.readouterr().out == certified
 
 
 def test_norm_certificate_edge_cases():
@@ -366,14 +374,12 @@ def test_norm_certificate_edge_cases():
 
 
 def test_constant_coordinate_ties_the_max_in_every_sample(monkeypatch):
-    # X = Y = 2I in every sample.  X, coordinate 1, is eigensolved once
-    # per draw to diagonalize it; Y's norm ties the running max, which no
+    # X = 2I in every sample: its norm ties the running max, which no
     # certificate proves, so every sample falls back to the eigensolve
     two = PolyOfGueGenerator(NcPoly(1, {(): 2}), 1)
-    cfg = EnsembleConfig(size=10, samples=6, seed=5, generators=(two, two))
+    cfg = EnsembleConfig(size=10, samples=6, seed=5, generators=(two,))
     calls = _count_eigvalsh(monkeypatch)
     table = mc_moment_table(cfg, 4)
-    assert len(calls) == 12
-    assert table.norm_upper == (2.0, 2.0)
-    for w in ((1, 1, 1, 1), (2, 2, 2, 2), (1, 2, 1, 2), (1, 1, 2, 2)):
-        assert table.moment(w) == 16.0
+    assert len(calls) == 6
+    assert table.norm_upper == (2.0,)
+    assert table.moment((1, 1, 1, 1)) == 16.0

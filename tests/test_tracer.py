@@ -99,7 +99,7 @@ def test_tracer_records_mc_samples(tmp_path, capsys):
     # Cholesky certificate proves every other one below it)
     assert calls["matrixmodels.sample"] == samples
     config = serialize.ensemble_from_obj(json.loads(path.read_text()))
-    records = bruteforce.norm_records(config)[0]
+    records = bruteforce.norm_records(config)[1]
     assert 1 <= records < samples
     assert calls["matrixmodels.norm_eig"] == samples + records
     assert tracer.counts["matrixmodels.samples"] == samples
