@@ -180,8 +180,7 @@ def _load_state(args, mc_order=8):
     if len(picked) != 1:
         raise ParseError(
             "exactly one of --state, --cumulants, --ensemble is required",
-            field="state",
-        )
+            field="state")
     which = picked[0]
     obj = _read_json(getattr(args, which), which)
     if which == "state":
@@ -198,8 +197,7 @@ def _load_state(args, mc_order=8):
     if problems:
         raise InvalidStateError(
             "state failed validation: " + "; ".join(problems),
-            violations=problems,
-        )
+            violations=problems)
     return phi
 
 
@@ -232,8 +230,7 @@ def _resolve_potential(args, nvars):
     if v.nvars != nvars:
         raise ParseError(
             f"potential has {v.nvars} variables, state has {nvars}",
-            field="potential",
-        )
+            field="potential")
     return v
 
 
@@ -246,10 +243,10 @@ def cmd_stein(args):
     prob = SteinProblem(phi, v, centering_tol=args.tol_centering)
     # the Poincare-route bound uses the truncated lower estimate of the
     # optimal constant; it converges to the true bound from below
-    est = poincare_lower_bound(
+    est = _finite_ratio(poincare_lower_bound(
         phi, max(args.degree, 1),
         pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
-    )
+    ))
     report = discrepancy_bounds(
         prob, args.degree, est.c_lower, c_is_upper=False,
         pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
@@ -261,12 +258,22 @@ def cmd_poincare(args):
     if args.degree < 1:
         raise ValueError("degree must be >= 1")
     phi = _load_state(args, mc_order=max(8, 2 * args.degree))
-    est = poincare_lower_bound(
+    est = _finite_ratio(poincare_lower_bound(
         phi, args.degree,
         pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
         norm_order=args.norm_order,
-    )
+    ))
     return serialize.dumps(serialize.poincare_report_obj(est))
+
+
+def _finite_ratio(est):
+    """No bounded state has an infinite Poincare ratio."""
+    if est.infinite_ratio_witnesses:
+        raise InvalidStateError(
+            f"{est.infinite_ratio_witnesses} null direction(s) of the "
+            f"Dirichlet form at degree {est.degree} carry positive variance "
+            "(invalid state)")
+    return est
 
 
 def cmd_clt(args):

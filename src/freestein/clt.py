@@ -75,15 +75,13 @@ class CltExperiment:
         for i in range(1, n + 1):
             if abs(self.base.value((i,))) > BASE_TOL:
                 raise InadmissibleProblemError(
-                    f"base spec is not centered: kappa({i}) != 0"
-                )
+                    f"base spec is not centered: kappa({i}) != 0")
             for j in range(1, n + 1):
                 want = 1.0 if i == j else 0.0
                 if abs(self.base.value((i, j)) - want) > BASE_TOL:
                     raise InadmissibleProblemError(
                         "base spec covariance is not the identity: "
-                        f"kappa({i},{j}) = {self.base.value((i, j))}"
-                    )
+                        f"kappa({i},{j}) = {self.base.value((i, j))}")
 
 
 @dataclass(frozen=True)
@@ -157,18 +155,9 @@ CSV_HEADER = "k,m4_Yk,sigma_d_lower,theorem_constant,bound_over_sqrt_k,ratio"
 
 def rows_to_csv(rows):
     """CSV with 17-significant-digit floats, one row per copy count."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    format(r.m4, ".17g"),
-                    format(r.sigma_lower, ".17g"),
-                    format(r.theorem_constant, ".17g"),
-                    format(r.bound_over_sqrt_k, ".17g"),
-                    format(r.ratio, ".17g"),
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [
+        ",".join([str(r.k)] + [format(x, ".17g") for x in (
+            r.m4, r.sigma_lower, r.theorem_constant, r.bound_over_sqrt_k,
+            r.ratio)])
+        for r in rows]
     return "\n".join(lines) + "\n"

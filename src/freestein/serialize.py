@@ -441,13 +441,7 @@ def poincare_report_obj(est):
         "voiculescu_tracial": est.voiculescu.tracial_sq,
         "voiculescu_general": est.voiculescu.general_sq,
         "null_dim": est.null_dim,
-        "norm_estimates": [
-            {
-                "coordinate": e.coordinate,
-                "order": e.order,
-                "lower": e.lower,
-                "upper": e.upper,
-            }
-            for e in est.voiculescu.norm_estimates
-        ],
+        "norm_estimates": [{"coordinate": e.coordinate, "order": e.order,
+                            "lower": e.lower, "upper": e.upper}
+                           for e in est.voiculescu.norm_estimates],
     }

@@ -14,13 +14,12 @@ evaluates the defect of any candidate matrix on a test tuple.
 
 ``minimal_kernel`` approaches the kernel of least distance to the
 identity block (1 (x) 1) I_n by projecting D = A0 - I onto the span of
-Jacobians of monomial tuples of degree <= d.  Writing r_P = <D, JP> and
-G_{PQ} = <JQ, JP>, the least-squares coefficients are c = G^+ r and
-
-    sigma_d^2 = Re(r^H G^+ r)
-
-is the squared norm of the projection: a lower bound on the squared
-Stein discrepancy that is nondecreasing in d.  Since any two kernels
+Jacobians of monomial tuples of degree <= d.  With r_P = <D, JP> and
+T the kept block of the Cholesky factor of the Gram G_{PQ} = <JQ, JP>
+(``poincare.TruncatedForms``), the coefficients are c = T^-H T^-1 r and
+sigma_d^2 = |T^-1 r|^2 is the squared norm of the projection: a lower
+bound on the squared Stein discrepancy, nondecreasing in d as a sum
+over a growing leading block.  Since any two kernels
 differ by an element orthogonal to the Jacobian span, the minimal
 kernel estimate is I + sum_P c_P (JP)(X) = A0 - (unprojected part), and
 A0 minus the estimate stays orthogonal to every basis Jacobian.
@@ -74,10 +73,10 @@ from .errors import (
     InadmissibleProblemError,
     InvalidStateError,
 )
-from .poincare import PINV_TOL, PSD_TOL
+from .poincare import PINV_TOL, PSD_TOL, TruncatedForms
 from .states import (
     coordinate_moments,
-    dirichlet_gram,
+    dirichlet_gram,  # re-exported; the benchmark's layer tracer wraps it here
     inner_matrix,
     inner_tuple,
     jacobian_terms,
@@ -182,8 +181,7 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
     both when the fast path applies and raises ConsistencyError if the
     two evaluations drift apart.
     """
-    phi = prob.phi
-    n = prob.n
+    phi, n = prob.phi, prob.n
     quadratic = prob.v == quadratic_potential(n)
     centered = quadratic and _is_centered(coordinate_moments(phi)[0])
 
@@ -192,8 +190,7 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
     if method == "closed" and not (quadratic and centered):
         raise InadmissibleProblemError(
             "closed-form distance needs the quadratic potential and a "
-            "centered state"
-        )
+            "centered state")
 
     closed = None
     if quadratic and centered and method in ("auto", "closed"):
@@ -205,22 +202,17 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
         generic_c = inner_matrix(phi, diff, diff)
         if abs(generic_c.imag) > 1e-8 * max(1.0, abs(generic_c.real)):
             raise InvalidStateError(
-                f"distance pairing is not real: {generic_c} (invalid state)"
-            )
+                f"distance pairing is not real: {generic_c} (invalid state)")
         generic = generic_c.real
 
-    if closed is not None and generic is not None and abs(
-        closed - generic
-    ) > agree_tol * max(1.0, abs(generic)):
+    if (closed is not None and generic is not None
+            and abs(closed - generic) > agree_tol * max(1.0, abs(generic))):
         raise ConsistencyError(
             f"closed-form distance {closed!r} and pairing distance "
-            f"{generic!r} disagree beyond {agree_tol:.1e}"
-        )
+            f"{generic!r} disagree beyond {agree_tol:.1e}")
 
     phi.check_order(4)
-    m4 = max(
-        phi.moment((i, i, i, i)).real for i in range(1, n + 1)
-    )
+    m4 = max(phi.moment((i, i, i, i)).real for i in range(1, n + 1))
     return ExplicitKernelDistance(
         distance_sq=generic if generic is not None else closed,
         closed_form_sq=closed,
@@ -294,34 +286,22 @@ class MinimalKernelResult:
 def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
     """Least-squares minimal Stein kernel over the truncated basis.
 
-    Assembles the word-level Jacobian Gram once (slot blocks coincide),
-    solves G c_s = r_s per slot with an eigenvalue pseudo-inverse whose
-    cutoff treats singular directions as the relation null space, and
-    reports its dimension rather than hiding it.
+    Solves every slot with the state's ``poincare.TruncatedForms`` (slot
+    blocks coincide).  The constant word and the relations of the pivot
+    rule get coefficient 0 and count in ``null_dim``.
     """
     prob.require_admissible()
-    phi = prob.phi
-    n = prob.n
+    phi, n = prob.phi, prob.n
     if degree < 0:
         raise ValueError("degree must be >= 0")
 
     basis = TruncationBasis.build(n, degree)
-    words = basis.words
     deg_v = prob.v.degree()
     phi.check_order(max(2 * max(degree - 1, 0), deg_v + max(degree - 1, 0), 2))
 
-    gram = dirichlet_gram(phi, words)
-    eigs, vecs = np.linalg.eigh(gram)
-    scale = max(eigs.max(initial=0.0), 0.0)
-    if eigs.min(initial=0.0) < -psd_tol * max(1.0, scale):
-        raise InvalidStateError(
-            f"Jacobian Gram has negative eigenvalue {eigs.min():.3e} "
-            "(invalid state)"
-        )
-    keep = eigs > pinv_tol * max(scale, 1e-300)
-    rank_w = int(keep.sum())
-    inv_eigs = np.zeros_like(eigs)
-    inv_eigs[keep] = 1.0 / eigs[keep]
+    forms = TruncatedForms.of(phi, degree, pinv_tol, psd_tol)
+    m, kept, inv = forms.block(degree)
+    words = forms.words[:m]
 
     # r_s[b] = <A0 - I, J e_{w_b, s}>: row s of A0 - I against the
     # Jacobian row of w_b, entry (s, k) keyed by the letter k
@@ -330,26 +310,16 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
                   for k, q in enumerate(row, 1) for t in tensor_terms(s, k, q)]
     rhs = pairing_gather(phi, diff_terms, jacobian_terms(words), (n, len(words)))
 
-    sigma_sq = 0.0
-    coeff_blocks = []
-    for r in rhs:
-        c = vecs @ (inv_eigs * (vecs.conj().T @ r))
-        sigma_sq += float((r.conj() @ c).real)
-        coeff_blocks.append(c)
-
-    if sigma_sq < -1e-9:
-        raise InvalidStateError(
-            f"negative squared projection {sigma_sq:.3e} (invalid state)"
-        )
-    sigma_sq = max(sigma_sq, 0.0)
-
+    y = rhs[:, kept] @ inv.T
+    # basis.elements order is (word-major, slot-minor); word 0 is constant
+    coefficients = np.zeros((len(words) + 1, n), dtype=complex)
+    coefficients[kept + 1] = inv.conj().T @ y.T
     return MinimalKernelResult(
         basis=basis,
-        # basis.elements order is (word-major, slot-minor)
-        coefficients=np.column_stack(coeff_blocks).ravel(),
-        sigma_sq=sigma_sq,
-        gram_rank=n * rank_w,
-        null_dim=n * (len(words) - rank_w),
+        coefficients=coefficients.ravel(),
+        sigma_sq=float((np.abs(y) ** 2).sum()),
+        gram_rank=n * len(kept),
+        null_dim=n * (len(words) + 1 - len(kept)),
     )
 
 
@@ -404,8 +374,7 @@ def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8,
     the lower bound beyond ``slack`` (possible only for invalid states).
     """
     prob.require_admissible()
-    phi = prob.phi
-    n = prob.n
+    phi, n = prob.phi, prob.n
 
     mk = minimal_kernel(prob, degree, pinv_tol=pinv_tol, psd_tol=psd_tol)
     dist = explicit_kernel_distance_sq(prob)
@@ -418,24 +387,19 @@ def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8,
     simplified = None
     if prob.v == quadratic_potential(n):
         means, second = coordinate_moments(phi)
-        iso = all(
-            abs(second[i][j] - (1.0 if i == j else 0.0)) <= 1e-8
-            for i in range(n)
-            for j in range(n)
-        )
+        iso = all(abs(second[i][j] - (1.0 if i == j else 0.0)) <= 1e-8
+                  for i in range(n) for j in range(n))
         if _is_centered(means) and iso:
             simplified = n * (c_opt - 1.0)
 
     if mk.sigma_sq > dist.distance_sq + slack:
         raise ConsistencyError(
             f"projection lower bound {mk.sigma_sq} exceeds the explicit "
-            f"kernel distance {dist.distance_sq}"
-        )
+            f"kernel distance {dist.distance_sq}")
     if c_is_upper and mk.sigma_sq > upper_poincare + slack:
         raise ConsistencyError(
             f"projection lower bound {mk.sigma_sq} exceeds the certified "
-            f"Poincare-route bound {upper_poincare}"
-        )
+            f"Poincare-route bound {upper_poincare}")
 
     return DiscrepancyReport(
         degree=degree,

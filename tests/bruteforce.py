@@ -11,6 +11,10 @@
   and tuple pairings and the Stein residual assembled from exact sharp
   and polynomial products, one ``TensorPoly`` or ``NcPoly`` per matrix
   entry or coordinate, against which the word-index gathers are checked;
+* the Dirichlet Gram of the trace state of Gaussian-integer Hermitian
+  matrices in exact ``ComplexRational`` arithmetic, and its rank by
+  exact elimination, against which the relations of the graded
+  Cholesky are counted;
 * Monte Carlo moment tables from the same spawned sample streams and
   the same realization, a GUE coordinate 1 a dense diagonal matrix of
   its eigenvalues, one ``einsum`` trace per word from identity-started
@@ -22,6 +26,7 @@
 import numpy as np
 
 from freestein import (
+    ComplexRational,
     GueGenerator,
     KernelMatrix,
     NcPoly,
@@ -191,6 +196,55 @@ def sharp_minimal_kernel(prob, degree, pinv_tol=1e-10):
         sigma_sq += float((r.conj() @ c).real)
         coefficients[:, slot] = c
     return sigma_sq, coefficients.ravel()
+
+
+def exact_trace_moments(mats, max_len):
+    """phi(w) = tr(X_w1 ... X_wm) / N for every word of length <= max_len,
+    exactly, for matrices given as nested lists of Gaussian integers."""
+    size = len(mats[0])
+    exact = [[[ComplexRational(int(z.real), int(z.imag)) for z in row]
+              for row in m] for m in mats]
+    products = {(): [[ComplexRational(int(i == j)) for j in range(size)]
+                     for i in range(size)]}
+    moments = {}
+    for w in words_up_to(len(mats), max_len):
+        if w:
+            prev, last = products[w[:-1]], exact[w[-1] - 1]
+            products[w] = [[sum((prev[i][k] * last[k][j] for k in range(size)),
+                                ComplexRational(0))
+                            for j in range(size)] for i in range(size)]
+        trace = sum((products[w][i][i] for i in range(size)), ComplexRational(0))
+        moments[w] = trace / size
+    return moments
+
+
+def exact_dirichlet_gram(moments, words):
+    """G[a, b] = sum over letters w_a[k] = w_b[l] of
+    phi(w_b[:l] rev(w_a[:k])) phi(rev(w_a[k+1:]) w_b[l+1:]), exactly."""
+    return [[sum((moments[wb[:l] + wa[:k][::-1]]
+                  * moments[wa[k + 1:][::-1] + wb[l + 1:]]
+                  for k, x in enumerate(wa) for l, y in enumerate(wb) if x == y),
+                 ComplexRational(0))
+             for wb in words] for wa in words]
+
+
+def exact_rank(matrix):
+    """Rank of a ``ComplexRational`` matrix by Gaussian elimination."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][col]
+        inv = p.conjugate() / (p.re * p.re + p.im * p.im)
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def sharp_inner_matrix(phi, a, b):

@@ -116,12 +116,14 @@ def test_stein_tolerances_reach_both_solves(tmp_path, capsys):
     _, out, _ = run(capsys, *args)
     rep = json.loads(out)
     assert (rep["gram_rank"], rep["null_dim"]) == (28, 2)
-    # the cutoff drops all but the 2 strongest directions per slot
+    # the pivots of t_1^3 and t_2^3 lie within half their diagonals, so
+    # they count as relations of the minimal kernel's slots, and C_3
+    # falls to C_2 = 1 + 1/sqrt(2) in n + C |Dv|^2 - 2 <Dv, X> = 2 C - 2
     code, out, _ = run(capsys, *args, "--tol-pinv", "0.5")
     assert code == 0
     rep = json.loads(out)
-    assert (rep["gram_rank"], rep["null_dim"]) == (4, 26)
-    assert rep["upper_poincare_sq"] == pytest.approx(0.9998, abs=1e-4)
+    assert (rep["gram_rank"], rep["null_dim"]) == (24, 6)
+    assert rep["upper_poincare_sq"] == pytest.approx(2 ** 0.5, abs=1e-12)
 
 
 def test_stein_centering_defect_exit_code(tmp_path, sc_cumulants, capsys):
@@ -143,6 +145,22 @@ def test_invalid_state_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "poincare", "--state", path, "--degree", "1")
     assert code == 3
     assert json.loads(err)["error"]["code"] == "invalid_state"
+
+
+@pytest.mark.parametrize("command", ["poincare", "stein"])
+def test_infinite_ratio_witness_exit_code(tmp_path, capsys, command):
+    # t^2 has variance 1 but no Dirichlet energy: no bounded state does that
+    fake = {
+        "nvars": 1, "max_order": 4, "tracial": True,
+        "entries": [{"word": [1, 1, 1, 1], "re": 1.0, "im": 0.0}],
+    }
+    path = write(tmp_path, "fake.json", fake)
+    code, out, err = run(capsys, command, "--state", path, "--degree", "2")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_state"
+    assert error["message"].startswith("1 null direction(s)")
 
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):

@@ -70,10 +70,10 @@ def test_tracer_records_dirichlet_grams(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     calls = tracer.calls_by_layer()
-    # poincare over the 6 nonconstant words of degree <= 2, minimal_kernel
-    # over those and the empty word
-    assert calls["states.dirichlet_gram"] == 2
-    assert sorted(len(g) for g in tracer.grams) == [6, 7]
+    # one Gram over the 6 nonconstant words of degree <= 2, factored once
+    # for both poincare and minimal_kernel
+    assert calls["states.dirichlet_gram"] == 1
+    assert [len(g) for g in tracer.grams] == [6]
     assert all(g.shape == (len(g), len(g)) for g in tracer.grams)
     assert tracer.counts["states.table_lookups"] > 0
 
