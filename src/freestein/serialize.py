@@ -322,7 +322,7 @@ def table_from_obj(obj, path="state."):
         raise ParseError(str(exc), field=path.rstrip(".")) from exc
 
 
-def cumulants_to_obj(spec, tracial=None, norm_upper=None):
+def cumulants_to_obj(spec, norm_upper=None):
     kappa = []
     for w in sorted(spec.kappa, key=word_key):
         v = spec.kappa[w]
@@ -330,7 +330,7 @@ def cumulants_to_obj(spec, tracial=None, norm_upper=None):
     obj = {
         "nvars": spec.nvars,
         "max_order": spec.max_order,
-        "tracial": spec.is_cyclic() if tracial is None else bool(tracial),
+        "tracial": spec.is_cyclic(),
         "kappa": kappa,
     }
     if norm_upper is not None:
@@ -339,6 +339,9 @@ def cumulants_to_obj(spec, tracial=None, norm_upper=None):
 
 
 def cumulants_from_obj(obj, path="cumulants."):
+    """Cumulant spec from its object.  An optional ``"tracial"`` must
+    agree with whether the cumulants are exactly cyclic, which is what
+    makes the state tracial."""
     nvars = _get(obj, "nvars", int, path)
     max_order = _get(obj, "max_order", int, path)
     kappa = {}
@@ -348,9 +351,15 @@ def cumulants_from_obj(obj, path="cumulants."):
         kappa[word] = complex(_get(e, "re", float, epath),
                               _get(e, "im", float, epath))
     try:
-        return CumulantSpec(nvars, kappa, max_order=max_order)
+        spec = CumulantSpec(nvars, kappa, max_order=max_order)
     except ValueError as exc:
         raise ParseError(str(exc), field=path.rstrip(".")) from exc
+    if "tracial" in obj and _get(obj, "tracial", bool, path) != spec.cyclic:
+        raise ParseError(
+            f"field {path}tracial disagrees with the cumulants, which are "
+            f"{'' if spec.cyclic else 'not '}invariant under rotation",
+            field=path + "tracial")
+    return spec
 
 
 def cumulant_state_from_obj(obj, path="cumulants."):

@@ -13,10 +13,15 @@ backends live here:
   It is evaluated without enumerating NC(|w|): grouping the partitions
   by the block B that holds the first letter gives
   ``phi(w) = sum over B of kappa(w|B) * prod over the gaps of B of phi(gap)``,
-  whose gaps are contiguous subwords, so one per-state memo serves
-  every word.  Only blocks whose letters spell a prefix of a stored
-  cumulant word are tried.  ``moments_to_cumulants`` solves the same
-  recursion for kappa.
+  whose gaps are contiguous subwords held in one per-state memo.  Only
+  blocks whose letters spell a prefix of a stored cumulant word are
+  tried.  The recursion runs once per class of words whose moments the
+  spec ties together, by two flags it computes exactly: ``cyclic``
+  (kappa is invariant under rotation, which permutes NC(m), so phi is
+  tracial) and ``hermitian`` (kappa(rev w) = conj kappa(w), and reversal
+  maps NC(m) to itself, so phi(rev w) = conj phi(w)).  A spec with both
+  flags evaluates one word per bracelet class.  ``moments_to_cumulants``
+  solves the same recursion for kappa.
 
 (The third backend, Monte Carlo over matrix ensembles, produces a
 ``MomentTable``; see ``matrixmodels``.)
@@ -90,10 +95,22 @@ def bracelet_orbit(rep):
     """(rotations, reversed rotations) of the class of ``rep``.  The
     second list is empty when the class is closed under reversal, whose
     value is then real; a periodic word lists its rotations repeatedly."""
-    rots = rotations(rep) or [rep]
-    back = rep[::-1]
-    # the rotation classes of rep and of its reversal are equal or disjoint
-    return rots, [] if back in rots else rotations(back)
+    return _orbit(rep, True, True)
+
+
+def _orbit(word, cyclic, hermitian):
+    """(forward, reversed) words of the class of ``word`` under rotation
+    when ``cyclic`` and reversal when ``hermitian``.  ``forward`` starts
+    with ``word``; ``reversed`` is empty unless ``hermitian``, and when
+    the class is closed under reversal."""
+    forward = (rotations(word) or [word]) if cyclic else [word]
+    if hermitian:
+        back = word[::-1]
+        # the rotation classes of a word and of its reversal are equal or
+        # disjoint
+        if back not in forward:
+            return forward, rotations(back) if cyclic else [back]
+    return forward, []
 
 
 def bracelet_rep(word):
@@ -245,7 +262,7 @@ class MomentTable(MomentFunctional):
 
 
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block
-# choices for each new word of length m
+# choices for each new class of words of length m
 MAX_CUMULANT_ORDER = 16
 
 
@@ -257,6 +274,8 @@ class CumulantSpec:
     word length the induced moment functional will evaluate (it bounds
     the moment recursion, not the stored words).  ``blocks`` is the
     letter trie of the cumulant words that the recursion walks.
+    ``cyclic`` says kappa(w[1:] + w[:1]) == kappa(w) and ``hermitian``
+    says kappa(rev w) == conj kappa(w), both exactly, for every word.
     """
 
     nvars: int
@@ -281,6 +300,11 @@ class CumulantSpec:
                 clean[w] = v
         object.__setattr__(self, "kappa", clean)
         object.__setattr__(self, "blocks", _block_trie(clean))
+        # one-step rotation generates every rotation
+        object.__setattr__(self, "cyclic", all(
+            clean.get(w[1:] + w[:1], 0j) == v for w, v in clean.items()))
+        object.__setattr__(self, "hermitian", all(
+            clean.get(w[::-1], 0j) == v.conjugate() for w, v in clean.items()))
 
     def value(self, word):
         return self.kappa.get(tuple(word), 0j)
@@ -291,15 +315,20 @@ class CumulantSpec:
         Rotation permutes the noncrossing partitions and rotates block
         subwords, so cyclic cumulants induce a tracial state.
         """
-        for w, v in self.kappa.items():
-            for r in rotations(w):
-                if abs(self.kappa.get(r, 0j) - v) > 0:
-                    return False
-        return True
+        return self.cyclic
 
 
 class CumulantState(MomentFunctional):
-    """Moment functional generated by free cumulants."""
+    """Moment functional generated by free cumulants.
+
+    A memo miss evaluates the first-block recursion once, on the least
+    word of the class the spec's ``cyclic`` and ``hermitian`` flags tie
+    to the asked word, and stores the whole class: each rotation gets
+    the value, each reversed rotation its conjugate, and a class closed
+    under reversal its real part.  The flags, not the ``tracial``
+    argument, decide the class, so ``validate_state`` still sees a spec
+    that is not Hermitian.
+    """
 
     def __init__(self, spec, norm_upper=None, tracial=None):
         if tracial is None:
@@ -321,14 +350,27 @@ class CumulantState(MomentFunctional):
         return self._moment(word)
 
     def _moment(self, word):
-        # subwords of a checked word need no check; the lock guards single
-        # memo operations and is never held across the recursion
+        # subwords of a checked word, and the words of its class, need no
+        # check; the lock guards single memo operations and is never held
+        # across the recursion
         with self._lock:
             value = self._memo.get(word)
-        if value is None:
-            value = _first_block_sum(self.spec.blocks, word, self._moment)
-            with self._lock:
-                self._memo[word] = value
+        if value is not None:
+            return value
+        spec = self.spec
+        forward, flipped = _orbit(word, spec.cyclic, spec.hermitian)
+        least, from_flipped = _least(forward, flipped)
+        value = _first_block_sum(spec.blocks, least, self._moment)
+        if from_flipped:
+            value = value.conjugate()
+        elif spec.hermitian and not flipped:
+            value = complex(value.real)
+        conj = value.conjugate()
+        with self._lock:
+            for w in forward:
+                self._memo[w] = value
+            for w in flipped:
+                self._memo[w] = conj
         return value
 
 
@@ -355,27 +397,26 @@ def _first_block_sum(blocks, word, moment):
     nonempty gaps, which are proper contiguous subwords.  With the
     cumulants of ``blocks`` this is the moment-cumulant formula phi(w),
     grouped by the block of the first letter (Nica-Speicher, Lecture 11).
+    The blocks are walked depth first by an explicit stack, so no
+    closure refers to itself and keeps ``moment``'s owner alive.
     """
     m = len(word)
     total = 0j
-
-    def extend(node, last, acc):
-        # the block ends at ``last``; acc = product of its inner gaps
-        nonlocal total
-        value, children = node
+    first = blocks.get(word[0])
+    # (trie node of the block's last letter, its position, product of the
+    # block's inner gaps); the least next position is popped first
+    stack = [(first, 0, 1.0 + 0j)] if first is not None else []
+    while stack:
+        (value, children), last, acc = stack.pop()
         if value:
             tail = moment(word[last + 1:]) if last + 1 < m else 1.0
             total += value * acc * tail
-        for q in range(last + 1, m):
+        for q in range(m - 1, last, -1):
             child = children.get(word[q])
             if child is not None:
                 gap = moment(word[last + 1:q]) if q > last + 1 else 1.0
                 if gap:
-                    extend(child, q, acc * gap)
-
-    first = blocks.get(word[0])
-    if first is not None:
-        extend(first, 0, 1.0 + 0j)
+                    stack.append((child, q, acc * gap))
     return total
 
 

@@ -23,6 +23,8 @@
   updates are checked.
 """
 
+import functools
+
 import numpy as np
 
 from freestein import (
@@ -83,8 +85,9 @@ def is_noncrossing(blocks):
     return True
 
 
+@functools.cache
 def noncrossing_by_filter(m):
-    return [p for p in set_partitions(m) if is_noncrossing(p)]
+    return tuple(p for p in set_partitions(m) if is_noncrossing(p))
 
 
 def brute_moment(kappa, word):

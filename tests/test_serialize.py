@@ -6,6 +6,7 @@ import pytest
 
 from freestein import (
     ComplexRational,
+    CumulantSpec,
     EnsembleConfig,
     GueGenerator,
     NcPoly,
@@ -64,6 +65,21 @@ def test_cumulants_round_trip(rng):
     assert back.nvars == spec.nvars
     assert back.max_order == spec.max_order
     assert back.kappa == spec.kappa
+
+
+def test_cumulant_tracial_field_must_match_the_spec():
+    cyclic = serialize.cumulants_to_obj(CumulantSpec(1, {(1, 1): 1.0}))
+    assert cyclic["tracial"] is True
+    lopsided = serialize.cumulants_to_obj(CumulantSpec(2, {(1, 2): 1.0}))
+    assert lopsided["tracial"] is False
+    for obj in (cyclic, lopsided):
+        flipped = dict(obj, tracial=not obj["tracial"])
+        assert _parse_field(flipped, serialize.cumulants_from_obj) == \
+            "cumulants.tracial"
+        unmarked = dict(obj)
+        del unmarked["tracial"]
+        assert serialize.cumulants_from_obj(unmarked) == \
+            serialize.cumulants_from_obj(obj)
 
 
 def test_cumulant_state_norm_hints():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freestein import (
     BudgetExceededError,
@@ -27,12 +29,14 @@ from freestein import (
     quadratic_potential,
     semicircular,
     serialize,
+    states,
     tensor_moment,
     validate_state,
 )
 from freestein.partitions import catalan
-from freestein.states import words_up_to
+from freestein.states import bracelets_up_to, words_up_to
 
+import bruteforce
 from conftest import (
     rand_cumulant_spec,
     rand_cumulant_state,
@@ -78,6 +82,94 @@ def test_cumulant_state_is_tracial_for_builtin_specs():
     assert centered_free_poisson(1).tracial
     lopsided = CumulantSpec(2, {(1, 2): 1.0})
     assert not CumulantState(lopsided).tracial
+
+
+@st.composite
+def symmetry_specs(draw, cyclic, hermitian):
+    """Random spec whose exact flags are (cyclic, hermitian).  Every
+    one-letter spec is cyclic, and Hermitian when its values are real,
+    so only the case with both flags draws one letter."""
+    nvars = draw(st.integers(1, 2)) if cyclic and hermitian else 2
+    order = draw(st.integers(3, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    kappa = dict(rand_cumulant_spec(rng, nvars, order, hermitian=hermitian,
+                                    cyclic=cyclic).kappa)
+    c = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 0.5)))
+    if cyclic and not hermitian:
+        # kappa(21) = kappa(12) is not its conjugate
+        kappa[1, 2] = kappa[2, 1] = c
+    elif hermitian and not cyclic:
+        # kappa(121) = 0 is not its rotation kappa(112)
+        kappa.pop((1, 2, 1), None)
+        kappa[1, 1, 2], kappa[2, 1, 1] = c, c.conjugate()
+    elif not cyclic:
+        # kappa(21) = 0 is neither the rotation nor the conjugate of kappa(12)
+        kappa.pop((2, 1), None)
+        kappa[1, 2] = c
+    return CumulantSpec(nvars, kappa, max_order=order)
+
+
+@pytest.mark.parametrize("cyclic, hermitian",
+                         [(True, True), (True, False), (False, True),
+                          (False, False)])
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_class_moments_match_oracle(cyclic, hermitian, data):
+    # each class is filled from whichever member is asked first
+    spec = data.draw(symmetry_specs(cyclic, hermitian))
+    assert (spec.cyclic, spec.hermitian) == (cyclic, hermitian)
+    assert spec.is_cyclic() == cyclic
+    state = CumulantState(spec)
+    words = data.draw(st.permutations(
+        words_up_to(spec.nvars, spec.max_order, min_len=1)))
+    for w in words:
+        assert abs(state.moment(w) - bruteforce.brute_moment(spec.kappa, w)) \
+            <= 1e-12
+    if cyclic and not hermitian:
+        # a tracial state still gets no reversal symmetry it lacks
+        assert state.tracial
+        assert any("Hermitian" in p for p in validate_state(state))
+
+
+def test_one_recursion_per_class(monkeypatch, rng):
+    calls = []
+    first_block_sum = states._first_block_sum
+
+    def counted(blocks, word, moment):
+        calls.append(word)
+        return first_block_sum(blocks, word, moment)
+
+    monkeypatch.setattr(states, "_first_block_sum", counted)
+    words = words_up_to(2, 8, min_len=1)
+    fp = centered_free_poisson(2, 8)
+    for w in words:
+        fp.moment(w)
+    # once per bracelet class, on its representative
+    assert sorted(calls) == sorted(bracelets_up_to(2, 8, min_len=1))
+    assert len(calls) == 84
+
+    spec = rand_cumulant_spec(rng, 2, 8)
+    assert spec.hermitian and not spec.cyclic
+    calls.clear()
+    state = CumulantState(spec)
+    for w in words:
+        state.moment(w)
+    assert sorted(calls) == sorted({min(w, w[::-1]) for w in words})
+
+
+def test_cumulant_state_dies_with_its_last_reference():
+    import gc
+    import weakref
+
+    sc = semicircular(1)
+    ref = weakref.ref(sc)
+    gc.disable()
+    try:
+        assert sc.moment((1, 1, 1, 1)) == 2
+        del sc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_budget_exceeded():

@@ -21,7 +21,7 @@ import numpy as np
 
 import bruteforce
 from conftest import trace_state
-from freestein import cli, semicircular, serialize, states
+from freestein import centered_free_poisson, cli, semicircular, serialize, states
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "bench", "tracer.py")
@@ -55,6 +55,25 @@ def test_tracer_records_cumulant_moments(tmp_path, capsys):
     assert calls["cli.main"] == 1
     assert tracer.counts["states.moment_evals"] > 0
     assert tracer.counts["partitions.visited"] == 0
+
+
+def test_tracer_counts_one_moment_eval_per_class(tmp_path, capsys):
+    # the op asks for words of every length up to 8; each bracelet class
+    # misses the memo once, and its first miss fills the whole class
+    fp = centered_free_poisson(2, max_order=8)
+    path = tmp_path / "fp2.json"
+    path.write_text(serialize.dumps(
+        serialize.cumulants_to_obj(fp.spec, norm_upper=fp.norm_upper)))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["stein", "--cumulants", str(path), "--degree", "4"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["states.moment_evals"] == \
+        len(states.bracelets_up_to(2, 8, min_len=1)) == 84
 
 
 def test_tracer_records_dirichlet_grams(tmp_path, capsys):
