@@ -69,6 +69,11 @@ class ComplexRational:
     def __mul__(self, other):
         if not isinstance(other, ComplexRational):
             other = ComplexRational.from_number(other)
+        # a real factor takes two products instead of four and two sums
+        if not other.im:
+            return ComplexRational(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return ComplexRational(self.re * other.re, self.re * other.im)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -542,15 +547,6 @@ class KernelMatrix:
             out.append(tuple(row))
         return KernelMatrix(tuple(out))
 
-    def trace(self):
-        acc = TensorPoly.zero(self.nvars)
-        for i in range(self.size):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def max_leg_degree(self):
-        return max(q.max_leg_degree() for r in self.rows for q in r)
-
     def __eq__(self, other):
         if not isinstance(other, KernelMatrix):
             return NotImplemented
@@ -585,14 +581,17 @@ def explicit_kernel(v):
     """The kernel with entries 1/2 delta(D_i v) # delta(t_j).
 
     Purely symbolic; for the quadratic potential this reduces to
-    1/2 (t_i (x) 1 - 1 (x) t_i) # (t_j (x) 1 - 1 (x) t_j).
+    1/2 (t_i (x) 1 - 1 (x) t_i) # (t_j (x) 1 - 1 (x) t_j).  The 1/2
+    sits on the two terms of delta(t_j), before the sharp product, so
+    it is multiplied in once per j instead of once per product term;
+    the sharp product is bilinear, so the entries are the same exactly.
     """
     n = v.nvars
     grad_deltas = [delta(cyclic_derivative(i, v)) for i in range(1, n + 1)]
-    gen_deltas = [delta_gen(j, n) for j in range(1, n + 1)]
+    half_gen_deltas = [delta_gen(j, n).scale(CR_HALF) for j in range(1, n + 1)]
     return KernelMatrix(
         tuple(
-            tuple(grad_deltas[i].sharp(gen_deltas[j]).scale(CR_HALF) for j in range(n))
+            tuple(grad_deltas[i].sharp(half_gen_deltas[j]) for j in range(n))
             for i in range(n)
         )
     )

@@ -34,7 +34,11 @@ from .errors import (
 )
 from .matrixmodels import mc_moment_table
 from .poincare import PINV_TOL, PSD_TOL, poincare_lower_bound
-from .states import MAX_CUMULANT_ORDER, centered_free_poisson, validate_state
+from .states import MAX_CUMULANT_ORDER, centered_free_poisson, check_state
+# unused: validation runs inside ``check_state``; bench/tracer.py still
+# patches this name, and times validation only once it patches
+# ``states.validate_state`` instead
+from .states import validate_state  # noqa: F401
 from .stein import CENTERING_TOL, SteinProblem, discrepancy_bounds
 
 EXIT_OK = 0
@@ -193,11 +197,7 @@ def _load_state(args, mc_order=8):
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         phi = mc_moment_table(config, mc_order)
-    problems = validate_state(phi)
-    if problems:
-        raise InvalidStateError(
-            "state failed validation: " + "; ".join(problems),
-            violations=problems)
+    check_state(phi)
     return phi
 
 

@@ -46,15 +46,25 @@ def rescale_cumulants(base, k):
     """Cumulant spec of k^{-1/2} (X^(1) + ... + X^(k)) for free iid copies.
 
     kappa_Y(w) = k^{1 - |w|/2} kappa_X(w); order-2 cumulants are fixed.
+    The spec is derived from the already checked ``base``: its words are
+    kept, a value that underflows to 0 is dropped, and the ``cyclic``
+    and ``hermitian`` flags carry over.  Every word of one length gets
+    the same real positive factor, so equal values stay equal and
+    conjugate values stay conjugate: a flag of the base holds for the
+    rescaled values exactly.  Rounding can make two distinct values
+    equal, never two equal ones distinct, so a flag the base lacks is
+    not gained by accident of rounding; the flags stay those of the
+    exact rescaled cumulants.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return base
-    kappa = {
-        w: v * float(k) ** (1.0 - len(w) / 2.0) for w, v in base.kappa.items()
-    }
-    return CumulantSpec(base.nvars, kappa, max_order=base.max_order)
+    factor = {m: float(k) ** (1.0 - m / 2.0) for m in set(map(len, base.kappa))}
+    kappa = {w: scaled for w, v in base.kappa.items()
+             if (scaled := v * factor[len(w)])}
+    return CumulantSpec._raw(base.nvars, kappa, base.max_order,
+                             base.cyclic, base.hermitian)
 
 
 @dataclass(frozen=True)

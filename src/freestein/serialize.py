@@ -6,13 +6,20 @@ re/im doubles.  Words are 1-based index arrays, the empty array is the
 unit.  A tracial moment table is written one entry per bracelet class
 when its classes agree exactly (see ``table_to_obj``).  ``dumps``
 renders floats with 17 significant digits and keeps dictionary
-insertion order, so identical inputs produce byte-identical files.
+insertion order, so identical inputs produce byte-identical files; it
+builds each container with one ``join`` and escapes keys and strings
+with the C escaper behind ``json.dumps``, keeping no cache.  The
+readers check every field they take and raise ``ParseError`` naming
+it; the entries of moment tables and cumulant files, which can number
+thousands, are tested inline, and a field path such as
+``state.entries[17].re`` is only formatted for an entry that fails.
+A word may appear only once among a file's entries.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 from fractions import Fraction
 
 from .algebra import ComplexRational, NcPoly, word_key
@@ -32,42 +39,46 @@ from .states import (
 
 
 def dumps(obj, indent=2):
-    out = []
-    _write(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    """``obj`` as JSON text: every container on its own lines, indented
+    by ``indent`` per level, except arrays of numbers and booleans, which
+    stay on one line; floats with 17 significant digits; strings and
+    keys escaped as ``json.dumps`` escapes them.  Each container is one
+    ``join`` of its rendered items, and scalars are rendered in place."""
+    return _render(obj, indent, 0) + "\n"
 
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(obj, indent, level):
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for idx, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
-            _write(value, out, indent, level + 1)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        simple = all(isinstance(x, (int, float, bool)) for x in seq)
-        if simple:
-            out.append("[" + ", ".join(_scalar(x) for x in seq) + "]")
-            return
-        out.append("[\n")
-        for idx, value in enumerate(seq):
-            out.append(pad)
-            _write(value, out, indent, level + 1)
-            out.append(",\n" if idx < len(seq) - 1 else "\n")
-        out.append(close_pad + "]")
-    else:
-        out.append(_scalar(obj))
+            return "{}"
+        pad = " " * (indent * (level + 1))
+        items = ",\n".join([
+            f"{pad}{_string(str(key))}: {_item(value, indent, level + 1)}"
+            for key, value in obj.items()])
+        return "{\n" + items + "\n" + " " * (indent * level) + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:  # a word
+            return "[" + ", ".join(map(str, obj)) + "]"
+        if all(isinstance(x, (int, float)) for x in obj):  # bool is an int
+            return "[" + ", ".join(map(_scalar, obj)) + "]"
+        pad = " " * (indent * (level + 1))
+        items = ",\n".join([pad + _item(value, indent, level + 1)
+                            for value in obj])
+        return "[\n" + items + "\n" + " " * (indent * level) + "]"
+    return _scalar(obj)
+
+
+def _item(value, indent, level):
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return format(value, ".17g")
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return _string(value)
+    return _render(value, indent, level)
 
 
 def _scalar(x):
@@ -76,11 +87,11 @@ def _scalar(x):
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if x != x or x in (float("inf"), float("-inf")):
+        if not math.isfinite(x):
             raise ValueError(f"non-finite float {x} in JSON output")
         return format(x, ".17g")
     if isinstance(x, str):
-        return json.dumps(x)
+        return _string(x)
     if x is None:
         return "null"
     raise TypeError(f"cannot serialize {type(x)!r}")
@@ -138,6 +149,55 @@ def _word(raw, path):
         raise ParseError(f"{path} must be an array of generator indices",
                          field=path)
     return tuple(raw)
+
+
+_NUMBER = (int, float)  # the types json.load gives numbers; bool is not one
+
+
+def _value_entries(obj, key, path, stderr=False):
+    """The entries of the array ``obj[key]`` as word -> complex value,
+    word -> standard error (always empty without ``stderr``) and word ->
+    entry index.
+
+    An entry holds a word of generator indices, finite ``re`` and ``im``
+    and, with ``stderr``, an optional finite ``stderr``; no word may
+    appear twice.  Each field is tested inline, and only a field that
+    fails the test goes through ``_get`` and ``_word``, which format its
+    path (``state.entries[17].re``) and raise the ParseError.
+    """
+    values = {}
+    errors = {}
+    first = {}
+    for idx, e in enumerate(_get(obj, key, list, path)):
+        fields = e if type(e) is dict else {}  # anything else takes _get
+        word = fields.get("word")
+        if type(word) is list and all(type(x) is int for x in word):
+            word = tuple(word)
+        else:
+            epath = f"{path}{key}[{idx}]."
+            word = _word(_get(e, "word", list, epath), epath + "word")
+        if word in first:
+            field = f"{path}{key}[{idx}]"
+            raise ParseError(
+                f"{field} repeats the word of {path}{key}[{first[word]}]",
+                field=field)
+        first[word] = idx
+        re, im = fields.get("re"), fields.get("im")
+        if (type(re) in _NUMBER and type(im) in _NUMBER
+                and math.isfinite(re) and math.isfinite(im)):
+            values[word] = complex(re, im)
+        else:
+            epath = f"{path}{key}[{idx}]."
+            values[word] = complex(_get(e, "re", float, epath),
+                                   _get(e, "im", float, epath))
+        if stderr and "stderr" in e:
+            err = fields.get("stderr")
+            if type(err) in _NUMBER and math.isfinite(err):
+                errors[word] = float(err)
+            else:
+                errors[word] = _get(e, "stderr", float,
+                                    f"{path}{key}[{idx}].")
+    return values, errors, first
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +337,8 @@ def table_to_obj(table):
 def table_from_obj(obj, path="state."):
     """Moment table from its object.  With ``"classes": "bracelet"``
     each entry is a bracelet class representative, checked as such, and
-    the table holds its whole class; otherwise each entry is one word."""
+    the table holds its whole class; otherwise each entry is one word.
+    No word may appear in two entries."""
     nvars = _get(obj, "nvars", int, path)
     max_order = _get(obj, "max_order", int, path)
     tracial = "tracial" in obj and _get(obj, "tracial", bool, path)
@@ -289,22 +350,7 @@ def table_from_obj(obj, path="state."):
         if not tracial:
             raise ParseError("bracelet classes need a tracial table",
                              field=path + "tracial")
-    entries = {}
-    stderr = {}
-    first = {}
-    for idx, e in enumerate(_get(obj, "entries", list, path)):
-        epath = f"{path}entries[{idx}]."
-        field = epath.rstrip(".")
-        word = _word(_get(e, "word", list, epath), epath + "word")
-        if word in first:
-            raise ParseError(
-                f"{field} repeats the word of {path}entries[{first[word]}]",
-                field=field)
-        first[word] = idx
-        entries[word] = complex(_get(e, "re", float, epath),
-                                _get(e, "im", float, epath))
-        if "stderr" in e:
-            stderr[word] = _get(e, "stderr", float, epath)
+    entries, stderr, first = _value_entries(obj, "entries", path, stderr=True)
     norm_upper = _norm_upper(obj, nvars, path)
     try:
         if classes is not None:
@@ -339,17 +385,13 @@ def cumulants_to_obj(spec, norm_upper=None):
 
 
 def cumulants_from_obj(obj, path="cumulants."):
-    """Cumulant spec from its object.  An optional ``"tracial"`` must
-    agree with whether the cumulants are exactly cyclic, which is what
-    makes the state tracial."""
+    """Cumulant spec from its object.  Each ``kappa`` entry names a
+    distinct word.  An optional ``"tracial"`` must agree with whether
+    the cumulants are exactly cyclic, which is what makes the state
+    tracial."""
     nvars = _get(obj, "nvars", int, path)
     max_order = _get(obj, "max_order", int, path)
-    kappa = {}
-    for idx, e in enumerate(_get(obj, "kappa", list, path)):
-        epath = f"{path}kappa[{idx}]."
-        word = _word(_get(e, "word", list, epath), epath + "word")
-        kappa[word] = complex(_get(e, "re", float, epath),
-                              _get(e, "im", float, epath))
+    kappa = _value_entries(obj, "kappa", path)[0]
     try:
         spec = CumulantSpec(nvars, kappa, max_order=max_order)
     except ValueError as exc:

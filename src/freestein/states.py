@@ -306,6 +306,18 @@ class CumulantSpec:
         object.__setattr__(self, "hermitian", all(
             clean.get(w[::-1], 0j) == v.conjugate() for w, v in clean.items()))
 
+    @classmethod
+    def _raw(cls, nvars, kappa, max_order, cyclic, hermitian):
+        # internal: ``kappa`` already canonical (nonzero complex values on
+        # nonempty words of letters 1..nvars) and the flags known to hold
+        spec = object.__new__(cls)
+        for name, value in (("nvars", nvars), ("kappa", kappa),
+                            ("max_order", max_order),
+                            ("blocks", _block_trie(kappa)),
+                            ("cyclic", cyclic), ("hermitian", hermitian)):
+            object.__setattr__(spec, name, value)
+        return spec
+
     def value(self, word):
         return self.kappa.get(tuple(word), 0j)
 
@@ -738,7 +750,7 @@ def check_state(phi, **kwargs):
     problems = validate_state(phi, **kwargs)
     if problems:
         raise InvalidStateError(
-            "invalid moment functional: " + "; ".join(problems),
+            "state failed validation: " + "; ".join(problems),
             violations=problems,
         )
 

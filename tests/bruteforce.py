@@ -20,10 +20,14 @@
   its eigenvalues, one ``einsum`` trace per word from identity-started
   products and a two-pass mean and standard error, against which the
   diagonal scalings, reversal-shared inner products and array Welford
-  updates are checked.
+  updates are checked;
+* the JSON writer as one recursive append per token, one ``json.dumps``
+  per key and string, against which the join-per-container writer is
+  checked byte for byte.
 """
 
 import functools
+import json
 
 import numpy as np
 
@@ -349,3 +353,61 @@ def mc_moment_oracle(config, max_order):
     stderr = np.sqrt(spread / count / max(count - 1, 1))
     return (dict(zip(words, mean.tolist())), dict(zip(words, stderr.tolist())),
             tuple(float(x) for x in np.max(norms, axis=0)))
+
+
+def reference_dumps(obj, indent=2):
+    """``serialize.dumps`` written one token at a time: containers on
+    their own lines except arrays of numbers and booleans, floats with 17
+    significant digits, keys and strings through ``json.dumps``."""
+    out = []
+    _write(obj, out, indent, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out, indent, level):
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for idx, (key, value) in enumerate(obj.items()):
+            out.append(f"{pad}{json.dumps(str(key))}: ")
+            _write(value, out, indent, level + 1)
+            out.append(",\n" if idx < len(obj) - 1 else "\n")
+        out.append(close_pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        simple = all(isinstance(x, (int, float, bool)) for x in seq)
+        if simple:
+            out.append("[" + ", ".join(_scalar(x) for x in seq) + "]")
+            return
+        out.append("[\n")
+        for idx, value in enumerate(seq):
+            out.append(pad)
+            _write(value, out, indent, level + 1)
+            out.append(",\n" if idx < len(seq) - 1 else "\n")
+        out.append(close_pad + "]")
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError(f"non-finite float {x} in JSON output")
+        return format(x, ".17g")
+    if isinstance(x, str):
+        return json.dumps(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(x)!r}")

@@ -256,6 +256,40 @@ def test_explicit_kernel_quadratic_entries():
             assert a.entry(i, j) == want
 
 
+def test_explicit_kernel_matches_half_after_sharp(rng):
+    # the 1/2 sits on delta(t_j); the old order scaled each sharp product
+    for _ in range(25):
+        n = rng.choice((1, 2, 3))
+        v = rand_poly(rng, n, 5, terms=rng.randint(1, 8))
+        a = explicit_kernel(v)
+        for i in range(n):
+            for j in range(n):
+                want = delta(cyclic_derivative(i + 1, v)).sharp(
+                    delta_gen(j + 1, n)).scale(CR_HALF)
+                assert a.entry(i, j) == want
+
+
+def _general_product(a, b):
+    return ComplexRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def test_real_operand_product_matches_general_formula(rng):
+    parts = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 3)]
+    values = [ComplexRational(re, im) for re in parts for im in parts]
+    for _ in range(40):
+        values.append(ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                      Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    for a in values:
+        for b in values:
+            got = a * b
+            assert got == _general_product(a, b)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+        for x in (0, 3, Fraction(-2, 5), 0.5, 1.5 - 2j):
+            want = _general_product(a, ComplexRational.from_number(x))
+            assert a * x == want
+            assert x * a == want
+
+
 def test_kernel_identity_algebra(rng):
     # (K(v) # (JP)*)_ii == 1/2 delta(D_i v) # delta(P_i)*
     for _ in range(15):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from freestein import NcPoly, quadratic_potential, semicircular, centered_free_poisson
+from freestein import (NcPoly, centered_free_poisson, quadratic_potential,
+                        semicircular, validate_state)
 from freestein import serialize
 from freestein.cli import main
 
@@ -144,7 +145,11 @@ def test_invalid_state_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.json", bad)
     code, _, err = run(capsys, "poincare", "--state", path, "--degree", "1")
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "invalid_state"
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_state"
+    problems = validate_state(serialize.table_from_obj(bad))
+    assert problems
+    assert error["message"] == "state failed validation: " + "; ".join(problems)
 
 
 @pytest.mark.parametrize("command", ["poincare", "stein"])

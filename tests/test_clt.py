@@ -17,6 +17,8 @@ from freestein import (
 from freestein.clt import CSV_HEADER, theorem_constant
 from freestein.states import words_up_to
 
+from conftest import rand_cumulant_spec
+
 
 def test_rescale_identity_at_k_one():
     base = centered_free_poisson(1).spec
@@ -35,6 +37,35 @@ def test_rescale_order_four_example():
     spec = rescale_cumulants(base, 4)
     assert spec.value((1, 1, 1, 1)) == pytest.approx(0.25)
     assert spec.value((1, 1, 1)) == pytest.approx(0.5)
+
+
+def _rebuilt(base, k):
+    kappa = {w: v * float(k) ** (1.0 - len(w) / 2.0)
+             for w, v in base.kappa.items()}
+    return CumulantSpec(base.nvars, kappa, max_order=base.max_order)
+
+
+@pytest.mark.parametrize("cyclic,hermitian",
+                         [(True, True), (True, False), (False, True),
+                          (False, False)])
+def test_rescale_matches_a_rebuilt_spec(rng, cyclic, hermitian):
+    for nvars, max_order in ((2, 6), (3, 5)):  # n = 1 is always cyclic
+        base = rand_cumulant_spec(rng, nvars, max_order, cyclic=cyclic,
+                                  hermitian=hermitian)
+        assert (base.cyclic, base.hermitian) == (cyclic, hermitian)
+        for k in (1, 2, 4, 8):
+            got, want = rescale_cumulants(base, k), _rebuilt(base, k)
+            assert got.kappa == want.kappa
+            assert got.blocks == want.blocks
+            assert (got.cyclic, got.hermitian) == (want.cyclic, want.hermitian)
+            assert got.max_order == want.max_order
+
+
+def test_rescale_drops_a_value_that_underflows():
+    base = CumulantSpec(1, {(1, 1): 1.0, (1, 1, 1): 5e-324}, max_order=6)
+    got, want = rescale_cumulants(base, 8), _rebuilt(base, 8)
+    assert got.kappa == want.kappa == {(1, 1): 1 + 0j}
+    assert got.blocks == want.blocks
 
 
 def test_semicircular_spec_is_fixed_point():

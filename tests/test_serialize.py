@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freestein import (
     ComplexRational,
@@ -16,6 +18,7 @@ from freestein import (
 )
 from freestein import serialize
 
+import bruteforce
 from conftest import rand_cumulant_spec, rand_poly
 
 
@@ -117,6 +120,36 @@ def test_dumps_floats_and_determinism():
     assert parsed["c"]["nested"] is None
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text(max_size=8))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_JSON_VALUES, st.sampled_from((0, 1, 2, 4)))
+def test_dumps_matches_the_token_writer(obj, indent):
+    assert serialize.dumps(obj, indent) == bruteforce.reference_dumps(obj, indent)
+
+
+def test_dumps_matches_the_token_writer_on_reports(rng):
+    spec = rand_cumulant_spec(rng, 2, 4)
+    for obj in (serialize.cumulants_to_obj(spec, norm_upper=(2.0, 3.5)),
+                serialize.poly_to_obj(rand_poly(rng, 3, 4)),
+                {"k": (1, 2.5, True), "t": ("a", None), "e": [[], {}]}):
+        assert serialize.dumps(obj) == bruteforce.reference_dumps(obj)
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize.dumps({"a": [1.0, float("inf")]})
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize.dumps({"a": float("nan")})
+    with pytest.raises(TypeError):
+        serialize.dumps({"a": object()})
+
+
 def test_parse_errors_carry_field():
     with pytest.raises(ParseError) as err:
         serialize.poly_from_obj({"terms": []})
@@ -201,6 +234,35 @@ def test_malformed_table_entries_name_the_entry():
     obj = _word_table_obj()
     obj["entries"].append({"word": [1, 1], "re": 5.0, "im": 0.0})
     assert _parse_field(obj) == "state.entries[2]"
+
+
+def test_cumulant_entries_name_the_failing_field():
+    obj = {"nvars": 1, "max_order": 4,
+           "kappa": [{"word": [1, 1], "re": 1, "im": 0},
+                     {"word": [1, 1, 1], "re": 0.5, "im": 0.0}]}
+    assert serialize.cumulants_from_obj(obj).kappa == {(1, 1): 1 + 0j,
+                                                       (1, 1, 1): 0.5 + 0j}
+    for key, bad in (("word", [1, "1"]), ("word", None), ("re", True),
+                     ("re", float("inf")), ("im", "0"), ("im", None)):
+        broken = {"nvars": 1, "max_order": 4,
+                  "kappa": [dict(e) for e in obj["kappa"]]}
+        broken["kappa"][1][key] = bad
+        assert _parse_field(broken, serialize.cumulants_from_obj) == \
+            f"cumulants.kappa[1].{key}"
+    broken["kappa"][1] = [1, 1]
+    assert _parse_field(broken, serialize.cumulants_from_obj) == \
+        "cumulants.kappa[1].word"
+
+
+def test_cumulant_files_refuse_a_repeated_word():
+    obj = {"nvars": 1, "max_order": 4,
+           "kappa": [{"word": [1, 1], "re": 1.0, "im": 0.0},
+                     {"word": [1, 1, 1], "re": 0.5, "im": 0.0},
+                     {"word": [1, 1], "re": 5.0, "im": 0.0}]}
+    with pytest.raises(ParseError, match=r"cumulants\.kappa\[2\] repeats the "
+                       r"word of cumulants\.kappa\[0\]") as err:
+        serialize.cumulants_from_obj(obj)
+    assert err.value.field == "cumulants.kappa[2]"
 
 
 def _class_table_obj():

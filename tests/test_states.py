@@ -18,6 +18,7 @@ from freestein import (
     ParseError,
     TensorPoly,
     centered_free_poisson,
+    check_state,
     cumulants_to_moment,
     explicit_kernel,
     inner_matrix,
@@ -404,6 +405,16 @@ def test_validate_flags_bad_states():
         2, 4, {(1, 2): 1.0j, (2, 1): -1.0j}, tracial=True
     )
     assert any("cyclic" in p for p in validate_state(nontracial))
+
+
+def test_check_state_raises_the_violations():
+    check_state(semicircular(2))
+    indef = MomentTable(1, 4, {(1, 1): -1.0})
+    problems = validate_state(indef)
+    with pytest.raises(InvalidStateError) as err:
+        check_state(indef)
+    assert err.value.violations == tuple(problems)
+    assert str(err.value) == "state failed validation: " + "; ".join(problems)
 
 
 def test_mixed_alternating_words_vanish_for_identity_covariance(rng):
