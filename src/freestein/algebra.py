@@ -15,6 +15,9 @@ The tensor square carries the bimodule actions
 which is multiplication in the algebra tensored with its opposite.  On
 top of these the module provides:
 
+* ``NcPoly`` and ``TensorPoly`` -- sparse maps from a word, or a pair
+  of words, to an exact coefficient; both inherit their linear-space
+  operations from one private base, ``_SparseTerms``;
 * ``partial_derivative(i, p)`` -- the derivation with
   ``d_i t_j = delta_ij 1 (x) 1`` (Leibniz rule in the bimodule sense);
 * ``delta(p) = p (x) 1 - 1 (x) p`` -- an inner derivation; the two are
@@ -30,6 +33,7 @@ No floats enter: identities hold as dictionary equalities.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -111,7 +115,6 @@ class ComplexRational:
         return f"({self.re}{sign}{abs(self.im)}j)"
 
 
-CR_ZERO = ComplexRational(0)
 CR_ONE = ComplexRational(1)
 CR_HALF = ComplexRational(Fraction(1, 2))
 
@@ -119,6 +122,11 @@ CR_HALF = ComplexRational(Fraction(1, 2))
 def word_key(word):
     """Graded-lexicographic sort key for words."""
     return (len(word), word)
+
+
+def pair_key(pair):
+    """Sort key for (word, word) pairs: graded-lex on the left leg first."""
+    return (word_key(pair[0]), word_key(pair[1]))
 
 
 def _check_index(i, nvars):
@@ -135,11 +143,18 @@ def _prune(acc):
     return {k: v for k, v in acc.items() if v}
 
 
-class NcPoly:
-    """Sparse noncommutative polynomial: word -> exact coefficient.
+class _SparseTerms:
+    """Sparse linear combination: key -> exact nonzero coefficient.
 
-    The stored map is canonical (no zero coefficients) and must never
-    be mutated after construction.
+    The linear-space part shared by ``NcPoly`` and ``TensorPoly``: the
+    canonical constructor, sums, differences, negation, products with
+    scalars, equality and ``repr``.  A subclass supplies ``_key``,
+    which normalizes one key and checks its letters, ``_show`` and
+    ``_show_order``, which render a key and order the keys for ``repr``,
+    and its own products, involution and constructors.  The stored map
+    is canonical (no zero coefficients) and must never be mutated after
+    construction.  Values of different subclasses never mix: their sums
+    are a TypeError and they compare unequal.
     """
 
     __slots__ = ("nvars", "terms")
@@ -148,18 +163,13 @@ class NcPoly:
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         self.nvars = nvars
-        if terms is None:
-            self.terms = {}
-        else:
-            clean = {}
-            for w, c in terms.items():
-                w = tuple(w)
-                for letter in w:
-                    _check_index(letter, nvars)
-                c = ComplexRational.from_number(c)
-                if c:
-                    clean[w] = c
-            self.terms = clean
+        clean = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key, nvars)
+            c = ComplexRational.from_number(c)
+            if c:
+                clean[key] = c
+        self.terms = clean
 
     @classmethod
     def _raw(cls, nvars, terms):
@@ -173,6 +183,71 @@ class NcPoly:
     def zero(cls, nvars):
         return cls(nvars)
 
+    def is_zero(self):
+        return not self.terms
+
+    def _check_compat(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("mismatched nvars")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compat(other)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(acc, key, c)
+        return self._raw(self.nvars, _prune(acc))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.nvars, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        c = ComplexRational.from_number(scalar)
+        if not c:
+            return type(self)(self.nvars)
+        return self._raw(self.nvars, {k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        # scalars commute with everything
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({self.terms[k]!r})*{self._show(k)}"
+                          for k in sorted(self.terms, key=self._show_order))
+
+
+def _mono(word):
+    return "*".join(f"t{j}" for j in word) if word else "1"
+
+
+class NcPoly(_SparseTerms):
+    """Sparse noncommutative polynomial: word -> exact coefficient."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(word, nvars):
+        word = tuple(word)
+        for letter in word:
+            _check_index(letter, nvars)
+        return word
+
+    _show = staticmethod(_mono)
+    _show_order = staticmethod(word_key)
+
     @classmethod
     def one(cls, nvars):
         return cls(nvars, {(): CR_ONE})
@@ -180,44 +255,15 @@ class NcPoly:
     @classmethod
     def gen(cls, i, nvars):
         """The generator t_i (1-based)."""
-        _check_index(i, nvars)
         return cls(nvars, {(i,): CR_ONE})
 
     @classmethod
     def monomial(cls, word, nvars, coeff=1):
-        word = tuple(word)
-        for letter in word:
-            _check_index(letter, nvars)
-        return cls(nvars, {word: coeff})
-
-    def is_zero(self):
-        return not self.terms
+        return cls(nvars, {tuple(word): coeff})
 
     def degree(self):
         """Largest word length, or 0 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=0)
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), CR_ZERO)
-
-    def _check_compat(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("mismatched nvars")
-
-    def __add__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        self._check_compat(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(acc, w, c)
-        return NcPoly._raw(self.nvars, _prune(acc))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NcPoly._raw(self.nvars, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NcPoly):
@@ -228,16 +274,6 @@ class NcPoly:
                     _add_term(acc, w1 + w2, c1 * c2)
             return NcPoly._raw(self.nvars, _prune(acc))
         return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return self.scale(other)
-
-    def scale(self, scalar):
-        c = ComplexRational.from_number(scalar)
-        if not c:
-            return NcPoly(self.nvars)
-        return NcPoly._raw(self.nvars, {w: c * v for w, v in self.terms.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -253,63 +289,30 @@ class NcPoly:
             self.nvars, {w[::-1]: c.conjugate() for w, c in self.terms.items()}
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=word_key):
-            c = self.terms[w]
-            mono = "*".join(f"t{j}" for j in w) if w else "1"
-            bits.append(f"({c!r})*{mono}")
-        return " + ".join(bits)
-
-
-class TensorPoly:
+class TensorPoly(_SparseTerms):
     """Sparse element of the tensor square: (word, word) -> coefficient."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
-    def __init__(self, nvars, terms=None):
-        if nvars < 1:
-            raise ValueError("nvars must be >= 1")
-        self.nvars = nvars
-        if terms is None:
-            self.terms = {}
-        else:
-            clean = {}
-            for (a, b), c in terms.items():
-                key = (tuple(a), tuple(b))
-                for letter in key[0] + key[1]:
-                    _check_index(letter, nvars)
-                c = ComplexRational.from_number(c)
-                if c:
-                    clean[key] = c
-            self.terms = clean
+    @staticmethod
+    def _key(key, nvars):
+        a, b = key
+        key = (tuple(a), tuple(b))
+        for letter in key[0] + key[1]:
+            _check_index(letter, nvars)
+        return key
 
-    @classmethod
-    def _raw(cls, nvars, terms):
-        q = object.__new__(cls)
-        q.nvars = nvars
-        q.terms = terms
-        return q
+    @staticmethod
+    def _show(key):
+        return f"[{_mono(key[0])} (x) {_mono(key[1])}]"
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    _show_order = staticmethod(pair_key)
 
     @classmethod
     def one(cls, nvars):
         """The unit 1 (x) 1."""
         return cls(nvars, {((), ()): CR_ONE})
-
-    @classmethod
-    def simple(cls, left, right, nvars, coeff=1):
-        return cls(nvars, {(tuple(left), tuple(right)): coeff})
 
     @classmethod
     def of(cls, p, q):
@@ -322,42 +325,9 @@ class TensorPoly:
                 _add_term(acc, (w1, w2), c1 * c2)
         return cls._raw(p.nvars, _prune(acc))
 
-    def is_zero(self):
-        return not self.terms
-
     def max_leg_degree(self):
         """Largest length of a single leg over all terms (0 if zero)."""
         return max((max(len(a), len(b)) for a, b in self.terms), default=0)
-
-    def _check_compat(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("mismatched nvars")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._check_compat(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(acc, k, c)
-        return TensorPoly._raw(self.nvars, _prune(acc))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorPoly._raw(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar):
-        c = ComplexRational.from_number(scalar)
-        if not c:
-            return TensorPoly(self.nvars)
-        return TensorPoly._raw(self.nvars, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def sharp(self, other):
         """(p1 (x) p2) # (q1 (x) q2) = (p1 q1) (x) (q2 p2), bilinearly."""
@@ -378,22 +348,6 @@ class TensorPoly:
             self.nvars,
             {(a[::-1], b[::-1]): c.conjugate() for (a, b), c in self.terms.items()},
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for a, b in sorted(self.terms, key=lambda k: (word_key(k[0]), word_key(k[1]))):
-            c = self.terms[(a, b)]
-            sa = "*".join(f"t{j}" for j in a) if a else "1"
-            sb = "*".join(f"t{j}" for j in b) if b else "1"
-            bits.append(f"({c!r})*[{sa} (x) {sb}]")
-        return " + ".join(bits)
 
 
 def partial_derivative(i, p):
@@ -422,8 +376,7 @@ def delta(p):
 
 def delta_gen(i, nvars):
     """delta(t_i) = t_i (x) 1 - 1 (x) t_i."""
-    _check_index(i, nvars)
-    return TensorPoly(nvars, {((i,), ()): CR_ONE, ((), (i,)): -CR_ONE})
+    return delta(NcPoly.gen(i, nvars))
 
 
 def cyclic_derivative(i, p):
@@ -497,23 +450,17 @@ class KernelMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._check_compat(other)
         return KernelMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        self._check_compat(other)
-        return KernelMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return KernelMatrix(tuple(tuple(-a for a in r) for r in self.rows))
@@ -535,17 +482,12 @@ class KernelMatrix:
     def sharp(self, other):
         """Matrix product with sharp-multiplied entries."""
         self._check_compat(other)
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = TensorPoly.zero(self.nvars)
-                for k in range(n):
-                    acc = acc + self.rows[i][k].sharp(other.rows[k][j])
-                row.append(acc)
-            out.append(tuple(row))
-        return KernelMatrix(tuple(out))
+        zero = TensorPoly.zero(self.nvars)
+        return KernelMatrix(
+            tuple(tuple(sum((a.sharp(b) for a, b in zip(row, col)), zero)
+                        for col in zip(*other.rows))
+                  for row in self.rows)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, KernelMatrix):
@@ -571,10 +513,7 @@ def jacobian(ps):
 
 def quadratic_potential(nvars):
     """The potential 1/2 (t_1^2 + ... + t_n^2)."""
-    acc = NcPoly(nvars)
-    for i in range(1, nvars + 1):
-        acc = acc + NcPoly.monomial((i, i), nvars, CR_HALF)
-    return acc
+    return NcPoly(nvars, {(i, i): CR_HALF for i in range(1, nvars + 1)})
 
 
 def explicit_kernel(v):

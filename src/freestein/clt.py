@@ -7,9 +7,9 @@ scaling.  A pure-covariance spec is therefore a fixed point, and any
 centered identity-covariance spec flows to it.
 
 ``clt_rate_table`` tracks, for each copy count k, the maximum fourth
-moment of the rescaled tuple, the truncated Poincare lower bound, and
-the truncated Stein discrepancy lower bound sigma_d for the quadratic
-potential, and compares sigma_d against C / sqrt(k) with the constant
+moment of the rescaled tuple and the truncated Stein discrepancy lower
+bound sigma_d for the quadratic potential, and compares sigma_d against
+C / sqrt(k) with the constant
 
     C = sqrt( n * min(C_up - 1, (n + n m4 - 1) / 2) ),
 
@@ -35,6 +35,7 @@ import numpy as np
 
 from .algebra import quadratic_potential
 from .errors import InadmissibleProblemError
+# poincare_lower_bound is unused; the benchmark's layer tracer wraps it here
 from .poincare import poincare_lower_bound, voiculescu_bound
 from .states import CumulantSpec, CumulantState
 from .stein import SteinProblem, minimal_kernel
@@ -102,18 +103,19 @@ class CltRow:
     theorem_constant: float
     bound_over_sqrt_k: float
     ratio: float
-    c_lower: float
     within_m4_bound: bool
 
 
-def theorem_constant(base, norm_upper=None, tracial=True):
+def theorem_constant(base, norm_upper=None):
     """sqrt(n * min(C_up - 1, (n + n m4 - 1)/2)) from the base spec.
 
     ``norm_upper`` optionally supplies per-coordinate operator-norm
-    upper bounds for the Poincare branch.  The m4 branch squared is the
-    quoted constant (n^2 + n^2 m4 - n)/2; the explicit-kernel distance
-    only backs (n^2 + n^2 m4)/2, which is 1/2 larger for n = 1 (see the
-    module docstring).  Returns the constant, m4 and the m4 branch.
+    upper bounds for the Poincare branch, which takes the norm bound
+    that applies to the base state (tracial or general).  The m4 branch
+    squared is the quoted constant (n^2 + n^2 m4 - n)/2; the
+    explicit-kernel distance only backs (n^2 + n^2 m4)/2, which is 1/2
+    larger for n = 1 (see the module docstring).  Returns the constant,
+    m4 and the m4 branch.
     """
     n = base.nvars
     state = CumulantState(base, norm_upper=norm_upper)
@@ -123,7 +125,7 @@ def theorem_constant(base, norm_upper=None, tracial=True):
     if norm_upper is not None:
         vb = voiculescu_bound(state, norm_order=4)
         if vb.certified:
-            branch_c = (vb.applicable if tracial else vb.general_sq) - 1.0
+            branch_c = vb.applicable - 1.0
     return float(np.sqrt(n * min(branch_c, branch_m4))), m4, branch_m4
 
 
@@ -142,7 +144,6 @@ def clt_rate_table(exp, norm_upper=None, bound_slack=1e-6):
         prob = SteinProblem(state, potential)
         mk = minimal_kernel(prob, exp.degree)
         sigma = float(np.sqrt(max(mk.sigma_sq, 0.0)))
-        c_low = poincare_lower_bound(state, max(exp.degree, 1)).c_lower
         bound = const / np.sqrt(k)
         bound_m4 = const_m4 / np.sqrt(k)
         rows.append(
@@ -153,7 +154,6 @@ def clt_rate_table(exp, norm_upper=None, bound_slack=1e-6):
                 theorem_constant=const,
                 bound_over_sqrt_k=float(bound),
                 ratio=float(sigma / bound) if bound > 0 else float("nan"),
-                c_lower=float(c_low),
                 within_m4_bound=sigma <= bound_m4 + bound_slack,
             )
         )

@@ -422,9 +422,10 @@ def mc_moment_table(config, max_order):
     msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n
 
-    streams = np.random.SeedSequence(config.seed).spawn(config.samples)
-    for s, ss in enumerate(streams):
-        coords = _draw(config, np.random.default_rng(ss))
+    # spawned one per draw: the keys of spawn(samples), in bounded memory
+    root = np.random.SeedSequence(config.seed)
+    for s in range(config.samples):
+        coords = _draw(config, np.random.default_rng(root.spawn(1)[0]))
         if diagonal:
             norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
         squares = {i: coords[i] @ coords[i] for i in dense}

@@ -1,7 +1,7 @@
 """JSON interchange for polynomials, states, ensembles and reports.
 
-Polynomial coefficients travel as exact rationals
-(re_num/re_den + i im_num/im_den); moment and cumulant values as
+Polynomial coefficients travel as exact rationals (re_num/re_den + i
+im_num/im_den, denominators nonzero); moment and cumulant values as
 re/im doubles.  Words are 1-based index arrays, the empty array is the
 unit.  A tracial moment table is written one entry per bracelet class
 when its classes agree exactly (see ``table_to_obj``).  ``dumps``
@@ -12,8 +12,8 @@ with the C escaper behind ``json.dumps``, keeping no cache.  The
 readers check every field they take and raise ``ParseError`` naming
 it; the entries of moment tables and cumulant files, which can number
 thousands, are tested inline, and a field path such as
-``state.entries[17].re`` is only formatted for an entry that fails.
-A word may appear only once among a file's entries.
+``state.entries[17].re`` is only formatted for an entry that fails.  A
+word may appear only once among a file's entries.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from json.encoder import encode_basestring_ascii as _string
 from fractions import Fraction
 
-from .algebra import ComplexRational, NcPoly, word_key
+from .algebra import ComplexRational, NcPoly, pair_key, word_key
 from .errors import ParseError
 from .matrixmodels import EnsembleConfig, GueGenerator, PolyOfGueGenerator
 from .states import (
@@ -204,19 +204,28 @@ def _value_entries(obj, key, path, stderr=False):
 # polynomials
 
 
+def _coeff_obj(c):
+    return {"re_num": c.re.numerator, "re_den": c.re.denominator,
+            "im_num": c.im.numerator, "im_den": c.im.denominator}
+
+
+def _coeff(t, path):
+    """The exact coefficient re_num/re_den + i im_num/im_den of a term;
+    a zero denominator is refused, naming its field."""
+    parts = []
+    for part in ("re", "im"):
+        num = _get(t, part + "_num", int, path)
+        den = _get(t, part + "_den", int, path)
+        if not den:
+            raise ParseError(f"field {path}{part}_den must be nonzero",
+                             field=f"{path}{part}_den")
+        parts.append(Fraction(num, den))
+    return ComplexRational(*parts)
+
+
 def poly_to_obj(p):
-    terms = []
-    for w in sorted(p.terms, key=word_key):
-        c = p.terms[w]
-        terms.append(
-            {
-                "word": list(w),
-                "re_num": c.re.numerator,
-                "re_den": c.re.denominator,
-                "im_num": c.im.numerator,
-                "im_den": c.im.denominator,
-            }
-        )
+    terms = [{"word": list(w), **_coeff_obj(p.terms[w])}
+             for w in sorted(p.terms, key=word_key)]
     return {"nvars": p.nvars, "terms": terms}
 
 
@@ -226,11 +235,7 @@ def poly_from_obj(obj, path="poly."):
     for idx, t in enumerate(_get(obj, "terms", list, path)):
         tpath = f"{path}terms[{idx}]."
         word = _word(_get(t, "word", list, tpath), tpath + "word")
-        coeff = ComplexRational(
-            Fraction(_get(t, "re_num", int, tpath), _get(t, "re_den", int, tpath)),
-            Fraction(_get(t, "im_num", int, tpath), _get(t, "im_den", int, tpath)),
-        )
-        terms[word] = terms.get(word, ComplexRational(0)) + coeff
+        terms[word] = terms.get(word, ComplexRational(0)) + _coeff(t, tpath)
     try:
         return NcPoly(nvars, terms)
     except (ValueError, IndexError) as exc:
@@ -249,19 +254,8 @@ def tuple_from_obj(obj, path="tuple."):
 
 
 def tensor_to_obj(q):
-    terms = []
-    for a, b in sorted(q.terms, key=lambda k: (word_key(k[0]), word_key(k[1]))):
-        c = q.terms[(a, b)]
-        terms.append(
-            {
-                "left": list(a),
-                "right": list(b),
-                "re_num": c.re.numerator,
-                "re_den": c.re.denominator,
-                "im_num": c.im.numerator,
-                "im_den": c.im.denominator,
-            }
-        )
+    terms = [{"left": list(a), "right": list(b), **_coeff_obj(q.terms[(a, b)])}
+             for a, b in sorted(q.terms, key=pair_key)]
     return {"nvars": q.nvars, "terms": terms}
 
 
@@ -376,7 +370,7 @@ def cumulants_to_obj(spec, norm_upper=None):
     obj = {
         "nvars": spec.nvars,
         "max_order": spec.max_order,
-        "tracial": spec.is_cyclic(),
+        "tracial": spec.cyclic,
         "kappa": kappa,
     }
     if norm_upper is not None:

@@ -276,6 +276,8 @@ class CumulantSpec:
     letter trie of the cumulant words that the recursion walks.
     ``cyclic`` says kappa(w[1:] + w[:1]) == kappa(w) and ``hermitian``
     says kappa(rev w) == conj kappa(w), both exactly, for every word.
+    Rotation permutes the noncrossing partitions and rotates block
+    subwords, so cyclic cumulants induce a tracial state.
     """
 
     nvars: int
@@ -321,14 +323,6 @@ class CumulantSpec:
     def value(self, word):
         return self.kappa.get(tuple(word), 0j)
 
-    def is_cyclic(self):
-        """True when every cumulant is invariant under word rotation.
-
-        Rotation permutes the noncrossing partitions and rotates block
-        subwords, so cyclic cumulants induce a tracial state.
-        """
-        return self.cyclic
-
 
 class CumulantState(MomentFunctional):
     """Moment functional generated by free cumulants.
@@ -344,7 +338,7 @@ class CumulantState(MomentFunctional):
 
     def __init__(self, spec, norm_upper=None, tracial=None):
         if tracial is None:
-            tracial = spec.is_cyclic()
+            tracial = spec.cyclic
         super().__init__(spec.nvars, spec.max_order, tracial, norm_upper)
         self.spec = spec
         self._memo = {(): 1.0 + 0j}

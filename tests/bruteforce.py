@@ -11,6 +11,8 @@
   and tuple pairings and the Stein residual assembled from exact sharp
   and polynomial products, one ``TensorPoly`` or ``NcPoly`` per matrix
   entry or coordinate, against which the word-index gathers are checked;
+* the represented minimal kernel assembled one partial derivative of
+  one monomial at a time, against which I + J(P) is checked;
 * the Dirichlet Gram of the trace state of Gaussian-integer Hermitian
   matrices in exact ``ComplexRational`` arithmetic, and its rank by
   exact elimination, against which the relations of the graded
@@ -203,6 +205,25 @@ def sharp_minimal_kernel(prob, degree, pinv_tol=1e-10):
         sigma_sq += float((r.conj() @ c).real)
         coefficients[:, slot] = c
     return sigma_sq, coefficients.ravel()
+
+
+def monomial_minimal_kernel(n, words, coeff_blocks):
+    """I + sum over slots s and words w of c_{s,w} J(e_{w,s}), adding one
+    scaled partial derivative of one monomial at a time."""
+    rows = []
+    for slot in range(n):
+        row = []
+        for k in range(1, n + 1):
+            acc = TensorPoly.one(n) if (k - 1) == slot else TensorPoly.zero(n)
+            for w, c in zip(words, coeff_blocks[slot]):
+                if c == 0:
+                    continue
+                d = partial_derivative(k, NcPoly.monomial(w, n))
+                if d.terms:
+                    acc = acc + d.scale(ComplexRational.from_number(complex(c)))
+            row.append(acc)
+        rows.append(tuple(row))
+    return KernelMatrix(tuple(rows))
 
 
 def exact_trace_moments(mats, max_len):

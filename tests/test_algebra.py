@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freestein import (
     ComplexRational,
@@ -318,3 +320,93 @@ def test_pretty_repr_roundtrippable_visual():
     p = t(1, 2) * t(2, 2) + NcPoly.one(2).scale(ComplexRational(Fraction(1, 2)))
     s = repr(p)
     assert "t1*t2" in s and "1/2" in s
+
+
+def test_repr_of_both_kinds():
+    p = NcPoly(2, {(2, 1): ComplexRational(Fraction(1, 2), -3), (): 4,
+                   (1,): ComplexRational(0, 2)})
+    q = TensorPoly(2, {((1,), (2, 2)): Fraction(-1, 3), ((), ()): 1,
+                       ((2,), ()): ComplexRational(1, 1)})
+    assert repr(p) == "(4)*1 + (2j)*t1 + ((1/2-3j))*t2*t1"
+    assert repr(q) == "(1)*[1 (x) 1] + (-1/3)*[t1 (x) t2*t2] + ((1+1j))*[t2 (x) 1]"
+    assert repr(NcPoly(1)) == repr(TensorPoly(1)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the shared linear-space operations against a plain dict reference
+
+_ZERO = ComplexRational(0)
+_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_coeffs = st.builds(ComplexRational, _fractions, _fractions)
+_scalars = st.one_of(
+    _coeffs,
+    st.integers(-3, 3),
+    _fractions,
+    st.builds(complex, st.sampled_from((0.0, 0.5, -1.25)),
+              st.sampled_from((0.0, 2.0, -0.75))),
+)
+
+
+def _words(nvars):
+    # few short words, so that terms collide and cancel
+    return st.lists(st.integers(1, nvars), max_size=2).map(tuple)
+
+
+def _keys(kind, nvars):
+    if kind is NcPoly:
+        return _words(nvars)
+    return st.tuples(_words(nvars), _words(nvars))
+
+
+def _canon(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, _ZERO) + c
+    return _canon(out)
+
+
+def _ref_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_linear_operations_match_dict_reference(data):
+    kind = data.draw(st.sampled_from((NcPoly, TensorPoly)))
+    nvars = data.draw(st.integers(1, 3))
+    terms = st.dictionaries(_keys(kind, nvars), _coeffs, max_size=6)
+    a, b = data.draw(terms), data.draw(terms)
+    x = data.draw(_scalars)
+    p, q = kind(nvars, a), kind(nvars, b)
+    a, b = _canon(a), _canon(b)
+
+    assert p.terms == a and q.terms == b
+    assert p.is_zero() == (not a)
+    for got, want in ((p + q, _ref_add(a, b)),
+                      (p - q, _ref_add(a, _ref_neg(b))),
+                      (-p, _ref_neg(a)),
+                      (p.scale(x), _canon({k: ComplexRational.from_number(x) * c
+                                           for k, c in a.items()}))):
+        assert type(got) is kind and got.nvars == nvars
+        assert got.terms == want
+    assert p * x == p.scale(x)
+    if not isinstance(x, ComplexRational):  # its __mul__ takes no polynomial
+        assert x * p == p.scale(x)
+    assert (p == q) == (a == b)
+    assert p == kind(nvars, dict(reversed(list(a.items()))))
+    assert p - p == kind.zero(nvars)
+
+    # the two kinds never mix, and nvars must agree
+    other = (TensorPoly if kind is NcPoly else NcPoly)(nvars, {})
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+    assert p != other and other != p
+    with pytest.raises(ValueError):
+        p + kind(nvars + 1)

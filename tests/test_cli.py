@@ -1,11 +1,13 @@
 """CLI commands, exit codes and deterministic outputs."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from freestein import (NcPoly, centered_free_poisson, quadratic_potential,
-                        semicircular, validate_state)
+from freestein import (ComplexRational, NcPoly, centered_free_poisson,
+                        quadratic_potential, semicircular, validate_state)
 from freestein import serialize
 from freestein.cli import main
 
@@ -87,6 +89,66 @@ def test_derive_partial(tmp_path, capsys):
         {"left": [1], "right": [], "re_num": 1, "re_den": 1,
          "im_num": 0, "im_den": 1}
     ]
+
+
+# sha256 of each derive output for the polynomial below; the outputs are
+# exact rationals, so these hold on every platform
+DERIVE_SHA256 = {
+    "explicit-kernel": "624ea354766294a0f9080e15749236db49b064c3bd13661bffd7625a5a037bf6",
+    "jacobian": "381eecdcfede2fa4717f15dd3618e69e01fd70d75f2978fd133e2290dd80cbe3",
+    "partial": "38c6e431ac0f47573c388d5899e11cb70bea74c08b9f536e1c46ca19f6f8538a",
+    "delta": "3f4069db62142d5c813d2c8bff33baad37f0ecc6f18f7cd9c7f427e5d03416f9",
+    "cyclic-gradient": "da4744d7687cad8a6b65c86991db7ef9aeb41d9162cb90907422f4676df03ca9",
+}
+
+
+def test_derive_outputs_are_pinned(tmp_path, capsys):
+    t1, t2 = NcPoly.gen(1, 2), NcPoly.gen(2, 2)
+    p = ((t1 * t2 * t1).scale(Fraction(1, 3))
+         + (t2 * t2).scale(ComplexRational(2, Fraction(-1, 5)))
+         + t1.scale(Fraction(-3, 7))
+         + (t1 * t2 * t2 * t1).scale(ComplexRational(0, Fraction(1, 2)))
+         + NcPoly.one(2).scale(5))
+    poly = write(tmp_path, "p.json", serialize.poly_to_obj(p))
+    pair = write(tmp_path, "t.json",
+                 serialize.tuple_to_obj((p, p.star() + t2 * t2 * t2)))
+    for what, want in DERIVE_SHA256.items():
+        extra = ("--index", "1") if what == "partial" else ()
+        code, out, _ = run(capsys, "derive", "--what", what, "--poly",
+                           pair if what == "jacobian" else poly, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, what
+
+
+def _zero_den_poly(part):
+    term = {"word": [1, 1], "re_num": 1, "re_den": 2, "im_num": 0, "im_den": 1}
+    term[part] = 0
+    return {"nvars": 1, "terms": [
+        {"word": [], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1}, term]}
+
+
+@pytest.mark.parametrize("part", ["re_den", "im_den"])
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys, sc_cumulants,
+                                           part):
+    poly = _zero_den_poly(part)
+    ensemble = {"N": 4, "samples": 2, "seed": 0, "generators": [
+        {"kind": "poly_of_gue", "poly": poly, "fresh_gues": 1}]}
+    cases = [
+        (("derive", "--what", "delta", "--poly",
+          write(tmp_path, "p.json", poly)), "poly.terms[1]."),
+        (("stein", "--cumulants", sc_cumulants, "--degree", "1",
+          "--potential", write(tmp_path, "v.json", poly)),
+         "potential.terms[1]."),
+        (("mc", "--ensemble", write(tmp_path, "e.json", ensemble),
+          "--max-order", "2"), "ensemble.generators[0].poly.terms[1]."),
+    ]
+    for argv, path in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "parse_error"
+        assert error["field"] == path + part
+        assert error["message"] == f"field {path}{part} must be nonzero"
 
 
 def test_stein_semicircular(sc_cumulants, capsys):

@@ -14,6 +14,8 @@ from freestein import (
     rows_to_csv,
     semicircular,
 )
+from freestein import clt
+from freestein.cli import main
 from freestein.clt import CSV_HEADER, theorem_constant
 from freestein.states import words_up_to
 
@@ -153,3 +155,24 @@ def test_csv_shape():
     assert len(lines) == 3
     assert lines[1].startswith("1,")
     assert len(lines[1].split(",")) == 6
+
+
+# ``freestein clt --ks 1,4,16 --degree 2``: the builtin centered free
+# Poisson base
+CLT_CSV = CSV_HEADER + """
+1,3,0.70710678118654757,1.2247448713915889,1.2247448713915889,0.57735026918962584
+4,2.25,0.35355339059327379,1.2247448713915889,0.61237243569579447,0.57735026918962584
+16,2.0625,0.17677669529663689,1.2247448713915889,0.30618621784789724,0.57735026918962584
+"""
+
+
+def test_rate_table_solves_no_poincare_bound(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rate table reports no Poincare bound")
+
+    monkeypatch.setattr(clt, "poincare_lower_bound", refuse)
+    fp = centered_free_poisson(1, max_order=6)
+    exp = CltExperiment(base=fp.spec, ks=(1, 4, 16), degree=2)
+    assert rows_to_csv(clt_rate_table(exp, norm_upper=fp.norm_upper)) == CLT_CSV
+    assert main(["clt", "--ks", "1,4,16", "--degree", "2"]) == 0
+    assert capsys.readouterr().out == CLT_CSV

@@ -1,7 +1,9 @@
 """Monte Carlo backend: GUE convention, determinism, convergence, and
 the word traces against the per-word ``einsum`` oracle."""
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,3 +385,17 @@ def test_constant_coordinate_ties_the_max_in_every_sample(monkeypatch):
     assert len(calls) == 6
     assert table.norm_upper == (2.0,)
     assert table.moment((1, 1, 1, 1)) == 16.0
+
+
+def test_seed_streams_take_bounded_memory():
+    # one child stream is spawned per draw, not all before the first
+    config = EnsembleConfig(size=1, samples=2000, seed=3,
+                            generators=(GueGenerator(),))
+    mc_moment_table(dataclasses.replace(config, samples=2), 1)  # warm caches
+    tracemalloc.start()
+    try:
+        mc_moment_table(config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6

@@ -28,7 +28,7 @@ from freestein import (
     centered_free_poisson,
     stein_residual,
 )
-from freestein import stein
+from freestein import serialize, stein
 from freestein.stein import TruncationBasis
 from freestein.states import dirichlet_gram, words_up_to
 
@@ -306,6 +306,50 @@ def test_minimal_kernel_rank_reporting():
     # constants are null directions of the Jacobian Gram
     assert mk.null_dim == 2
     assert mk.gram_rank == 2 * (len(words) - 1)
+
+
+def _per_monomial_kernel(mk):
+    n = mk.basis.nvars
+    return bruteforce.monomial_minimal_kernel(
+        n, mk.basis.words, [mk.coefficients[slot::n] for slot in range(n)])
+
+
+@pytest.mark.parametrize("n, degrees", [(1, (0, 1, 3, 6)), (2, (0, 1, 2, 4)),
+                                        (3, (1, 2, 3))])
+def test_minimal_kernel_is_identity_plus_jacobian(rng, n, degrees):
+    # I + J(P) equals the per-monomial sum exactly, on coefficients with
+    # zeros, a -1 on t_s in slot s that cancels the identity entry, and
+    # complex floats (each converts to an exact rational)
+    for d in degrees:
+        basis = TruncationBasis.build(n, d)
+        for _ in range(3):
+            coefficients = np.array(
+                [rng.choice((0.0, 0.0, 1.0, -0.5j,
+                             complex(rng.gauss(0, 1), rng.gauss(0, 1))))
+                 for _ in range(len(basis))], dtype=complex)
+            if d >= 1:
+                for slot in range(n):
+                    # element (slot, word (slot + 1,)): words are graded-lex
+                    coefficients[(1 + slot) * n + slot] = -1.0
+            mk = stein.MinimalKernelResult(
+                basis=basis, coefficients=coefficients, sigma_sq=0.0,
+                gram_rank=0, null_dim=0)
+            assert mk.kernel == _per_monomial_kernel(mk)
+            if d >= 1:
+                assert all(((), ()) not in mk.kernel.entry(s, s).terms
+                           for s in range(n))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 6), (2, 4), (3, 3), (3, 5)])
+def test_solved_minimal_kernel_matches_per_monomial_assembly(n, degree):
+    # the solved coefficients are 0 on the constant word; the serialized
+    # kernels agree byte for byte
+    prob = SteinProblem(centered_free_poisson(n, 12), quadratic_potential(n))
+    mk = minimal_kernel(prob, degree)
+    want = _per_monomial_kernel(mk)
+    assert mk.kernel == want
+    assert (serialize.dumps(serialize.kernel_to_obj(mk.kernel))
+            == serialize.dumps(serialize.kernel_to_obj(want)))
 
 
 def test_inadmissible_problem_rejected():
