@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from numbers import Number
 
 
 class ComplexRational:
@@ -62,16 +63,27 @@ class ComplexRational:
         return ComplexRational(self.re, -self.im)
 
     def __add__(self, other):
+        if not isinstance(other, ComplexRational):
+            if not isinstance(other, Number):
+                return NotImplemented
+            other = ComplexRational.from_number(other)
         return ComplexRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
+        if not isinstance(other, ComplexRational):
+            if not isinstance(other, Number):
+                return NotImplemented
+            other = ComplexRational.from_number(other)
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
         return ComplexRational(-self.re, -self.im)
 
     def __mul__(self, other):
+        # anything but a number, a polynomial say, scales by its own rule
         if not isinstance(other, ComplexRational):
+            if not isinstance(other, Number):
+                return NotImplemented
             other = ComplexRational.from_number(other)
         # a real factor takes two products instead of four and two sums
         if not other.im:

@@ -3,8 +3,10 @@
 Polynomial coefficients travel as exact rationals (re_num/re_den + i
 im_num/im_den, denominators nonzero); moment and cumulant values as
 re/im doubles.  Words are 1-based index arrays, the empty array is the
-unit.  A tracial moment table is written one entry per bracelet class
-when its classes agree exactly (see ``table_to_obj``).  ``dumps``
+unit.  A table stored by bracelet class is written one entry per
+class, from its classes, and so is a tracial word-list table whose
+classes agree exactly (see ``table_to_obj``); a class file is read into
+a class-stored table, never expanded to words.  ``dumps``
 renders floats with 17 significant digits and keeps dictionary
 insertion order, so identical inputs produce byte-identical files; it
 builds each container with one ``join`` and escapes keys and strings
@@ -25,13 +27,7 @@ from fractions import Fraction
 from .algebra import ComplexRational, NcPoly, pair_key, word_key
 from .errors import ParseError
 from .matrixmodels import EnsembleConfig, GueGenerator, PolyOfGueGenerator
-from .states import (
-    BraceletError,
-    CumulantSpec,
-    MomentTable,
-    bracelet_rep,
-    expand_bracelets,
-)
+from .states import BraceletError, CumulantSpec, MomentTable, bracelet_rep
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +271,9 @@ BRACELET = "bracelet"
 
 
 def _bracelet_values(table):
-    """Representative -> value of a tracial ``table`` whose entries and
-    standard errors are exactly what their representatives expand to;
-    None for any other table."""
+    """Representative -> value of a tracial word-list ``table`` whose
+    entries and standard errors are exactly what their representatives
+    expand to; None for any other word-list table."""
     if not table.tracial:
         return None
     words = {w: v for w, v in table.entries.items() if w}
@@ -287,24 +283,28 @@ def _bracelet_values(table):
         if rep not in words:
             return None
         values[rep] = words[rep]
+    stderr = table.stderr
     try:
-        if expand_bracelets(values) != words:
-            return None
-        if table.stderr is not None:
-            stderr = {w: table.stderr[w] for w in values if w in table.stderr}
-            if expand_bracelets(stderr) != table.stderr:
-                return None
+        classes = MomentTable.from_bracelets(
+            table.nvars, table.max_order, values, stderr=stderr and {
+                w: stderr[w] for w in values if w in stderr})
     except BraceletError:  # a reversal-closed class with a complex value
+        return None
+    if ({w: v for w, v in classes.entries.items() if w} != words
+            or classes.stderr != stderr):
         return None
     return values
 
 
 def table_to_obj(table):
-    """Moment table object.  A tracial table whose bracelet classes
-    agree exactly is written one entry per class, on the class
-    representative, under ``"classes": "bracelet"``; any other table
-    lists every word."""
-    values = _bracelet_values(table)
+    """Moment table object.  A table stored by bracelet class is written
+    from its classes, one entry per class representative, under
+    ``"classes": "bracelet"``; so is a tracial word-list table whose
+    classes agree exactly.  Any other table lists every word."""
+    if table.bracelet:
+        values, stderr = table.stored()
+    else:
+        values, stderr = _bracelet_values(table), table.stderr
     source = table.entries if values is None else values
     entries = []
     for w in sorted(source, key=word_key):
@@ -312,8 +312,8 @@ def table_to_obj(table):
             continue
         v = source[w]
         entry = {"word": list(w), "re": float(v.real), "im": float(v.imag)}
-        if table.stderr is not None and w in table.stderr:
-            entry["stderr"] = table.stderr[w]
+        if stderr is not None and w in stderr:
+            entry["stderr"] = stderr[w]
         entries.append(entry)
     obj = {
         "nvars": table.nvars,
@@ -331,8 +331,9 @@ def table_to_obj(table):
 def table_from_obj(obj, path="state."):
     """Moment table from its object.  With ``"classes": "bracelet"``
     each entry is a bracelet class representative, checked as such, and
-    the table holds its whole class; otherwise each entry is one word.
-    No word may appear in two entries."""
+    the table stores the class and answers for each of its words;
+    otherwise each entry is one word.  No word may appear in two
+    entries."""
     nvars = _get(obj, "nvars", int, path)
     max_order = _get(obj, "max_order", int, path)
     tracial = "tracial" in obj and _get(obj, "tracial", bool, path)

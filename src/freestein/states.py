@@ -3,10 +3,13 @@
 A state is determined by its word moments phi(t_{i1}...t_{im}).  Two
 backends live here:
 
-* ``MomentTable`` -- an explicit word -> value map up to a max order.
-  A tracial table with Hermitian symmetry is fixed by one value per
-  bracelet class (the words reachable by rotation and reversal), which
-  ``MomentTable.from_bracelets`` expands to every word;
+* ``MomentTable`` -- explicit moments up to a max order, stored as the
+  sorted integer codes of its words (see ``word_codes``) and their
+  values.  A tracial table with Hermitian symmetry is fixed by one value
+  per bracelet class (the words reachable by rotation and reversal), and
+  ``MomentTable.from_bracelets`` stores just that: a lookup maps each
+  asked code to its class code by ``canonical_codes``, integer
+  arithmetic on the asked codes alone, and is never expanded to words;
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
   cumulants by the moment-cumulant formula
   ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
@@ -48,16 +51,23 @@ w[:k] (x) w[k+1:] against themselves), the covariance Gram and the
 positivity check of ``validate_state`` (the monomials w (x) 1) are term
 lists handed to the gather.  None of them builds a symbolic product;
 exact ``sharp`` products are for exact output (``algebra``) and for the
-oracle in the tests.
+oracle in the tests.  The gather asks the state for the entries of H it
+needs in one batch, ``MomentFunctional.pair_moments``, and the helpers
+below ask for lists of words through ``word_moments``: a table answers
+either with one vectorized lookup, the codes code(u rev v) =
+code(u) n^|v| + code(rev v) of a Hankel block coming from the codes of
+its legs; any other state asks ``moment`` once per entry.
 
 Symbolic inputs are exact; evaluation is double-precision complex.
-Every functional caches word moments behind a lock and is safe for
-concurrent reads.  High-level helpers precompute the word length they
-need and raise ``BudgetExceededError`` before touching the backend.
+A cumulant state caches word moments behind a lock, and a table is
+read-only, so every functional is safe for concurrent reads.
+High-level helpers precompute the word length they need and raise
+``BudgetExceededError`` before touching the backend.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -148,32 +158,110 @@ class BraceletError(ValueError):
         self.word = word
 
 
-def expand_bracelets(values):
-    """Word map of a representative map: each rotation gets the value,
-    each reversed rotation its conjugate, a reversal-closed class its
-    real part.  Values keep their type, so real standard errors expand
-    by the same rule.  Raises ``BraceletError`` on a key that is not its
-    class representative, or on a reversal-closed class whose value has
-    an imaginary part over ``HERM_TOL``."""
-    out = {}
-    for rep, value in values.items():
-        rots, flipped = bracelet_orbit(rep)
-        least = _least(rots, flipped)[0]
-        if least != rep:
-            raise BraceletError(f"word {list(rep)} is not the representative "
-                                f"{list(least)} of its bracelet class", rep)
-        if not flipped:
-            if abs(value.imag) > HERM_TOL:
-                raise BraceletError(
-                    f"the class of {list(rep)} is closed under reversal, so "
-                    f"its value must be real, got {value}", rep)
-            value = type(value)(value.real)
-        for w in rots:
-            out[w] = value
-        conj = value.conjugate()
-        for w in flipped:
-            out[w] = conj
-    return out
+# Word codes.  The code of a word is its letters read as a number in
+# base n with digits 1..n (bijective numeration): code(()) = 0 and
+# code(w + (a,)) = n code(w) + a.  That is the base-n value of the
+# letters minus one, offset by (n^L - 1) / (n - 1) for a word of length
+# L, so codes order words graded-lexicographically, and
+# code(u + v) = code(u) n^|v| + code(v).
+
+# largest int64, the bound on every code and intermediate product
+_CODE_MAX = (1 << 63) - 1
+
+
+def _code_powers(nvars, top):
+    """n^k for k = 0..top as int64; ``BudgetExceededError`` when a word
+    of length ``top`` has a code past 64 bits (for n = 2 and 3 exactly
+    when n^top >= 2^63)."""
+    if _largest_code(nvars, top) > _CODE_MAX:
+        longest = top - 1
+        while _largest_code(nvars, longest) > _CODE_MAX:
+            longest -= 1
+        raise BudgetExceededError(
+            f"words of length {top} over {nvars} letters have codes past "
+            f"64 bits; the longest word coded is {longest}",
+            needed=top, available=longest)
+    return np.power(nvars, np.arange(top + 1, dtype=np.int64))
+
+
+def _largest_code(nvars, length):
+    # the code of (n, ..., n), sum of n^k over k = 1..length
+    if nvars == 1:
+        return length
+    return (nvars ** (length + 1) - 1) // (nvars - 1) - 1
+
+
+def word_codes(words, nvars):
+    """(codes, lengths) of ``words`` as int64 arrays.  Raises ValueError
+    on a letter outside 1..nvars and ``BudgetExceededError`` on a word
+    whose code needs more than 64 bits."""
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    _code_powers(nvars, int(lengths.max(initial=0)))
+    if not set().union(*words) <= set(range(1, nvars + 1)):
+        for letter in itertools.chain.from_iterable(words):
+            if not 1 <= letter <= nvars:
+                raise ValueError(f"letter {letter} out of range 1..{nvars}")
+    return np.fromiter(map(functools.partial(_code, nvars), words),
+                       dtype=np.int64, count=len(words)), lengths
+
+
+def _code(nvars, word):
+    code = 0
+    for letter in word:
+        code = code * nvars + letter
+    return code
+
+
+def code_word(code, nvars):
+    """The word with code ``code``."""
+    code, letters = int(code), []
+    while code:
+        code, digit = divmod(code - 1, nvars)
+        letters.append(digit + 1)
+    return tuple(letters[::-1])
+
+
+def canonical_codes(codes, lengths, nvars, bracelet=True):
+    """(class codes, flipped, closed) of the words with these codes and
+    lengths, by integer arithmetic on the queries alone.
+
+    With ``bracelet`` the class code is the code of ``bracelet_rep``'s
+    representative, the least rotation of the word or of its reversal;
+    ``flipped`` says it came from the reversal only, so phi(word) =
+    conj phi(class) in a tracial Hermitian state, and ``closed`` says
+    the class holds the reversal of its words.  Without ``bracelet``
+    each word is its own class.  Raises ``BudgetExceededError`` as
+    ``word_codes`` does.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    none = np.zeros(codes.shape, dtype=bool)
+    if not bracelet:
+        return codes, none, none
+    top = int(lengths.max(initial=0))
+    powers = _code_powers(nvars, top)
+    base = np.concatenate(([0], np.cumsum(powers[:top])))[lengths]
+    lead = powers[np.maximum(lengths - 1, 0)]
+    # Each step moves the last letter of every word to the front, so
+    # top - 1 steps pass every rotation.  The letters moved, read in
+    # turn for top steps, spell the reversal followed by top - L
+    # letters more, which the last division drops.
+    turn = codes - base  # the base-n value of the letters minus one
+    least, back = turn.copy(), np.zeros_like(turn)
+    for _ in range(top):
+        rest = turn // nvars
+        last = turn - rest * nvars
+        turn = rest + last * lead
+        np.minimum(least, turn, out=least)
+        back *= nvars
+        back += last
+    back //= powers[top - lengths]
+    mirror, turn = back.copy(), back
+    for _ in range(top - 1):
+        rest = turn // nvars
+        turn = rest + (turn - rest * nvars) * lead
+        np.minimum(mirror, turn, out=mirror)
+    return base + np.minimum(least, mirror), mirror < least, mirror == least
 
 
 class MomentFunctional:
@@ -215,50 +303,155 @@ class MomentFunctional:
     def moment(self, word):
         raise NotImplementedError
 
+    def pair_moments(self, lefts, rights, us, vs):
+        """phi(lefts[u] + rights[v]) for each pair (u, v) of the index
+        arrays ``us`` and ``vs``, as a complex array: the batch through
+        which ``pairing_gather`` reads a Hankel block.  Here it is one
+        ``moment`` call per pair, in order."""
+        return np.array([self.moment(lefts[u] + rights[v])
+                         for u, v in zip(us.tolist(), vs.tolist())],
+                        dtype=complex)
+
+    def word_moments(self, words):
+        """phi(w) for each of ``words``, as a complex array; here one
+        ``moment`` call per word, in order."""
+        return np.array([self.moment(w) for w in words], dtype=complex)
+
 
 class MomentTable(MomentFunctional):
     """Explicit moment table; absent words within the order budget are 0.
 
-    ``stderr`` optionally maps words to Monte Carlo standard errors.
-    Entry words are checked when the table is built, so a lookup that
-    hits an entry needs no check; a lookup that misses is checked.
+    The table keeps the sorted codes of its stored words (see
+    ``word_codes``) with their values, and with their standard errors
+    when ``stderr`` maps words to Monte Carlo standard errors.  A table
+    built by ``from_bracelets`` stores one word per bracelet class and
+    is never expanded: a lookup canonicalizes the asked codes by
+    ``canonical_codes`` and conjugates the values of flipped words.  A
+    word-list table stores every word and looks up by the identity.
+    ``pair_moments`` and ``word_moments`` answer a whole batch at once;
+    ``moment`` is a batch of one word.  ``entries`` and ``stderr``, the maps from every
+    word the table holds to its value and standard error, are built
+    when first read; no solver reads them.
     """
 
     def __init__(self, nvars, max_order, entries, tracial=False,
                  norm_upper=None, stderr=None):
         super().__init__(nvars, max_order, tracial, norm_upper)
-        self.entries = {tuple(w): complex(v) for w, v in entries.items()}
-        self.entries.setdefault((), 1.0 + 0j)
-        for word in self.entries:
-            if len(word) > max_order:
-                raise ValueError(
-                    f"entry word of length {len(word)} exceeds max_order "
-                    f"{max_order}")
-            self._check_letters(word)
-        self.stderr = (
-            {tuple(w): float(s) for w, s in stderr.items()} if stderr else None
-        )
+        self._store(entries, stderr, bracelet=False)
 
     @classmethod
     def from_bracelets(cls, nvars, max_order, values, norm_upper=None,
                        stderr=None):
         """Tracial table from one value (and standard error) per bracelet
         class, keyed by representative; only those words are checked.
-        Raises ``BraceletError`` as ``expand_bracelets`` does."""
-        table = cls(nvars, max_order, values, tracial=True,
-                    norm_upper=norm_upper, stderr=stderr)
-        table.entries = expand_bracelets(table.entries)
-        if table.stderr is not None:
-            table.stderr = expand_bracelets(table.stderr)
+        Each rotation of a representative has its value, each reversed
+        rotation the conjugate, and a reversal-closed class the real
+        part.  Raises ``BraceletError`` on a key that is not its class
+        representative, or on a reversal-closed class whose value has an
+        imaginary part over ``HERM_TOL``."""
+        table = cls(nvars, max_order, {}, tracial=True, norm_upper=norm_upper)
+        table._store(values, stderr, bracelet=True)
         return table
 
+    def _store(self, entries, stderr, bracelet):
+        self.bracelet = bracelet
+        entries = {tuple(w): complex(v) for w, v in entries.items()}
+        entries.setdefault((), 1.0 + 0j)
+        self._values = self._sorted(entries, complex)
+        self._errors = self._sorted(stderr, float) if stderr else None
+
+    def _sorted(self, values, kind):
+        words = [tuple(w) for w in values]
+        for word in words:
+            if len(word) > self.max_order:
+                raise ValueError(
+                    f"entry word of length {len(word)} exceeds max_order "
+                    f"{self.max_order}")
+        codes, lengths = word_codes(words, self.nvars)
+        vals = np.array([kind(v) for v in values.values()], dtype=kind)
+        if self.bracelet:
+            keys, _, closed = canonical_codes(codes, lengths, self.nvars)
+            bad = np.flatnonzero((keys != codes)
+                                 | closed & (np.abs(vals.imag) > HERM_TOL))
+            if bad.size:
+                k = bad[0]
+                if keys[k] != codes[k]:
+                    least = code_word(int(keys[k]), self.nvars)
+                    raise BraceletError(
+                        f"word {list(words[k])} is not the representative "
+                        f"{list(least)} of its bracelet class", words[k])
+                raise BraceletError(
+                    f"the class of {list(words[k])} is closed under "
+                    f"reversal, so its value must be real, got "
+                    f"{kind(vals[k])}", words[k])
+            vals[closed] = vals[closed].real
+        order = np.argsort(codes)
+        return codes[order], vals[order]
+
+    def pair_moments(self, lefts, rights, us, vs):
+        left, right = (np.fromiter(map(len, side), dtype=np.int64,
+                                   count=len(side))
+                       for side in (lefts, rights))
+        lengths = left[us] + right[vs]
+        top = int(lengths.max(initial=0))
+        self.check_order(top)
+        # checked before the codes of the pairs are formed
+        powers = _code_powers(self.nvars, top)
+        codes = (word_codes(lefts, self.nvars)[0][us] * powers[right[vs]]
+                 + word_codes(rights, self.nvars)[0][vs])
+        return self._lookup(codes, lengths)
+
+    def _lookup(self, codes, lengths):
+        stored, values = self._values
+        # one canonicalization per distinct word, and a binary search
+        # over sorted keys, which is several times faster
+        codes, first, repeat = np.unique(codes, return_index=True,
+                                         return_inverse=True)
+        keys, flipped, _ = canonical_codes(codes, lengths[first], self.nvars,
+                                           self.bracelet)
+        order = np.argsort(keys)
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(stored, keys[order])
+        np.minimum(at, len(stored) - 1, out=at)
+        found = values[at]
+        np.conjugate(found, out=found, where=flipped)
+        return np.where(stored[at] == keys, found, 0)[repeat]
+
+    def word_moments(self, words):
+        index = np.arange(len(words))
+        return self.pair_moments(words, ((),), index, np.zeros_like(index))
+
     def moment(self, word):
-        word = tuple(word)
-        value = self.entries.get(word)
-        if value is None:
-            self._check_word(word)
-            return 0j
-        return value
+        return complex(self.word_moments((tuple(word),))[0])
+
+    def stored(self):
+        """(values, stderr): maps from the stored words, class
+        representatives for a bracelet table, to their values and
+        standard errors (None without), in graded-lexicographic order."""
+        return (self._words(*self._values),
+                None if self._errors is None else self._words(*self._errors))
+
+    def _words(self, codes, values):
+        return {code_word(c, self.nvars): v
+                for c, v in zip(codes.tolist(), values.tolist())}
+
+    @functools.cached_property
+    def entries(self):
+        """Word -> value of every word the table holds."""
+        return self._expand(self._values)
+
+    @functools.cached_property
+    def stderr(self):
+        """Word -> standard error of every word that has one, or None."""
+        return None if self._errors is None else self._expand(self._errors)
+
+    def _expand(self, store):
+        out = {}
+        for word, value in self._words(*store).items():
+            forward, flipped = _orbit(word, self.bracelet, self.bracelet)
+            out.update(dict.fromkeys(forward, value))
+            out.update(dict.fromkeys(flipped, value.conjugate()))
+        return out
 
 
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block
@@ -469,8 +662,9 @@ def moment_of_poly(phi, p):
         raise ValueError("polynomial/state nvars mismatch")
     phi.check_order(p.degree())
     total = 0j
-    for w, c in p.terms.items():
-        total += complex(c) * phi.moment(w)
+    values = phi.word_moments(list(p.terms)).tolist()
+    for c, m in zip(p.terms.values(), values):
+        total += complex(c) * m
     return total
 
 
@@ -530,10 +724,9 @@ def pairing_gather(phi, left, right, shape):
             needed |= np.outer(np.bincount(u, minlength=len(legs)) > 0,
                                np.bincount(v, minlength=len(legs)) > 0)
     us, vs = np.nonzero(needed)
-    backs = [leg[::-1] for leg in legs]
     hankel = np.zeros(needed.shape, dtype=complex)
-    hankel[us, vs] = [phi.moment(legs[u] + backs[v])
-                      for u, v in zip(us.tolist(), vs.tolist())]
+    hankel[us, vs] = phi.pair_moments(legs, [leg[::-1] for leg in legs],
+                                      us, vs)
 
     rows, cols = shape
     out = np.zeros(rows * cols, dtype=complex)
@@ -625,16 +818,19 @@ def covariance_gram(phi, words):
     S[a, b] = phi((w_b - phi w_b)(w_a - phi w_a)*), so the variance of
     P = sum_b alpha_b w_b is alpha^H S alpha.
     """
-    means = np.array([phi.moment(w) for w in words], dtype=complex)
+    means = phi.word_moments(words)
     return _hankel(phi, words, words).T - np.outer(means.conj(), means)
 
 
 def coordinate_moments(phi):
     """(means, second): the lists phi(x_i) and phi(x_i x_j), i, j = 1..n,
     that the centering and covariance hypotheses of the solvers read."""
-    letters = range(1, phi.nvars + 1)
-    return ([phi.moment((i,)) for i in letters],
-            [[phi.moment((i, j)) for j in letters] for i in letters])
+    n = phi.nvars
+    letters = range(1, n + 1)
+    values = phi.word_moments([(i,) for i in letters]
+                          + [(i, j) for i in letters for j in letters])
+    values = values.tolist()
+    return values[:n], [values[n * i:n * (i + 1)] for i in letters]
 
 
 # ---------------------------------------------------------------------------
@@ -703,14 +899,14 @@ def validate_state(phi, check_order=None, herm_tol=HERM_TOL, psd_tol=1e-8,
         problems.append(f"unit moment is {unit}, expected 1")
 
     words = words_up_to(phi.nvars, check_order, min_len=1)
-    for w in words:
-        lhs = phi.moment(w[::-1])
-        rhs = phi.moment(w).conjugate()
-        if abs(lhs - rhs) > herm_tol:
-            problems.append(
-                f"Hermitian symmetry fails on word {w}: {lhs} vs conj {rhs}"
-            )
-            break
+    # phi(rev w), phi(w) for each w in turn, as one batch
+    pairs = phi.word_moments([v for w in words for v in (w[::-1], w)])
+    pairs = pairs.reshape(-1, 2)
+    bad = np.flatnonzero(abs(pairs[:, 0] - pairs[:, 1].conj()) > herm_tol)
+    if bad.size:
+        lhs, rhs = pairs[bad[0]].tolist()
+        problems.append(f"Hermitian symmetry fails on word {words[bad[0]]}: "
+                        f"{lhs} vs conj {rhs.conjugate()}")
 
     half = min(phi.max_order // 2, check_order)
     family = words_up_to(phi.nvars, half)[:max_family]
@@ -724,17 +920,16 @@ def validate_state(phi, check_order=None, herm_tol=HERM_TOL, psd_tol=1e-8,
         )
 
     if phi.tracial:
-        for w in words:
-            base = phi.moment(w)
-            for r in rotations(w):
-                if abs(phi.moment(r) - base) > herm_tol:
-                    problems.append(
-                        f"cyclic invariance fails on word {w} vs rotation {r}"
-                    )
-                    break
-            else:
-                continue
-            break
+        # w and then its rotations, for each w in turn, as one batch
+        batch = [v for w in words for v in [w, *rotations(w)]]
+        values = phi.word_moments(batch)
+        sizes = np.array([1 + len(w) for w in words])
+        base = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        bad = np.flatnonzero(abs(values - values[base]) > herm_tol)
+        if bad.size:
+            k = bad[0]
+            problems.append(f"cyclic invariance fails on word "
+                            f"{batch[base[k]]} vs rotation {batch[k]}")
 
     return problems
 

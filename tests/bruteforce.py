@@ -25,7 +25,10 @@
   updates are checked;
 * the JSON writer as one recursive append per token, one ``json.dumps``
   per key and string, against which the join-per-container writer is
-  checked byte for byte.
+  checked byte for byte;
+* the word map of a bracelet-class table, expanded class by class
+  from the tuple rule ``bracelet_orbit``, against which the integer
+  canonicalization of class-stored tables is checked.
 """
 
 import functools
@@ -47,7 +50,13 @@ from freestein import (
     tensor_moment,
 )
 from freestein.matrixmodels import sample_gue_spectrum
-from freestein.states import words_up_to
+from freestein.states import (
+    HERM_TOL,
+    BraceletError,
+    bracelet_orbit,
+    bracelet_rep,
+    words_up_to,
+)
 
 
 def set_partitions(m):
@@ -432,3 +441,35 @@ def _scalar(x):
     if x is None:
         return "null"
     raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+# ---------------------------------------------------------------------------
+# bracelet classes by tuples
+
+
+def expand_bracelets(values):
+    """Word map of a representative map: each rotation gets the value,
+    each reversed rotation its conjugate, a reversal-closed class its
+    real part.  Values keep their type, so real standard errors expand
+    by the same rule.  Raises ``BraceletError`` on a key that is not its
+    class representative, or on a reversal-closed class whose value has
+    an imaginary part over ``HERM_TOL``."""
+    out = {}
+    for rep, value in values.items():
+        least = bracelet_rep(rep)[0]
+        if least != rep:
+            raise BraceletError(f"word {list(rep)} is not the representative "
+                                f"{list(least)} of its bracelet class", rep)
+        rots, flipped = bracelet_orbit(rep)
+        if not flipped:
+            if abs(value.imag) > HERM_TOL:
+                raise BraceletError(
+                    f"the class of {list(rep)} is closed under reversal, so "
+                    f"its value must be real, got {value}", rep)
+            value = type(value)(value.real)
+        for w in rots:
+            out[w] = value
+        conj = value.conjugate()
+        for w in flipped:
+            out[w] = conj
+    return out

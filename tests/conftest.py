@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from freestein import (
     ComplexRational,
@@ -20,6 +21,12 @@ from freestein import (
     TensorPoly,
     moment_table_from_matrices,
 )
+
+# Property tests run without a per-example deadline (first examples pay
+# one-time set-up, such as filling moment memos) and keep no example
+# database between runs; each test sets only its own ``max_examples``.
+settings.register_profile("freestein", deadline=None, database=None)
+settings.load_profile("freestein")
 
 
 def rand_word(rng, nvars, max_len, min_len=0):

@@ -22,12 +22,12 @@ from freestein.states import (
     bracelet_orbit,
     bracelet_rep,
     bracelets_up_to,
-    expand_bracelets,
     rotations,
     words_up_to,
 )
 
 import bruteforce
+from bruteforce import expand_bracelets
 from conftest import rand_hermitian
 
 
@@ -105,7 +105,7 @@ tuples = st.tuples(
 )
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(tuples)
 def test_matrix_tables_by_class(params):
     n, order, size, seed = params
@@ -122,7 +122,7 @@ def test_matrix_tables_by_class(params):
         assert _close(table.entries[w], want[w])
 
 
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(tuples, st.integers(2, 3))
 def test_mc_tables_by_class(params, samples):
     n, order, size, seed = params

@@ -221,7 +221,7 @@ def integer_trace_states(draw):
     return [_traceless_hermitian(draw, size) for _ in range(nvars)], degree
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(integer_trace_states())
 def test_relations_match_exact_rank(case):
     mats, degree = case

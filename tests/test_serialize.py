@@ -130,7 +130,7 @@ _JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(_JSON_VALUES, st.sampled_from((0, 1, 2, 4)))
 def test_dumps_matches_the_token_writer(obj, indent):
     assert serialize.dumps(obj, indent) == bruteforce.reference_dumps(obj, indent)

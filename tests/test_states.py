@@ -113,7 +113,7 @@ def symmetry_specs(draw, cyclic, hermitian):
 @pytest.mark.parametrize("cyclic, hermitian",
                          [(True, True), (True, False), (False, True),
                           (False, False)])
-@settings(max_examples=20, deadline=None, database=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_class_moments_match_oracle(cyclic, hermitian, data):
     # each class is filled from whichever member is asked first
