@@ -24,9 +24,9 @@ when it is the only coordinate.
 Trace states are tracial and, the coordinates being Hermitian,
 Hermitian symmetric: tr(rotation of w) = tr(w) and tr(rev w) =
 conj tr(w).  So one trace is taken per bracelet class (the words
-reachable by rotation and reversal, see ``states.bracelet_rep``), on
-the class representative, and the table gives each rotation that value
-and each reversed rotation its conjugate.  A class closed under
+reachable by rotation and reversal, see ``states.bracelet_classes``),
+on the class representative, and the table gives each rotation that
+value and each reversed rotation its conjugate.  A class closed under
 reversal has a Hermitian product, so its value is taken real.  Every
 table is therefore exactly tracial and Hermitian symmetric.
 
@@ -76,7 +76,7 @@ import numpy as np
 
 from .algebra import NcPoly
 from .errors import BudgetExceededError, ParseError
-from .states import MomentTable, bracelet_orbit, bracelets_up_to, words_up_to
+from .states import MomentTable, bracelet_classes, words_up_to
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def _trace_plan(nvars, max_order, diagonal):
     """The ``_TracePlan`` of the nonempty bracelet classes up to
     ``max_order`` over ``nvars`` letters, letter 1 diagonal when
     ``diagonal``."""
-    reps = bracelets_up_to(nvars, max_order, min_len=1)
+    reps, closed = bracelet_classes(nvars, max_order)
     builds = []
     built = set()
     for w in words_up_to(nvars, (max_order + 1) // 2, min_len=1):
@@ -266,8 +266,8 @@ def _trace_plan(nvars, max_order, diagonal):
         idx, ps, qs = (np.array(x) for x in zip(*jobs))
         distinct, col = np.unique(ps, return_inverse=True)
         scaled[key] = (idx, distinct, col, qs)
-    return _TracePlan(reps, _reversal_closed(reps), diagonal, max_order,
-                      builds, singles, scaled)
+    return _TracePlan(reps, closed, diagonal, max_order, builds, singles,
+                      scaled)
 
 
 def _class_traces(coords, plan, squares=None):
@@ -356,14 +356,10 @@ def _norm_below(square, bound):
     return True
 
 
-def _reversal_closed(reps):
-    return np.array([not bracelet_orbit(w)[1] for w in reps], dtype=bool)
-
-
 # caps on a trace table, checked before any matrix is built: the letters
-# of all its words (enumerated to find the class representatives; the
-# length weighs in because every rotation of a word is formed), and the
-# bytes of the half-length products kept per sample
+# of all its words (the code of every word is canonicalized to find the
+# class representatives), and the bytes of the half-length products
+# kept per sample
 MAX_TABLE_LETTERS = 1 << 20
 MAX_PRODUCT_BYTES = 1 << 30
 

@@ -56,14 +56,32 @@ PINV_TOL = 5e-14
 PSD_TOL = 1e-8
 WITNESS_TOL = 1e-8
 
+# cap on the bytes of one m x m complex form over the m words of a
+# ``TruncatedForms``; the Gram, its factor and inverse and the
+# covariance each take that much (1,092 words at n = 3, d = 6 take 19 MB)
+MAX_FORM_BYTES = 1 << 27
+
+
+def _word_count(nvars, degree):
+    """The number of nonconstant words of degree <= ``degree``."""
+    return sum(nvars ** k for k in range(1, degree + 1))
+
 
 class TruncatedForms:
     """E over the nonconstant words of degree <= ``degree``, factored as
     L (``factor``) with every s_k in ``schur``, the non-relation pivots
-    in ``kept`` and T^-1 (``inverse``, by forward substitution)."""
+    in ``kept`` and T^-1 (``inverse``, by forward substitution).  Forms
+    over more than ``MAX_FORM_BYTES`` bytes raise ``BudgetExceededError``
+    before any word is enumerated."""
 
     def __init__(self, phi, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
         self.nvars, self.degree = phi.nvars, degree
+        size = 16 * _word_count(phi.nvars, degree) ** 2
+        if size > MAX_FORM_BYTES:
+            raise BudgetExceededError(
+                f"forms over the words of degree <= {degree} in "
+                f"{phi.nvars} variables take {size} bytes each, over "
+                f"{MAX_FORM_BYTES}", needed=size, available=MAX_FORM_BYTES)
         self.words = words_up_to(phi.nvars, degree, min_len=1)
         gram = _require_hermitian(dirichlet_gram(phi, self.words),
                                   "Dirichlet form")
@@ -108,7 +126,7 @@ class TruncatedForms:
 
     def block(self, degree):
         """(m, kept, T_d^-1) of the m nonconstant words of degree <= d."""
-        m = sum(self.nvars ** k for k in range(1, degree + 1))
+        m = _word_count(self.nvars, degree)
         kept = self.kept[self.kept < m]
         return m, kept, self.inverse[:len(kept), :len(kept)]
 

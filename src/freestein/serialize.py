@@ -3,19 +3,18 @@
 Polynomial coefficients travel as exact rationals (re_num/re_den + i
 im_num/im_den, denominators nonzero); moment and cumulant values as
 re/im doubles.  Words are 1-based index arrays, the empty array is the
-unit.  A table stored by bracelet class is written one entry per
-class, from its classes, and so is a tracial word-list table whose
-classes agree exactly (see ``table_to_obj``); a class file is read into
-a class-stored table, never expanded to words.  ``dumps``
-renders floats with 17 significant digits and keeps dictionary
-insertion order, so identical inputs produce byte-identical files; it
-builds each container with one ``join`` and escapes keys and strings
-with the C escaper behind ``json.dumps``, keeping no cache.  The
-readers check every field they take and raise ``ParseError`` naming
-it; the entries of moment tables and cumulant files, which can number
-thousands, are tested inline, and a field path such as
-``state.entries[17].re`` is only formatted for an entry that fails.  A
-word may appear only once among a file's entries.
+unit.  A table is written in the form it is stored: one entry per
+bracelet class for a class-stored table, one per word for a word-list
+table (see ``table_to_obj``); a class file is read into a class-stored
+table, never expanded to words.  ``dumps`` renders floats with 17
+significant digits and keeps dictionary insertion order, so identical
+inputs produce byte-identical files; it builds each container with one
+``join`` and escapes keys and strings with the C escaper behind
+``json.dumps``, keeping no cache.  The readers check every field they
+take and raise ``ParseError`` naming it; the entries of moment tables
+and cumulant files, which can number thousands, are tested inline, and a
+field path such as ``state.entries[17].re`` is only formatted for an
+entry that fails.  A word may appear only once among a file's entries.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from fractions import Fraction
 from .algebra import ComplexRational, NcPoly, pair_key, word_key
 from .errors import ParseError
 from .matrixmodels import EnsembleConfig, GueGenerator, PolyOfGueGenerator
-from .states import BraceletError, CumulantSpec, MomentTable, bracelet_rep
+from .states import BraceletError, CumulantSpec, MomentTable
 
 
 # ---------------------------------------------------------------------------
@@ -270,47 +269,16 @@ def kernel_to_obj(a):
 BRACELET = "bracelet"
 
 
-def _bracelet_values(table):
-    """Representative -> value of a tracial word-list ``table`` whose
-    entries and standard errors are exactly what their representatives
-    expand to; None for any other word-list table."""
-    if not table.tracial:
-        return None
-    words = {w: v for w, v in table.entries.items() if w}
-    values = {}
-    for w in words:
-        rep = bracelet_rep(w)[0]
-        if rep not in words:
-            return None
-        values[rep] = words[rep]
-    stderr = table.stderr
-    try:
-        classes = MomentTable.from_bracelets(
-            table.nvars, table.max_order, values, stderr=stderr and {
-                w: stderr[w] for w in values if w in stderr})
-    except BraceletError:  # a reversal-closed class with a complex value
-        return None
-    if ({w: v for w, v in classes.entries.items() if w} != words
-            or classes.stderr != stderr):
-        return None
-    return values
-
-
 def table_to_obj(table):
-    """Moment table object.  A table stored by bracelet class is written
-    from its classes, one entry per class representative, under
-    ``"classes": "bracelet"``; so is a tracial word-list table whose
-    classes agree exactly.  Any other table lists every word."""
-    if table.bracelet:
-        values, stderr = table.stored()
-    else:
-        values, stderr = _bracelet_values(table), table.stderr
-    source = table.entries if values is None else values
+    """Moment table object, in the form the table is stored: a table
+    stored by bracelet class lists one entry per class representative
+    under ``"classes": "bracelet"``, any other table one entry per
+    word."""
+    values, stderr = table.stored()
     entries = []
-    for w in sorted(source, key=word_key):
+    for w, v in values.items():
         if not w:
             continue
-        v = source[w]
         entry = {"word": list(w), "re": float(v.real), "im": float(v.imag)}
         if stderr is not None and w in stderr:
             entry["stderr"] = stderr[w]
@@ -320,7 +288,7 @@ def table_to_obj(table):
         "max_order": table.max_order,
         "tracial": bool(table.tracial),
     }
-    if values is not None:
+    if table.bracelet:
         obj["classes"] = BRACELET
     obj["entries"] = entries
     if table.norm_upper is not None:

@@ -9,7 +9,9 @@ backends live here:
   per bracelet class (the words reachable by rotation and reversal), and
   ``MomentTable.from_bracelets`` stores just that: a lookup maps each
   asked code to its class code by ``canonical_codes``, integer
-  arithmetic on the asked codes alone, and is never expanded to words;
+  arithmetic on the asked codes alone, and is never expanded to words.
+  That is the one class rule of tables: ``bracelet_classes`` runs it
+  over every code to enumerate the classes a trace table stores;
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
   cumulants by the moment-cumulant formula
   ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
@@ -96,17 +98,6 @@ def rotations(word):
 # default tolerance of the Hermitian and cyclic checks of ``validate_state``
 HERM_TOL = 1e-8
 
-# A tracial state with Hermitian symmetry has phi(rotation of w) = phi(w)
-# and phi(rev w) = conj phi(w), so it is fixed by one value per bracelet
-# class: the words reachable from w by rotation and reversal.
-
-
-def bracelet_orbit(rep):
-    """(rotations, reversed rotations) of the class of ``rep``.  The
-    second list is empty when the class is closed under reversal, whose
-    value is then real; a periodic word lists its rotations repeatedly."""
-    return _orbit(rep, True, True)
-
 
 def _orbit(word, cyclic, hermitian):
     """(forward, reversed) words of the class of ``word`` under rotation
@@ -123,29 +114,12 @@ def _orbit(word, cyclic, hermitian):
     return forward, []
 
 
-def bracelet_rep(word):
-    """(representative, reversed) of the bracelet class of ``word``.
-
-    The representative is the least rotation of ``word`` or of its
-    reversal; ``reversed`` says it came from the reversal, so that
-    phi(word) = conj phi(representative) in a tracial Hermitian state.
-    """
-    return _least(*bracelet_orbit(tuple(word)))
-
-
 def _least(rots, flipped):
     forward = min(rots)
     backward = min(flipped, default=forward)
     if backward < forward:
         return backward, True
     return forward, False
-
-
-def bracelets_up_to(nvars, max_len, min_len=0):
-    """Representatives of the bracelet classes of ``words_up_to``, in
-    graded-lexicographic order."""
-    return [w for w in words_up_to(nvars, max_len, min_len)
-            if bracelet_rep(w) == (w, False)]
 
 
 class BraceletError(ValueError):
@@ -225,13 +199,15 @@ def canonical_codes(codes, lengths, nvars, bracelet=True):
     """(class codes, flipped, closed) of the words with these codes and
     lengths, by integer arithmetic on the queries alone.
 
-    With ``bracelet`` the class code is the code of ``bracelet_rep``'s
-    representative, the least rotation of the word or of its reversal;
-    ``flipped`` says it came from the reversal only, so phi(word) =
-    conj phi(class) in a tracial Hermitian state, and ``closed`` says
-    the class holds the reversal of its words.  Without ``bracelet``
-    each word is its own class.  Raises ``BudgetExceededError`` as
-    ``word_codes`` does.
+    A tracial state with Hermitian symmetry has phi(rotation of w) =
+    phi(w) and phi(rev w) = conj phi(w), so it is fixed by one value per
+    bracelet class, the words reachable from w by rotation and reversal.
+    With ``bracelet`` the class code is the code of its representative,
+    the least rotation of the word or of its reversal; ``flipped`` says
+    it came from the reversal only, so phi(word) = conj phi(class) in
+    such a state, and ``closed`` says the class holds the reversal of
+    its words.  Without ``bracelet`` each word is its own class.  Raises
+    ``BudgetExceededError`` as ``word_codes`` does.
     """
     codes = np.asarray(codes, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -262,6 +238,21 @@ def canonical_codes(codes, lengths, nvars, bracelet=True):
         turn = rest + (turn - rest * nvars) * lead
         np.minimum(mirror, turn, out=mirror)
     return base + np.minimum(least, mirror), mirror < least, mirror == least
+
+
+def bracelet_classes(nvars, max_order):
+    """(representatives, closed) of the nonempty bracelet classes of the
+    words of length <= ``max_order``: the representatives in
+    graded-lexicographic order, and a boolean mask of the classes closed
+    under reversal.  The codes 1..code(n...n) number exactly those
+    words, so this is ``canonical_codes`` over that range, whose size
+    the caller bounds."""
+    counts = _code_powers(nvars, max_order)[1:]
+    codes = np.arange(1, _largest_code(nvars, max_order) + 1, dtype=np.int64)
+    keys, _, closed = canonical_codes(
+        codes, np.repeat(np.arange(1, max_order + 1), counts), nvars)
+    mine = keys == codes
+    return [code_word(c, nvars) for c in codes[mine].tolist()], closed[mine]
 
 
 class MomentFunctional:
@@ -877,22 +868,24 @@ def operator_norm_estimate(phi, i, order):
 # validation
 
 
-def validate_state(phi, check_order=None, herm_tol=HERM_TOL, psd_tol=1e-8,
-                   max_family=64):
+# caps on the word length of ``validate_state``'s checks and on its
+# positivity family; both keep validation cheap relative to the
+# computations it guards
+CHECK_ORDER = 4
+MAX_FAMILY = 64
+
+
+def validate_state(phi, herm_tol=HERM_TOL, psd_tol=1e-8):
     """Return a list of violated invariant descriptions (empty if valid).
 
-    Checks the unit moment, Hermitian symmetry phi(rev w) = conj phi(w),
-    positivity of the Gram phi(w_i rev(w_j)) over a graded-lex prefix of
-    the words of length at most max_order // 2, and cyclic invariance
-    when the state claims to be tracial.  ``check_order`` caps the
-    enumeration order (default min(max_order, 4)) and ``max_family``
-    the positivity family size; both keep validation cheap relative to
-    the computations it guards.
+    Checks the unit moment, Hermitian symmetry phi(rev w) = conj phi(w)
+    and, when the state claims to be tracial, cyclic invariance on the
+    words of length at most ``CHECK_ORDER``, and positivity of the Gram
+    phi(w_i rev(w_j)) over the first ``MAX_FAMILY`` words, in graded-lex
+    order, of length at most max_order // 2 and ``CHECK_ORDER``.
     """
     problems = []
-    if check_order is None:
-        check_order = min(phi.max_order, 4)
-    check_order = min(check_order, phi.max_order)
+    check_order = min(phi.max_order, CHECK_ORDER)
 
     unit = phi.moment(())
     if abs(unit - 1.0) > herm_tol:
@@ -909,7 +902,7 @@ def validate_state(phi, check_order=None, herm_tol=HERM_TOL, psd_tol=1e-8,
                         f"{lhs} vs conj {rhs.conjugate()}")
 
     half = min(phi.max_order // 2, check_order)
-    family = words_up_to(phi.nvars, half)[:max_family]
+    family = words_up_to(phi.nvars, half)[:MAX_FAMILY]
     gram = _hankel(phi, family, family)
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)

@@ -175,48 +175,35 @@ def _is_centered(means, tol=1e-9):
     return all(abs(m) <= tol for m in means)
 
 
-def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
-    """Distance squared from the explicit kernel to the identity block.
-
-    ``method``: "generic" always uses the matrix pairing; "closed"
-    demands the quadratic potential and a centered state; "auto" runs
-    both when the fast path applies and raises ConsistencyError if the
-    two evaluations drift apart.
+def explicit_kernel_distance_sq(prob):
+    """Distance squared from the explicit kernel to the identity block,
+    through the matrix pairing.  For the quadratic potential on a
+    centered state the closed-form expansion is evaluated too, and a
+    drift between the two beyond ``AGREE_TOL`` raises ConsistencyError.
     """
     phi, n = prob.phi, prob.n
-    quadratic = prob.v == quadratic_potential(n)
-    centered = quadratic and _is_centered(coordinate_moments(phi)[0])
-
-    if method not in ("auto", "closed", "generic"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not (quadratic and centered):
-        raise InadmissibleProblemError(
-            "closed-form distance needs the quadratic potential and a "
-            "centered state")
-
     closed = None
-    if quadratic and centered and method in ("auto", "closed"):
+    if (prob.v == quadratic_potential(n)
+            and _is_centered(coordinate_moments(phi)[0])):
         closed = _closed_form_distance_sq(phi, n)
 
-    generic = None
-    if method in ("auto", "generic"):
-        diff = prob.kernel_defect
-        generic_c = inner_matrix(phi, diff, diff)
-        if abs(generic_c.imag) > 1e-8 * max(1.0, abs(generic_c.real)):
-            raise InvalidStateError(
-                f"distance pairing is not real: {generic_c} (invalid state)")
-        generic = generic_c.real
-
-    if (closed is not None and generic is not None
-            and abs(closed - generic) > agree_tol * max(1.0, abs(generic))):
+    diff = prob.kernel_defect
+    generic_c = inner_matrix(phi, diff, diff)
+    if abs(generic_c.imag) > 1e-8 * max(1.0, abs(generic_c.real)):
+        raise InvalidStateError(
+            f"distance pairing is not real: {generic_c} (invalid state)")
+    generic = generic_c.real
+    if (closed is not None
+            and abs(closed - generic) > AGREE_TOL * max(1.0, abs(generic))):
         raise ConsistencyError(
             f"closed-form distance {closed!r} and pairing distance "
-            f"{generic!r} disagree beyond {agree_tol:.1e}")
+            f"{generic!r} disagree beyond {AGREE_TOL:.1e}")
 
     phi.check_order(4)
-    m4 = max(phi.moment((i, i, i, i)).real for i in range(1, n + 1))
+    m4 = max(m.real for m in
+             phi.word_moments([(i,) * 4 for i in range(1, n + 1)]).tolist())
     return ExplicitKernelDistance(
-        distance_sq=generic if generic is not None else closed,
+        distance_sq=generic,
         closed_form_sq=closed,
         m4=m4,
         m4_bound_sq=(n * n + n * n * m4 - n) / 2.0,
@@ -227,12 +214,13 @@ def explicit_kernel_distance_sq(prob, method="auto", agree_tol=AGREE_TOL):
 def _closed_form_distance_sq(phi, n):
     phi.check_order(4)
     z = coordinate_moments(phi)[1]
+    t = phi.word_moments([(i, j, j, i) for i in range(1, n + 1)
+                          for j in range(1, n + 1)]).tolist()
     total = 0j
     for i in range(n):
         for j in range(n):
-            t_ijji = phi.moment((i + 1, j + 1, j + 1, i + 1))
-            total += (2 * t_ijji + 2 * z[i][j] * z[i][j] + 2 * z[j][i] * z[j][i]
-                      + 2 * (z[i][i] * z[j][j]))
+            total += (2 * t[i * n + j] + 2 * z[i][j] * z[i][j]
+                      + 2 * z[j][i] * z[j][i] + 2 * (z[i][i] * z[j][j]))
     value = total / 4.0 - 2.0 * sum(z[i][i] for i in range(n)) + n
     return value.real
 

@@ -26,9 +26,11 @@
 * the JSON writer as one recursive append per token, one ``json.dumps``
   per key and string, against which the join-per-container writer is
   checked byte for byte;
-* the word map of a bracelet-class table, expanded class by class
-  from the tuple rule ``bracelet_orbit``, against which the integer
-  canonicalization of class-stored tables is checked.
+* the bracelet class rule on word tuples (``bracelet_orbit``,
+  ``bracelet_rep``, ``bracelets_up_to``) and the word map of a
+  bracelet-class table expanded class by class by that rule, against
+  which the integer canonicalization of ``states.canonical_codes`` and
+  ``states.bracelet_classes`` and the class-stored tables are checked.
 """
 
 import functools
@@ -50,13 +52,7 @@ from freestein import (
     tensor_moment,
 )
 from freestein.matrixmodels import sample_gue_spectrum
-from freestein.states import (
-    HERM_TOL,
-    BraceletError,
-    bracelet_orbit,
-    bracelet_rep,
-    words_up_to,
-)
+from freestein.states import HERM_TOL, BraceletError, rotations, words_up_to
 
 
 def set_partitions(m):
@@ -445,6 +441,36 @@ def _scalar(x):
 
 # ---------------------------------------------------------------------------
 # bracelet classes by tuples
+
+
+def bracelet_orbit(rep):
+    """(rotations, reversed rotations) of the class of ``rep``.  The
+    second list is empty when the class is closed under reversal, whose
+    value is then real; a periodic word lists its rotations repeatedly."""
+    rots = rotations(rep) or [rep]
+    back = rep[::-1]
+    # the rotation classes of a word and of its reversal are equal or
+    # disjoint
+    return rots, [] if back in rots else rotations(back)
+
+
+def bracelet_rep(word):
+    """(representative, reversed) of the bracelet class of ``word``: the
+    least rotation of ``word`` or of its reversal, and whether it came
+    from the reversal only, so that phi(word) = conj phi(representative)
+    in a tracial Hermitian state."""
+    rots, flipped = bracelet_orbit(tuple(word))
+    forward, backward = min(rots), min(flipped, default=None)
+    if backward is not None and backward < forward:
+        return backward, True
+    return forward, False
+
+
+def bracelets_up_to(nvars, max_len, min_len=0):
+    """Representatives of the bracelet classes of ``words_up_to``, in
+    graded-lexicographic order."""
+    return [w for w in words_up_to(nvars, max_len, min_len)
+            if bracelet_rep(w) == (w, False)]
 
 
 def expand_bracelets(values):

@@ -19,15 +19,18 @@ from freestein import (
 )
 from freestein.states import (
     BraceletError,
-    bracelet_orbit,
-    bracelet_rep,
-    bracelets_up_to,
+    bracelet_classes,
     rotations,
     words_up_to,
 )
 
 import bruteforce
-from bruteforce import expand_bracelets
+from bruteforce import (
+    bracelet_orbit,
+    bracelet_rep,
+    bracelets_up_to,
+    expand_bracelets,
+)
 from conftest import rand_hermitian
 
 
@@ -62,9 +65,14 @@ def test_expand_bracelets_conjugates_and_realifies():
 
 
 def test_class_counts():
-    assert len(bracelets_up_to(2, 12, min_len=1)) == 558
-    assert len(bracelets_up_to(3, 8, min_len=1)) == 867
-    assert len(bracelets_up_to(2, 6, min_len=1)) == 36
+    for n, order, count in ((2, 12, 558), (3, 8, 867), (2, 6, 36),
+                            (1, 9, 9)):
+        reps = bracelets_up_to(n, order, min_len=1)
+        assert len(reps) == count
+        # the integer rule gives the same classes and reversal flags
+        got, closed = bracelet_classes(n, order)
+        assert got == reps
+        assert closed.tolist() == [not bracelet_orbit(w)[1] for w in reps]
     # the classes partition the words
     for n, order in ((2, 7), (3, 5)):
         reps = bracelets_up_to(n, order, min_len=1)
@@ -139,22 +147,33 @@ def test_mc_tables_by_class(params, samples):
         assert _close(table.stderr[w], stderr[w])
 
 
-def test_disagreeing_tracial_table_is_written_by_word():
+def test_word_list_tables_are_written_by_word():
     entries = {(1,): 0.0, (1, 2): 0.5, (2, 1): 0.25, (1, 1): 1.0}
     table = MomentTable(2, 2, entries, tracial=True)
     obj = serialize.table_to_obj(table)
     assert "classes" not in obj
     assert [e["word"] for e in obj["entries"]] == [[1], [1, 1], [1, 2], [2, 1]]
-    # a class with a missing member is not written by class either
-    partial = MomentTable(2, 2, {(1, 2): 0.5}, tracial=True)
-    assert "classes" not in serialize.table_to_obj(partial)
-    # nor one whose standard errors differ within a class
-    noisy = MomentTable(2, 2, {(1, 2): 0.5, (2, 1): 0.5}, tracial=True,
-                        stderr={(1, 2): 0.1, (2, 1): 0.2})
-    assert "classes" not in serialize.table_to_obj(noisy)
-    # nor any non-tracial table
-    plain = MomentTable(1, 2, {(1, 1): 1.0})
-    assert "classes" not in serialize.table_to_obj(plain)
+    # so is a tracial table whose classes agree exactly, and it loads to
+    # the same values and standard errors
+    agreeing = MomentTable(2, 3, {(1, 2): 0.5, (2, 1): 0.5, (1, 1): 1.0,
+                                  (1, 1, 2): 0.25, (1, 2, 1): 0.25,
+                                  (2, 1, 1): 0.25},
+                           tracial=True, stderr={(1, 2): 0.1, (2, 1): 0.1})
+    obj = serialize.table_to_obj(agreeing)
+    assert "classes" not in obj
+    assert [e["word"] for e in obj["entries"]] == [
+        [1, 1], [1, 2], [2, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1]]
+    back = serialize.table_from_obj(json.loads(serialize.dumps(obj)))
+    assert not back.bracelet and back.tracial
+    assert back.entries == agreeing.entries
+    assert back.stderr == agreeing.stderr
+    # as are one with a missing class member, one whose standard errors
+    # differ within a class and a non-tracial one
+    for table in (MomentTable(2, 2, {(1, 2): 0.5}, tracial=True),
+                  MomentTable(2, 2, {(1, 2): 0.5, (2, 1): 0.5}, tracial=True,
+                              stderr={(1, 2): 0.1, (2, 1): 0.2}),
+                  MomentTable(1, 2, {(1, 1): 1.0})):
+        assert "classes" not in serialize.table_to_obj(table)
 
 
 def test_closed_classes_are_traced_real_at_any_scale(np_rng):

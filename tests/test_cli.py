@@ -239,6 +239,28 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "budget_exceeded"
 
 
+def test_oversized_solver_basis_exits_before_any_gram(tmp_path, capsys,
+                                                      monkeypatch):
+    from freestein import MomentTable, poincare
+
+    def refuse(*args):
+        raise AssertionError("a Dirichlet Gram was built")
+
+    monkeypatch.setattr(poincare, "dirichlet_gram", refuse)
+    # the zero state passes validation; at degree 14 its forms would span
+    # 32,766 words, 17 GB for the Gram alone
+    path = write(tmp_path, "zero.json", {"nvars": 2, "max_order": 40,
+                                         "tracial": True, "entries": []})
+    for command in ("poincare", "stein"):
+        code, out, err = run(capsys, command, "--state", path,
+                             "--degree", "14")
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["code"] == "budget_exceeded"
+    # the 1,092 words of n = 3, d = 6 are within the budget
+    with pytest.raises(AssertionError, match="Gram was built"):
+        poincare.TruncatedForms(MomentTable(3, 12, {}, tracial=True), 6)
+
+
 def test_clt_builtin_degree_beyond_order_cap(capsys):
     code, out, err = run(capsys, "clt", "--degree", "8")
     assert code == 4

@@ -35,9 +35,10 @@ from freestein import (
     validate_state,
 )
 from freestein.partitions import catalan
-from freestein.states import bracelets_up_to, words_up_to
+from freestein.states import words_up_to
 
 import bruteforce
+from bruteforce import bracelets_up_to
 from conftest import (
     rand_cumulant_spec,
     rand_cumulant_state,

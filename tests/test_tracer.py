@@ -73,7 +73,7 @@ def test_tracer_counts_one_moment_eval_per_class(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert tracer.counts["states.moment_evals"] == \
-        len(states.bracelets_up_to(2, 8, min_len=1)) == 84
+        len(bruteforce.bracelets_up_to(2, 8, min_len=1)) == 84
 
 
 def test_tracer_records_dirichlet_grams(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Integer word codes and the class-stored moment table: the vectorized
-canonicalizer against the tuple rule ``bracelet_rep`` on every short
-word, the int64 boundary, batch lookups against scalar ones, and the
+canonicalizer and the class enumeration ``bracelet_classes`` against the
+oracle's tuple rule ``bracelet_rep`` on every short word, the int64
+boundary, batch lookups against scalar ones, and the
 solver and writer paths running without the word maps."""
 
 import json
@@ -14,8 +15,7 @@ from freestein import BudgetExceededError, MomentTable, serialize
 from freestein import states
 from freestein.cli import main
 from freestein.states import (
-    bracelet_orbit,
-    bracelet_rep,
+    bracelet_classes,
     canonical_codes,
     code_word,
     rotations,
@@ -24,6 +24,7 @@ from freestein.states import (
 )
 
 import bruteforce
+from bruteforce import bracelet_orbit, bracelet_rep
 from conftest import rand_hermitian, trace_state
 
 
@@ -50,6 +51,10 @@ def test_canonicalizer_matches_bracelet_rep_on_every_word(n, order):
                                   closed.tolist()):
         assert (code_word(key, n), flip) == bracelet_rep(w), w
         assert shut == (not bracelet_orbit(w)[1]), w
+    # the classes, enumerated by code, are the oracle's
+    reps, closed = bracelet_classes(n, order)
+    assert reps == bruteforce.bracelets_up_to(n, order, min_len=1)
+    assert closed.tolist() == [not bracelet_orbit(w)[1] for w in reps]
     # a word-list table is its own class
     keys, flipped, closed = canonical_codes(codes, lengths, n, bracelet=False)
     assert keys.tolist() == codes.tolist()
@@ -102,7 +107,7 @@ def _tables(n, order, seed):
     mats = [rand_hermitian(rng, 3) for _ in range(n)]
     full = bruteforce.einsum_word_traces(mats, 3, order,
                                          words_up_to(n, order, min_len=1))
-    reps = [w for w in states.bracelets_up_to(n, order, min_len=1)
+    reps = [w for w in bruteforce.bracelets_up_to(n, order, min_len=1)
             if rng.random() < 0.7]
     classes = {w: full[w] for w in reps}
     words = {w: complex(*rng.normal(size=2)) for w in full
@@ -178,10 +183,19 @@ def test_solvers_and_writers_read_no_word_map(tmp_path, capsys, monkeypatch,
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
 
+    # a tracial word-list table whose classes agree is written by word
+    def word_list():
+        return MomentTable(2, 3, {w: table.moment(w)
+                                  for w in words_up_to(2, 3, min_len=1)},
+                           tracial=True)
+    written = serialize.dumps(serialize.table_to_obj(word_list()))
+
     def refuse(*args):
-        raise AssertionError("a class-stored table was expanded to words")
+        raise AssertionError("a table was expanded to words")
 
     monkeypatch.setattr(states.MomentTable, "_expand", refuse)
     for argv, want in zip(runs, outputs):
         assert main(argv) == 0
         assert capsys.readouterr().out == want
+    assert serialize.dumps(serialize.table_to_obj(word_list())) == written
+    assert '"classes"' not in written
