@@ -115,6 +115,7 @@ def _build_parser():
     p_stein.add_argument("--potential", default="quadratic",
                          help="polynomial JSON path or 'quadratic'")
     p_stein.add_argument("--degree", type=int, default=3)
+    p_stein.add_argument("--tol-centering", type=float, default=CENTERING_TOL)
     _tol_flags(p_stein)
     _common_out(p_stein)
     p_stein.set_defaults(func=cmd_stein)
@@ -162,7 +163,6 @@ def _state_flags(p):
 
 
 def _tol_flags(p):
-    p.add_argument("--tol-centering", type=float, default=CENTERING_TOL)
     p.add_argument("--tol-psd", type=float, default=PSD_TOL)
     p.add_argument("--tol-pinv", type=float, default=PINV_TOL)
 

@@ -8,18 +8,20 @@ fresh GUE matrices.  Word moments are averaged normalized traces over
 from the master seed, so results are identical no matter how sampling
 is scheduled.
 
-A GUE coordinate 1 is drawn in its own eigenbasis.  Every generator is
+Coordinate 1 is always held in its own eigenbasis.  Every generator is
 unitarily invariant and the coordinates are independent, so with
 X_1 = U diag(lambda) U^H, the tuple (U^H X_i U)_{i >= 2} has the law of
 (X_i)_{i >= 2} and is independent of lambda: replacing X_1 by
 D = diag(lambda) leaves the joint law of every word trace unchanged.
-lambda comes from the beta = 2 Hermite tridiagonal model of Dumitriu
-and Edelman (``sample_gue_spectrum``), with one real eigensolve and no
-dense complex draw, so such a seed gives a different realization, of
-the same law, than a dense draw of every coordinate would.  A
-polynomial coordinate 1 stays dense: its eigenvalues would cost a dense
-complex eigensolve per draw, more than the GEMMs the diagonal saves
-when it is the only coordinate.
+A GUE coordinate 1 takes lambda from the beta = 2 Hermite tridiagonal
+model of Dumitriu and Edelman (``sample_gue_spectrum``), with one real
+eigensolve and no dense complex draw; a polynomial coordinate 1 is
+drawn densely and keeps only the eigenvalues of its Hermitian part.
+So a seed gives a different realization, of the same law, than a dense
+draw of every coordinate would.  ``moment_table_from_matrices`` uses
+the identity exactly rather than in law, since a trace does not change
+under unitary conjugation: it eigendecomposes its first matrix once and
+conjugates the others by the eigenvectors.
 
 Trace states are tracial and, the coordinates being Hermitian,
 Hermitian symmetric: tr(rotation of w) = tr(w) and tr(rev w) =
@@ -40,12 +42,11 @@ diagonal, a product 1^j u 1^k is the core P_u scaled along its rows and
 columns: only cores beginning and ending with other letters are built
 as matrices (at order 8 over two coordinates, 6 GEMMs per draw instead
 of 19), pure powers of D stay vectors, and a trace with a diagonal side
-is a weighted diagonal sum.  ``moment_table_from_matrices`` runs the
-same kernel with every coordinate dense.  Running means and variances
-are arrays indexed by class, updated once per draw.  Before any matrix
-is built, tables whose words have over ``MAX_TABLE_LETTERS`` letters,
-or whose half-length products take over ``MAX_PRODUCT_BYTES`` bytes,
-are refused with ``BudgetExceededError``.
+is a weighted diagonal sum.  Running means and variances are arrays
+indexed by class, updated once per draw.  Before any matrix is built,
+tables whose words have over ``MAX_TABLE_LETTERS`` letters, or whose
+half-length products take over ``MAX_PRODUCT_BYTES`` bytes, are
+refused with ``BudgetExceededError``.
 
 The output is a ``MomentTable`` carrying per-word standard errors (one
 per class) and, as the per-coordinate upper norm estimate, the largest
@@ -167,9 +168,13 @@ def sample_gue_spectrum(rng, size):
     return np.linalg.eigvalsh(tri) / np.sqrt(size)
 
 
+def _hermitian_part(m):
+    return (m + m.conj().T) / 2
+
+
 def _draw(config, rng):
-    """One draw: a GUE coordinate 1 as the real vector of its
-    eigenvalues, every other coordinate as a Hermitian matrix."""
+    """One draw: coordinate 1 as the real vector of its eigenvalues,
+    every other coordinate as a Hermitian matrix."""
     coords = []
     for gen in config.generators:
         if isinstance(gen, GueGenerator):
@@ -177,19 +182,17 @@ def _draw(config, rng):
                           else sample_gue_spectrum(rng, config.size))
         elif isinstance(gen, PolyOfGueGenerator):
             fresh = [sample_gue(rng, config.size) for _ in range(gen.fresh_gues)]
-            m = eval_poly_matrices(gen.poly, fresh, config.size)
-            coords.append((m + m.conj().T) / 2)
+            m = _hermitian_part(eval_poly_matrices(gen.poly, fresh,
+                                                   config.size))
+            coords.append(m if coords else np.linalg.eigvalsh(m))
         else:
             raise ParseError(f"unknown generator {gen!r}", field="generators")
     return coords
 
 
-def _split(w, diagonal):
+def _split(w):
     """(j, core, k) with w = 1^j core 1^k, the core empty or beginning
-    and ending with letters other than 1; (0, w, 0) when letter 1 is not
-    diagonal."""
-    if not diagonal:
-        return 0, w, 0
+    and ending with letters other than 1."""
     j = 0
     while j < len(w) and w[j] == 1:
         j += 1
@@ -203,8 +206,7 @@ def _split(w, diagonal):
 
 class _TracePlan(NamedTuple):
     """What ``_class_traces`` computes for the classes ``reps`` over
-    ``nvars`` coordinates, letter 1 diagonal or not, the same for every
-    draw.
+    ``nvars`` coordinates, letter 1 diagonal, the same for every draw.
 
     ``builds`` lists the dense products in graded order: ("letter", core,
     i) is coordinate i, ("square", core, i) its square, ("adjoint", core,
@@ -219,22 +221,20 @@ class _TracePlan(NamedTuple):
 
     reps: list
     closed: np.ndarray
-    diagonal: bool
     max_order: int
     builds: list
     singles: list
     scaled: dict
 
 
-def _trace_plan(nvars, max_order, diagonal):
+def _trace_plan(nvars, max_order):
     """The ``_TracePlan`` of the nonempty bracelet classes up to
-    ``max_order`` over ``nvars`` letters, letter 1 diagonal when
-    ``diagonal``."""
+    ``max_order`` over ``nvars`` letters, letter 1 diagonal."""
     reps, closed = bracelet_classes(nvars, max_order)
     builds = []
     built = set()
     for w in words_up_to(nvars, (max_order + 1) // 2, min_len=1):
-        if _split(w, diagonal)[1] != w:
+        if _split(w)[1] != w:
             continue
         if len(w) == 1:
             builds.append(("letter", w, w[0] - 1))
@@ -243,15 +243,15 @@ def _trace_plan(nvars, max_order, diagonal):
         elif w[::-1] in built:
             builds.append(("adjoint", w, w[::-1]))
         else:
-            _, prefix, k = _split(w[:-1], diagonal)
+            _, prefix, k = _split(w[:-1])
             builds.append(("gemm", w, prefix, k, w[-1] - 1))
         built.add(w)
     singles = []
     scaled = {}
     for c, w in enumerate(reps):
         cut = (len(w) + 1) // 2
-        ja, u, ka = _split(w[:cut], diagonal)
-        jb, v, kb = _split(w[cut:], diagonal)
+        ja, u, ka = _split(w[:cut])
+        jb, v, kb = _split(w[cut:])
         if not u and not v:
             singles.append(("power", c, len(w)))
         elif not v:
@@ -266,33 +266,31 @@ def _trace_plan(nvars, max_order, diagonal):
         idx, ps, qs = (np.array(x) for x in zip(*jobs))
         distinct, col = np.unique(ps, return_inverse=True)
         scaled[key] = (idx, distinct, col, qs)
-    return _TracePlan(reps, closed, diagonal, max_order, builds, singles,
-                      scaled)
+    return _TracePlan(reps, closed, max_order, builds, singles, scaled)
 
 
 def _class_traces(coords, plan, squares=None):
     """Normalized traces of the bracelet representatives ``plan.reps``
     on Hermitian ``coords``, as a complex array aligned with them.
 
-    When ``plan.diagonal``, ``coords[0]`` is the real vector lambda of a
-    diagonal coordinate D: a product 1^j u 1^k is P_u scaled by lambda^j
-    along its rows and lambda^k along its columns, and is never built;
-    pure powers of letter 1 stay vectors, and a trace with a diagonal
-    side is a weighted diagonal sum.  Only the cores, products beginning
-    and ending with other letters, are dense; each is a coordinate, the
-    adjoint of its reversal when that is built (P_rev(u) = P_u^H), or
-    one GEMM.  The classes that pair the same two cores through powers
-    of D share one elementwise product C = conj(P_rev(v)) * P_u, and
-    each takes lambda^q . C lambda^p.  ``squares``, when given, maps a
-    letter index i to the product ``coords[i] @ coords[i]`` already
-    built.  The boolean mask ``plan.closed`` marks the reversal-closed
-    classes, whose products are Hermitian: their traces are taken
-    real."""
-    size = coords[-1].shape[0]
-    if plan.diagonal:
-        pows = np.ones((plan.max_order + 1, size))
-        for m in range(1, plan.max_order + 1):
-            pows[m] = pows[m - 1] * coords[0]
+    ``coords[0]`` is the real vector lambda of a diagonal coordinate D,
+    every other coordinate a dense matrix: a product 1^j u 1^k is P_u
+    scaled by lambda^j along its rows and lambda^k along its columns,
+    and is never built; pure powers of letter 1 stay vectors, and a
+    trace with a diagonal side is a weighted diagonal sum.  Only the
+    cores, products beginning and ending with other letters, are dense;
+    each is a coordinate, the adjoint of its reversal when that is built
+    (P_rev(u) = P_u^H), or one GEMM.  The classes that pair the same two
+    cores through powers of D share one elementwise product
+    C = conj(P_rev(v)) * P_u, and each takes lambda^q . C lambda^p.
+    ``squares``, when given, maps a letter index i to the product
+    ``coords[i] @ coords[i]`` already built.  The boolean mask
+    ``plan.closed`` marks the reversal-closed classes, whose products
+    are Hermitian: their traces are taken real."""
+    size = coords[0].shape[0]
+    pows = np.ones((plan.max_order + 1, size))
+    for m in range(1, plan.max_order + 1):
+        pows[m] = pows[m - 1] * coords[0]
     squares = squares or {}
     prods = {}
     for kind, w, *args in plan.builds:
@@ -391,12 +389,11 @@ def mc_moment_table(config, max_order):
     seed at a fixed BLAS thread count (the GEMMs and eigensolves may
     round differently under another).
 
-    When coordinate 1 is a GUE, each draw holds it as the real vector of
-    its eigenvalues (see the module docstring), whose largest modulus is
-    its norm; otherwise every coordinate is dense.  ``norm_upper`` is,
-    per coordinate, the largest spectral norm over the draws, exactly as
-    if every draw were eigensolved: a dense coordinate is eigensolved
-    only when the Cholesky certificate
+    Each draw holds coordinate 1 as the real vector of its eigenvalues
+    (see the module docstring), whose largest modulus is its norm.
+    ``norm_upper`` is, per coordinate, the largest spectral norm over
+    the draws, exactly as if every draw were eigensolved: any other
+    coordinate is eigensolved only when the Cholesky certificate
     ``_norm_below`` cannot prove its norm below the running maximum
     (always on the first draw).  The squares the certificate needs are
     handed to the traces.  A draw's arrays are released as the next
@@ -411,9 +408,7 @@ def mc_moment_table(config, max_order):
         raise ValueError("max_order must be >= 1")
     n = config.nvars
     _check_trace_budget(n, config.size, max_order)
-    diagonal = isinstance(config.generators[0], GueGenerator)
-    plan = _trace_plan(n, max_order, diagonal)
-    dense = range(1 if diagonal else 0, n)
+    plan = _trace_plan(n, max_order)
     mean = np.zeros(len(plan.reps), dtype=complex)
     msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n
@@ -422,9 +417,8 @@ def mc_moment_table(config, max_order):
     root = np.random.SeedSequence(config.seed)
     for s in range(config.samples):
         coords = _draw(config, np.random.default_rng(root.spawn(1)[0]))
-        if diagonal:
-            norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
-        squares = {i: coords[i] @ coords[i] for i in dense}
+        norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
+        squares = {i: coords[i] @ coords[i] for i in range(1, n)}
         for i, sq in squares.items():
             if not _norm_below(sq, norm_max[i]):
                 eigs = np.linalg.eigvalsh(coords[i])
@@ -456,7 +450,8 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
     independent oracle in tests.  Matrices Hermitian within ``atol``
     are replaced by their Hermitian parts.  One trace is taken per
     bracelet class, under the budget of ``mc_moment_table``, by the
-    same kernel with every coordinate dense.
+    kernel it uses: the first matrix X_1 = U diag(lambda) U^H becomes
+    lambda and every other X_i becomes U^H X_i U, which changes no trace.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     size = mats[0].shape[0]
@@ -465,12 +460,15 @@ def moment_table_from_matrices(mats, max_order, atol=1e-12):
             raise ValueError("all matrices must share one square shape")
         if np.abs(m - m.conj().T).max() > atol:
             raise ValueError("matrices must be Hermitian")
-    mats = [(m + m.conj().T) / 2 for m in mats]
+    mats = [_hermitian_part(m) for m in mats]
     n = len(mats)
     _check_trace_budget(n, size, max_order)
-    plan = _trace_plan(n, max_order, diagonal=False)
-    traces = _class_traces(mats, plan)
-    norms = tuple(float(np.abs(np.linalg.eigvalsh(m)).max()) for m in mats)
+    lam, u = np.linalg.eigh(mats[0])
+    rotated = [_hermitian_part(u.conj().T @ m @ u) for m in mats[1:]]
+    plan = _trace_plan(n, max_order)
+    traces = _class_traces([lam] + rotated, plan)
+    norms = (float(np.abs(lam).max()),) + tuple(
+        float(np.abs(np.linalg.eigvalsh(m)).max()) for m in mats[1:])
     return MomentTable.from_bracelets(n, max_order,
                                       dict(zip(plan.reps, traces.tolist())),
                                       norm_upper=norms)

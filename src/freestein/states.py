@@ -320,9 +320,8 @@ class MomentTable(MomentFunctional):
     ``canonical_codes`` and conjugates the values of flipped words.  A
     word-list table stores every word and looks up by the identity.
     ``pair_moments`` and ``word_moments`` answer a whole batch at once;
-    ``moment`` is a batch of one word.  ``entries`` and ``stderr``, the maps from every
-    word the table holds to its value and standard error, are built
-    when first read; no solver reads them.
+    ``moment`` is a batch of one word.  ``stored`` gives the stored
+    words with their values and standard errors.
     """
 
     def __init__(self, nvars, max_order, entries, tracial=False,
@@ -425,24 +424,6 @@ class MomentTable(MomentFunctional):
     def _words(self, codes, values):
         return {code_word(c, self.nvars): v
                 for c, v in zip(codes.tolist(), values.tolist())}
-
-    @functools.cached_property
-    def entries(self):
-        """Word -> value of every word the table holds."""
-        return self._expand(self._values)
-
-    @functools.cached_property
-    def stderr(self):
-        """Word -> standard error of every word that has one, or None."""
-        return None if self._errors is None else self._expand(self._errors)
-
-    def _expand(self, store):
-        out = {}
-        for word, value in self._words(*store).items():
-            forward, flipped = _orbit(word, self.bracelet, self.bracelet)
-            out.update(dict.fromkeys(forward, value))
-            out.update(dict.fromkeys(flipped, value.conjugate()))
-        return out
 
 
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block

@@ -329,22 +329,25 @@ def einsum_word_traces(mats, size, max_order, words):
 
 def mc_draws(config):
     """Per sample, the coordinates ``mc_moment_table`` realizes from the
-    same spawned streams: a GUE coordinate 1 as the dense diagonal
-    matrix of its tridiagonal-model eigenvalues, every other coordinate
-    dense, polynomial ones by ``poly_matrix`` and their Hermitian
-    parts."""
+    same spawned streams: coordinate 1 as the dense diagonal matrix of
+    its eigenvalues (a GUE's from the tridiagonal model, a polynomial
+    one's from ``eigvalsh`` of its Hermitian part), every other
+    coordinate dense, polynomial ones by ``poly_matrix`` and their
+    Hermitian parts."""
     size = config.size
     for ss in np.random.SeedSequence(config.seed).spawn(config.samples):
         rng = np.random.default_rng(ss)
         mats = []
         for gen in config.generators:
             if isinstance(gen, GueGenerator):
-                mats.append(sample_gue(rng, size) if mats else
-                            np.diag(sample_gue_spectrum(rng, size)).astype(complex))
-                continue
-            fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
-            m = poly_matrix(gen.poly, fresh, size)
-            mats.append((m + m.conj().T) / 2)
+                m = sample_gue(rng, size) if mats else sample_gue_spectrum(rng, size)
+            else:
+                fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
+                m = poly_matrix(gen.poly, fresh, size)
+                m = (m + m.conj().T) / 2
+                if not mats:
+                    m = np.linalg.eigvalsh(m)
+            mats.append(m if mats else np.diag(m).astype(complex))
         yield mats
 
 
@@ -471,6 +474,22 @@ def bracelets_up_to(nvars, max_len, min_len=0):
     graded-lexicographic order."""
     return [w for w in words_up_to(nvars, max_len, min_len)
             if bracelet_rep(w) == (w, False)]
+
+
+def word_values(table, words):
+    """{word: value} of ``table`` on ``words``, read in one batch through
+    the lookup the solvers use."""
+    return dict(zip(words, table.word_moments(words).tolist()))
+
+
+def word_stderr(table):
+    """{word: standard error} of every word of ``table`` that has one,
+    or None: a class-stored table's classes expanded by
+    ``expand_bracelets``."""
+    errors = table.stored()[1]
+    if errors is None or not table.bracelet:
+        return errors
+    return expand_bracelets(errors)
 
 
 def expand_bracelets(values):

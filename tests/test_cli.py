@@ -189,6 +189,14 @@ def test_stein_tolerances_reach_both_solves(tmp_path, capsys):
     assert rep["upper_poincare_sq"] == pytest.approx(2 ** 0.5, abs=1e-12)
 
 
+def test_poincare_takes_no_centering_tolerance(sc_cumulants, capsys):
+    # only stein checks a centering defect
+    with pytest.raises(SystemExit):
+        main(["poincare", "--cumulants", sc_cumulants,
+              "--tol-centering", "0.1"])
+    assert "--tol-centering" in capsys.readouterr().err
+
+
 def test_stein_centering_defect_exit_code(tmp_path, sc_cumulants, capsys):
     # D(t) = 1 and phi(1) = 1, so the necessary condition fails
     path = write(tmp_path, "v.json",

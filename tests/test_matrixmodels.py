@@ -29,6 +29,11 @@ import bruteforce
 from conftest import rand_hermitian
 
 
+# g^2 - 1 of one fresh GUE: a centered free Poisson coordinate in the limit
+G2_MINUS_1 = PolyOfGueGenerator(
+    NcPoly.gen(1, 1) * NcPoly.gen(1, 1) - NcPoly.one(1), 1)
+
+
 def test_gue_entry_variances():
     rng = np.random.default_rng(0)
     size = 40
@@ -59,13 +64,13 @@ def test_two_gue_independence():
 
 
 def test_determinism():
-    cfg = EnsembleConfig(size=50, samples=40, seed=7,
-                         generators=(GueGenerator(),))
-    t1 = mc_moment_table(cfg, 4)
-    t2 = mc_moment_table(cfg, 4)
-    assert t1.entries == t2.entries
-    assert t1.stderr == t2.stderr
-    assert t1.norm_upper == t2.norm_upper
+    for generators in ((GueGenerator(),), (G2_MINUS_1, GueGenerator())):
+        cfg = EnsembleConfig(size=50, samples=40, seed=7,
+                             generators=generators)
+        t1 = mc_moment_table(cfg, 4)
+        t2 = mc_moment_table(cfg, 4)
+        assert t1.stored() == t2.stored()
+        assert t1.norm_upper == t2.norm_upper
 
 
 def test_gue_power_moments_within_stderr_and_finite_size_bias():
@@ -77,12 +82,14 @@ def test_gue_power_moments_within_stderr_and_finite_size_bias():
         cfg = EnsembleConfig(size=size, samples=200, seed=2024,
                              generators=(GueGenerator(),))
         table = mc_moment_table(cfg, 6)
+        # over one letter every word is its own class representative
+        stderr = table.stored()[1]
         bias = {4: 1 / size**2, 6: 10 / size**2}
         for m in range(1, 7):
             w = (1,) * m
             dev = abs(table.moment(w) - sc.moment(w))
-            assert dev <= 6 * table.stderr[w] + bias.get(m, 0.0)
-        stderr6.append(table.stderr[(1,) * 6])
+            assert dev <= 6 * stderr[w] + bias.get(m, 0.0)
+        stderr6.append(stderr[(1,) * 6])
     assert stderr6[0] > stderr6[1] > stderr6[2]
 
 
@@ -110,24 +117,32 @@ def test_tridiagonal_spectrum_has_the_gue_law():
 
 def test_diagonal_basis_has_the_law_of_dense_gues():
     # the word traces of (diag(eigenvalues of X), Y) and of a dense pair
-    # (X, Y) of independent GUEs have one joint law
+    # (X, Y) have one joint law, for X a GUE or g^2 - 1 of one and Y an
+    # independent GUE
     size, samples, order = 10, 1500, 6
-    cfg = EnsembleConfig(size=size, samples=samples, seed=88,
-                         generators=(GueGenerator(), GueGenerator()))
-    table = mc_moment_table(cfg, order)
     words = words_up_to(2, order, min_len=1)
     rng = np.random.default_rng(89)
-    dense = []
-    for _ in range(samples):
-        mats = [sample_gue(rng, size), sample_gue(rng, size)]
-        traces = bruteforce.einsum_word_traces(mats, size, order, words)
-        dense.append([traces[w] for w in words])
-    dense = np.array(dense)
-    mean = dense.mean(axis=0)
-    stderr = dense.std(axis=0, ddof=1) / np.sqrt(samples)
-    for k, w in enumerate(words):
-        combined = np.hypot(table.stderr[w], stderr[k])
-        assert abs(table.entries[w] - mean[k]) <= 5 * combined
+    for first in (GueGenerator(), G2_MINUS_1):
+        cfg = EnsembleConfig(size=size, samples=samples, seed=88,
+                             generators=(first, GueGenerator()))
+        table = mc_moment_table(cfg, order)
+        got = bruteforce.word_values(table, words)
+        got_stderr = bruteforce.word_stderr(table)
+        dense = []
+        for _ in range(samples):
+            x = sample_gue(rng, size)
+            if first is G2_MINUS_1:
+                x = eval_poly_matrices(first.poly, [x], size)
+                x = (x + x.conj().T) / 2
+            mats = [x, sample_gue(rng, size)]
+            traces = bruteforce.einsum_word_traces(mats, size, order, words)
+            dense.append([traces[w] for w in words])
+        dense = np.array(dense)
+        mean = dense.mean(axis=0)
+        stderr = dense.std(axis=0, ddof=1) / np.sqrt(samples)
+        for k, w in enumerate(words):
+            combined = np.hypot(got_stderr[w], stderr[k])
+            assert abs(got[w] - mean[k]) <= 5 * combined
 
 
 @pytest.mark.parametrize("n, order", [(1, 9), (2, 8), (3, 6)])
@@ -135,7 +150,7 @@ def test_diagonal_kernel_matches_einsum_oracle(n, order, np_rng):
     size = 9
     lam = 1.5 * np_rng.standard_normal(size)
     others = [rand_hermitian(np_rng, size) for _ in range(n - 1)]
-    plan = matrixmodels._trace_plan(n, order, diagonal=True)
+    plan = matrixmodels._trace_plan(n, order)
     got = matrixmodels._class_traces([lam] + others, plan)
     mats = [np.diag(lam).astype(complex)] + others
     words = words_up_to(n, order, min_len=1)
@@ -145,15 +160,14 @@ def test_diagonal_kernel_matches_einsum_oracle(n, order, np_rng):
 
 
 def test_poly_of_gue_matches_free_poisson():
-    g = NcPoly.gen(1, 1)
-    poly = g * g - NcPoly.one(1)
     cfg = EnsembleConfig(size=150, samples=150, seed=5,
-                         generators=(PolyOfGueGenerator(poly, 1),))
+                         generators=(G2_MINUS_1,))
     table = mc_moment_table(cfg, 4)
+    stderr = table.stored()[1]
     fp = centered_free_poisson(1)
     for m in range(1, 5):
         w = (1,) * m
-        tol = max(5 * table.stderr[w], 0.08)
+        tol = max(5 * stderr[w], 0.08)
         assert table.moment(w).real == pytest.approx(fp.moment(w).real, abs=tol)
 
 
@@ -199,8 +213,7 @@ def _two_gue_poly():
 @pytest.mark.parametrize("generators, max_order, samples", [
     ((GueGenerator(),), 5, 4),
     ((GueGenerator(),), 6, 1),
-    ((GueGenerator(), PolyOfGueGenerator(
-        NcPoly.gen(1, 1) * NcPoly.gen(1, 1) - NcPoly.one(1), 1)), 6, 3),
+    ((GueGenerator(), G2_MINUS_1), 6, 3),
     ((PolyOfGueGenerator(_two_gue_poly(), 2), GueGenerator(),
       GueGenerator()), 3, 3),
     ((GueGenerator(), GueGenerator(), GueGenerator()), 4, 2),
@@ -211,11 +224,14 @@ def test_mc_table_matches_einsum_oracle(generators, max_order, samples):
     table = mc_moment_table(cfg, max_order)
     entries, stderr, norm_upper = bruteforce.mc_moment_oracle(cfg, max_order)
     assert table.norm_upper == norm_upper
-    for w in words_up_to(cfg.nvars, max_order, min_len=1):
-        assert _close(table.entries[w], entries[w])
-        assert _close(table.stderr[w], stderr[w])
+    words = words_up_to(cfg.nvars, max_order, min_len=1)
+    got = bruteforce.word_values(table, words)
+    got_stderr = bruteforce.word_stderr(table)
+    for w in words:
+        assert _close(got[w], entries[w])
+        assert _close(got_stderr[w], stderr[w])
         # exact Hermitian symmetry, palindromes real
-        assert table.entries[w[::-1]] == table.entries[w].conjugate()
+        assert got[w[::-1]] == got[w].conjugate()
 
 
 def test_trace_state_matches_direct_products(np_rng):
@@ -228,10 +244,12 @@ def test_trace_state_matches_direct_products(np_rng):
     for n, order in ((1, 7), (2, 5), (3, 4)):
         table = moment_table_from_matrices(mats[:n], order)
         herm = [(m + m.conj().T) / 2 for m in mats[:n]]
-        for w in words_up_to(n, order, min_len=1):
+        words = words_up_to(n, order, min_len=1)
+        got = bruteforce.word_values(table, words)
+        for w in words:
             want = np.trace(bruteforce.word_matrix(w, herm, size)) / size
-            assert abs(table.moment(w) - want) <= 1e-12 * max(abs(want), 1.0)
-            assert table.entries[w[::-1]] == table.entries[w].conjugate()
+            assert abs(got[w] - want) <= 1e-12 * max(abs(want), 1.0)
+            assert got[w[::-1]] == got[w].conjugate()
 
 
 def test_eval_poly_matches_identity_started_products(np_rng):
@@ -348,13 +366,11 @@ def test_norm_certificate_never_changes_output(max_order, monkeypatch,
         calls.clear()
         assert cli.main(argv) == 0
         certified = capsys.readouterr().out
-        # a GUE coordinate 1 takes one eigensolve of its tridiagonal
-        # model per draw; a dense coordinate one per record
+        # coordinate 1 takes one eigensolve per draw, of its tridiagonal
+        # model or of its dense Hermitian part; coordinate 2 one per
+        # record
         assert all(2 <= r < 30 for r in records)
-        if generators[0] is gue:
-            assert len(calls) == 30 + records[1]
-        else:
-            assert len(calls) == records[0] + records[1]
+        assert len(calls) == 30 + records[1]
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(matrixmodels, "_norm_below", lambda square, bound: False)
