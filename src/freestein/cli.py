@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -51,8 +52,7 @@ DEFAULT_KS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         text = args.func(args)
     except InadmissibleProblemError as exc:
@@ -85,7 +85,10 @@ def _emit_error(code, exc, field=None):
     sys.stderr.write(serialize.dumps(payload))
 
 
+@functools.cache
 def _build_parser():
+    # built once per process, on the first ``main`` call: ``parse_args``
+    # keeps no state between calls and every default is immutable
     parser = argparse.ArgumentParser(
         prog="freestein",
         description=(

@@ -134,8 +134,20 @@ def sample_gue(rng, size):
     scale = 1.0 / np.sqrt(2.0 * size)
     a = rng.standard_normal((size, size))
     b = rng.standard_normal((size, size))
-    h = scale * (a + 1j * b)
-    return (h + h.conj().T) / np.sqrt(2.0)
+    a *= scale
+    b *= scale
+    # (h + h^H) / sqrt 2 for h = a + ib; numpy divides a complex value by
+    # a real one as a product with the reciprocal, so these are its bits
+    return _hermitian(a, b, 1.0 / np.sqrt(2.0))
+
+
+def _hermitian(re, im, factor):
+    """factor (z + z^H) for z = re + i im, in one C-ordered buffer."""
+    out = np.empty(re.shape, dtype=complex)
+    np.add(re, re.T, out=out.real)
+    np.subtract(im, im.T, out=out.imag)
+    out.view(float)[...] *= factor
+    return out
 
 
 def eval_poly_matrices(poly, mats, size):
@@ -164,12 +176,13 @@ def sample_gue_spectrum(rng, size):
     1 / sqrt(size).  One real eigensolve, no dense complex draw."""
     diag = rng.standard_normal(size)
     off = np.sqrt(rng.chisquare(2.0 * np.arange(size - 1, 0, -1)) / 2)
-    tri = np.diag(diag) + np.diag(off, -1)
+    tri = np.diag(diag)
+    tri.flat[size::size + 1] = off  # the subdiagonal
     return np.linalg.eigvalsh(tri) / np.sqrt(size)
 
 
 def _hermitian_part(m):
-    return (m + m.conj().T) / 2
+    return _hermitian(m.real, m.imag, 0.5)
 
 
 def _draw(config, rng):

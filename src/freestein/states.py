@@ -58,11 +58,14 @@ needs in one batch, ``MomentFunctional.pair_moments``, and the helpers
 below ask for lists of words through ``word_moments``: a table answers
 either with one vectorized lookup, the codes code(u rev v) =
 code(u) n^|v| + code(rev v) of a Hankel block coming from the codes of
-its legs; any other state asks ``moment`` once per entry.
+its legs; a cumulant state reads the batch from its memo and asks
+``moment`` only for the misses; the base class asks ``moment`` once per
+entry.
 
 Symbolic inputs are exact; evaluation is double-precision complex.
-A cumulant state caches word moments behind a lock, and a table is
-read-only, so every functional is safe for concurrent reads.
+A cumulant state's memo only grows, each class written under a lock,
+and a table is read-only, so every functional is safe for concurrent
+reads.
 High-level helpers precompute the word length they need and raise
 ``BudgetExceededError`` before touching the backend.
 """
@@ -499,6 +502,13 @@ class CumulantState(MomentFunctional):
     under reversal its real part.  The flags, not the ``tracial``
     argument, decide the class, so ``validate_state`` still sees a spec
     that is not Hermitian.
+
+    ``pair_moments`` and ``word_moments`` read a batch straight from the
+    memo, in order, and call ``moment`` only on the words still missing
+    when their turn comes, so a class filled earlier in the batch is not
+    evaluated again and a bad word raises as ``moment`` would.  Memo
+    reads take no lock: the memo only grows, one dict read is atomic,
+    and each class is written under the lock.
     """
 
     def __init__(self, spec, norm_upper=None, tracial=None):
@@ -513,19 +523,33 @@ class CumulantState(MomentFunctional):
         word = tuple(word)
         # the memo holds only checked words and their subwords, so a hit
         # needs no check
-        with self._lock:
-            value = self._memo.get(word)
+        value = self._memo.get(word)
         if value is not None:
             return value
         self._check_word(word)
         return self._moment(word)
 
+    def pair_moments(self, lefts, rights, us, vs):
+        return self.word_moments(lefts[u] + rights[v]
+                                 for u, v in zip(us.tolist(), vs.tolist()))
+
+    def word_moments(self, words):
+        # each word is read from the memo when its turn comes, so a class
+        # filled by an earlier miss of the batch is a hit, and only a miss
+        # is asked of ``moment``, which checks it; the words are never
+        # held all at once
+        get = self._memo.get
+        values = []
+        for word in map(tuple, words):
+            value = get(word)
+            values.append(self.moment(word) if value is None else value)
+        return np.array(values, dtype=complex)
+
     def _moment(self, word):
         # subwords of a checked word, and the words of its class, need no
-        # check; the lock guards single memo operations and is never held
-        # across the recursion
-        with self._lock:
-            value = self._memo.get(word)
+        # check; the lock serializes the writes of a class and is never
+        # held across the recursion
+        value = self._memo.get(word)
         if value is not None:
             return value
         spec = self.spec
@@ -555,8 +579,15 @@ def _block_trie(kappa):
     for word, value in kappa.items():
         node = root
         for letter in word[:-1]:
-            node = node.setdefault(letter, [0j, {}])[1]
-        node.setdefault(word[-1], [0j, {}])[0] = value
+            child = node.get(letter)
+            if child is None:
+                child = node[letter] = [0j, {}]
+            node = child[1]
+        leaf = node.get(word[-1])
+        if leaf is None:
+            node[word[-1]] = [value, {}]
+        else:
+            leaf[0] = value
     return root
 
 

@@ -348,3 +348,33 @@ def test_mc_seed_override_changes_output(tmp_path, capsys):
                          "--seed", "8")
     assert code1 == code2 == 0
     assert out1 != out2
+
+
+def test_parser_is_built_once_and_survives_usage_errors(monkeypatch,
+                                                        sc_cumulants, capsys):
+    import argparse
+
+    from freestein import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    argv = ("poincare", "--cumulants", sc_cumulants, "--degree", "2")
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    count = len(built)
+    assert count > 0
+    for bad in (("poincare", "--degree", "x"), ("stein", "--no-such-flag"),
+                ("nope",)):
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == fresh
+    assert len(built) == count

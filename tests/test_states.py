@@ -456,9 +456,25 @@ def test_concurrent_moment_reads_are_consistent():
         errors = []
 
         def worker(offset):
+            # odd threads read through the batches, in chunks of 50 words
+            # and as Hankel blocks of (w, w) pairs
             try:
-                for w in words[offset:] + words[:offset]:
-                    if shared.moment(w) != expected[w]:
+                turn = words[offset:] + words[:offset]
+                if offset % 2 == 0:
+                    got = [shared.moment(w) for w in turn]
+                else:
+                    got = []
+                    for lo in range(0, len(turn), 50):
+                        chunk = turn[lo:lo + 50]
+                        got += shared.word_moments(chunk).tolist()
+                    halves = [w for w in turn if 2 * len(w) <= 8]
+                    index = np.arange(len(halves))
+                    paired = shared.pair_moments(halves, halves, index, index)
+                    for w, value in zip(halves, paired.tolist()):
+                        if value != expected[w + w]:
+                            errors.append(w + w)
+                for w, value in zip(turn, got):
+                    if value != expected[w]:
                         errors.append(w)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -476,6 +492,93 @@ def test_concurrent_moment_reads_are_consistent():
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
+
+
+def _pair_batch(nvars, max_order):
+    """(lefts, rights, us, vs): every pair of words of length <= half the
+    order, left against reversed right, in a shuffled order."""
+    legs = words_up_to(nvars, max_order // 2)
+    us, vs = np.divmod(np.arange(len(legs) ** 2), len(legs))
+    order = np.random.default_rng(len(legs)).permutation(len(us))
+    return legs, [w[::-1] for w in legs], us[order], vs[order]
+
+
+@pytest.mark.parametrize("cyclic, hermitian",
+                         [(True, True), (True, False), (False, True),
+                          (False, False)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_batch_reads_match_the_per_entry_oracle(cyclic, hermitian, data):
+    spec = data.draw(symmetry_specs(cyclic, hermitian))
+    batch = _pair_batch(spec.nvars, spec.max_order)
+    # the base class asks ``moment`` once per entry, in order
+    want = states.MomentFunctional.pair_moments(
+        CumulantState(spec), *batch).tolist()
+    words = words_up_to(spec.nvars, spec.max_order)
+    want_words = states.MomentFunctional.word_moments(
+        CumulantState(spec), words).tolist()
+    # cold, warmed by a random part of the words, and warm
+    cold = CumulantState(spec)
+    assert cold.pair_moments(*batch).tolist() == want
+    part = CumulantState(spec)
+    for w in data.draw(st.lists(st.sampled_from(words), max_size=20)):
+        part.moment(w)
+    assert part.word_moments(words[::-1]).tolist() == want_words[::-1]
+    assert part.pair_moments(*batch).tolist() == want
+    assert cold.pair_moments(*batch).tolist() == want
+    assert cold.word_moments(words).tolist() == want_words
+
+
+@pytest.mark.parametrize("bad, error", [((1,) * 7, BudgetExceededError),
+                                        ((1, 3), ValueError),
+                                        ((0,), ValueError)])
+def test_batch_reads_raise_as_moment_does(bad, error):
+    # the bad word comes after misses and hits, on a warm and a cold state
+    words = [(1, 2), (2, 2, 1, 1), bad, (1, 1, 2, 2, 2, 1), (1,) * 8]
+    for warm in (False, True):
+        state, oracle = semicircular(2, max_order=6), semicircular(2, 6)
+        if warm:
+            for w in words_up_to(2, 6):
+                state.moment(w)
+        with pytest.raises(error) as want:
+            states.MomentFunctional.word_moments(oracle, words)
+        with pytest.raises(error) as got:
+            state.word_moments(words)
+        assert str(got.value) == str(want.value)
+        assert vars(got.value) == vars(want.value)
+        with pytest.raises(error) as got:
+            state.pair_moments(words, [()], np.arange(len(words)),
+                               np.zeros(len(words), dtype=int))
+        assert str(got.value) == str(want.value)
+        assert vars(got.value) == vars(want.value)
+
+
+def test_warm_batches_do_not_call_moment(monkeypatch):
+    # a warm batch is read from the memo alone, and a cold one asks only
+    # for the words whose class no earlier word of the batch filled
+    calls = []
+    moment = CumulantState.moment
+
+    def counted(self, word):
+        calls.append(tuple(word))
+        return moment(self, word)
+
+    monkeypatch.setattr(CumulantState, "moment", counted)
+    fp = centered_free_poisson(2, max_order=8)
+    batch = _pair_batch(2, 8)
+    cold = fp.pair_moments(*batch)
+    assert 0 < len(calls) <= len(bracelets_up_to(2, 8, min_len=1))
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    assert fp.pair_moments(*batch).tolist() == cold.tolist()
+    assert fp.word_moments(words_up_to(2, 8)).size == len(words_up_to(2, 8))
+    assert calls == []
+
+
+def test_block_trie_shares_prefixes():
+    trie = states._block_trie({(1, 2): 1.0, (1,): 2.0, (1, 2, 2): 3j,
+                               (2,): 4.0})
+    assert trie == {1: [2.0, {2: [1.0, {2: [3j, {}]}]}], 2: [4.0, {}]}
 
 
 def test_order_cap_moments_in_bounded_memory(rng):
