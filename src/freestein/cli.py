@@ -216,6 +216,9 @@ def cmd_derive(args):
         return serialize.dumps(serialize.kernel_to_obj(jacobian(ps)))
     p = serialize.poly_from_obj(obj)
     if args.what == "partial":
+        if not 1 <= args.index <= p.nvars:
+            raise ParseError(f"--index {args.index} out of range "
+                             f"1..{p.nvars}", field="index")
         return serialize.dumps(
             serialize.tensor_to_obj(partial_derivative(args.index, p))
         )

@@ -7,11 +7,12 @@ backends live here:
   sorted integer codes of its words (see ``word_codes``) and their
   values.  A tracial table with Hermitian symmetry is fixed by one value
   per bracelet class (the words reachable by rotation and reversal), and
-  ``MomentTable.from_bracelets`` stores just that: a lookup maps each
-  asked code to its class code by ``canonical_codes``, integer
-  arithmetic on the asked codes alone, and is never expanded to words.
-  That is the one class rule of tables: ``bracelet_classes`` runs it
-  over every code to enumerate the classes a trace table stores;
+  ``MomentTable.from_bracelets`` stores just that, never expanded to
+  words.  Its one class rule is ``canonical_codes``, integer arithmetic
+  on codes alone: ``bracelet_classes`` runs it over every code to
+  enumerate the classes a trace table stores, and a table runs it once
+  over the codes of every word up to a length, whose index then answers
+  each batch by one gather (see ``MomentTable``);
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
   cumulants by the moment-cumulant formula
   ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -312,6 +314,14 @@ class MomentFunctional:
         return np.array([self.moment(w) for w in words], dtype=complex)
 
 
+# cap on the codes a table's class index covers: int32 slots and flip
+# flags of 2^20 codes take 5 MB and cover every word of length <= 12
+# over 3 letters
+_INDEX_CODES = 1 << 20
+# codes canonicalized at once while an index is built
+_INDEX_BLOCK = 1 << 16
+
+
 class MomentTable(MomentFunctional):
     """Explicit moment table; absent words within the order budget are 0.
 
@@ -319,12 +329,21 @@ class MomentTable(MomentFunctional):
     ``word_codes``) with their values, and with their standard errors
     when ``stderr`` maps words to Monte Carlo standard errors.  A table
     built by ``from_bracelets`` stores one word per bracelet class and
-    is never expanded: a lookup canonicalizes the asked codes by
-    ``canonical_codes`` and conjugates the values of flipped words.  A
-    word-list table stores every word and looks up by the identity.
-    ``pair_moments`` and ``word_moments`` answer a whole batch at once;
-    ``moment`` is a batch of one word.  ``stored`` gives the stored
-    words with their values and standard errors.
+    is never expanded: a word reads the value of its class by
+    ``canonical_codes``, conjugated when the word is flipped.  A
+    word-list table stores every word and its classes are the identity.
+    Values must be finite.
+
+    The first read builds the class index: for every code up to that of
+    (n, ..., n) of length L, the slot of its class among the stored
+    codes (-1, read as 0, for an absent class) and its flip flag.  L is
+    the longest length <= ``max_order`` whose codes number at most
+    ``_INDEX_CODES``.  A batch then reads each covered code by one
+    gather, and canonicalizes only its longer codes, once per distinct
+    word.  The index is published by one assignment, so concurrent
+    reads stay safe.  ``pair_moments`` and ``word_moments`` answer a
+    whole batch at once; ``moment`` is a batch of one word.  ``stored``
+    gives the stored words with their values and standard errors.
     """
 
     def __init__(self, nvars, max_order, entries, tracial=False,
@@ -352,6 +371,9 @@ class MomentTable(MomentFunctional):
         entries.setdefault((), 1.0 + 0j)
         self._values = self._sorted(entries, complex)
         self._errors = self._sorted(stderr, float) if stderr else None
+        # the stored values with a 0 after them, which slot -1 reads
+        self._cells = np.append(self._values[1], 0)
+        self._index = None
 
     def _sorted(self, values, kind):
         words = [tuple(w) for w in values]
@@ -362,6 +384,11 @@ class MomentTable(MomentFunctional):
                     f"{self.max_order}")
         codes, lengths = word_codes(words, self.nvars)
         vals = np.array([kind(v) for v in values.values()], dtype=kind)
+        infinite = np.flatnonzero(~np.isfinite(vals))
+        if infinite.size:
+            word = words[infinite[0]]
+            raise ValueError(f"value of word {list(word)} is not finite, "
+                             f"got {kind(vals[infinite[0]])}")
         if self.bracelet:
             keys, _, closed = canonical_codes(codes, lengths, self.nvars)
             bad = np.flatnonzero((keys != codes)
@@ -395,20 +422,60 @@ class MomentTable(MomentFunctional):
         return self._lookup(codes, lengths)
 
     def _lookup(self, codes, lengths):
-        stored, values = self._values
-        # one canonicalization per distinct word, and a binary search
-        # over sorted keys, which is several times faster
-        codes, first, repeat = np.unique(codes, return_index=True,
-                                         return_inverse=True)
-        keys, flipped, _ = canonical_codes(codes, lengths[first], self.nvars,
+        slot, flip = self._index or self._build_index()
+        covered = codes < len(slot)
+        at = np.where(covered, codes, 0)
+        slot, flip = slot[at], flip[at]
+        if not covered.all():
+            # codes past the index: one canonicalization per distinct word
+            rest = ~covered
+            codes, first, repeat = np.unique(codes[rest], return_index=True,
+                                             return_inverse=True)
+            far, turned = self._slots(codes, lengths[rest][first])
+            slot[rest], flip[rest] = far[repeat], turned[repeat]
+        found = self._cells[slot]
+        np.conjugate(found, out=found, where=flip)
+        return found
+
+    def _slots(self, codes, lengths):
+        """(slot, flip) of the words with these codes and lengths: the
+        position of the code of each word's class among the stored codes,
+        -1 when the class is absent, and whether the value is conjugated.
+        This is the class rule, ``canonical_codes``; the index is built
+        from it."""
+        stored = self._values[0]
+        keys, flipped, _ = canonical_codes(codes, lengths, self.nvars,
                                            self.bracelet)
+        # a binary search over sorted keys is several times faster
         order = np.argsort(keys)
         at = np.empty_like(order)
         at[order] = np.searchsorted(stored, keys[order])
         np.minimum(at, len(stored) - 1, out=at)
-        found = values[at]
-        np.conjugate(found, out=found, where=flipped)
-        return np.where(stored[at] == keys, found, 0)[repeat]
+        found = stored[at] == keys
+        # an absent class reads 0, never its conjugate -0j
+        return np.where(found, at, -1), flipped & found
+
+    def _build_index(self):
+        # Codes are graded, so the words of length <= top are exactly the
+        # codes 0..code(n...n) of length top; slots are int32.
+        # Concurrent first reads may each build the index; every build is
+        # the same, and it is published by one assignment.
+        top = 0
+        while (top < self.max_order
+               and _largest_code(self.nvars, top + 1) < _INDEX_CODES):
+            top += 1
+        size = _largest_code(self.nvars, top) + 1
+        # the last code of each length, where searchsorted finds lengths
+        ends = [_largest_code(self.nvars, m) for m in range(top + 1)]
+        slot = np.empty(size, dtype=np.int32)
+        flip = np.empty(size, dtype=bool)
+        for lo in range(0, size, _INDEX_BLOCK):
+            codes = np.arange(lo, min(lo + _INDEX_BLOCK, size), dtype=np.int64)
+            block = slice(lo, lo + len(codes))
+            slot[block], flip[block] = self._slots(
+                codes, np.searchsorted(ends, codes))
+        self._index = slot, flip
+        return slot, flip
 
     def word_moments(self, words):
         index = np.arange(len(words))
@@ -468,6 +535,13 @@ class CumulantSpec:
             v = complex(v)
             if v != 0:
                 clean[w] = v
+        # NaN and infinities are nonzero, so they are all in ``clean``
+        if not np.isfinite(np.fromiter(clean.values(), dtype=complex,
+                                       count=len(clean))).all():
+            w, v = next((w, v) for w, v in clean.items()
+                        if not np.isfinite(v))
+            raise ValueError(f"cumulant of word {list(w)} is not finite, "
+                             f"got {v}")
         object.__setattr__(self, "kappa", clean)
         object.__setattr__(self, "blocks", _block_trie(clean))
         # one-step rotation generates every rotation
@@ -556,6 +630,9 @@ class CumulantState(MomentFunctional):
         forward, flipped = _orbit(word, spec.cyclic, spec.hermitian)
         least, from_flipped = _least(forward, flipped)
         value = _first_block_sum(spec.blocks, least, self._moment)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise BudgetExceededError(
+                f"moment of word {list(word)} overflows double precision")
         if from_flipped:
             value = value.conjugate()
         elif spec.hermitian and not flipped:

@@ -91,6 +91,20 @@ def test_derive_partial(tmp_path, capsys):
     ]
 
 
+
+@pytest.mark.parametrize("index", ["0", "3"])
+def test_derive_partial_refuses_an_index_out_of_range(tmp_path, capsys,
+                                                      index):
+    p = NcPoly.gen(1, 2) * NcPoly.gen(2, 2)
+    path = write(tmp_path, "p.json", serialize.poly_to_obj(p))
+    code, out, err = run(capsys, "derive", "--poly", path,
+                         "--what", "partial", "--index", index)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse_error" and error["field"] == "index"
+    assert f"--index {index} out of range 1..2" in error["message"]
+
+
 # sha256 of each derive output for the polynomial below; the outputs are
 # exact rationals, so these hold on every platform
 DERIVE_SHA256 = {
@@ -245,6 +259,21 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
                        "--degree", "4")
     assert code == 4
     assert json.loads(err)["error"]["code"] == "budget_exceeded"
+
+
+@pytest.mark.parametrize("command", ["poincare", "stein"])
+def test_overflowing_moments_exit_with_budget_code(tmp_path, capsys, command):
+    # phi(t^8) holds kappa_4^2 = 1e400, past double precision
+    path = write(tmp_path, "big.json", {
+        "nvars": 1, "max_order": 8,
+        "kappa": [{"word": [1, 1], "re": 1.0, "im": 0.0},
+                  {"word": [1, 1, 1, 1], "re": 1e200, "im": 0.0}]})
+    code, out, err = run(capsys, command, "--cumulants", path,
+                         "--degree", "4")
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert "overflows double precision" in error["message"]
 
 
 def test_oversized_solver_basis_exits_before_any_gram(tmp_path, capsys,

@@ -176,3 +176,21 @@ def test_rate_table_solves_no_poincare_bound(monkeypatch, capsys):
     assert rows_to_csv(clt_rate_table(exp, norm_upper=fp.norm_upper)) == CLT_CSV
     assert main(["clt", "--ks", "1,4,16", "--degree", "2"]) == 0
     assert capsys.readouterr().out == CLT_CSV
+
+
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_builtin_base_rate_is_pinned(capsys, degree):
+    # The builtin base is the centered free Poisson law (m4 = 3, so the
+    # constant is sqrt(3/2)).  At each degree 2..7 the rescaled copies
+    # have sigma_d(Y_k) = 1/sqrt(2k), so the ratio is 1/sqrt(3).
+    ks = (1, 2, 4, 8, 16, 32, 64)
+    assert main(["clt", "--ks", ",".join(map(str, ks)),
+                 "--degree", str(degree)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(ks)
+    for k, row in zip(ks, rows):
+        sigma, ratio = float(row[2]), float(row[5])
+        assert sigma * np.sqrt(2 * k) == pytest.approx(1, rel=1e-14, abs=0)
+        assert ratio == pytest.approx(1 / np.sqrt(3), rel=1e-14, abs=0)

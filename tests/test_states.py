@@ -217,6 +217,27 @@ def test_table_checks_entry_words_once():
         table.moment((1,) * 5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_values_are_refused(value):
+    with pytest.raises(ValueError, match=r"word \[1, 1\] is not finite"):
+        CumulantSpec(1, {(1, 1): value})
+    with pytest.raises(ValueError, match=r"word \[1, 2\] is not finite"):
+        MomentTable(2, 4, {(1,): 0.5, (1, 2): value})
+    with pytest.raises(ValueError, match=r"word \[1, 2\] is not finite"):
+        MomentTable.from_bracelets(2, 4, {(1, 2): value})
+
+
+def test_overflowing_moment_is_refused_before_the_memo():
+    # kappa_4 = 1e200 makes phi(t^8) include kappa_4^2 = 1e400
+    state = CumulantState(CumulantSpec(1, {(1, 1): 1.0, (1,) * 4: 1e200},
+                                       max_order=8))
+    assert state.moment((1,) * 4) == 1e200 + 2
+    with pytest.raises(BudgetExceededError,
+                       match=r"word \[1, 1, 1, 1, 1, 1, 1, 1\] overflows"):
+        state.moment((1,) * 8)
+    assert (1,) * 8 not in state._memo
+
+
 # ---------------------------------------------------------------------------
 # moments -> cumulants
 
@@ -443,12 +464,17 @@ def test_concurrent_moment_reads_are_consistent():
 
     dense = _dense_complex_spec(2, 8, seed=5)
     assert not CumulantState(dense).tracial
+    classes = trace_state(np.random.default_rng(5), 2, 6, 8)[0].stored()[0]
     cases = [
         (lambda: semicircular(2, max_order=8),
          words_up_to(2, 8, min_len=1)),
         # cold dense state: threads start on different long words, so the
         # recursion of one fills gap subwords another is reading
         (lambda: CumulantState(dense), words_up_to(2, 8, min_len=1)[::-1]),
+        # cold table: the first reads of several threads build its class
+        # index
+        (lambda: MomentTable.from_bracelets(2, 8, classes),
+         words_up_to(2, 8, min_len=1)),
     ]
     for make, words in cases:
         shared = make()

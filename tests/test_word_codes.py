@@ -1,7 +1,8 @@
 """Integer word codes and the class-stored moment table: the vectorized
 canonicalizer and the class enumeration ``bracelet_classes`` against the
 oracle's tuple rule ``bracelet_rep`` on every short word, the int64
-boundary, batch lookups against scalar ones, and the
+boundary, batch lookups against scalar ones (with the class index under
+a small cap too), and the
 solver and writer paths running without the word maps."""
 
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freestein import BudgetExceededError, MomentTable, serialize
+from freestein import BudgetExceededError, MomentTable, serialize, states
 from freestein.cli import main
 from freestein.states import (
     bracelet_classes,
@@ -87,6 +88,9 @@ def test_codes_stop_at_the_int64_boundary(n, longest):
         canonical_codes([0], [longest + 1], n)
     table = MomentTable.from_bracelets(n, 2 * longest, {(1, 1): 1.0})
     assert table.moment(words[1]) == 0
+    # the class index stops at its cap; longer words are read past it
+    assert len(table._index[0]) <= states._INDEX_CODES < codes[1]
+    assert table.word_moments([(1, 1), words[0]]).tolist() == [1, 0]
     with pytest.raises(BudgetExceededError):
         table.moment(too_long)
     # the pair is checked before its code is formed
@@ -125,8 +129,17 @@ def _tables(n, order, seed):
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
        st.data())
 def test_batch_lookups_equal_scalar_lookups(n, order, seed, data):
+    # a small index cap sends the longer codes down the canonicalizing
+    # path, beside the codes the index covers in the same batch
+    cap = data.draw(st.sampled_from((1, 5, 40, states._INDEX_CODES)))
     all_words = words_up_to(n, order)
-    for table, want in _tables(n, order, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "_INDEX_CODES", cap)
+        tables = _tables(n, order, seed)
+        for table, _ in tables:
+            table.moment(())
+            assert len(table._index[0]) <= cap
+    for table, want in tables:
         stored = sorted(want, key=lambda w: (len(w), w))
         # stored words, their rotations and reversals, and any word
         picks = data.draw(st.lists(st.sampled_from(stored), max_size=8))
