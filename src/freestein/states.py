@@ -11,8 +11,9 @@ backends live here:
   words.  Its one class rule is ``canonical_codes``, integer arithmetic
   on codes alone: ``bracelet_classes`` runs it over every code to
   enumerate the classes a trace table stores, and a table runs it once
-  over the codes of every word up to a length, whose index then answers
-  each batch by one gather (see ``MomentTable``);
+  over the codes of every word up to the longest length it has read,
+  whose index then answers each batch by one gather (see
+  ``MomentTable``);
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
   cumulants by the moment-cumulant formula
   ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
@@ -314,12 +315,13 @@ class MomentFunctional:
         return np.array([self.moment(w) for w in words], dtype=complex)
 
 
-# cap on the codes a table's class index covers: int32 slots and flip
-# flags of 2^20 codes take 5 MB and cover every word of length <= 12
-# over 3 letters
-_INDEX_CODES = 1 << 20
-# codes canonicalized at once while an index is built
-_INDEX_BLOCK = 1 << 16
+# cap on the codes a table's class index covers.  Building the index
+# costs about what one canonicalizing batch of the same codes does
+# (0.15-0.3 us a code), so it pays once the reads have asked each code,
+# as a Gram block of that length does.  2^14 codes cover the largest
+# table the benchmark reads (n = 3, order 8: 9,841 codes) and bound the
+# index to 80 KB and a first read that builds all of it to about 3 ms.
+_INDEX_CODES = 1 << 14
 
 
 class MomentTable(MomentFunctional):
@@ -334,16 +336,18 @@ class MomentTable(MomentFunctional):
     word-list table stores every word and its classes are the identity.
     Values must be finite.
 
-    The first read builds the class index: for every code up to that of
+    Reads go through a class index: for every code up to that of
     (n, ..., n) of length L, the slot of its class among the stored
-    codes (-1, read as 0, for an absent class) and its flip flag.  L is
-    the longest length <= ``max_order`` whose codes number at most
-    ``_INDEX_CODES``.  A batch then reads each covered code by one
-    gather, and canonicalizes only its longer codes, once per distinct
-    word.  The index is published by one assignment, so concurrent
-    reads stay safe.  ``pair_moments`` and ``word_moments`` answer a
-    whole batch at once; ``moment`` is a batch of one word.  ``stored``
-    gives the stored words with their values and standard errors.
+    codes (-1, read as 0, for an absent class) and its flip flag.  A
+    batch first grows L to its longest word, up to the longest length
+    <= ``max_order`` whose codes number at most ``_INDEX_CODES``, so
+    the index holds only the lengths read so far; it then reads each
+    covered code by one gather, and canonicalizes only its longer
+    codes, once per distinct word.  The grown index is published by one
+    assignment, so concurrent reads stay safe.  ``pair_moments`` and
+    ``word_moments`` answer a whole batch at once; ``moment`` is a batch
+    of one word.  ``stored`` gives the stored words with their values
+    and standard errors.
     """
 
     def __init__(self, nvars, max_order, entries, tracial=False,
@@ -373,7 +377,13 @@ class MomentTable(MomentFunctional):
         self._errors = self._sorted(stderr, float) if stderr else None
         # the stored values with a 0 after them, which slot -1 reads
         self._cells = np.append(self._values[1], 0)
-        self._index = None
+        # the longest length whose codes the index may cover
+        top = 0
+        while (top < self.max_order
+               and _largest_code(self.nvars, top + 1) < _INDEX_CODES):
+            top += 1
+        self._index_top = top
+        self._index = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
 
     def _sorted(self, values, kind):
         words = [tuple(w) for w in values]
@@ -419,10 +429,10 @@ class MomentTable(MomentFunctional):
         powers = _code_powers(self.nvars, top)
         codes = (word_codes(lefts, self.nvars)[0][us] * powers[right[vs]]
                  + word_codes(rights, self.nvars)[0][vs])
-        return self._lookup(codes, lengths)
+        return self._lookup(codes, lengths, top)
 
-    def _lookup(self, codes, lengths):
-        slot, flip = self._index or self._build_index()
+    def _lookup(self, codes, lengths, longest):
+        slot, flip = self._grown(longest)
         covered = codes < len(slot)
         at = np.where(covered, codes, 0)
         slot, flip = slot[at], flip[at]
@@ -455,25 +465,24 @@ class MomentTable(MomentFunctional):
         # an absent class reads 0, never its conjugate -0j
         return np.where(found, at, -1), flipped & found
 
-    def _build_index(self):
-        # Codes are graded, so the words of length <= top are exactly the
-        # codes 0..code(n...n) of length top; slots are int32.
-        # Concurrent first reads may each build the index; every build is
-        # the same, and it is published by one assignment.
-        top = 0
-        while (top < self.max_order
-               and _largest_code(self.nvars, top + 1) < _INDEX_CODES):
-            top += 1
+    def _grown(self, longest):
+        """The class index, grown to cover every word of length at most
+        ``longest`` and ``_index_top``."""
+        slot, flip = self._index
+        top = min(longest, self._index_top)
         size = _largest_code(self.nvars, top) + 1
+        if size <= len(slot):
+            return slot, flip
+        # Codes are graded, so the words of length <= m are exactly the
+        # codes 0..code(n...n) of length m, and growing appends codes.
+        # Concurrent reads may each grow the index; the builds agree on
+        # the codes they share, and each is published by one assignment.
+        codes = np.arange(len(slot), size, dtype=np.int64)
         # the last code of each length, where searchsorted finds lengths
         ends = [_largest_code(self.nvars, m) for m in range(top + 1)]
-        slot = np.empty(size, dtype=np.int32)
-        flip = np.empty(size, dtype=bool)
-        for lo in range(0, size, _INDEX_BLOCK):
-            codes = np.arange(lo, min(lo + _INDEX_BLOCK, size), dtype=np.int64)
-            block = slice(lo, lo + len(codes))
-            slot[block], flip[block] = self._slots(
-                codes, np.searchsorted(ends, codes))
+        more, turned = self._slots(codes, np.searchsorted(ends, codes))
+        slot = np.concatenate((slot, more), dtype=np.int32)
+        flip = np.concatenate((flip, turned))
         self._index = slot, flip
         return slot, flip
 
@@ -494,6 +503,11 @@ class MomentTable(MomentFunctional):
     def _words(self, codes, values):
         return {code_word(c, self.nvars): v
                 for c, v in zip(codes.tolist(), values.tolist())}
+
+
+def _finite(z):
+    # math, unlike cmath, is loaded with numpy already
+    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block
@@ -533,15 +547,11 @@ class CumulantSpec:
                 if not 1 <= letter <= self.nvars:
                     raise ValueError(f"letter {letter} out of range 1..{self.nvars}")
             v = complex(v)
+            if not _finite(v):
+                raise ValueError(f"cumulant of word {list(w)} is not finite, "
+                                 f"got {v}")
             if v != 0:
                 clean[w] = v
-        # NaN and infinities are nonzero, so they are all in ``clean``
-        if not np.isfinite(np.fromiter(clean.values(), dtype=complex,
-                                       count=len(clean))).all():
-            w, v = next((w, v) for w, v in clean.items()
-                        if not np.isfinite(v))
-            raise ValueError(f"cumulant of word {list(w)} is not finite, "
-                             f"got {v}")
         object.__setattr__(self, "kappa", clean)
         object.__setattr__(self, "blocks", _block_trie(clean))
         # one-step rotation generates every rotation
@@ -630,7 +640,7 @@ class CumulantState(MomentFunctional):
         forward, flipped = _orbit(word, spec.cyclic, spec.hermitian)
         least, from_flipped = _least(forward, flipped)
         value = _first_block_sum(spec.blocks, least, self._moment)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not _finite(value):
             raise BudgetExceededError(
                 f"moment of word {list(word)} overflows double precision")
         if from_flipped:

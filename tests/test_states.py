@@ -471,8 +471,8 @@ def test_concurrent_moment_reads_are_consistent():
         # cold dense state: threads start on different long words, so the
         # recursion of one fills gap subwords another is reading
         (lambda: CumulantState(dense), words_up_to(2, 8, min_len=1)[::-1]),
-        # cold table: the first reads of several threads build its class
-        # index
+        # cold table: threads start on words of different lengths, so
+        # their reads grow its class index at once
         (lambda: MomentTable.from_bracelets(2, 8, classes),
          words_up_to(2, 8, min_len=1)),
     ]

@@ -136,9 +136,6 @@ def test_batch_lookups_equal_scalar_lookups(n, order, seed, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(states, "_INDEX_CODES", cap)
         tables = _tables(n, order, seed)
-        for table, _ in tables:
-            table.moment(())
-            assert len(table._index[0]) <= cap
     for table, want in tables:
         stored = sorted(want, key=lambda w: (len(w), w))
         # stored words, their rotations and reversals, and any word
@@ -157,6 +154,28 @@ def test_batch_lookups_equal_scalar_lookups(n, order, seed, data):
         index = np.arange(len(asked))
         paired = table.pair_moments(lefts, rights, index, index)
         assert paired.tolist() == got.tolist()
+        assert len(table._index[0]) <= cap
+
+
+def test_index_grows_with_the_longest_word_read():
+    # a short first read of a long table maps only the short codes
+    table = MomentTable.from_bracelets(2, 40, {(1, 1): 1.0, (1, 2, 2): 0.5})
+    assert table.moment((1, 1)) == 1
+    short = table._index[0]
+    assert len(short) == 7  # the codes of the words of length <= 2
+    # a longer read appends the codes up to its length
+    assert table.word_moments([(2, 1, 2), (2,)]).tolist() == [0.5, 0]
+    assert len(table._index[0]) == 15
+    assert table._index[0][:7].tolist() == short.tolist()
+    # a shorter one leaves the index as it is
+    grown = table._index
+    assert table.moment((1, 2)) == 0
+    assert table._index is grown
+    # a read past the cap grows the index to the cap alone
+    assert table.moment((1,) * 40) == 0
+    top = table._index_top
+    assert (len(table._index[0]) == states._largest_code(2, top) + 1
+            <= states._INDEX_CODES < states._largest_code(2, top + 1) + 1)
 
 
 def test_lookups_check_letters_and_order():
