@@ -261,13 +261,18 @@ def cmd_stein(args):
 
 
 def cmd_poincare(args):
+    # checked before the state is loaded, which may run the Monte Carlo;
+    # a sampled table covers the norm order too
     if args.degree < 1:
         raise ValueError("degree must be >= 1")
-    phi = _load_state(args, mc_order=max(8, 2 * args.degree))
+    norm_order = args.norm_order
+    if norm_order is not None and (norm_order <= 0 or norm_order % 2):
+        raise ValueError("order must be a positive even integer")
+    phi = _load_state(args, mc_order=max(8, 2 * args.degree, norm_order or 0))
     est = _finite_ratio(poincare_lower_bound(
         phi, args.degree,
         pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
-        norm_order=args.norm_order,
+        norm_order=norm_order,
     ))
     return serialize.dumps(serialize.poincare_report_obj(est))
 

@@ -2,11 +2,13 @@
 
 Coordinates are sampled as independent GUE matrices (Hermitian N x N,
 strictly-upper entries complex Gaussian with variance 1/N, real
-diagonal with variance 1/N) or as self-adjoint polynomial images of
-fresh GUE matrices.  Word moments are averaged normalized traces over
-``samples`` independent draws; each draw gets its own RNG stream spawned
-from the master seed, so results are identical no matter how sampling
-is scheduled.
+diagonal with variance 1/N; Mingo and Speicher, *Free Probability and
+Random Matrices*, 2017, ch. 1) or as self-adjoint polynomial images of
+fresh GUE matrices.  A dense GUE draw takes N^2 standard normals, one
+per real degree of freedom (``sample_gue``).  Word moments are averaged
+normalized traces over ``samples`` independent draws; each draw gets
+its own RNG stream spawned from the master seed, so results are
+identical no matter how sampling is scheduled.
 
 Coordinate 1 is always held in its own eigenbasis.  Every generator is
 unitarily invariant and the coordinates are independent, so with
@@ -40,32 +42,36 @@ tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product, where the
 product of a reversed word is the adjoint, P_rev(u) = P_u^H.  With D
 diagonal, a product 1^j u 1^k is the core P_u scaled along its rows and
 columns: only cores beginning and ending with other letters are built
-as matrices (at order 8 over two coordinates, 6 GEMMs per draw instead
-of 19), pure powers of D stay vectors, and a trace with a diagonal side
-is a weighted diagonal sum.  Running means and variances are arrays
-indexed by class, updated once per draw.  Before any matrix is built,
-tables whose words have over ``MAX_TABLE_LETTERS`` letters, or whose
-half-length products take over ``MAX_PRODUCT_BYTES`` bytes, are
-refused with ``BudgetExceededError``.
+as matrices, pure powers of D stay vectors, and a trace with a diagonal
+side is a weighted diagonal sum.  A core a 1^{2j} rev(a) is the Gram
+matrix Q Q^H of Q = P_a D^j, built by ``_gram`` as a real symmetric
+rank-k update and one real GEMM, half the flops of a complex product;
+at order 8 over two coordinates a draw builds 3 complex products and 3
+Grams, where a dense letter 1 would take 19 products.  Running means
+and variances are arrays indexed by class, updated once per draw.
+Before any matrix is built, tables whose words have over
+``MAX_TABLE_LETTERS`` letters, or whose half-length products take over
+``MAX_PRODUCT_BYTES`` bytes, are refused with ``BudgetExceededError``.
 
 The output is a ``MomentTable`` carrying per-word standard errors (one
 per class) and, as the per-coordinate upper norm estimate, the largest
 spectral norm seen across samples.  For coordinate 1 that is the
 largest |lambda|.  For the others the maximum is exact too, though a
 draw whose norm cannot raise it skips its eigensolve, and only on
-proof.  The square X^2 = X @ X of each such coordinate is built first
-(it is also the trace products' (i, i) entry, so order >= 3 pays no
-extra GEMM).  When a Cholesky factorization of tau^2 I - X^2 succeeds,
-with tau the running maximum shrunk by ``CERT_MARGIN``, ||X|| lies
-below the maximum and the draw cannot change it; otherwise the draw is
-eigensolved.  The margin dwarfs the factorization's backward error
-(about N u ||X||^2; Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., section 10.1), so the maximum is the float the
-full eigensolve of every draw gives.  For iid draws the maximum moves
-about ln(samples) + 0.58 times, so most draws are certified.
+proof.  The square X^2 = X X^H of each such coordinate is built first,
+as a Gram (it is also the trace products' (i, i) entry, so order >= 3
+pays no extra product).  When a Cholesky factorization of
+tau^2 I - X^2 succeeds, with tau the running maximum shrunk by
+``CERT_MARGIN``, ||X|| lies below the maximum and the draw cannot
+change it; otherwise the draw is eigensolved.  The margin dwarfs the
+factorization's backward error (about N u ||X||^2; Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2nd ed., section 10.1), so the
+maximum is the float the full eigensolve of every draw gives.  For iid
+draws the maximum moves about ln(samples) + 0.58 times, so most draws
+are certified.
 
 Tables are byte-identical run to run at a fixed BLAS thread count; the
-GEMMs and eigensolves may round differently under another.
+products and eigensolves may round differently under another.
 """
 
 from __future__ import annotations
@@ -129,24 +135,23 @@ class EnsembleConfig:
 
 
 def sample_gue(rng, size):
-    """One GUE draw: Hermitian, E|H_ij|^2 = 1/size off-diagonal,
-    real diagonal with variance 1/size."""
-    scale = 1.0 / np.sqrt(2.0 * size)
-    a = rng.standard_normal((size, size))
-    b = rng.standard_normal((size, size))
-    a *= scale
-    b *= scale
-    # (h + h^H) / sqrt 2 for h = a + ib; numpy divides a complex value by
-    # a real one as a product with the reciprocal, so these are its bits
-    return _hermitian(a, b, 1.0 / np.sqrt(2.0))
-
-
-def _hermitian(re, im, factor):
-    """factor (z + z^H) for z = re + i im, in one C-ordered buffer."""
-    out = np.empty(re.shape, dtype=complex)
-    np.add(re, re.T, out=out.real)
-    np.subtract(im, im.T, out=out.imag)
-    out.view(float)[...] *= factor
+    """One GUE draw: Hermitian, E|H_ij|^2 = 1/size off-diagonal, real
+    diagonal with variance 1/size, from size^2 standard normals g scaled
+    by 1 / sqrt(2 size).  The strict upper triangle of g gives the real
+    parts of the entries above the diagonal, its strict lower triangle
+    their imaginary parts, and sqrt 2 times its diagonal the diagonal;
+    the draw is exactly Hermitian."""
+    g = rng.standard_normal((size, size))
+    g *= 1.0 / np.sqrt(2.0 * size)
+    out = np.empty((size, size), dtype=complex)
+    # filled in place, no triangle temporaries: below the diagonal each
+    # entry is the conjugate of its mirror
+    lower = np.tri(size, k=-1, dtype=bool)
+    np.copyto(out.real, g)
+    np.copyto(out.real, g.T, where=lower)
+    np.copyto(out.imag, g.T)
+    np.negative(g, out=out.imag, where=lower)
+    out.flat[::size + 1] = np.sqrt(2.0) * g.diagonal()
     return out
 
 
@@ -182,7 +187,31 @@ def sample_gue_spectrum(rng, size):
 
 
 def _hermitian_part(m):
-    return _hermitian(m.real, m.imag, 0.5)
+    """(m + m^H) / 2, in one C-ordered buffer."""
+    out = np.empty(m.shape, dtype=complex)
+    np.add(m.real, m.real.T, out=out.real)
+    np.subtract(m.imag, m.imag.T, out=out.imag)
+    out.view(float)[...] *= 0.5
+    return out
+
+
+def _gram(q):
+    """q @ q^H for a square q, exactly Hermitian, in half the flops of
+    the complex product.  Its real part is V V^T for the interleaved
+    real view V of q, which numpy runs as one symmetric rank-k update;
+    its imaginary part is C - C^T for C = Im q (Re q)^T.  The output
+    buffer holds contiguous copies of Re q and Im q until C is built."""
+    q = np.ascontiguousarray(q)
+    m = q.shape[0]
+    out = np.empty((m, m), dtype=complex)
+    re, im = out.view(float).reshape(2, m, m)
+    np.copyto(re, q.real)
+    np.copyto(im, q.imag)
+    c = im @ re.T
+    v = q.view(float)
+    np.copyto(out.real, v @ v.T)
+    np.subtract(c, c.T, out=out.imag)
+    return out
 
 
 def _draw(config, rng):
@@ -222,15 +251,17 @@ class _TracePlan(NamedTuple):
     ``nvars`` coordinates, letter 1 diagonal, the same for every draw.
 
     ``builds`` lists the dense products in graded order: ("letter", core,
-    i) is coordinate i, ("square", core, i) its square, ("adjoint", core,
-    rev core) the adjoint of a built product, and ("gemm", core, prefix,
-    k, i) is P_prefix D^k X_i, one GEMM.  ``singles`` gives a class index
-    c and its trace: ("power", c, m) is tr D^m, ("diag", c, core, q) is
-    tr(D^q P_core), and ("pair", c, u, rev v) is tr(P_u P_v) =
-    <P_rev(v), P_u>.  ``scaled`` maps (u, rev v) to the classes with
-    traces tr(P_u D^p P_v D^q) = <P_rev(v), D^q P_u D^p>, p + q > 0, as
-    (class indices, distinct p, column of each class's p among them,
-    q per class).  Traces are taken before the division by N."""
+    i) is coordinate i, ("gram", core, half, k) is the Gram matrix
+    (P_half D^k)(P_half D^k)^H of the core half 1^{2k} rev(half),
+    ("adjoint", core, rev core) the adjoint of a built product, and
+    ("gemm", core, prefix, k, i) is P_prefix D^k X_i, one complex
+    product.  ``singles`` gives a class index c and its trace: ("power",
+    c, m) is tr D^m, ("diag", c, core, q) is tr(D^q P_core), and
+    ("pair", c, u, rev v) is tr(P_u P_v) = <P_rev(v), P_u>.  ``scaled``
+    maps (u, rev v) to the classes with traces tr(P_u D^p P_v D^q) =
+    <P_rev(v), D^q P_u D^p>, p + q > 0, as (class indices, distinct p,
+    column of each class's p among them, q per class).  Traces are taken
+    before the division by N."""
 
     reps: list
     closed: np.ndarray
@@ -251,8 +282,10 @@ def _trace_plan(nvars, max_order):
             continue
         if len(w) == 1:
             builds.append(("letter", w, w[0] - 1))
-        elif w == w[:1] * 2:
-            builds.append(("square", w, w[0] - 1))
+        elif len(w) % 2 == 0 and w == w[::-1]:
+            # half 1^{2k} rev(half), with D^k real: a Gram matrix
+            _, half, k = _split(w[:len(w) // 2])
+            builds.append(("gram", w, half, k))
         elif w[::-1] in built:
             builds.append(("adjoint", w, w[::-1]))
         else:
@@ -292,28 +325,30 @@ def _class_traces(coords, plan, squares=None):
     and is never built; pure powers of letter 1 stay vectors, and a
     trace with a diagonal side is a weighted diagonal sum.  Only the
     cores, products beginning and ending with other letters, are dense;
-    each is a coordinate, the adjoint of its reversal when that is built
-    (P_rev(u) = P_u^H), or one GEMM.  The classes that pair the same two
-    cores through powers of D share one elementwise product
+    each is a coordinate, a Gram matrix when it is a palindrome of even
+    length (``_gram``), the adjoint of its reversal when that is built
+    (P_rev(u) = P_u^H), or one complex product.  The classes that pair
+    the same two cores through powers of D share one elementwise product
     C = conj(P_rev(v)) * P_u, and each takes lambda^q . C lambda^p.
-    ``squares``, when given, maps a letter index i to the product
-    ``coords[i] @ coords[i]`` already built.  The boolean mask
+    ``squares``, when given, maps a letter index i to the Gram matrix
+    ``_gram(coords[i])`` already built.  The boolean mask
     ``plan.closed`` marks the reversal-closed classes, whose products
     are Hermitian: their traces are taken real."""
     size = coords[0].shape[0]
     pows = np.ones((plan.max_order + 1, size))
     for m in range(1, plan.max_order + 1):
         pows[m] = pows[m - 1] * coords[0]
-    squares = squares or {}
-    prods = {}
+    prods = {(i + 1,) * 2: sq for i, sq in (squares or {}).items()}
     for kind, w, *args in plan.builds:
+        if w in prods:
+            continue
         if kind == "letter":
             prods[w] = coords[args[0]]
         elif kind == "adjoint":
             prods[w] = np.ascontiguousarray(prods[args[0]].conj().T)
-        elif kind == "square":
-            i = args[0]
-            prods[w] = squares[i] if i in squares else coords[i] @ coords[i]
+        elif kind == "gram":
+            half, k = args
+            prods[w] = _gram(prods[half] * pows[k] if k else prods[half])
         else:
             prefix, k, i = args
             left = prods[prefix] * pows[k] if k else prods[prefix]
@@ -399,7 +434,7 @@ def _check_trace_budget(nvars, size, max_order):
 def mc_moment_table(config, max_order):
     """Monte Carlo moment table: per-class sample mean, standard error,
     and sampled spectral-norm upper estimates.  Deterministic in the
-    seed at a fixed BLAS thread count (the GEMMs and eigensolves may
+    seed at a fixed BLAS thread count (the products and eigensolves may
     round differently under another).
 
     Each draw holds coordinate 1 as the real vector of its eigenvalues
@@ -431,7 +466,7 @@ def mc_moment_table(config, max_order):
     for s in range(config.samples):
         coords = _draw(config, np.random.default_rng(root.spawn(1)[0]))
         norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
-        squares = {i: coords[i] @ coords[i] for i in range(1, n)}
+        squares = {i: _gram(coords[i]) for i in range(1, n)}
         for i, sq in squares.items():
             if not _norm_below(sq, norm_max[i]):
                 eigs = np.linalg.eigvalsh(coords[i])

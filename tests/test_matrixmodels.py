@@ -38,13 +38,23 @@ def test_gue_entry_variances():
     rng = np.random.default_rng(0)
     size = 40
     samples = [sample_gue(rng, size) for _ in range(300)]
+    assert all(np.array_equal(x, x.conj().T) for x in samples)
     stack = np.stack(samples)
-    assert np.abs(stack - stack.conj().transpose(0, 2, 1)).max() < 1e-12
     off = np.mean(np.abs(stack[:, 0, 1]) ** 2)
     diag = np.mean(stack[:, 2, 2].real ** 2)
     assert off == pytest.approx(1.0 / size, rel=0.2)
     assert diag == pytest.approx(1.0 / size, rel=0.3)
     assert np.abs(stack[:, 2, 2].imag).max() < 1e-15
+    # real and imaginary parts each carry half the variance, and come
+    # from distinct normals: uncorrelated with each other and with the
+    # next entry (a sample correlation of 300 draws has sd about 0.06)
+    h01, h02 = stack[:, 0, 1], stack[:, 0, 2]
+    for part in (h01.real, h01.imag):
+        assert np.mean(part ** 2) == pytest.approx(0.5 / size, rel=0.3)
+    assert abs(np.corrcoef(h01.real, h01.imag)[0, 1]) < 0.25
+    cross = np.mean(h01 * h02.conj())
+    assert abs(cross) < 0.25 * np.sqrt(np.mean(np.abs(h01) ** 2)
+                                       * np.mean(np.abs(h02) ** 2))
 
 
 def test_single_gue_moments():
@@ -157,6 +167,28 @@ def test_diagonal_kernel_matches_einsum_oracle(n, order, np_rng):
     want = bruteforce.einsum_word_traces(mats, size, order, words)
     for c, w in enumerate(plan.reps):
         assert abs(got[c] - want[w]) <= 1e-12 * max(abs(want[w]), 1.0)
+
+
+@pytest.mark.parametrize("size", [1, 9, 64])
+def test_gram_matches_the_complex_product(size, np_rng):
+    general = (np_rng.standard_normal((size, size))
+               + 1j * np_rng.standard_normal((size, size)))
+    for q in (rand_hermitian(np_rng, size), general):
+        got = matrixmodels._gram(q)
+        want = q @ q.conj().T
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got, got.conj().T)
+
+
+def test_trace_plan_builds_even_palindromes_as_grams():
+    # a 1^{2j} rev(a) is (P_a D^j)(P_a D^j)^H; a core with an odd run
+    # of 1s in its middle, such as 212 = X D X, is not a Gram matrix
+    built = {}
+    for kind, w, *_ in matrixmodels._trace_plan(2, 8).builds:
+        built.setdefault(kind, []).append(w)
+    assert built["gram"] == [(2, 2), (2, 1, 1, 2), (2, 2, 2, 2)]
+    assert built["gemm"] == [(2, 1, 2), (2, 2, 2), (2, 1, 2, 2)]
+    assert built["adjoint"] == [(2, 2, 1, 2)]
 
 
 def test_poly_of_gue_matches_free_poisson():
@@ -292,12 +324,25 @@ def test_mc_rejects_max_order_before_sampling(monkeypatch, tmp_path, capsys):
 
 
 def test_degree_checked_before_sampling(monkeypatch, tmp_path, capsys):
-    _refuse_sampling(monkeypatch, "--degree")
+    _refuse_sampling(monkeypatch, "--degree and --norm-order")
     path = _ensemble_file(tmp_path, coordinates=2)
-    for argv, message in ((["poincare", "--degree", "0"], "degree must be >= 1"),
-                          (["stein", "--degree", "-1"], "degree must be >= 0")):
+    odd_or_negative = "order must be a positive even integer"
+    for argv, message in (
+            (["poincare", "--degree", "0"], "degree must be >= 1"),
+            (["stein", "--degree", "-1"], "degree must be >= 0"),
+            *((["poincare", "--norm-order", order], odd_or_negative)
+              for order in ("3", "0", "-2"))):
         assert cli.main(argv + ["--ensemble", path]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_poincare_samples_up_to_the_norm_order(tmp_path, capsys):
+    path = _ensemble_file(tmp_path, coordinates=2)
+    argv = ["poincare", "--ensemble", path, "--degree", "2",
+            "--norm-order", "10"]
+    assert cli.main(argv) == 0
+    estimates = json.loads(capsys.readouterr().out)["norm_estimates"]
+    assert [e["order"] for e in estimates] == [10, 10]
 
 
 def test_negative_seed_rejected_before_sampling(monkeypatch, tmp_path, capsys):
