@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .matrixmodels import mc_moment_table
-from .poincare import PINV_TOL, PSD_TOL, poincare_lower_bound
+from .poincare import PINV_TOL, poincare_lower_bound
 from .states import MAX_CUMULANT_ORDER, centered_free_poisson, check_state
 # unused: validation runs inside ``check_state``; bench/tracer.py still
 # patches this name, and times validation only once it patches
@@ -119,7 +119,7 @@ def _build_parser():
                          help="polynomial JSON path or 'quadratic'")
     p_stein.add_argument("--degree", type=int, default=3)
     p_stein.add_argument("--tol-centering", type=float, default=CENTERING_TOL)
-    _tol_flags(p_stein)
+    p_stein.add_argument("--tol-pinv", type=float, default=PINV_TOL)
     _common_out(p_stein)
     p_stein.set_defaults(func=cmd_stein)
 
@@ -127,7 +127,7 @@ def _build_parser():
     _state_flags(p_poin)
     p_poin.add_argument("--degree", type=int, default=3)
     p_poin.add_argument("--norm-order", type=int, default=None)
-    _tol_flags(p_poin)
+    p_poin.add_argument("--tol-pinv", type=float, default=PINV_TOL)
     _common_out(p_poin)
     p_poin.set_defaults(func=cmd_poincare)
 
@@ -163,11 +163,6 @@ def _state_flags(p):
                    help="ensemble config JSON (runs Monte Carlo first)")
     p.add_argument("--seed", type=int, default=None,
                    help="override the ensemble config seed")
-
-
-def _tol_flags(p):
-    p.add_argument("--tol-psd", type=float, default=PSD_TOL)
-    p.add_argument("--tol-pinv", type=float, default=PINV_TOL)
 
 
 def _read_json(path, what):
@@ -250,13 +245,9 @@ def cmd_stein(args):
     # the Poincare-route bound uses the truncated lower estimate of the
     # optimal constant; it converges to the true bound from below
     est = _finite_ratio(poincare_lower_bound(
-        phi, max(args.degree, 1),
-        pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
-    ))
-    report = discrepancy_bounds(
-        prob, args.degree, est.c_lower, c_is_upper=False,
-        pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
-    )
+        phi, max(args.degree, 1), pinv_tol=args.tol_pinv))
+    report = discrepancy_bounds(prob, args.degree, est.c_lower,
+                                c_is_upper=False, pinv_tol=args.tol_pinv)
     return serialize.dumps(serialize.stein_report_obj(v, report))
 
 
@@ -270,10 +261,7 @@ def cmd_poincare(args):
         raise ValueError("order must be a positive even integer")
     phi = _load_state(args, mc_order=max(8, 2 * args.degree, norm_order or 0))
     est = _finite_ratio(poincare_lower_bound(
-        phi, args.degree,
-        pinv_tol=args.tol_pinv, psd_tol=args.tol_psd,
-        norm_order=norm_order,
-    ))
+        phi, args.degree, pinv_tol=args.tol_pinv, norm_order=norm_order))
     return serialize.dumps(serialize.poincare_report_obj(est))
 
 

@@ -41,6 +41,7 @@ from .states import CumulantSpec, CumulantState
 from .stein import SteinProblem, minimal_kernel
 
 BASE_TOL = 1e-9
+BOUND_SLACK = 1e-6
 
 
 def rescale_cumulants(base, k):
@@ -129,7 +130,7 @@ def theorem_constant(base, norm_upper=None):
     return float(np.sqrt(n * min(branch_c, branch_m4))), m4, branch_m4
 
 
-def clt_rate_table(exp, norm_upper=None, bound_slack=1e-6):
+def clt_rate_table(exp, norm_upper=None):
     """One row per copy count; see the module docstring for columns."""
     n = exp.base.nvars
     const, m4_base, branch_m4 = theorem_constant(exp.base, norm_upper)
@@ -154,7 +155,7 @@ def clt_rate_table(exp, norm_upper=None, bound_slack=1e-6):
                 theorem_constant=const,
                 bound_over_sqrt_k=float(bound),
                 ratio=float(sigma / bound) if bound > 0 else float("nan"),
-                within_m4_bound=sigma <= bound_m4 + bound_slack,
+                within_m4_bound=sigma <= bound_m4 + BOUND_SLACK,
             )
         )
     return rows

@@ -83,7 +83,7 @@ import numpy as np
 
 from .algebra import NcPoly
 from .errors import BudgetExceededError, ParseError
-from .states import MomentTable, bracelet_classes, words_up_to
+from .states import MomentTable, bracelet_classes, word_count, words_up_to
 
 
 @dataclass(frozen=True)
@@ -408,6 +408,8 @@ def _norm_below(square, bound):
 # kept per sample
 MAX_TABLE_LETTERS = 1 << 20
 MAX_PRODUCT_BYTES = 1 << 30
+# largest entry of X - X^H that ``moment_table_from_matrices`` accepts
+MATRIX_HERM_TOL = 1e-12
 
 
 def _check_trace_budget(nvars, size, max_order):
@@ -420,7 +422,7 @@ def _check_trace_budget(nvars, size, max_order):
                 f"coordinates has more than {MAX_TABLE_LETTERS} letters",
                 needed=letters, available=MAX_TABLE_LETTERS,
             )
-    prods = sum(nvars ** k for k in range(1, (max_order + 1) // 2 + 1))
+    prods = word_count(nvars, (max_order + 1) // 2)
     nbytes = prods * size * size * 16
     if nbytes > MAX_PRODUCT_BYTES:
         raise BudgetExceededError(
@@ -488,25 +490,25 @@ def mc_moment_table(config, max_order):
     )
 
 
-def moment_table_from_matrices(mats, max_order, atol=1e-12):
+def moment_table_from_matrices(mats, max_order):
     """Exact trace state of a fixed tuple of Hermitian matrices.
 
     phi(w) = tr(prod of the word) / N.  Such states satisfy every moment
     invariant (unit, Hermitian symmetry, positivity, traciality) up to
     floating point, and their spectral norms are exact upper norm
     estimates.  Useful both as a deterministic table backend and as an
-    independent oracle in tests.  Matrices Hermitian within ``atol``
-    are replaced by their Hermitian parts.  One trace is taken per
-    bracelet class, under the budget of ``mc_moment_table``, by the
-    kernel it uses: the first matrix X_1 = U diag(lambda) U^H becomes
-    lambda and every other X_i becomes U^H X_i U, which changes no trace.
+    independent oracle in tests.  Matrices nearly Hermitian are replaced
+    by their Hermitian parts.  One trace is taken per bracelet class,
+    under the budget of ``mc_moment_table``, by the kernel it uses: the
+    first matrix X_1 = U diag(lambda) U^H becomes lambda and every other
+    X_i becomes U^H X_i U, which changes no trace.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     size = mats[0].shape[0]
     for m in mats:
         if m.shape != (size, size):
             raise ValueError("all matrices must share one square shape")
-        if np.abs(m - m.conj().T).max() > atol:
+        if np.abs(m - m.conj().T).max() > MATRIX_HERM_TOL:
             raise ValueError("matrices must be Hermitian")
     mats = [_hermitian_part(m) for m in mats]
     n = len(mats)

@@ -15,14 +15,14 @@ in graded order, once, by a left-looking Cholesky E = L L^H (Higham,
 *Accuracy and Stability of Numerical Algorithms*, sec. 10).  Pivot k,
 with Schur complement s_k and diagonal delta_k, is a relation (a zero
 column of L, counted in ``null_dim``) when delta_k = 0 or
-|s_k| <= pinv_tol delta_k.  If s_k < -psd_tol delta_k, E is indefinite
-(``InvalidStateError``); any other s_k < 0 means double precision has
-run out at that degree (``BudgetExceededError``).  With T the kept rows
-and columns of L, every d <= D reads the leading block T_d: C_d is the
-top eigenvalue of T_d^-1 S T_d^-H, nondecreasing by Cauchy interlacing,
-and ``stein.minimal_kernel`` reads the same T_d^-1.  A state caches its
-forms per (pinv_tol, psd_tol) at the largest degree asked, so a
-Poincare bound and a minimal kernel share one factorization.
+|s_k| <= pinv_tol delta_k.  If s_k < -``PSD_TOL`` delta_k, E is
+indefinite (``InvalidStateError``); any other s_k < 0 means double
+precision has run out at that degree (``BudgetExceededError``).  With T
+the kept rows and columns of L, every d <= D reads the leading block
+T_d: C_d is the top eigenvalue of T_d^-1 S T_d^-H, nondecreasing by
+Cauchy interlacing, and ``stein.minimal_kernel`` reads the same T_d^-1.
+A state caches its forms per ``pinv_tol`` at the largest degree asked,
+so a Poincare bound and a minimal kernel share one factorization.
 
 A relation with positive variance would force C_opt = inf, while
 bounded states have C_opt <= 4 n ||X||^2 (2 n ||X||^2 if tracial), so
@@ -49,22 +49,20 @@ from .states import (
     covariance_gram,
     dirichlet_gram,
     operator_norm_estimate,
+    word_count,
     words_up_to,
 )
 
 PINV_TOL = 5e-14
 PSD_TOL = 1e-8
 WITNESS_TOL = 1e-8
+GAP_TOL = 1e-6
+HYPOTHESIS_TOL = 1e-8
 
 # cap on the bytes of one m x m complex form over the m words of a
 # ``TruncatedForms``; the Gram, its factor and inverse and the
 # covariance each take that much (1,092 words at n = 3, d = 6 take 19 MB)
 MAX_FORM_BYTES = 1 << 27
-
-
-def _word_count(nvars, degree):
-    """The number of nonconstant words of degree <= ``degree``."""
-    return sum(nvars ** k for k in range(1, degree + 1))
 
 
 class TruncatedForms:
@@ -74,17 +72,16 @@ class TruncatedForms:
     over more than ``MAX_FORM_BYTES`` bytes raise ``BudgetExceededError``
     before any word is enumerated."""
 
-    def __init__(self, phi, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
+    def __init__(self, phi, degree, pinv_tol=PINV_TOL):
         self.nvars, self.degree = phi.nvars, degree
-        size = 16 * _word_count(phi.nvars, degree) ** 2
+        size = 16 * word_count(phi.nvars, degree) ** 2
         if size > MAX_FORM_BYTES:
             raise BudgetExceededError(
                 f"forms over the words of degree <= {degree} in "
                 f"{phi.nvars} variables take {size} bytes each, over "
                 f"{MAX_FORM_BYTES}", needed=size, available=MAX_FORM_BYTES)
         self.words = words_up_to(phi.nvars, degree, min_len=1)
-        gram = _require_hermitian(dirichlet_gram(phi, self.words),
-                                  "Dirichlet form")
+        gram = dirichlet_gram(phi, self.words)
         self.factor = np.zeros_like(gram)
         self.schur = np.zeros(len(gram))
         kept = []
@@ -94,7 +91,7 @@ class TruncatedForms:
             diag = gram[k, k].real
             if diag == 0 or abs(schur) <= pinv_tol * diag:
                 continue
-            if schur < -psd_tol * diag:
+            if schur < -PSD_TOL * diag:
                 raise InvalidStateError(
                     f"Dirichlet form indefinite: pivot {schur:.3e} at word "
                     f"{word} (invalid state)")
@@ -114,27 +111,25 @@ class TruncatedForms:
         self._covariance = np.zeros((0, 0), dtype=complex)
 
     @classmethod
-    def of(cls, phi, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
-        """The forms ``phi`` caches for this tolerance pair, rebuilt only
+    def of(cls, phi, degree, pinv_tol=PINV_TOL):
+        """The forms ``phi`` caches for this ``pinv_tol``, rebuilt only
         when ``degree`` exceeds every degree asked so far."""
         cache = vars(phi).setdefault("_truncated_forms", {})
-        forms = cache.get((pinv_tol, psd_tol))
+        forms = cache.get(pinv_tol)
         if forms is None or forms.degree < degree:
-            forms = cache[pinv_tol, psd_tol] = cls(phi, degree, pinv_tol,
-                                                   psd_tol)
+            forms = cache[pinv_tol] = cls(phi, degree, pinv_tol)
         return forms
 
     def block(self, degree):
         """(m, kept, T_d^-1) of the m nonconstant words of degree <= d."""
-        m = _word_count(self.nvars, degree)
+        m = word_count(self.nvars, degree)
         kept = self.kept[self.kept < m]
         return m, kept, self.inverse[:len(kept), :len(kept)]
 
     def covariance(self, phi, m):
         """S of ``phi`` over the first ``m`` words, built when first read."""
         if len(self._covariance) < m:
-            self._covariance = _require_hermitian(
-                covariance_gram(phi, self.words[:m]), "covariance form")
+            self._covariance = covariance_gram(phi, self.words[:m])
         return self._covariance[:m, :m]
 
 
@@ -188,8 +183,7 @@ class PoincareEstimate:
     voiculescu: VoiculescuBound
 
 
-def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL,
-                         norm_order=None):
+def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, norm_order=None):
     """Largest generalized Rayleigh quotient over degree <= d polynomials.
 
     Relation j has the null vector n_j = e_j - T_d^-H l_j (l_j: row j of
@@ -200,7 +194,7 @@ def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL,
     if degree < 1:
         raise ValueError("degree must be >= 1")
     phi.check_order(2 * degree)
-    forms = TruncatedForms.of(phi, degree, pinv_tol, psd_tol)
+    forms = TruncatedForms.of(phi, degree, pinv_tol)
     m, kept, inv = forms.block(degree)
     s_mat = forms.covariance(phi, m)
 
@@ -224,13 +218,6 @@ def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL,
     )
 
 
-def _require_hermitian(mat, what, tol=1e-8):
-    scale = max(np.abs(mat).max(initial=0.0), 1.0)
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > tol * scale:
-        raise InvalidStateError(f"{what} is not Hermitian (invalid state)")
-    return (mat + mat.conj().T) / 2
-
-
 @dataclass(frozen=True)
 class BianeGapReport:
     """No-contradiction check of C_opt >= 1 + sigma^2 / n.
@@ -238,7 +225,7 @@ class BianeGapReport:
     ``implied_c_lower`` is the computable 1 + sigma_d^2 / n;
     ``margin`` is the gap between the applicable norm-based upper bound
     and it.  ``consistent`` means the upper bound exceeds the implied
-    lower bound within tolerance.
+    lower bound within ``GAP_TOL``.
     """
 
     degree: int
@@ -251,10 +238,11 @@ class BianeGapReport:
     consistent: bool
 
 
-def biane_gap_check(phi, degree, tol=1e-6, hypothesis_tol=1e-8):
+def biane_gap_check(phi, degree):
     """Check the discrepancy-reinforced lower bound against upper bounds.
 
-    Requires a centered state with sum_i phi(x_i^2) = n.
+    Requires a centered state with sum_i phi(x_i^2) = n, within
+    ``HYPOTHESIS_TOL``.
     """
     from .algebra import quadratic_potential
     from .stein import SteinProblem, minimal_kernel
@@ -262,11 +250,11 @@ def biane_gap_check(phi, degree, tol=1e-6, hypothesis_tol=1e-8):
     n = phi.nvars
     means, second = coordinate_moments(phi)
     for i, mean in enumerate(means, 1):
-        if abs(mean) > hypothesis_tol:
+        if abs(mean) > HYPOTHESIS_TOL:
             raise InadmissibleProblemError(
                 f"state is not centered: phi(x_{i}) = {mean}")
     total_var = sum(second[i][i].real for i in range(n))
-    if abs(total_var - n) > hypothesis_tol:
+    if abs(total_var - n) > HYPOTHESIS_TOL:
         raise InadmissibleProblemError(
             f"sum of variances is {total_var}, expected n = {n}")
 
@@ -284,5 +272,5 @@ def biane_gap_check(phi, degree, tol=1e-6, hypothesis_tol=1e-8):
         voiculescu_upper=upper,
         certified_upper=est.voiculescu.certified,
         margin=margin,
-        consistent=margin >= -tol,
+        consistent=margin >= -GAP_TOL,
     )

@@ -33,24 +33,27 @@ from .states import BraceletError, CumulantSpec, MomentTable
 # deterministic writer
 
 
-def dumps(obj, indent=2):
+INDENT = 2
+
+
+def dumps(obj):
     """``obj`` as JSON text: every container on its own lines, indented
-    by ``indent`` per level, except arrays of numbers and booleans, which
+    by ``INDENT`` per level, except arrays of numbers and booleans, which
     stay on one line; floats with 17 significant digits; strings and
     keys escaped as ``json.dumps`` escapes them.  Each container is one
     ``join`` of its rendered items, and scalars are rendered in place."""
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
-def _render(obj, indent, level):
+def _render(obj, level):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        pad = " " * (indent * (level + 1))
+        pad = " " * (INDENT * (level + 1))
         items = ",\n".join([
-            f"{pad}{_string(str(key))}: {_item(value, indent, level + 1)}"
+            f"{pad}{_string(str(key))}: {_item(value, level + 1)}"
             for key, value in obj.items()])
-        return "{\n" + items + "\n" + " " * (indent * level) + "}"
+        return "{\n" + items + "\n" + " " * (INDENT * level) + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -58,14 +61,13 @@ def _render(obj, indent, level):
             return "[" + ", ".join(map(str, obj)) + "]"
         if all(isinstance(x, (int, float)) for x in obj):  # bool is an int
             return "[" + ", ".join(map(_scalar, obj)) + "]"
-        pad = " " * (indent * (level + 1))
-        items = ",\n".join([pad + _item(value, indent, level + 1)
-                            for value in obj])
-        return "[\n" + items + "\n" + " " * (indent * level) + "]"
+        pad = " " * (INDENT * (level + 1))
+        items = ",\n".join([pad + _item(value, level + 1) for value in obj])
+        return "[\n" + items + "\n" + " " * (INDENT * level) + "]"
     return _scalar(obj)
 
 
-def _item(value, indent, level):
+def _item(value, level):
     kind = type(value)
     if kind is float and math.isfinite(value):
         return format(value, ".17g")
@@ -73,7 +75,7 @@ def _item(value, indent, level):
         return str(value)
     if kind is str:
         return _string(value)
-    return _render(value, indent, level)
+    return _render(value, level)
 
 
 def _scalar(x):

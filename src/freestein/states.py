@@ -101,8 +101,11 @@ def rotations(word):
     return [twice[k:k + m] for k in range(m)]
 
 
-# default tolerance of the Hermitian and cyclic checks of ``validate_state``
+# HERM_TOL is the tolerance of every Hermitian check and of the unit and
+# cyclic checks; ``validate_state`` accepts a least eigenvalue of its
+# positivity Gram down to -EIG_TOL
 HERM_TOL = 1e-8
+EIG_TOL = 1e-8
 
 
 def _orbit(word, cyclic, hermitian):
@@ -153,9 +156,9 @@ def _code_powers(nvars, top):
     """n^k for k = 0..top as int64; ``BudgetExceededError`` when a word
     of length ``top`` has a code past 64 bits (for n = 2 and 3 exactly
     when n^top >= 2^63)."""
-    if _largest_code(nvars, top) > _CODE_MAX:
+    if word_count(nvars, top) > _CODE_MAX:
         longest = top - 1
-        while _largest_code(nvars, longest) > _CODE_MAX:
+        while word_count(nvars, longest) > _CODE_MAX:
             longest -= 1
         raise BudgetExceededError(
             f"words of length {top} over {nvars} letters have codes past "
@@ -164,8 +167,9 @@ def _code_powers(nvars, top):
     return np.power(nvars, np.arange(top + 1, dtype=np.int64))
 
 
-def _largest_code(nvars, length):
-    # the code of (n, ..., n), sum of n^k over k = 1..length
+def word_count(nvars, length):
+    """The number of nonempty words of length <= ``length``, the sum of
+    n^k over k = 1..length; it is also the code of (n, ..., n)."""
     if nvars == 1:
         return length
     return (nvars ** (length + 1) - 1) // (nvars - 1) - 1
@@ -254,7 +258,7 @@ def bracelet_classes(nvars, max_order):
     words, so this is ``canonical_codes`` over that range, whose size
     the caller bounds."""
     counts = _code_powers(nvars, max_order)[1:]
-    codes = np.arange(1, _largest_code(nvars, max_order) + 1, dtype=np.int64)
+    codes = np.arange(1, word_count(nvars, max_order) + 1, dtype=np.int64)
     keys, _, closed = canonical_codes(
         codes, np.repeat(np.arange(1, max_order + 1), counts), nvars)
     mine = keys == codes
@@ -380,7 +384,7 @@ class MomentTable(MomentFunctional):
         # the longest length whose codes the index may cover
         top = 0
         while (top < self.max_order
-               and _largest_code(self.nvars, top + 1) < _INDEX_CODES):
+               and word_count(self.nvars, top + 1) < _INDEX_CODES):
             top += 1
         self._index_top = top
         self._index = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
@@ -470,7 +474,7 @@ class MomentTable(MomentFunctional):
         ``longest`` and ``_index_top``."""
         slot, flip = self._index
         top = min(longest, self._index_top)
-        size = _largest_code(self.nvars, top) + 1
+        size = word_count(self.nvars, top) + 1
         if size <= len(slot):
             return slot, flip
         # Codes are graded, so the words of length <= m are exactly the
@@ -479,7 +483,7 @@ class MomentTable(MomentFunctional):
         # the codes they share, and each is published by one assignment.
         codes = np.arange(len(slot), size, dtype=np.int64)
         # the last code of each length, where searchsorted finds lengths
-        ends = [_largest_code(self.nvars, m) for m in range(top + 1)]
+        ends = [word_count(self.nvars, m) for m in range(top + 1)]
         more, turned = self._slots(codes, np.searchsorted(ends, codes))
         slot = np.concatenate((slot, more), dtype=np.int32)
         flip = np.concatenate((flip, turned))
@@ -583,9 +587,9 @@ class CumulantState(MomentFunctional):
     word of the class the spec's ``cyclic`` and ``hermitian`` flags tie
     to the asked word, and stores the whole class: each rotation gets
     the value, each reversed rotation its conjugate, and a class closed
-    under reversal its real part.  The flags, not the ``tracial``
-    argument, decide the class, so ``validate_state`` still sees a spec
-    that is not Hermitian.
+    under reversal its real part.  The flags decide the class, so
+    ``validate_state`` still sees a spec that is not Hermitian, and the
+    state is tracial when the spec is ``cyclic``.
 
     ``pair_moments`` and ``word_moments`` read a batch straight from the
     memo, in order, and call ``moment`` only on the words still missing
@@ -595,10 +599,8 @@ class CumulantState(MomentFunctional):
     and each class is written under the lock.
     """
 
-    def __init__(self, spec, norm_upper=None, tracial=None):
-        if tracial is None:
-            tracial = spec.cyclic
-        super().__init__(spec.nvars, spec.max_order, tracial, norm_upper)
+    def __init__(self, spec, norm_upper=None):
+        super().__init__(spec.nvars, spec.max_order, spec.cyclic, norm_upper)
         self.spec = spec
         self._memo = {(): 1.0 + 0j}
         self._lock = threading.Lock()
@@ -711,15 +713,8 @@ def _first_block_sum(blocks, word, moment):
 
 def cumulants_to_moment(spec, word):
     """Moment of one word under the moment-cumulant formula, evaluated by
-    a fresh ``CumulantState`` without its word checks."""
-    word = tuple(word)
-    if len(word) > spec.max_order:
-        raise BudgetExceededError(
-            f"word length {len(word)} exceeds cumulant order limit {spec.max_order}",
-            needed=len(word),
-            available=spec.max_order,
-        )
-    return CumulantState(spec, tracial=False)._moment(word)
+    a fresh ``CumulantState``, which checks the word."""
+    return CumulantState(spec).moment(word)
 
 
 def moments_to_cumulants(phi, max_order):
@@ -895,21 +890,34 @@ def dirichlet_gram(phi, words):
     G[a, b] = sum_i (phi (x) phi)( d_i(w_b) # (d_i(w_a))* ), so that the
     Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  It is
     the transposed ``pairing_gather`` of the Jacobian terms with
-    themselves, whose budget check asks for 2 (longest word - 1).
+    themselves (whose budget check asks for 2 (longest word - 1)),
+    checked Hermitian, then its upper triangle copied over the lower one.
     """
     terms = jacobian_terms(words)
     gram = pairing_gather(phi, terms, terms, (len(words), len(words))).T
-    return np.triu(gram) + np.triu(gram, 1).conj().T
+    # checked before the copy, which would hide the lower triangle
+    _check_hermitian(gram, "Dirichlet form")
+    gram = np.triu(gram) + np.triu(gram, 1).conj().T
+    return (gram + gram.conj().T) / 2
 
 
 def covariance_gram(phi, words):
     """Hermitian form of centered monomials.
 
     S[a, b] = phi((w_b - phi w_b)(w_a - phi w_a)*), so the variance of
-    P = sum_b alpha_b w_b is alpha^H S alpha.
+    P = sum_b alpha_b w_b is alpha^H S alpha, checked Hermitian.
     """
     means = phi.word_moments(words)
-    return _hankel(phi, words, words).T - np.outer(means.conj(), means)
+    cov = _hankel(phi, words, words).T - np.outer(means.conj(), means)
+    _check_hermitian(cov, "covariance form")
+    return (cov + cov.conj().T) / 2
+
+
+def _check_hermitian(mat, what):
+    # within HERM_TOL of the largest entry, or of 1 when all are smaller
+    scale = max(np.abs(mat).max(initial=0.0), 1.0)
+    if np.abs(mat - mat.conj().T).max(initial=0.0) > HERM_TOL * scale:
+        raise InvalidStateError(f"{what} is not Hermitian (invalid state)")
 
 
 def coordinate_moments(phi):
@@ -974,27 +982,28 @@ CHECK_ORDER = 4
 MAX_FAMILY = 64
 
 
-def validate_state(phi, herm_tol=HERM_TOL, psd_tol=1e-8):
+def validate_state(phi):
     """Return a list of violated invariant descriptions (empty if valid).
 
     Checks the unit moment, Hermitian symmetry phi(rev w) = conj phi(w)
     and, when the state claims to be tracial, cyclic invariance on the
     words of length at most ``CHECK_ORDER``, and positivity of the Gram
     phi(w_i rev(w_j)) over the first ``MAX_FAMILY`` words, in graded-lex
-    order, of length at most max_order // 2 and ``CHECK_ORDER``.
+    order, of length at most max_order // 2 and ``CHECK_ORDER``, up to
+    ``HERM_TOL`` and, for the least eigenvalue, ``EIG_TOL``.
     """
     problems = []
     check_order = min(phi.max_order, CHECK_ORDER)
 
     unit = phi.moment(())
-    if abs(unit - 1.0) > herm_tol:
+    if abs(unit - 1.0) > HERM_TOL:
         problems.append(f"unit moment is {unit}, expected 1")
 
     words = words_up_to(phi.nvars, check_order, min_len=1)
     # phi(rev w), phi(w) for each w in turn, as one batch
     pairs = phi.word_moments([v for w in words for v in (w[::-1], w)])
     pairs = pairs.reshape(-1, 2)
-    bad = np.flatnonzero(abs(pairs[:, 0] - pairs[:, 1].conj()) > herm_tol)
+    bad = np.flatnonzero(abs(pairs[:, 0] - pairs[:, 1].conj()) > HERM_TOL)
     if bad.size:
         lhs, rhs = pairs[bad[0]].tolist()
         problems.append(f"Hermitian symmetry fails on word {words[bad[0]]}: "
@@ -1005,7 +1014,7 @@ def validate_state(phi, herm_tol=HERM_TOL, psd_tol=1e-8):
     gram = _hankel(phi, family, family)
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() < -psd_tol:
+    if eigs.min() < -EIG_TOL:
         problems.append(
             f"moment Gram has negative eigenvalue {eigs.min():.3e} "
             f"(family of words up to length {half})"
@@ -1017,7 +1026,7 @@ def validate_state(phi, herm_tol=HERM_TOL, psd_tol=1e-8):
         values = phi.word_moments(batch)
         sizes = np.array([1 + len(w) for w in words])
         base = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        bad = np.flatnonzero(abs(values - values[base]) > herm_tol)
+        bad = np.flatnonzero(abs(values - values[base]) > HERM_TOL)
         if bad.size:
             k = bad[0]
             problems.append(f"cyclic invariance fails on word "
@@ -1026,9 +1035,9 @@ def validate_state(phi, herm_tol=HERM_TOL, psd_tol=1e-8):
     return problems
 
 
-def check_state(phi, **kwargs):
+def check_state(phi):
     """Raise InvalidStateError when ``validate_state`` finds violations."""
-    problems = validate_state(phi, **kwargs)
+    problems = validate_state(phi)
     if problems:
         raise InvalidStateError(
             "state failed validation: " + "; ".join(problems),

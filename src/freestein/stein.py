@@ -75,7 +75,7 @@ from .errors import (
     InadmissibleProblemError,
     InvalidStateError,
 )
-from .poincare import PINV_TOL, PSD_TOL, TruncatedForms
+from .poincare import PINV_TOL, TruncatedForms
 from .states import (
     coordinate_moments,
     dirichlet_gram,  # re-exported; the benchmark's layer tracer wraps it here
@@ -91,6 +91,7 @@ from .states import (
 
 CENTERING_TOL = 1e-9
 AGREE_TOL = 1e-9
+BOUND_SLACK = 1e-8
 
 
 class SteinProblem:
@@ -276,7 +277,7 @@ class MinimalKernelResult:
         return KernelMatrix.identity(n) + jacobian(ps)
 
 
-def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
+def minimal_kernel(prob, degree, pinv_tol=PINV_TOL):
     """Least-squares minimal Stein kernel over the truncated basis.
 
     Solves every slot with the state's ``poincare.TruncatedForms`` (slot
@@ -292,7 +293,7 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
     deg_v = prob.v.degree()
     phi.check_order(max(2 * max(degree - 1, 0), deg_v + max(degree - 1, 0), 2))
 
-    forms = TruncatedForms.of(phi, degree, pinv_tol, psd_tol)
+    forms = TruncatedForms.of(phi, degree, pinv_tol)
     m, kept, inv = forms.block(degree)
     words = forms.words[:m]
 
@@ -340,18 +341,18 @@ class DiscrepancyReport:
     centering_defect: float
 
 
-def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8,
-                       pinv_tol=PINV_TOL, psd_tol=PSD_TOL):
+def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False,
+                       pinv_tol=PINV_TOL):
     """Combine the truncated lower bound with both upper bounds.
 
-    ``pinv_tol`` and ``psd_tol`` are passed to ``minimal_kernel``.
-    Raises ConsistencyError when a certified upper bound falls below
-    the lower bound beyond ``slack`` (possible only for invalid states).
+    ``pinv_tol`` is passed to ``minimal_kernel``.  Raises
+    ConsistencyError when a certified upper bound falls below the lower
+    bound beyond ``BOUND_SLACK`` (possible only for invalid states).
     """
     prob.require_admissible()
     phi, n = prob.phi, prob.n
 
-    mk = minimal_kernel(prob, degree, pinv_tol=pinv_tol, psd_tol=psd_tol)
+    mk = minimal_kernel(prob, degree, pinv_tol=pinv_tol)
     dist = explicit_kernel_distance_sq(prob)
 
     grad_sq = inner_tuple(phi, prob.gradient, prob.gradient).real
@@ -367,11 +368,11 @@ def discrepancy_bounds(prob, degree, c_opt, c_is_upper=False, slack=1e-8,
         if _is_centered(means) and iso:
             simplified = n * (c_opt - 1.0)
 
-    if mk.sigma_sq > dist.distance_sq + slack:
+    if mk.sigma_sq > dist.distance_sq + BOUND_SLACK:
         raise ConsistencyError(
             f"projection lower bound {mk.sigma_sq} exceeds the explicit "
             f"kernel distance {dist.distance_sq}")
-    if c_is_upper and mk.sigma_sq > upper_poincare + slack:
+    if c_is_upper and mk.sigma_sq > upper_poincare + BOUND_SLACK:
         raise ConsistencyError(
             f"projection lower bound {mk.sigma_sq} exceeds the certified "
             f"Poincare-route bound {upper_poincare}")

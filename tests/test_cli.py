@@ -211,6 +211,15 @@ def test_poincare_takes_no_centering_tolerance(sc_cumulants, capsys):
     assert "--tol-centering" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stein", "poincare"])
+def test_solvers_take_no_indefiniteness_tolerance(command, sc_cumulants,
+                                                  capsys):
+    # the pivot threshold of an indefinite Dirichlet form is fixed
+    with pytest.raises(SystemExit):
+        main([command, "--cumulants", sc_cumulants, "--tol-psd", "0.1"])
+    assert "--tol-psd" in capsys.readouterr().err
+
+
 def test_stein_centering_defect_exit_code(tmp_path, sc_cumulants, capsys):
     # D(t) = 1 and phi(1) = 1, so the necessary condition fails
     path = write(tmp_path, "v.json",

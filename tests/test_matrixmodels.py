@@ -214,7 +214,7 @@ def test_mc_tables_validate():
     cfg = EnsembleConfig(size=60, samples=60, seed=9,
                          generators=(GueGenerator(), GueGenerator()))
     table = mc_moment_table(cfg, 4)
-    assert validate_state(table, psd_tol=1e-6, herm_tol=1e-6) == []
+    assert validate_state(table) == []
 
 
 def test_trace_state_exactness(np_rng):

@@ -15,13 +15,16 @@ from freestein import (
     SteinProblem,
     biane_gap_check,
     centered_free_poisson,
+    discrepancy_bounds,
     minimal_kernel,
     moment_table_from_matrices,
     poincare_lower_bound,
     quadratic_potential,
     semicircular,
+    validate_state,
     voiculescu_bound,
 )
+from freestein.partitions import catalan
 from freestein.states import words_up_to
 
 import bruteforce
@@ -196,6 +199,21 @@ def test_indefinite_dirichlet_form_raises():
     table = MomentTable(1, 4, {(1, 1): -1.0}, tracial=True)
     with pytest.raises(InvalidStateError, match="indefinite"):
         poincare_lower_bound(table, 2)
+
+
+def test_non_hermitian_dirichlet_gather_raises():
+    # semicircle moments to order 8 with phi(t^5) = 0.3i: validation sees
+    # words of length <= 4 only, but the Dirichlet gather over the words
+    # of degree <= 4 reads t^5 and is non-Hermitian by 1.2 off its diagonal
+    entries = {(1,) * k: catalan(k // 2) * (k % 2 == 0) for k in range(1, 9)}
+    entries[(1,) * 5] = 0.3j
+    table = MomentTable(1, 8, entries)
+    assert validate_state(table) == []
+    prob = SteinProblem(table, quadratic_potential(1))
+    with pytest.raises(InvalidStateError, match="Dirichlet form"):
+        minimal_kernel(prob, 4)
+    with pytest.raises(InvalidStateError, match="Dirichlet form"):
+        discrepancy_bounds(prob, 4, 1.0)
 
 
 def _traceless_hermitian(draw, size):

@@ -72,6 +72,15 @@ def test_spec_moment_examples():
     assert cumulants_to_moment(spec, (1,)) == 0
 
 
+def test_spec_moment_checks_letters_and_order():
+    spec = semicircular(2).spec
+    for word in ((5, 5), (0, 1), (1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            cumulants_to_moment(spec, word)
+    with pytest.raises(BudgetExceededError):
+        cumulants_to_moment(spec, (1,) * (spec.max_order + 1))
+
+
 def test_free_family_mixed_moments_vanish():
     sc = semicircular(2)
     assert sc.moment((1, 2, 1, 2)) == pytest.approx(0.0, abs=1e-12)

@@ -174,8 +174,8 @@ def test_index_grows_with_the_longest_word_read():
     # a read past the cap grows the index to the cap alone
     assert table.moment((1,) * 40) == 0
     top = table._index_top
-    assert (len(table._index[0]) == states._largest_code(2, top) + 1
-            <= states._INDEX_CODES < states._largest_code(2, top + 1) + 1)
+    assert (len(table._index[0]) == states.word_count(2, top) + 1
+            <= states._INDEX_CODES < states.word_count(2, top + 1) + 1)
 
 
 def test_lookups_check_letters_and_order():
