@@ -1,9 +1,10 @@
 """Command-line front-end.
 
 Commands: derive, stein, poincare, clt, mc.  Inputs and outputs are the
-JSON/CSV formats of ``serialize``; every command validates the loaded
-state before computing and refuses invalid ones.  Exit codes: 0 on
-success, 2 inadmissible problem, 3 invalid state, 4 moment budget
+JSON/CSV formats of ``serialize``.  Table and cumulant files are checked
+for symmetry on every stored word as they load; every command then
+validates the state it reads, ``clt``'s base included.  Exit codes: 0
+on success, 2 inadmissible problem, 3 invalid state, 4 moment budget
 exceeded, 1 anything else.  Identical configuration and seed produce
 byte-identical output files at a fixed BLAS thread count.
 """
@@ -279,10 +280,10 @@ def cmd_clt(args):
     if args.degree < 0:
         raise ValueError("degree must be >= 0")
     if args.cumulants:
-        base = serialize.cumulants_from_obj(
-            _read_json(args.cumulants, "cumulants")
-        )
-        norm_upper = None
+        state = serialize.cumulant_state_from_obj(
+            _read_json(args.cumulants, "cumulants"))
+        check_state(state)
+        base, norm_upper = state.spec, state.norm_upper
     else:
         # the builtin base is evaluated up to order 2 * degree + 2, and at
         # least 4 for the fourth moments of the rate table

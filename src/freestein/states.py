@@ -22,13 +22,12 @@ backends live here:
   ``phi(w) = sum over B of kappa(w|B) * prod over the gaps of B of phi(gap)``,
   whose gaps are contiguous subwords held in one per-state memo.  Only
   blocks whose letters spell a prefix of a stored cumulant word are
-  tried.  The recursion runs once per class of words whose moments the
-  spec ties together, by two flags it computes exactly: ``cyclic``
-  (kappa is invariant under rotation, which permutes NC(m), so phi is
-  tracial) and ``hermitian`` (kappa(rev w) = conj kappa(w), and reversal
-  maps NC(m) to itself, so phi(rev w) = conj phi(w)).  A spec with both
-  flags evaluates one word per bracelet class.  ``moments_to_cumulants``
-  solves the same recursion for kappa.
+  tried.  A spec's cumulants are exactly Hermitian and reversal maps
+  NC(m) to itself, so phi(rev w) = conj phi(w) and the recursion runs
+  once per reversal class, or, when the spec is ``cyclic`` (kappa is
+  exactly invariant under rotation, which permutes NC(m), so phi is
+  tracial), once per bracelet class.  ``moments_to_cumulants`` solves
+  the same recursion for kappa.
 
 (The third backend, Monte Carlo over matrix ensembles, produces a
 ``MomentTable``; see ``matrixmodels``.)
@@ -108,19 +107,17 @@ HERM_TOL = 1e-8
 EIG_TOL = 1e-8
 
 
-def _orbit(word, cyclic, hermitian):
-    """(forward, reversed) words of the class of ``word`` under rotation
-    when ``cyclic`` and reversal when ``hermitian``.  ``forward`` starts
-    with ``word``; ``reversed`` is empty unless ``hermitian``, and when
-    the class is closed under reversal."""
+def _orbit(word, cyclic):
+    """(forward, reversed) words of the class of ``word`` under reversal
+    and, when ``cyclic``, rotation.  ``forward`` starts with ``word``;
+    ``reversed`` is empty when the class is closed under reversal."""
     forward = (rotations(word) or [word]) if cyclic else [word]
-    if hermitian:
-        back = word[::-1]
-        # the rotation classes of a word and of its reversal are equal or
-        # disjoint
-        if back not in forward:
-            return forward, rotations(back) if cyclic else [back]
-    return forward, []
+    back = word[::-1]
+    # the rotation classes of a word and of its reversal are equal or
+    # disjoint
+    if back in forward:
+        return forward, []
+    return forward, rotations(back) if cyclic else [back]
 
 
 def _least(rots, flipped):
@@ -337,8 +334,10 @@ class MomentTable(MomentFunctional):
     built by ``from_bracelets`` stores one word per bracelet class and
     is never expanded: a word reads the value of its class by
     ``canonical_codes``, conjugated when the word is flipped.  A
-    word-list table stores every word and its classes are the identity.
-    Values must be finite.
+    word-list table stores every word and its classes are the identity;
+    when built, it raises ``InvalidStateError`` unless each stored
+    word's reversal reads its conjugate and, when ``tracial``, each
+    rotation its value, within ``HERM_TOL``.  Values must be finite.
 
     Reads go through a class index: for every code up to that of
     (n, ..., n) of length L, the slot of its class among the stored
@@ -358,6 +357,7 @@ class MomentTable(MomentFunctional):
                  norm_upper=None, stderr=None):
         super().__init__(nvars, max_order, tracial, norm_upper)
         self._store(entries, stderr, bracelet=False)
+        self._check_symmetry()
 
     @classmethod
     def from_bracelets(cls, nvars, max_order, values, norm_upper=None,
@@ -388,6 +388,24 @@ class MomentTable(MomentFunctional):
             top += 1
         self._index_top = top
         self._index = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
+
+    def _check_symmetry(self):
+        # reversals, conjugated, then rotations when tracial, in one batch
+        words = [code_word(c, self.nvars) for c in self._values[0].tolist()]
+        pairs = [(k, w[::-1]) for k, w in enumerate(words)]
+        if self.tracial:
+            pairs += [(k, r) for k, w in enumerate(words)
+                      for r in rotations(w)[1:]]
+        owners, asked = zip(*pairs)
+        read, values = self.word_moments(asked), self._values[1][list(owners)]
+        read[:len(words)] = read[:len(words)].conj()
+        bad = np.flatnonzero(np.abs(read - values) > HERM_TOL)
+        if bad.size:
+            k, flip = bad[0], bool(bad[0] < len(words))
+            raise InvalidStateError(
+                f"{'Hermitian symmetry' if flip else 'traciality'} fails: "
+                f"phi({list(words[owners[k]])}) = {complex(values[k])} but "
+                f"{'conj ' * flip}phi({list(asked[k])}) = {complex(read[k])}")
 
     def _sorted(self, values, kind):
         words = [tuple(w) for w in values]
@@ -526,11 +544,13 @@ class CumulantSpec:
     Words absent from ``kappa`` have cumulant 0.  ``max_order`` caps the
     word length the induced moment functional will evaluate (it bounds
     the moment recursion, not the stored words).  ``blocks`` is the
-    letter trie of the cumulant words that the recursion walks.
-    ``cyclic`` says kappa(w[1:] + w[:1]) == kappa(w) and ``hermitian``
-    says kappa(rev w) == conj kappa(w), both exactly, for every word.
-    Rotation permutes the noncrossing partitions and rotates block
-    subwords, so cyclic cumulants induce a tracial state.
+    letter trie of the cumulant words that the recursion walks.  A
+    kappa(w) more than ``HERM_TOL`` from conj kappa(rev w) raises
+    ``InvalidStateError``; each word stores the exactly Hermitian part
+    (kappa(w) + conj kappa(rev w)) / 2, which is kappa(w) when that
+    already is.  ``cyclic`` says kappa(w[1:] + w[:1]) == kappa(w)
+    exactly; rotation permutes the noncrossing partitions and rotates
+    block subwords, so cyclic cumulants induce a tracial state.
     """
 
     nvars: int
@@ -556,23 +576,32 @@ class CumulantSpec:
                                  f"got {v}")
             if v != 0:
                 clean[w] = v
-        object.__setattr__(self, "kappa", clean)
-        object.__setattr__(self, "blocks", _block_trie(clean))
+        kappa = dict(clean)
+        for w, v in clean.items():
+            back = clean.get(w[::-1], 0j).conjugate()
+            if v != back:
+                if abs(v - back) > HERM_TOL:
+                    raise InvalidStateError(
+                        f"cumulants are not Hermitian: kappa({list(w)}) = "
+                        f"{v} but conj kappa({list(w[::-1])}) = {back}")
+                # a word and its reversal get conjugate parts, bit for bit
+                kappa[w] = part = (v + back) / 2
+                kappa[w[::-1]] = part.conjugate()
+        kappa = {w: v for w, v in kappa.items() if v}
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "blocks", _block_trie(kappa))
         # one-step rotation generates every rotation
         object.__setattr__(self, "cyclic", all(
-            clean.get(w[1:] + w[:1], 0j) == v for w, v in clean.items()))
-        object.__setattr__(self, "hermitian", all(
-            clean.get(w[::-1], 0j) == v.conjugate() for w, v in clean.items()))
+            kappa.get(w[1:] + w[:1], 0j) == v for w, v in kappa.items()))
 
     @classmethod
-    def _raw(cls, nvars, kappa, max_order, cyclic, hermitian):
-        # internal: ``kappa`` already canonical (nonzero complex values on
-        # nonempty words of letters 1..nvars) and the flags known to hold
+    def _raw(cls, nvars, kappa, max_order, cyclic):
+        # internal: ``kappa`` already canonical (exactly Hermitian nonzero
+        # values on nonempty words of letters 1..nvars), ``cyclic`` exact
         spec = object.__new__(cls)
         for name, value in (("nvars", nvars), ("kappa", kappa),
-                            ("max_order", max_order),
-                            ("blocks", _block_trie(kappa)),
-                            ("cyclic", cyclic), ("hermitian", hermitian)):
+                            ("max_order", max_order), ("cyclic", cyclic),
+                            ("blocks", _block_trie(kappa))):
             object.__setattr__(spec, name, value)
         return spec
 
@@ -584,12 +613,11 @@ class CumulantState(MomentFunctional):
     """Moment functional generated by free cumulants.
 
     A memo miss evaluates the first-block recursion once, on the least
-    word of the class the spec's ``cyclic`` and ``hermitian`` flags tie
-    to the asked word, and stores the whole class: each rotation gets
-    the value, each reversed rotation its conjugate, and a class closed
-    under reversal its real part.  The flags decide the class, so
-    ``validate_state`` still sees a spec that is not Hermitian, and the
-    state is tracial when the spec is ``cyclic``.
+    word of the asked word's class (its reversals and, for a ``cyclic``
+    spec, rotations), and stores the whole class: each rotation gets the
+    value, each reversed rotation its conjugate, and a class closed under
+    reversal its real part.  So phi(rev w) == conj phi(w) on every word,
+    and the state is tracial when the spec is ``cyclic``.
 
     ``pair_moments`` and ``word_moments`` read a batch straight from the
     memo, in order, and call ``moment`` only on the words still missing
@@ -639,7 +667,7 @@ class CumulantState(MomentFunctional):
         if value is not None:
             return value
         spec = self.spec
-        forward, flipped = _orbit(word, spec.cyclic, spec.hermitian)
+        forward, flipped = _orbit(word, spec.cyclic)
         least, from_flipped = _least(forward, flipped)
         value = _first_block_sum(spec.blocks, least, self._moment)
         if not _finite(value):
@@ -647,7 +675,7 @@ class CumulantState(MomentFunctional):
                 f"moment of word {list(word)} overflows double precision")
         if from_flipped:
             value = value.conjugate()
-        elif spec.hermitian and not flipped:
+        elif not flipped:
             value = complex(value.real)
         conj = value.conjugate()
         with self._lock:
@@ -975,9 +1003,8 @@ def operator_norm_estimate(phi, i, order):
 # validation
 
 
-# caps on the word length of ``validate_state``'s checks and on its
-# positivity family; both keep validation cheap relative to the
-# computations it guards
+# caps on the word length and size of ``validate_state``'s positivity
+# family, which keep validation cheap beside the computations it guards
 CHECK_ORDER = 4
 MAX_FAMILY = 64
 
@@ -985,53 +1012,25 @@ MAX_FAMILY = 64
 def validate_state(phi):
     """Return a list of violated invariant descriptions (empty if valid).
 
-    Checks the unit moment, Hermitian symmetry phi(rev w) = conj phi(w)
-    and, when the state claims to be tracial, cyclic invariance on the
-    words of length at most ``CHECK_ORDER``, and positivity of the Gram
+    Checks the unit moment, up to ``HERM_TOL``, and that the Gram
     phi(w_i rev(w_j)) over the first ``MAX_FAMILY`` words, in graded-lex
-    order, of length at most max_order // 2 and ``CHECK_ORDER``, up to
-    ``HERM_TOL`` and, for the least eigenvalue, ``EIG_TOL``.
+    order, of length at most max_order // 2 and ``CHECK_ORDER`` has no
+    eigenvalue below ``-EIG_TOL``.  Tables and specs check Hermitian
+    symmetry and traciality on every stored word when built.
     """
     problems = []
-    check_order = min(phi.max_order, CHECK_ORDER)
-
     unit = phi.moment(())
     if abs(unit - 1.0) > HERM_TOL:
         problems.append(f"unit moment is {unit}, expected 1")
-
-    words = words_up_to(phi.nvars, check_order, min_len=1)
-    # phi(rev w), phi(w) for each w in turn, as one batch
-    pairs = phi.word_moments([v for w in words for v in (w[::-1], w)])
-    pairs = pairs.reshape(-1, 2)
-    bad = np.flatnonzero(abs(pairs[:, 0] - pairs[:, 1].conj()) > HERM_TOL)
-    if bad.size:
-        lhs, rhs = pairs[bad[0]].tolist()
-        problems.append(f"Hermitian symmetry fails on word {words[bad[0]]}: "
-                        f"{lhs} vs conj {rhs.conjugate()}")
-
-    half = min(phi.max_order // 2, check_order)
+    half = min(phi.max_order // 2, CHECK_ORDER)
     family = words_up_to(phi.nvars, half)[:MAX_FAMILY]
     gram = _hankel(phi, family, family)
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
     if eigs.min() < -EIG_TOL:
-        problems.append(
-            f"moment Gram has negative eigenvalue {eigs.min():.3e} "
-            f"(family of words up to length {half})"
-        )
-
-    if phi.tracial:
-        # w and then its rotations, for each w in turn, as one batch
-        batch = [v for w in words for v in [w, *rotations(w)]]
-        values = phi.word_moments(batch)
-        sizes = np.array([1 + len(w) for w in words])
-        base = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        bad = np.flatnonzero(abs(values - values[base]) > HERM_TOL)
-        if bad.size:
-            k = bad[0]
-            problems.append(f"cyclic invariance fails on word "
-                            f"{batch[base[k]]} vs rotation {batch[k]}")
-
+        problems.append(f"moment Gram has negative eigenvalue "
+                        f"{eigs.min():.3e} (family of words up to length "
+                        f"{half})")
     return problems
 
 

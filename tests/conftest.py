@@ -84,8 +84,7 @@ def trace_state(np_rng, nvars, size, max_order, centered=False):
     return moment_table_from_matrices(mats, max_order), mats
 
 
-def rand_cumulant_spec(rng, nvars, max_order, mag=0.5, hermitian=True,
-                       cyclic=False):
+def rand_cumulant_spec(rng, nvars, max_order, mag=0.5, cyclic=False):
     """Random spec with kappa(rev w) = conj(kappa(w)) built in.
 
     With ``cyclic=True`` the values are constant on rotation orbits as
@@ -96,13 +95,12 @@ def rand_cumulant_spec(rng, nvars, max_order, mag=0.5, hermitian=True,
     def assign(w, val):
         orbit = {w[k:] + w[:k] for k in range(len(w))} if cyclic else {w}
         rev_orbit = {o[::-1] for o in orbit}
-        if hermitian and orbit & rev_orbit:
+        if orbit & rev_orbit:
             val = complex(val.real, 0.0)
         for o in orbit:
             kappa[o] = val
-        if hermitian:
-            for o in rev_orbit:
-                kappa[o] = val.conjugate()
+        for o in rev_orbit:
+            kappa[o] = val.conjugate()
 
     for m in range(1, max_order + 1):
         scale = mag / (2 ** (m - 1))

@@ -152,8 +152,8 @@ def test_mc_tables_by_class(params, samples):
 
 
 def test_word_list_tables_are_written_by_word():
-    entries = {(1,): 0.0, (1, 2): 0.5, (2, 1): 0.25, (1, 1): 1.0}
-    table = MomentTable(2, 2, entries, tracial=True)
+    entries = {(1,): 0.0, (1, 2): 0.5j, (2, 1): -0.5j, (1, 1): 1.0}
+    table = MomentTable(2, 2, entries)
     obj = serialize.table_to_obj(table)
     assert "classes" not in obj
     assert [e["word"] for e in obj["entries"]] == [[1], [1, 1], [1, 2], [2, 1]]
@@ -170,10 +170,9 @@ def test_word_list_tables_are_written_by_word():
     back = serialize.table_from_obj(json.loads(serialize.dumps(obj)))
     assert not back.bracelet and back.tracial
     assert back.stored() == agreeing.stored()
-    # as are one with a missing class member, one whose standard errors
-    # differ within a class and a non-tracial one
-    for table in (MomentTable(2, 2, {(1, 2): 0.5}, tracial=True),
-                  MomentTable(2, 2, {(1, 2): 0.5, (2, 1): 0.5}, tracial=True,
+    # as are one whose standard errors differ within a class and a
+    # non-tracial one
+    for table in (MomentTable(2, 2, {(1, 2): 0.5, (2, 1): 0.5}, tracial=True,
                               stderr={(1, 2): 0.1, (2, 1): 0.2}),
                   MomentTable(1, 2, {(1, 1): 1.0})):
         assert "classes" not in serialize.table_to_obj(table)

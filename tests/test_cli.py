@@ -10,6 +10,7 @@ from freestein import (ComplexRational, NcPoly, centered_free_poisson,
                         quadratic_potential, semicircular, validate_state)
 from freestein import serialize
 from freestein.cli import main
+from freestein.partitions import catalan
 
 
 def write(tmp_path, name, obj):
@@ -243,6 +244,67 @@ def test_invalid_state_exit_code(tmp_path, capsys):
     problems = validate_state(serialize.table_from_obj(bad))
     assert problems
     assert error["message"] == "state failed validation: " + "; ".join(problems)
+
+
+def test_table_breaking_symmetry_past_length_four_exits_3(tmp_path, capsys):
+    # semicircle moments to order 8 with phi(t^8) = 14 + 5i
+    entries = [{"word": [1] * k, "re": float(catalan(k // 2) * (k % 2 == 0)),
+                "im": 0.0} for k in range(1, 9)]
+    entries[-1]["im"] = 5.0
+    path = write(tmp_path, "t8.json",
+                 {"nvars": 1, "max_order": 8, "entries": entries})
+    code, out, err = run(capsys, "poincare", "--state", path)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_state"
+    assert error["message"].startswith("Hermitian symmetry fails: "
+                                       "phi([1, 1, 1, 1, 1, 1, 1, 1])")
+
+
+@pytest.mark.parametrize("command", ["poincare", "stein"])
+def test_non_hermitian_cumulants_exit_3(tmp_path, capsys, command):
+    kappa = [{"word": w, "re": v, "im": 0.0}
+             for w, v in (([1, 1], 1.0), ([2, 2], 1.0),
+                          ([1, 1, 2, 2, 2], 0.1), ([2, 2, 2, 1, 1], 0.3))]
+    path = write(tmp_path, "kappa.json",
+                 {"nvars": 2, "max_order": 8, "kappa": kappa})
+    code, out, err = run(capsys, command, "--cumulants", path,
+                         "--degree", "2")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_state"
+    assert "cumulants are not Hermitian" in error["message"]
+
+
+def test_clt_validates_its_base(tmp_path, capsys, monkeypatch):
+    from freestein import cli
+
+    # phi(t^4) = 2 + kappa_4 = -3, which no state has
+    kappa = [{"word": [1, 1], "re": 1.0, "im": 0.0},
+             {"word": [1, 1, 1, 1], "re": -5.0, "im": 0.0}]
+    path = write(tmp_path, "bad.json",
+                 {"nvars": 1, "max_order": 6, "kappa": kappa})
+    code, out, err = run(capsys, "clt", "--cumulants", path, "--degree", "1")
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_state"
+    assert "negative eigenvalue" in error["message"]
+    # a valid base reaches the rate table with the file's norm bounds
+    seen = []
+    rate_table = cli.clt_rate_table
+
+    def spy(exp, norm_upper=None):
+        seen.append(norm_upper)
+        return rate_table(exp, norm_upper=norm_upper)
+
+    monkeypatch.setattr(cli, "clt_rate_table", spy)
+    fp = centered_free_poisson(1, max_order=6)
+    path = write(tmp_path, "fp.json",
+                 serialize.cumulants_to_obj(fp.spec, norm_upper=(3.0,)))
+    code, _, err = run(capsys, "clt", "--cumulants", path, "--degree", "1",
+                       "--ks", "1,4")
+    assert code == 0, err
+    assert seen == [(3.0,)]
 
 
 @pytest.mark.parametrize("command", ["poincare", "stein"])

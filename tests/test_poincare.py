@@ -21,6 +21,7 @@ from freestein import (
     poincare_lower_bound,
     quadratic_potential,
     semicircular,
+    states,
     validate_state,
     voiculescu_bound,
 )
@@ -201,19 +202,49 @@ def test_indefinite_dirichlet_form_raises():
         poincare_lower_bound(table, 2)
 
 
+class _Unchecked(states.MomentFunctional):
+    """Word values with 0 elsewhere, through the base class's batches:
+    a functional built outside ``states``, which no table or spec check
+    sees, so only the Hermitian guards of the forms stand in its way."""
+
+    def __init__(self, nvars, max_order, values):
+        super().__init__(nvars, max_order, tracial=False)
+        self.values = values
+
+    def moment(self, word):
+        self._check_word(tuple(word))
+        return complex(self.values.get(tuple(word), 0))
+
+
+def _semicircle_entries(max_order):
+    return {(1,) * k: catalan(k // 2) * (k % 2 == 0)
+            for k in range(max_order + 1)}
+
+
 def test_non_hermitian_dirichlet_gather_raises():
-    # semicircle moments to order 8 with phi(t^5) = 0.3i: validation sees
-    # words of length <= 4 only, but the Dirichlet gather over the words
+    # semicircle moments to order 8 with phi(t^5) = 0.3i: the table is
+    # refused when built; unchecked, the Dirichlet gather over the words
     # of degree <= 4 reads t^5 and is non-Hermitian by 1.2 off its diagonal
-    entries = {(1,) * k: catalan(k // 2) * (k % 2 == 0) for k in range(1, 9)}
+    entries = _semicircle_entries(8)
     entries[(1,) * 5] = 0.3j
-    table = MomentTable(1, 8, entries)
-    assert validate_state(table) == []
-    prob = SteinProblem(table, quadratic_potential(1))
+    with pytest.raises(InvalidStateError, match="Hermitian symmetry fails"):
+        MomentTable(1, 8, entries)
+    phi = _Unchecked(1, 8, entries)
+    assert validate_state(phi) == []
+    prob = SteinProblem(phi, quadratic_potential(1))
     with pytest.raises(InvalidStateError, match="Dirichlet form"):
         minimal_kernel(prob, 4)
     with pytest.raises(InvalidStateError, match="Dirichlet form"):
         discrepancy_bounds(prob, 4, 1.0)
+
+
+def test_non_hermitian_covariance_raises():
+    # phi(t^3) = 0.3i: the Dirichlet form at degree 2 reads words of
+    # length <= 2 and is Hermitian, the covariance of t and t^2 reads t^3
+    entries = _semicircle_entries(4)
+    entries[(1,) * 3] = 0.3j
+    with pytest.raises(InvalidStateError, match="covariance form"):
+        poincare_lower_bound(_Unchecked(1, 4, entries), 2)
 
 
 def _traceless_hermitian(draw, size):

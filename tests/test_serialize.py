@@ -11,6 +11,7 @@ from freestein import (
     CumulantSpec,
     EnsembleConfig,
     GueGenerator,
+    InvalidStateError,
     NcPoly,
     ParseError,
     PolyOfGueGenerator,
@@ -74,7 +75,8 @@ def test_cumulants_round_trip(rng):
 def test_cumulant_tracial_field_must_match_the_spec():
     cyclic = serialize.cumulants_to_obj(CumulantSpec(1, {(1, 1): 1.0}))
     assert cyclic["tracial"] is True
-    lopsided = serialize.cumulants_to_obj(CumulantSpec(2, {(1, 2): 1.0}))
+    lopsided = serialize.cumulants_to_obj(
+        CumulantSpec(2, {(1, 2): 1j, (2, 1): -1j}))
     assert lopsided["tracial"] is False
     for obj in (cyclic, lopsided):
         flipped = dict(obj, tracial=not obj["tracial"])
@@ -315,15 +317,24 @@ def test_class_format_rejections():
 
 
 def test_word_list_tables_still_load():
-    """Files that list every word keep the word-by-word path: class
-    members that disagree are left for ``validate_state`` to report."""
-    from freestein import validate_state
-
+    """Files that list every word keep the word-by-word path, which
+    checks every stored word's reversal and, when tracial, rotations:
+    class members that disagree are refused as an invalid state, not a
+    parse error."""
     obj = {"nvars": 2, "max_order": 2, "tracial": True,
            "entries": [{"word": [1, 1], "re": 1.0, "im": 0.0},
                        {"word": [2, 2], "re": 1.0, "im": 0.0},
                        {"word": [1, 2], "re": 0.5, "im": 0.0},
-                       {"word": [2, 1], "re": 0.25, "im": 0.0}]}
+                       {"word": [2, 1], "re": 0.5, "im": 0.0}]}
     table = serialize.table_from_obj(obj)
-    assert table.moment((1, 2)) == 0.5 and table.moment((2, 1)) == 0.25
-    assert any("Hermitian" in p for p in validate_state(table))
+    assert not table.bracelet
+    assert table.moment((1, 2)) == 0.5 and table.moment((2, 1)) == 0.5
+    obj["entries"][3]["re"] = 0.25
+    with pytest.raises(InvalidStateError, match="Hermitian symmetry fails"):
+        serialize.table_from_obj(obj)
+    obj["entries"][2:] = [{"word": [1, 2], "re": 0.0, "im": 0.5},
+                          {"word": [2, 1], "re": 0.0, "im": -0.5}]
+    assert serialize.table_from_obj(dict(obj, tracial=False)).moment(
+        (2, 1)) == -0.5j
+    with pytest.raises(InvalidStateError, match="traciality fails"):
+        serialize.table_from_obj(obj)

@@ -91,54 +91,45 @@ def test_free_family_mixed_moments_vanish():
 def test_cumulant_state_is_tracial_for_builtin_specs():
     assert semicircular(2).tracial
     assert centered_free_poisson(1).tracial
-    lopsided = CumulantSpec(2, {(1, 2): 1.0})
+    lopsided = CumulantSpec(2, {(1, 2): 1j, (2, 1): -1j})
     assert not CumulantState(lopsided).tracial
 
 
 @st.composite
-def symmetry_specs(draw, cyclic, hermitian):
-    """Random spec whose exact flags are (cyclic, hermitian).  Every
-    one-letter spec is cyclic, and Hermitian when its values are real,
-    so only the case with both flags draws one letter."""
-    nvars = draw(st.integers(1, 2)) if cyclic and hermitian else 2
+def symmetry_specs(draw, cyclic):
+    """Random spec that is exactly cyclic or not.  Every one-letter spec
+    is cyclic, so only the cyclic case draws one letter."""
+    nvars = draw(st.integers(1, 2)) if cyclic else 2
     order = draw(st.integers(3, 6))
     rng = draw(st.randoms(use_true_random=False))
-    kappa = dict(rand_cumulant_spec(rng, nvars, order, hermitian=hermitian,
-                                    cyclic=cyclic).kappa)
-    c = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 0.5)))
-    if cyclic and not hermitian:
-        # kappa(21) = kappa(12) is not its conjugate
-        kappa[1, 2] = kappa[2, 1] = c
-    elif hermitian and not cyclic:
+    kappa = dict(rand_cumulant_spec(rng, nvars, order, cyclic=cyclic).kappa)
+    if not cyclic:
+        c = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 0.5)))
         # kappa(121) = 0 is not its rotation kappa(112)
         kappa.pop((1, 2, 1), None)
         kappa[1, 1, 2], kappa[2, 1, 1] = c, c.conjugate()
-    elif not cyclic:
-        # kappa(21) = 0 is neither the rotation nor the conjugate of kappa(12)
-        kappa.pop((2, 1), None)
-        kappa[1, 2] = c
     return CumulantSpec(nvars, kappa, max_order=order)
 
 
-@pytest.mark.parametrize("cyclic, hermitian",
-                         [(True, True), (True, False), (False, True),
-                          (False, False)])
+# the ids name the (cyclic, Hermitian) class modes; every spec is
+# Hermitian
+MODES = {"argnames": "cyclic", "argvalues": [True, False],
+         "ids": ["True-True", "False-True"]}
+
+
+@pytest.mark.parametrize(**MODES)
 @settings(max_examples=20)
 @given(data=st.data())
-def test_class_moments_match_oracle(cyclic, hermitian, data):
+def test_class_moments_match_oracle(cyclic, data):
     # each class is filled from whichever member is asked first
-    spec = data.draw(symmetry_specs(cyclic, hermitian))
-    assert (spec.cyclic, spec.hermitian) == (cyclic, hermitian)
+    spec = data.draw(symmetry_specs(cyclic))
+    assert spec.cyclic == cyclic
     state = CumulantState(spec)
     words = data.draw(st.permutations(
         words_up_to(spec.nvars, spec.max_order, min_len=1)))
     for w in words:
         assert abs(state.moment(w) - bruteforce.brute_moment(spec.kappa, w)) \
             <= 1e-12
-    if cyclic and not hermitian:
-        # a tracial state still gets no reversal symmetry it lacks
-        assert state.tracial
-        assert any("Hermitian" in p for p in validate_state(state))
 
 
 def test_one_recursion_per_class(monkeypatch, rng):
@@ -159,7 +150,7 @@ def test_one_recursion_per_class(monkeypatch, rng):
     assert len(calls) == 84
 
     spec = rand_cumulant_spec(rng, 2, 8)
-    assert spec.hermitian and not spec.cyclic
+    assert not spec.cyclic
     calls.clear()
     state = CumulantState(spec)
     for w in words:
@@ -214,10 +205,11 @@ def test_table_checks_entry_words_once():
     with pytest.raises(ParseError):
         serialize.table_from_obj({"nvars": 1, "max_order": 2, "entries": [
             {"word": [1, 1, 1], "re": 1.0, "im": 0.0}]})
-    table = MomentTable(2, 4, {(1, 2): 0.5, (1, 1, 2, 2): 0.25})
-    assert table.moment([1, 2]) == 0.5
+    table = MomentTable(2, 4, {(1, 2): 0.5j, (2, 1): -0.5j,
+                               (1, 1, 2, 2): 0.25, (2, 2, 1, 1): 0.25})
+    assert table.moment([1, 2]) == 0.5j
     assert table.moment((1, 1, 2, 2)) == 0.25
-    assert table.moment((2, 1)) == 0
+    assert table.moment((2, 1, 1)) == 0
     # absent bad words are still refused
     for bad in ((3,), (1, 0), (2, 1, 3)):
         with pytest.raises(ValueError, match="out of range"):
@@ -425,16 +417,93 @@ def test_validate_flags_bad_states():
     bad_unit = MomentTable(1, 4, {(): 2.0})
     assert any("unit" in p for p in validate_state(bad_unit))
 
-    herm = MomentTable(2, 4, {(1, 2): 1.0, (2, 1): 0.5}, tracial=False)
-    assert any("Hermitian" in p for p in validate_state(herm))
-
     indef = MomentTable(1, 4, {(1, 1): -1.0})
     assert any("eigenvalue" in p for p in validate_state(indef))
 
-    nontracial = MomentTable(
-        2, 4, {(1, 2): 1.0j, (2, 1): -1.0j}, tracial=True
-    )
-    assert any("cyclic" in p for p in validate_state(nontracial))
+
+def test_tables_refuse_broken_symmetry_when_built():
+    with pytest.raises(InvalidStateError, match=(
+            r"Hermitian symmetry fails: phi\(\[1, 2\]\) = \(1\+0j\) but "
+            r"conj phi\(\[2, 1\]\) = \(0\.5-0j\)")):
+        MomentTable(2, 4, {(1, 2): 1.0, (2, 1): 0.5})
+    # an absent reversal reads 0
+    with pytest.raises(InvalidStateError, match=r"conj phi\(\[2, 1, 1\]\)"):
+        MomentTable(2, 4, {(1, 1, 2): 1e-6})
+    # Hermitian, and a valid state as long as it claims no traciality
+    values = {(1, 2): 1.0j, (2, 1): -1.0j}
+    MomentTable(2, 4, values)
+    with pytest.raises(InvalidStateError, match=(
+            r"traciality fails: phi\(\[1, 2\]\) = 1j but "
+            r"phi\(\[2, 1\]\) = ")):
+        MomentTable(2, 4, values, tracial=True)
+
+
+def _semicircle_words(nvars, max_order):
+    return dict(zip(words_up_to(nvars, max_order),
+                    semicircular(nvars, max_order).word_moments(
+                        words_up_to(nvars, max_order)).tolist()))
+
+
+def test_symmetry_is_checked_past_the_positivity_family():
+    # words longer than the positivity family of ``validate_state``
+    entries = _semicircle_words(1, 8)
+    entries[(1,) * 8] = 14 + 5j
+    with pytest.raises(InvalidStateError, match=r"Hermitian symmetry fails"):
+        MomentTable(1, 8, entries)
+    entries = _semicircle_words(2, 8)
+    assert MomentTable(2, 8, entries, tracial=True).moment((1, 1, 2, 2)) == 1
+    entries[1, 1, 2, 2, 1, 1] += 0.1
+    MomentTable(2, 8, entries)  # the palindrome keeps Hermitian symmetry
+    with pytest.raises(InvalidStateError, match=(
+            r"traciality fails: phi\(\[1, 1, 1, 1, 2, 2\]\)")):
+        MomentTable(2, 8, entries, tracial=True)
+    # the cumulants of a spec, on every word
+    kappa = {(1, 1): 1.0, (2, 2): 1.0, (1, 1, 2, 2, 2): 0.1,
+             (2, 2, 2, 1, 1): 0.3}
+    with pytest.raises(InvalidStateError, match=(
+            r"kappa\(\[1, 1, 2, 2, 2\]\) = \(0\.1\+0j\) but conj "
+            r"kappa\(\[2, 2, 2, 1, 1\]\)")):
+        CumulantSpec(2, kappa, max_order=6)
+
+
+def test_specs_store_the_hermitian_part(rng):
+    # within HERM_TOL of Hermitian; an absent reversal reads 0
+    spec = CumulantSpec(2, {(1, 2): 0.5 + 1e-9j, (2, 1): 0.5 - 3e-9j,
+                            (1, 1, 2): 1e-9, (1, 1): 1 + 1e-9j})
+    assert spec.kappa == {(1, 2): 0.5 + 2e-9j, (2, 1): 0.5 - 2e-9j,
+                          (2, 1, 1): 5e-10, (1, 1, 2): 5e-10, (1, 1): 1}
+    # an exactly Hermitian input is stored bit for bit
+    kappa = dict(rand_cumulant_spec(rng, 2, 6).kappa)
+    assert CumulantSpec(2, kappa, max_order=6).kappa == kappa
+
+
+def _reversal_defects(phi):
+    """The words up to ``phi.max_order`` whose reversal does not read the
+    conjugate moment bit for bit."""
+    words = words_up_to(phi.nvars, phi.max_order, min_len=1)
+    got = phi.word_moments(words)
+    back = phi.word_moments([w[::-1] for w in words])
+    return [w for w, a, b in zip(words, got.tolist(), back.tolist())
+            if a != b.conjugate()]
+
+
+def test_every_state_is_exactly_hermitian(rng, np_rng):
+    from freestein import (EnsembleConfig, GueGenerator, mc_moment_table,
+                           rescale_cumulants)
+
+    table, _ = trace_state(np_rng, 2, 6, 6)
+    derived = CumulantState(moments_to_cumulants(table, 6))
+    words = words_up_to(2, 6)
+    assert np.abs(derived.word_moments(words)
+                  - table.word_moments(words)).max() < 1e-12
+    sampled = mc_moment_table(EnsembleConfig(
+        size=8, samples=3, seed=5,
+        generators=(GueGenerator(), GueGenerator())), 6)
+    spec = rand_cumulant_spec(rng, 2, 6)
+    for phi in (semicircular(2, 8), centered_free_poisson(2, 8), table,
+                sampled, derived, CumulantState(spec),
+                CumulantState(rescale_cumulants(spec, 4))):
+        assert _reversal_defects(phi) == []
 
 
 def test_check_state_raises_the_violations():
@@ -453,16 +522,19 @@ def test_mixed_alternating_words_vanish_for_identity_covariance(rng):
     assert sc.moment(word) == pytest.approx(0.0, abs=1e-12)
 
 
-def _dense_complex_spec(nvars, max_order, seed):
-    """Every word of length >= 2 gets a complex cumulant; neither cyclic
-    nor Hermitian, so the state is not tracial."""
+def _dense_hermitian_spec(nvars, max_order, seed):
+    """Every word of length >= 2 gets a complex cumulant, with
+    kappa(rev w) = conj kappa(w); nothing makes it cyclic, so the state
+    is not tracial and its classes are reversal pairs."""
     import random
 
     rng = random.Random(seed)
-    kappa = {
-        w: complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-        for w in words_up_to(nvars, max_order, min_len=2)
-    }
+    kappa = {}
+    for w in words_up_to(nvars, max_order, min_len=2):
+        if w not in kappa:
+            v = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            kappa[w] = complex(v.real) if w == w[::-1] else v
+            kappa[w[::-1]] = kappa[w].conjugate()
     return CumulantSpec(nvars, kappa, max_order=max_order)
 
 
@@ -471,7 +543,7 @@ def test_concurrent_moment_reads_are_consistent():
     import sys
     import threading
 
-    dense = _dense_complex_spec(2, 8, seed=5)
+    dense = _dense_hermitian_spec(2, 8, seed=5)
     assert not CumulantState(dense).tracial
     classes = trace_state(np.random.default_rng(5), 2, 6, 8)[0].stored()[0]
     cases = [
@@ -538,13 +610,11 @@ def _pair_batch(nvars, max_order):
     return legs, [w[::-1] for w in legs], us[order], vs[order]
 
 
-@pytest.mark.parametrize("cyclic, hermitian",
-                         [(True, True), (True, False), (False, True),
-                          (False, False)])
+@pytest.mark.parametrize(**MODES)
 @settings(max_examples=10)
 @given(data=st.data())
-def test_batch_reads_match_the_per_entry_oracle(cyclic, hermitian, data):
-    spec = data.draw(symmetry_specs(cyclic, hermitian))
+def test_batch_reads_match_the_per_entry_oracle(cyclic, data):
+    spec = data.draw(symmetry_specs(cyclic))
     batch = _pair_batch(spec.nvars, spec.max_order)
     # the base class asks ``moment`` once per entry, in order
     want = states.MomentFunctional.pair_moments(

@@ -105,7 +105,10 @@ def test_codes_stop_at_the_int64_boundary(n, longest):
 
 def _tables(n, order, seed):
     """A class-stored and a word-list table with some words absent, and
-    the word maps they stand for."""
+    the word maps they stand for.  The word-list table is tracial for an
+    odd seed, and holds random values constant on its classes: the
+    rotations, when tracial, and reversals of a word, the reversed ones
+    conjugated."""
     rng = np.random.default_rng(seed)
     mats = [rand_hermitian(rng, 3) for _ in range(n)]
     full = bruteforce.einsum_word_traces(mats, 3, order,
@@ -113,14 +116,23 @@ def _tables(n, order, seed):
     reps = [w for w in bruteforce.bracelets_up_to(n, order, min_len=1)
             if rng.random() < 0.7]
     classes = {w: full[w] for w in reps}
-    words = {w: complex(*rng.normal(size=2)) for w in full
-             if rng.random() < 0.5}
+    tracial = bool(seed % 2)
+    words = {}
+    for w in full:
+        if w in words or rng.random() >= 0.5:
+            continue
+        orbit = rotations(w) if tracial else [w]
+        value = complex(*rng.normal(size=2))
+        if w[::-1] in orbit:
+            value = complex(value.real)
+        for turn in orbit:
+            words[turn], words[turn[::-1]] = value, value.conjugate()
     # real standard errors on some classes and words
     errors = {w: float(rng.random()) for w in reps[::2]}
     return [
         (MomentTable.from_bracelets(n, order, classes, stderr=errors or None),
          {(): 1 + 0j, **bruteforce.expand_bracelets(classes)}),
-        (MomentTable(n, order, words, tracial=bool(seed % 2)),
+        (MomentTable(n, order, words, tracial=tracial),
          {(): 1 + 0j, **words}),
     ]
 
