@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .matrixmodels import mc_moment_table
-from .poincare import PINV_TOL, poincare_lower_bound
+from .poincare import PINV_TOL, check_form_budget, poincare_lower_bound
 from .states import MAX_CUMULANT_ORDER, centered_free_poisson, check_state
 # unused: validation runs inside ``check_state``; bench/tracer.py still
 # patches this name, and times validation only once it patches
@@ -177,7 +177,7 @@ def _read_json(path, what):
                          field=what) from exc
 
 
-def _load_state(args, mc_order=8):
+def _load_state(args, degree, norm_order=None):
     picked = [x for x in ("state", "cumulants", "ensemble")
               if getattr(args, x, None)]
     if len(picked) != 1:
@@ -195,7 +195,9 @@ def _load_state(args, mc_order=8):
         seed = getattr(args, "seed", None)
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
-        phi = mc_moment_table(config, mc_order)
+        phi = mc_moment_table(config, max(8, 2 * degree, norm_order or 0))
+    # before validation, which reads every word of length <= max_order
+    check_form_budget(phi.nvars, degree)
     check_state(phi)
     return phi
 
@@ -240,7 +242,7 @@ def cmd_stein(args):
     # checked before the state is loaded, which may run the Monte Carlo
     if args.degree < 0:
         raise ValueError("degree must be >= 0")
-    phi = _load_state(args, mc_order=max(8, 2 * args.degree))
+    phi = _load_state(args, max(args.degree, 1))
     v = _resolve_potential(args, phi.nvars)
     prob = SteinProblem(phi, v, centering_tol=args.tol_centering)
     # the Poincare-route bound uses the truncated lower estimate of the
@@ -260,7 +262,7 @@ def cmd_poincare(args):
     norm_order = args.norm_order
     if norm_order is not None and (norm_order <= 0 or norm_order % 2):
         raise ValueError("order must be a positive even integer")
-    phi = _load_state(args, mc_order=max(8, 2 * args.degree, norm_order or 0))
+    phi = _load_state(args, args.degree, norm_order)
     est = _finite_ratio(poincare_lower_bound(
         phi, args.degree, pinv_tol=args.tol_pinv, norm_order=norm_order))
     return serialize.dumps(serialize.poincare_report_obj(est))
@@ -280,10 +282,7 @@ def cmd_clt(args):
     if args.degree < 0:
         raise ValueError("degree must be >= 0")
     if args.cumulants:
-        state = serialize.cumulant_state_from_obj(
-            _read_json(args.cumulants, "cumulants"))
-        check_state(state)
-        base, norm_upper = state.spec, state.norm_upper
+        base = _load_state(args, args.degree)
     else:
         # the builtin base is evaluated up to order 2 * degree + 2, and at
         # least 4 for the fourth moments of the rate table
@@ -296,15 +295,13 @@ def cmd_clt(args):
                 needed=2 * args.degree + 2,
                 available=MAX_CUMULANT_ORDER,
             )
-        builtin = centered_free_poisson(1, max_order=max(2 * args.degree + 2, 4))
-        base = builtin.spec
-        norm_upper = builtin.norm_upper
+        base = centered_free_poisson(1, max_order=max(2 * args.degree + 2, 4))
     try:
         ks = tuple(int(x) for x in args.ks.split(",") if x.strip())
     except ValueError as exc:
         raise ParseError(f"bad --ks value: {exc}", field="ks") from exc
     exp = CltExperiment(base=base, ks=ks, degree=args.degree)
-    rows = clt_rate_table(exp, norm_upper=norm_upper)
+    rows = clt_rate_table(exp)
     return rows_to_csv(rows)
 
 

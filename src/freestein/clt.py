@@ -70,29 +70,32 @@ def rescale_cumulants(base, k):
 
 @dataclass(frozen=True)
 class CltExperiment:
-    """Base spec (centered, identity covariance), copy counts, degree."""
+    """Base state (centered, identity covariance), copy counts, degree."""
 
-    base: CumulantSpec
+    base: CumulantState
     ks: tuple
     degree: int
 
     def __post_init__(self):
+        if not isinstance(self.base, CumulantState):
+            raise TypeError("base must be a CumulantState, not "
+                            f"{type(self.base).__name__}")
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("copy counts must be positive")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        n = self.base.nvars
-        for i in range(1, n + 1):
-            if abs(self.base.value((i,))) > BASE_TOL:
+        spec = self.base.spec
+        for i in range(1, spec.nvars + 1):
+            if abs(spec.value((i,))) > BASE_TOL:
                 raise InadmissibleProblemError(
                     f"base spec is not centered: kappa({i}) != 0")
-            for j in range(1, n + 1):
+            for j in range(1, spec.nvars + 1):
                 want = 1.0 if i == j else 0.0
-                if abs(self.base.value((i, j)) - want) > BASE_TOL:
+                if abs(spec.value((i, j)) - want) > BASE_TOL:
                     raise InadmissibleProblemError(
                         "base spec covariance is not the identity: "
-                        f"kappa({i},{j}) = {self.base.value((i, j))}")
+                        f"kappa({i},{j}) = {spec.value((i, j))}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,10 @@ class CltRow:
     within_m4_bound: bool
 
 
-def theorem_constant(base, norm_upper=None):
-    """sqrt(n * min(C_up - 1, (n + n m4 - 1)/2)) from the base spec.
+def theorem_constant(base):
+    """sqrt(n * min(C_up - 1, (n + n m4 - 1)/2)) from the base state.
 
-    ``norm_upper`` optionally supplies per-coordinate operator-norm
+    The state's ``norm_upper``, if any, gives per-coordinate operator-norm
     upper bounds for the Poincare branch, which takes the norm bound
     that applies to the base state (tracial or general).  The m4 branch
     squared is the quoted constant (n^2 + n^2 m4 - n)/2; the
@@ -118,28 +121,27 @@ def theorem_constant(base, norm_upper=None):
     m4 and the m4 branch.
     """
     n = base.nvars
-    state = CumulantState(base, norm_upper=norm_upper)
-    m4 = max(state.moment((i, i, i, i)).real for i in range(1, n + 1))
+    m4 = max(base.moment((i, i, i, i)).real for i in range(1, n + 1))
     branch_m4 = (n + n * m4 - 1) / 2.0
     branch_c = np.inf
-    if norm_upper is not None:
-        vb = voiculescu_bound(state, norm_order=4)
+    if base.norm_upper is not None:
+        vb = voiculescu_bound(base, norm_order=4)
         if vb.certified:
             branch_c = vb.applicable - 1.0
     return float(np.sqrt(n * min(branch_c, branch_m4))), m4, branch_m4
 
 
-def clt_rate_table(exp, norm_upper=None):
+def clt_rate_table(exp):
     """One row per copy count; see the module docstring for columns."""
     n = exp.base.nvars
-    const, m4_base, branch_m4 = theorem_constant(exp.base, norm_upper)
+    const, m4_base, branch_m4 = theorem_constant(exp.base)
     const_m4 = float(np.sqrt(n * branch_m4))
     potential = quadratic_potential(n)
 
     rows = []
     for k in exp.ks:
-        spec_k = rescale_cumulants(exp.base, k)
-        state = CumulantState(spec_k)
+        state = (exp.base if k == 1
+                 else CumulantState(rescale_cumulants(exp.base.spec, k)))
         m4_k = max(state.moment((i, i, i, i)).real for i in range(1, n + 1))
         prob = SteinProblem(state, potential)
         mk = minimal_kernel(prob, exp.degree)

@@ -6,18 +6,14 @@ The optimal constant C_opt(X) is the least C with
 
 over all polynomials P.  On the span of nonconstant monomials of degree
 at most d this becomes a generalized Rayleigh quotient of two Hermitian
-PSD forms, the centered covariance S and the Dirichlet energy E.  Its
+PSD forms, the centered covariance S, read from the state's moment
+matrix (``states.covariance_gram``), and the Dirichlet energy E.  Its
 largest value C_d off E's null space is a lower bound on C_opt that is
 nondecreasing in d; C_1 is the largest eigenvalue of the covariance.
 
 ``TruncatedForms`` factors E over the nonconstant words of degree <= D
-in graded order, once, by a left-looking Cholesky E = L L^H (Higham,
-*Accuracy and Stability of Numerical Algorithms*, sec. 10).  Pivot k,
-with Schur complement s_k and diagonal delta_k, is a relation (a zero
-column of L, counted in ``null_dim``) when delta_k = 0 or
-|s_k| <= pinv_tol delta_k.  If s_k < -``PSD_TOL`` delta_k, E is
-indefinite (``InvalidStateError``); any other s_k < 0 means double
-precision has run out at that degree (``BudgetExceededError``).  With T
+in graded order, once, by ``states.graded_cholesky``, which also checks
+a state's moment matrix; its relations count in ``null_dim``.  With T
 the kept rows and columns of L, every d <= D reads the leading block
 T_d: C_d is the top eigenvalue of T_d^-1 S T_d^-H, nondecreasing by
 Cauchy interlacing, and ``stein.minimal_kernel`` reads the same T_d^-1.
@@ -42,27 +38,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceededError, InadmissibleProblemError,
-                     InvalidStateError)
+from .errors import BudgetExceededError, InadmissibleProblemError
 from .states import (
+    MAX_FORM_BYTES,
+    PINV_TOL,
     coordinate_moments,
     covariance_gram,
     dirichlet_gram,
+    graded_cholesky,
     operator_norm_estimate,
     word_count,
     words_up_to,
 )
 
-PINV_TOL = 5e-14
-PSD_TOL = 1e-8
 WITNESS_TOL = 1e-8
 GAP_TOL = 1e-6
 HYPOTHESIS_TOL = 1e-8
 
-# cap on the bytes of one m x m complex form over the m words of a
-# ``TruncatedForms``; the Gram, its factor and inverse and the
-# covariance each take that much (1,092 words at n = 3, d = 6 take 19 MB)
-MAX_FORM_BYTES = 1 << 27
+
+def check_form_budget(nvars, degree):
+    """Raise ``BudgetExceededError`` when forms over the words of degree
+    <= ``degree`` in ``nvars`` variables pass ``MAX_FORM_BYTES``."""
+    size = 16 * word_count(nvars, degree) ** 2
+    if size > MAX_FORM_BYTES:
+        raise BudgetExceededError(
+            f"forms over the words of degree <= {degree} in {nvars} "
+            f"variables take {size} bytes each, over {MAX_FORM_BYTES}",
+            needed=size, available=MAX_FORM_BYTES)
 
 
 class TruncatedForms:
@@ -70,45 +72,21 @@ class TruncatedForms:
     L (``factor``) with every s_k in ``schur``, the non-relation pivots
     in ``kept`` and T^-1 (``inverse``, by forward substitution).  Forms
     over more than ``MAX_FORM_BYTES`` bytes raise ``BudgetExceededError``
-    before any word is enumerated."""
+    before any word is enumerated (``check_form_budget``)."""
 
     def __init__(self, phi, degree, pinv_tol=PINV_TOL):
         self.nvars, self.degree = phi.nvars, degree
-        size = 16 * word_count(phi.nvars, degree) ** 2
-        if size > MAX_FORM_BYTES:
-            raise BudgetExceededError(
-                f"forms over the words of degree <= {degree} in "
-                f"{phi.nvars} variables take {size} bytes each, over "
-                f"{MAX_FORM_BYTES}", needed=size, available=MAX_FORM_BYTES)
+        check_form_budget(phi.nvars, degree)
         self.words = words_up_to(phi.nvars, degree, min_len=1)
         gram = dirichlet_gram(phi, self.words)
-        self.factor = np.zeros_like(gram)
-        self.schur = np.zeros(len(gram))
-        kept = []
-        for k, word in enumerate(self.words):
-            col = gram[k:, k] - self.factor[k:, :k] @ self.factor[k, :k].conj()
-            schur = self.schur[k] = col[0].real
-            diag = gram[k, k].real
-            if diag == 0 or abs(schur) <= pinv_tol * diag:
-                continue
-            if schur < -PSD_TOL * diag:
-                raise InvalidStateError(
-                    f"Dirichlet form indefinite: pivot {schur:.3e} at word "
-                    f"{word} (invalid state)")
-            if schur < 0:
-                raise BudgetExceededError(
-                    f"Dirichlet form pivot {schur / diag:.2e} (relative) at "
-                    f"degree {len(word)} is below double precision")
-            self.factor[k:, k] = col / np.sqrt(schur)
-            kept.append(k)
-        self.kept = np.array(kept, dtype=int)
+        self.factor, self.schur, self.kept = graded_cholesky(
+            gram, self.words, "Dirichlet form", pinv_tol)
         t = self.factor[np.ix_(self.kept, self.kept)]
         self.inverse = np.zeros_like(t)
         for i in range(len(t)):
             self.inverse[i, i] = 1.0
             self.inverse[i] -= t[i, :i] @ self.inverse[:i]
             self.inverse[i] /= t[i, i]
-        self._covariance = np.zeros((0, 0), dtype=complex)
 
     @classmethod
     def of(cls, phi, degree, pinv_tol=PINV_TOL):
@@ -125,12 +103,6 @@ class TruncatedForms:
         m = word_count(self.nvars, degree)
         kept = self.kept[self.kept < m]
         return m, kept, self.inverse[:len(kept), :len(kept)]
-
-    def covariance(self, phi, m):
-        """S of ``phi`` over the first ``m`` words, built when first read."""
-        if len(self._covariance) < m:
-            self._covariance = covariance_gram(phi, self.words[:m])
-        return self._covariance[:m, :m]
 
 
 @dataclass(frozen=True)
@@ -190,13 +162,15 @@ def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, norm_order=None):
     L at the kept pivots) of energy s_j, a witness when its variance
     exceeds ``WITNESS_TOL`` |n_j|^2 and |s_j| / ``WITNESS_TOL``: a ratio
     over 1e8, which a relation declared by a large ``pinv_tol`` misses.
+    S is read from the state's moment matrix, which a state not yet
+    validated gathers and checks here over the words of degree <= d.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     phi.check_order(2 * degree)
     forms = TruncatedForms.of(phi, degree, pinv_tol)
     m, kept, inv = forms.block(degree)
-    s_mat = forms.covariance(phi, m)
+    s_mat = covariance_gram(phi, forms.words[:m])
 
     relations = np.delete(np.arange(m), kept)
     null_vecs = np.zeros((m, len(relations)), dtype=complex)

@@ -50,9 +50,9 @@ inner products and every Gram over words are one numpy gather,
 
 and both factors are entries of one moment matrix H[u, v] = phi(u rev v),
 so the inner products, the Dirichlet Gram (the Jacobian terms
-w[:k] (x) w[k+1:] against themselves), the covariance Gram and the
-positivity check of ``validate_state`` (the monomials w (x) 1) are term
-lists handed to the gather.  None of them builds a symbolic product;
+w[:k] (x) w[k+1:] against themselves) and H itself (the monomials
+w (x) 1; ``validate_state`` factors it, the covariance Gram reads it) are
+term lists handed to the gather.  None of them builds a symbolic product;
 exact ``sharp`` products are for exact output (``algebra``) and for the
 oracle in the tests.  The gather asks the state for the entries of H it
 needs in one batch, ``MomentFunctional.pair_moments``, and the helpers
@@ -101,10 +101,14 @@ def rotations(word):
 
 
 # HERM_TOL is the tolerance of every Hermitian check and of the unit and
-# cyclic checks; ``validate_state`` accepts a least eigenvalue of its
-# positivity Gram down to -EIG_TOL
+# cyclic checks; PSD_TOL and PINV_TOL are those of ``graded_cholesky``
 HERM_TOL = 1e-8
-EIG_TOL = 1e-8
+PSD_TOL = 1e-8
+PINV_TOL = 5e-14
+
+# cap on the 16 m^2 bytes of a complex form over m words, which a Gram,
+# its factor and inverse each take (1,092 words at n = 3, d = 6: 19 MB)
+MAX_FORM_BYTES = 1 << 27
 
 
 def _orbit(word, cyclic):
@@ -904,14 +908,6 @@ def inner_matrix(phi, a, b):
 # Gram assemblies shared by the Stein and Poincare solvers
 
 
-def _hankel(phi, rows, cols):
-    """H[u, v] = phi(u rev(v)) over the word lists ``rows`` x ``cols``,
-    the pairing of the monomials u (x) 1 with v (x) 1."""
-    def terms(words):
-        return [(a, (), 1.0, w, ()) for a, w in enumerate(words)]
-    return pairing_gather(phi, terms(rows), terms(cols), (len(rows), len(cols)))
-
-
 def dirichlet_gram(phi, words):
     """Hermitian Gram of Jacobian rows over monomial words.
 
@@ -933,10 +929,13 @@ def covariance_gram(phi, words):
     """Hermitian form of centered monomials.
 
     S[a, b] = phi((w_b - phi w_b)(w_a - phi w_a)*), so the variance of
-    P = sum_b alpha_b w_b is alpha^H S alpha, checked Hermitian.
+    P = sum_b alpha_b w_b is alpha^H S alpha, checked Hermitian.  S^T is
+    the Schur complement of () in ``moment_matrix``, H[w, ()] = phi(w).
     """
-    means = phi.word_moments(words)
-    cov = _hankel(phi, words, words).T - np.outer(means.conj(), means)
+    hankel = moment_matrix(phi, max(map(len, words), default=0))
+    rows = word_codes(words, phi.nvars)[0]
+    means = hankel[rows, 0]
+    cov = hankel[np.ix_(rows, rows)].T - np.outer(means.conj(), means)
     _check_hermitian(cov, "covariance form")
     return (cov + cov.conj().T) / 2
 
@@ -946,6 +945,73 @@ def _check_hermitian(mat, what):
     scale = max(np.abs(mat).max(initial=0.0), 1.0)
     if np.abs(mat - mat.conj().T).max(initial=0.0) > HERM_TOL * scale:
         raise InvalidStateError(f"{what} is not Hermitian (invalid state)")
+
+
+def graded_cholesky(gram, words, what, pinv_tol, floor_is_relation=False):
+    """(L, s, kept pivots) of the left-looking Cholesky ``gram`` = L L^H
+    over ``words`` in graded order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 10).  Pivot k, with Schur complement s_k
+    and diagonal delta_k, is a relation (a zero column of L) if delta_k =
+    0 or |s_k| <= pinv_tol delta_k; else the form ``what`` is indefinite
+    (``InvalidStateError``) if s_k < -``PSD_TOL`` delta_k; else, if s_k <
+    0, in the float floor: a relation if ``floor_is_relation``, else
+    ``BudgetExceededError``.  With ``floor_is_relation``, a relation's
+    Schur column c must also vanish, |c_j|^2 <= ``PSD_TOL`` delta_k
+    delta_j, as it does in a PSD form, or the form is indefinite."""
+    factor = np.zeros_like(gram)
+    schur = np.zeros(len(gram))
+    diags = gram.diagonal().real
+    kept = []
+    for k, word in enumerate(words):
+        col = gram[k:, k] - factor[k:, :k] @ factor[k, :k].conj()
+        pivot = schur[k] = col[0].real
+        diag = diags[k]
+        if diag != 0 and abs(pivot) > pinv_tol * diag:
+            if pivot < -PSD_TOL * diag:
+                raise InvalidStateError(
+                    f"{what} indefinite: pivot {pivot:.3e} at word {word} "
+                    f"(invalid state)")
+            if pivot > 0:
+                factor[k:, k] = col / np.sqrt(pivot)
+                kept.append(k)
+                continue
+            if not floor_is_relation:
+                raise BudgetExceededError(
+                    f"{what} pivot {pivot / diag:.2e} (relative) at degree "
+                    f"{len(word)} is below double precision")
+        if floor_is_relation:
+            bad = np.flatnonzero(np.abs(col) ** 2 > PSD_TOL * diag * diags[k:])
+            if len(bad):
+                raise InvalidStateError(
+                    f"{what} indefinite: the relation at word {word} has a "
+                    f"Schur entry of modulus {abs(col[bad[0]]):.3e} at word "
+                    f"{words[k + bad[0]]} (invalid state)")
+    return factor, schur, np.array(kept, dtype=int)
+
+
+def moment_matrix(phi, length=None):
+    """H[u, v] = phi(u rev v) over the words of length <= ``length``, in
+    graded order (a word's row is its code).  ``length`` defaults to
+    max_order // 2, lowered only as ``MAX_FORM_BYTES`` forces.  The
+    ``graded_cholesky`` of H, which reads its lower triangle, must find
+    no violation (a pivot in the float floor, which a finite-rank state
+    reaches past its rank, is a relation); the largest H read so far is
+    then kept on ``phi``, and its leading blocks serve every shorter
+    length."""
+    if length is None:
+        length = phi.max_order // 2
+        while 16 * word_count(phi.nvars, length) ** 2 > MAX_FORM_BYTES:
+            length -= 1
+    size = word_count(phi.nvars, length) + 1
+    hankel = vars(phi).get("_moment_matrix")
+    if hankel is None or len(hankel) < size:
+        words = words_up_to(phi.nvars, length)
+        terms = [(a, (), 1.0, w, ()) for a, w in enumerate(words)]
+        hankel = pairing_gather(phi, terms, terms, (size, size))
+        graded_cholesky(hankel, words, "moment matrix", PINV_TOL,
+                        floor_is_relation=True)
+        phi._moment_matrix = hankel
+    return hankel[:size, :size]
 
 
 def coordinate_moments(phi):
@@ -1003,34 +1069,23 @@ def operator_norm_estimate(phi, i, order):
 # validation
 
 
-# caps on the word length and size of ``validate_state``'s positivity
-# family, which keep validation cheap beside the computations it guards
-CHECK_ORDER = 4
-MAX_FAMILY = 64
-
-
 def validate_state(phi):
     """Return a list of violated invariant descriptions (empty if valid).
 
-    Checks the unit moment, up to ``HERM_TOL``, and that the Gram
-    phi(w_i rev(w_j)) over the first ``MAX_FAMILY`` words, in graded-lex
-    order, of length at most max_order // 2 and ``CHECK_ORDER`` has no
-    eigenvalue below ``-EIG_TOL``.  Tables and specs check Hermitian
-    symmetry and traciality on every stored word when built.
+    Checks the unit moment, up to ``HERM_TOL``, and positivity on every
+    pair of words of length <= max_order // 2 (as ``MAX_FORM_BYTES``
+    allows): the pivots of ``moment_matrix`` and the Schur columns of
+    its relations.  Tables and specs check Hermitian symmetry and
+    traciality on every stored word when built.
     """
     problems = []
     unit = phi.moment(())
     if abs(unit - 1.0) > HERM_TOL:
         problems.append(f"unit moment is {unit}, expected 1")
-    half = min(phi.max_order // 2, CHECK_ORDER)
-    family = words_up_to(phi.nvars, half)[:MAX_FAMILY]
-    gram = _hankel(phi, family, family)
-    gram = (gram + gram.conj().T) / 2
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() < -EIG_TOL:
-        problems.append(f"moment Gram has negative eigenvalue "
-                        f"{eigs.min():.3e} (family of words up to length "
-                        f"{half})")
+    try:
+        moment_matrix(phi)
+    except InvalidStateError as exc:
+        problems.append(str(exc))
     return problems
 
 

@@ -323,8 +323,8 @@ def test_criterion_7_clt_rate():
     start = time.monotonic()
     fp = centered_free_poisson(1, max_order=8)
     ks = (1, 2, 4, 8, 16, 32, 64)
-    exp = CltExperiment(base=fp.spec, ks=ks, degree=3)
-    rows = clt_rate_table(exp, norm_upper=fp.norm_upper)
+    exp = CltExperiment(base=fp, ks=ks, degree=3)
+    rows = clt_rate_table(exp)
 
     n = 1
     m4 = 3.0

@@ -288,14 +288,14 @@ def test_clt_validates_its_base(tmp_path, capsys, monkeypatch):
     assert (code, out) == (3, "")
     error = json.loads(err)["error"]
     assert error["code"] == "invalid_state"
-    assert "negative eigenvalue" in error["message"]
+    assert "moment matrix indefinite: pivot" in error["message"]
     # a valid base reaches the rate table with the file's norm bounds
     seen = []
     rate_table = cli.clt_rate_table
 
-    def spy(exp, norm_upper=None):
-        seen.append(norm_upper)
-        return rate_table(exp, norm_upper=norm_upper)
+    def spy(exp):
+        seen.append(exp.base.norm_upper)
+        return rate_table(exp)
 
     monkeypatch.setattr(cli, "clt_rate_table", spy)
     fp = centered_free_poisson(1, max_order=6)
@@ -305,6 +305,82 @@ def test_clt_validates_its_base(tmp_path, capsys, monkeypatch):
                        "--ks", "1,4")
     assert code == 0, err
     assert seen == [(3.0,)]
+
+
+def test_clt_evaluates_its_base_once(tmp_path, capsys, monkeypatch):
+    # the validated base state also serves the theorem constant and the
+    # k = 1 row, so its moments are evaluated once
+    from freestein import CumulantState
+
+    fp = centered_free_poisson(1, max_order=6)
+    path = write(tmp_path, "fp.json",
+                 serialize.cumulants_to_obj(fp.spec, norm_upper=(3.0,)))
+    built = []
+    init = CumulantState.__init__
+
+    def spy(self, spec, norm_upper=None):
+        built.append(spec.kappa)
+        init(self, spec, norm_upper)
+
+    monkeypatch.setattr(CumulantState, "__init__", spy)
+    code, _, err = run(capsys, "clt", "--cumulants", path, "--degree", "1",
+                       "--ks", "1,4")
+    assert code == 0, err
+    assert built.count(fp.spec.kappa) == 1
+    assert len(built) == 2  # the base and its k = 4 rescaling
+
+
+def _semicircle_table(nvars, max_order):
+    from freestein import semicircular
+    from freestein.states import words_up_to
+
+    words = words_up_to(nvars, max_order)
+    values = semicircular(nvars, max_order).word_moments(words).tolist()
+    return dict(zip(words, values))
+
+
+def _positivity_defect(case):
+    """(kind, object) of an input whose only positivity defect lies in
+    moments of words longer than 8, with Hermitian symmetry and
+    traciality intact."""
+    from freestein import CumulantSpec, MomentTable
+
+    if case.startswith("t12"):
+        # the Catalan value is 132; the Hankel over 1, t, ..., t^6 has
+        # least eigenvalue -3.23 at 100 and -115 at -100
+        entries = _semicircle_table(1, 12)
+        entries[(1,) * 12] = float(case[4:])
+        return "state", serialize.table_to_obj(
+            MomentTable(1, 12, entries, tracial=True))
+    if case == "mixed-12":
+        # phi((t1 t2)^6) = 3 on its whole class, where free semicirculars
+        # give 0: the words u = (1, 2)^3 and v = (2, 1)^3 then have
+        # H[u, u] = H[v, v] = 1 and H[u, v] = 3
+        entries = _semicircle_table(2, 12)
+        entries[(1, 2) * 6] = entries[(2, 1) * 6] = 3.0
+        return "state", serialize.table_to_obj(
+            MomentTable(2, 12, entries, tracial=True))
+    # kappa_10 = -2 leaves the Catalan moments up to t^8 and makes
+    # phi(t^10) = 40, one below the least value of a state
+    spec = CumulantSpec(1, {(1, 1): 1.0, (1,) * 10: -2.0}, max_order=10)
+    return "cumulants", serialize.cumulants_to_obj(spec)
+
+
+@pytest.mark.parametrize("case", ["t12=100", "t12=-100", "mixed-12",
+                                  "kappa10"])
+def test_positivity_defects_past_length_eight_exit_3(tmp_path, capsys,
+                                                     case):
+    kind, obj = _positivity_defect(case)
+    load = {"state": serialize.table_from_obj,
+            "cumulants": serialize.cumulant_state_from_obj}[kind]
+    problems = validate_state(load(obj))
+    assert len(problems) == 1
+    assert "moment matrix indefinite: pivot" in problems[0]
+    path = write(tmp_path, "bad.json", obj)
+    code, out, err = run(capsys, "poincare", f"--{kind}", path,
+                         "--degree", "3")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["code"] == "invalid_state"
 
 
 @pytest.mark.parametrize("command", ["poincare", "stein"])
@@ -349,14 +425,19 @@ def test_overflowing_moments_exit_with_budget_code(tmp_path, capsys, command):
 
 def test_oversized_solver_basis_exits_before_any_gram(tmp_path, capsys,
                                                       monkeypatch):
-    from freestein import MomentTable, poincare
+    from freestein import MomentTable, poincare, states
 
     def refuse(*args):
         raise AssertionError("a Dirichlet Gram was built")
 
+    def unvalidated(*args):
+        raise AssertionError("the state was validated")
+
     monkeypatch.setattr(poincare, "dirichlet_gram", refuse)
-    # the zero state passes validation; at degree 14 its forms would span
-    # 32,766 words, 17 GB for the Gram alone
+    # the degree is refused before validation, which would factor the
+    # moment matrix over the 2,047 words of length <= 10; at degree 14
+    # the forms would span 32,766 words, 17 GB for the Gram alone
+    monkeypatch.setattr(states, "moment_matrix", unvalidated)
     path = write(tmp_path, "zero.json", {"nvars": 2, "max_order": 40,
                                          "tracial": True, "entries": []})
     for command in ("poincare", "stein"):

@@ -87,10 +87,14 @@ def test_centering_and_isotropy_preserved():
 
 def test_base_validation():
     with pytest.raises(InadmissibleProblemError):
-        CltExperiment(base=CumulantSpec(1, {(1,): 0.5, (1, 1): 1.0}),
-                      ks=(1, 2), degree=2)
+        CltExperiment(base=CumulantState(
+            CumulantSpec(1, {(1,): 0.5, (1, 1): 1.0})), ks=(1, 2), degree=2)
     with pytest.raises(InadmissibleProblemError):
-        CltExperiment(base=CumulantSpec(1, {(1, 1): 2.0}), ks=(1,), degree=2)
+        CltExperiment(base=CumulantState(CumulantSpec(1, {(1, 1): 2.0})),
+                      ks=(1,), degree=2)
+    # the base is the state itself, whose memo the rate table reuses
+    with pytest.raises(TypeError, match="base must be a CumulantState"):
+        CltExperiment(base=CumulantSpec(1, {(1, 1): 1.0}), ks=(1,), degree=2)
 
 
 def test_fourth_moment_interpolation():
@@ -118,8 +122,8 @@ def test_moment_convergence_first_order():
 
 
 def test_theorem_constant_branches():
-    base = centered_free_poisson(1).spec
-    const, m4, branch = theorem_constant(base, norm_upper=(3.0,))
+    # the builtin's norm bound is 3
+    const, m4, branch = theorem_constant(centered_free_poisson(1))
     assert m4 == pytest.approx(3.0)
     assert branch == pytest.approx(1.5)
     # norm branch gives 2 n ||X||^2 - 1 = 17, so the m4 branch wins
@@ -128,8 +132,8 @@ def test_theorem_constant_branches():
 
 def test_rate_table_free_poisson():
     fp = centered_free_poisson(1, max_order=8)
-    exp = CltExperiment(base=fp.spec, ks=(1, 2, 4, 8, 16, 32, 64), degree=3)
-    rows = clt_rate_table(exp, norm_upper=fp.norm_upper)
+    exp = CltExperiment(base=fp, ks=(1, 2, 4, 8, 16, 32, 64), degree=3)
+    rows = clt_rate_table(exp)
     sigmas = [r.sigma_lower for r in rows]
     assert all(hi <= lo + 1e-12 for lo, hi in zip(sigmas, sigmas[1:]))
     assert all(r.within_m4_bound for r in rows)
@@ -140,16 +144,16 @@ def test_rate_table_free_poisson():
 
 def test_rate_table_semicircular_fixed_point():
     sc = semicircular(1, max_order=8)
-    exp = CltExperiment(base=sc.spec, ks=(1, 4, 16), degree=3)
-    rows = clt_rate_table(exp, norm_upper=sc.norm_upper)
+    exp = CltExperiment(base=sc, ks=(1, 4, 16), degree=3)
+    rows = clt_rate_table(exp)
     assert all(r.sigma_lower <= 1e-6 for r in rows)
     assert all(r.m4 == pytest.approx(2.0) for r in rows)
 
 
 def test_csv_shape():
     fp = centered_free_poisson(1, max_order=8)
-    exp = CltExperiment(base=fp.spec, ks=(1, 2), degree=2)
-    text = rows_to_csv(clt_rate_table(exp, norm_upper=fp.norm_upper))
+    exp = CltExperiment(base=fp, ks=(1, 2), degree=2)
+    text = rows_to_csv(clt_rate_table(exp))
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
@@ -172,8 +176,8 @@ def test_rate_table_solves_no_poincare_bound(monkeypatch, capsys):
 
     monkeypatch.setattr(clt, "poincare_lower_bound", refuse)
     fp = centered_free_poisson(1, max_order=6)
-    exp = CltExperiment(base=fp.spec, ks=(1, 4, 16), degree=2)
-    assert rows_to_csv(clt_rate_table(exp, norm_upper=fp.norm_upper)) == CLT_CSV
+    exp = CltExperiment(base=fp, ks=(1, 4, 16), degree=2)
+    assert rows_to_csv(clt_rate_table(exp)) == CLT_CSV
     assert main(["clt", "--ks", "1,4,16", "--degree", "2"]) == 0
     assert capsys.readouterr().out == CLT_CSV
 

@@ -195,6 +195,60 @@ def test_negative_pivot_raises_budget_error():
         poincare_lower_bound(table, 20, pinv_tol=1e-14)
 
 
+def test_moment_matrix_passes_states_at_the_float_floor():
+    # its moment matrix over 1, t, ..., t^20 has relative pivots down to
+    # 3e-14, two of them relations
+    assert validate_state(_free_poisson_table(40)) == []
+    # The trace state of one 16 x 16 Hermitian matrix: its Hankel over
+    # 1, t, ..., t^20 has rank 16, and the pivots past the rank read the
+    # float floor on either side of 0, at seed 4 down to -6.7e-14 of the
+    # diagonal, which is a relation.  Their relations' Schur columns stay
+    # below 1e-25 of delta_k delta_j, far inside PSD_TOL
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        table = moment_table_from_matrices([(a + a.conj().T) / 8], 40)
+        assert validate_state(table) == [], seed
+    # phi(t^2) = phi(t)^2 - 1e-12 leaves the pivot of t at -1e-10 of its
+    # diagonal, in the float floor; -1e-9 leaves it at -1e-7, past
+    # PSD_TOL = 1e-8
+    floor = MomentTable(1, 2, {(1,): 0.1, (1, 1): 0.01 - 1e-12})
+    assert validate_state(floor) == []
+    below = MomentTable(1, 2, {(1,): 0.1, (1, 1): 0.01 - 1e-9})
+    assert "at word (1,)" in validate_state(below)[0]
+
+
+def test_covariance_is_read_from_the_moment_matrix(monkeypatch):
+    # S[a, b] = phi(w_b rev w_a) - phi(w_b) conj phi(w_a), with no gather
+    # once the state has its moment matrix
+    phi = centered_free_poisson(2, 8)
+    assert validate_state(phi) == []
+
+    def refuse(*args):
+        raise AssertionError("the covariance gathered its own moments")
+
+    monkeypatch.setattr(states, "pairing_gather", refuse)
+    words = words_up_to(2, 4, min_len=1)
+    want = np.array([[phi.moment(b + a[::-1])
+                      - phi.moment(b) * phi.moment(a).conjugate()
+                      for b in words] for a in words])
+    assert np.abs(states.covariance_gram(phi, words) - want).max() < 1e-12
+    # the leading block serves a shorter basis
+    assert np.array_equal(states.covariance_gram(phi, words[:6]),
+                          states.covariance_gram(phi, words)[:6, :6])
+
+
+def test_unvalidated_state_reads_its_moment_matrix_to_the_degree():
+    # a bound at degree 2 gathers H over the 7 words of length <= 2, not
+    # the 127 of length <= 6 that validation factors
+    phi = centered_free_poisson(2, 12)
+    poincare_lower_bound(phi, 2)
+    assert phi._moment_matrix.shape == (7, 7)
+    assert validate_state(phi) == []
+    assert phi._moment_matrix.shape == (127, 127)
+    assert states.moment_matrix(phi, 2).shape == (7, 7)
+
+
 def test_indefinite_dirichlet_form_raises():
     # phi(t^2) = -1 gives t^2 the Dirichlet energy 2 phi(t^2) < 0
     table = MomentTable(1, 4, {(1, 1): -1.0}, tracial=True)

@@ -418,7 +418,24 @@ def test_validate_flags_bad_states():
     assert any("unit" in p for p in validate_state(bad_unit))
 
     indef = MomentTable(1, 4, {(1, 1): -1.0})
-    assert any("eigenvalue" in p for p in validate_state(indef))
+    assert any("moment matrix indefinite: pivot" in p
+               for p in validate_state(indef))
+
+    # a relation (a pivot at 0) whose Schur column does not vanish: the
+    # moment matrices over 1, t, t^2 are [[1, 0, 0], [0, 0, 1], [0, 1, 1]]
+    # and [[1, 1, 1], [1, 1, 5], [1, 5, 30]], and over 1, t it is
+    # [[1, 0.5], [0.5, 0]], where the absent phi(t^2) reads 0
+    for entries, order, where in (
+            ({(1, 1, 1): 1.0, (1, 1, 1, 1): 1.0}, 4, "(1, 1)"),
+            ({(1,): 1.0, (1, 1): 1.0, (1, 1, 1): 5.0, (1, 1, 1, 1): 30.0},
+             4, "(1, 1)"),
+            ({(1,): 0.5}, 2, "(1,)")):
+        problems = validate_state(MomentTable(1, order, entries))
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "moment matrix indefinite: the relation at word (1,) has a "
+            "Schur entry of modulus")
+        assert problems[0].endswith(f"at word {where} (invalid state)")
 
 
 def test_tables_refuse_broken_symmetry_when_built():
