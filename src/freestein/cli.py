@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 from . import serialize
@@ -55,6 +56,7 @@ DEFAULT_KS = (1, 2, 4, 8, 16, 32, 64)
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _check_tolerances(args)
         text = args.func(args)
     except InadmissibleProblemError as exc:
         _emit_error("inadmissible", exc)
@@ -77,6 +79,17 @@ def main(argv=None):
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _check_tolerances(args):
+    # a NaN tolerance fails every comparison, so each pivot would read
+    # as a relation and each centering defect as too large
+    for name in ("tol_pinv", "tol_centering"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < math.inf:
+            flag = name.replace("_", "-")
+            raise ParseError(f"--{flag} must be a finite number >= 0, "
+                             f"got {value}", field=flag)
 
 
 def _emit_error(code, exc, field=None):

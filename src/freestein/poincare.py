@@ -46,6 +46,7 @@ from .states import (
     covariance_gram,
     dirichlet_gram,
     graded_cholesky,
+    moment_matrix,
     operator_norm_estimate,
     word_count,
     words_up_to,
@@ -163,11 +164,13 @@ def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, norm_order=None):
     exceeds ``WITNESS_TOL`` |n_j|^2 and |s_j| / ``WITNESS_TOL``: a ratio
     over 1e8, which a relation declared by a large ``pinv_tol`` misses.
     S is read from the state's moment matrix, which a state not yet
-    validated gathers and checks here over the words of degree <= d.
+    validated gathers and checks here over the words of degree <= d,
+    before the Dirichlet form reads its leading block.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     phi.check_order(2 * degree)
+    moment_matrix(phi, degree)
     forms = TruncatedForms.of(phi, degree, pinv_tol)
     m, kept, inv = forms.block(degree)
     s_mat = covariance_gram(phi, forms.words[:m])

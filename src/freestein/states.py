@@ -49,19 +49,24 @@ inner products and every Gram over words are one numpy gather,
                        = phi(p rev u) * phi(rev v q),
 
 and both factors are entries of one moment matrix H[u, v] = phi(u rev v),
-so the inner products, the Dirichlet Gram (the Jacobian terms
-w[:k] (x) w[k+1:] against themselves) and H itself (the monomials
-w (x) 1; ``validate_state`` factors it, the covariance Gram reads it) are
-term lists handed to the gather.  None of them builds a symbolic product;
-exact ``sharp`` products are for exact output (``algebra``) and for the
-oracle in the tests.  The gather asks the state for the entries of H it
-needs in one batch, ``MomentFunctional.pair_moments``, and the helpers
-below ask for lists of words through ``word_moments``: a table answers
-either with one vectorized lookup, the codes code(u rev v) =
-code(u) n^|v| + code(rev v) of a Hankel block coming from the codes of
-its legs; a cumulant state reads the batch from its memo and asks
-``moment`` only for the misses; the base class asks ``moment`` once per
-entry.
+the source of every pair value.  The gather takes its terms as integer
+arrays keyed by word code (``Terms``): the Jacobian terms w[:k] (x)
+w[k+1:] of the Dirichlet Gram come from the codes of the basis words by
+arithmetic alone (``jacobian_terms``), and each leg of a tensor or tuple
+pairing is coded once (``tensor_terms``).  It reads the pair values from
+the H that ``moment_matrix`` caches on a validated state where that H
+covers the legs, and asks the state for the rest in one batch by pair
+code, code(u rev v) = code(u) n^|v| + code(rev v), through
+``MomentFunctional.code_moments``.  ``moment_matrix`` fills H by one
+such batch, which ``validate_state`` factors and the covariance Gram
+reads; the Dirichlet Gram reads H to the length of its legs, which it
+checks there on a state not yet validated.  None of them builds a
+symbolic product; exact ``sharp`` products are for exact output
+(``algebra``) and for the oracle in the tests.  A table answers a code
+batch with one gather from its class index; a cumulant state decodes the
+distinct words and reads them from its memo, asking ``moment`` only for
+the misses; the base class asks ``moment`` once per distinct word.
+Lists of words are read through ``word_moments``.
 
 Symbolic inputs are exact; evaluation is double-precision complex.
 A cumulant state's memo only grows, each class written under a lock,
@@ -78,6 +83,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,10 +159,11 @@ class BraceletError(ValueError):
 _CODE_MAX = (1 << 63) - 1
 
 
+@functools.cache
 def _code_powers(nvars, top):
-    """n^k for k = 0..top as int64; ``BudgetExceededError`` when a word
-    of length ``top`` has a code past 64 bits (for n = 2 and 3 exactly
-    when n^top >= 2^63)."""
+    """n^k for k = 0..top as a read-only int64 array;
+    ``BudgetExceededError`` when a word of length ``top`` has a code past
+    64 bits (for n = 2 and 3 exactly when n^top >= 2^63)."""
     if word_count(nvars, top) > _CODE_MAX:
         longest = top - 1
         while word_count(nvars, longest) > _CODE_MAX:
@@ -165,7 +172,9 @@ def _code_powers(nvars, top):
             f"words of length {top} over {nvars} letters have codes past "
             f"64 bits; the longest word coded is {longest}",
             needed=top, available=longest)
-    return np.power(nvars, np.arange(top + 1, dtype=np.int64))
+    powers = np.power(nvars, np.arange(top + 1, dtype=np.int64))
+    powers.flags.writeable = False
+    return powers
 
 
 def word_count(nvars, length):
@@ -181,29 +190,103 @@ def word_codes(words, nvars):
     on a letter outside 1..nvars and ``BudgetExceededError`` on a word
     whose code needs more than 64 bits."""
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    _code_powers(nvars, int(lengths.max(initial=0)))
-    if not set().union(*words) <= set(range(1, nvars + 1)):
-        for letter in itertools.chain.from_iterable(words):
-            if not 1 <= letter <= nvars:
-                raise ValueError(f"letter {letter} out of range 1..{nvars}")
-    return np.fromiter(map(functools.partial(_code, nvars), words),
-                       dtype=np.int64, count=len(words)), lengths
+    powers = _code_powers(nvars, int(lengths.max(initial=0)))
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(words) else 0
+    try:
+        letters = np.fromiter(itertools.chain.from_iterable(words),
+                              dtype=np.int64, count=total)
+    except OverflowError:  # a letter past int64
+        letters = np.zeros(1, dtype=np.int64)
+    if total and (letters.min() < 1 or letters.max() > nvars):
+        bad = next(letter for letter in itertools.chain.from_iterable(words)
+                   if not 1 <= letter <= nvars)
+        raise ValueError(f"letter {bad} out of range 1..{nvars}")
+    # Horner over every word at once: each letter times n to the number
+    # of letters after it, summed per word as a difference of running
+    # sums, which int64 wraparound leaves exact
+    sums = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(letters * powers[np.repeat(ends, lengths)
+                               - np.arange(1, total + 1)], out=sums[1:])
+    return sums[ends] - sums[ends - lengths], lengths
 
 
-def _code(nvars, word):
-    code = 0
-    for letter in word:
-        code = code * nvars + letter
-    return code
+@functools.cache
+def _offsets(nvars, top):
+    """The code of (1, ..., 1) of each length 0..top as a read-only int64
+    array, the sum of n^k over k < length, so that a code minus the
+    offset of its length is the base-n value of its letters minus one."""
+    offsets = np.concatenate(([0], np.cumsum(_code_powers(nvars, top)[:-1])))
+    offsets.flags.writeable = False
+    return offsets
+
+
+def code_lengths(codes, nvars):
+    """The lengths of the words with these codes: the number of lengths
+    whose least code, the offset, is at most the code, less one."""
+    top, most = 0, int(np.max(codes, initial=0))
+    while word_count(nvars, top) < most:
+        top += 1
+    return np.searchsorted(_offsets(nvars, top), codes, side="right") - 1
+
+
+def code_words(codes, nvars):
+    """The words with the ascending codes ``codes``, as tuples.  Their
+    lengths then ascend too, and each length is one block of the rows of
+    the letter matrix."""
+    lengths = code_lengths(codes, nvars)
+    top = int(lengths[-1]) if len(codes) else 0
+    turn = codes - _offsets(nvars, top)[lengths]
+    letters = np.empty((len(codes), top), dtype=np.int64)
+    for j in range(top - 1, -1, -1):
+        turn, letters[:, j] = np.divmod(turn, nvars)
+    letters += 1
+    words, lo = [], 0
+    ends = np.searchsorted(lengths, np.arange(top + 1), side="right")
+    for m, hi in enumerate(ends.tolist()):
+        words += map(tuple, letters[lo:hi, top - m:].tolist())
+        lo = hi
+    return words
+
+
+def reversed_codes(codes, lengths, nvars):
+    """The codes of the reversals of the words with these codes and
+    lengths: their letters read back, ``top`` steps for every word and
+    then divided by n once for each step past its length."""
+    top = int(np.max(lengths, initial=0))
+    powers = _code_powers(nvars, top)
+    base = _offsets(nvars, top)[lengths]
+    turn, back = codes - base, np.zeros_like(codes)
+    for _ in range(top):
+        turn, last = np.divmod(turn, nvars)
+        back *= nvars
+        back += last
+    return base + back // powers[top - lengths]
+
+
+def rotated_codes(codes, lengths, nvars):
+    """The codes of the rotations w[k:] + w[:k], k = 1..|w| - 1, of the
+    words w with these codes and lengths, word by word and in order of
+    k.  Step s moves the last letter of every word to the front, which
+    makes the rotation k = |w| - s."""
+    top = int(np.max(lengths, initial=0))
+    powers = _code_powers(nvars, top)
+    base = _offsets(nvars, top)[lengths]
+    lead = powers[np.maximum(lengths - 1, 0)]
+    count = np.maximum(lengths - 1, 0)
+    starts = np.cumsum(count) - count
+    turn, out = codes - base, np.empty(int(count.sum()), dtype=np.int64)
+    for step in range(1, top):
+        rest = turn // nvars
+        turn = rest + (turn - rest * nvars) * lead
+        live = np.flatnonzero(lengths > step)
+        out[starts[live] + lengths[live] - step - 1] = (base + turn)[live]
+    return out
 
 
 def code_word(code, nvars):
     """The word with code ``code``."""
-    code, letters = int(code), []
-    while code:
-        code, digit = divmod(code - 1, nvars)
-        letters.append(digit + 1)
-    return tuple(letters[::-1])
+    return code_words(np.array([code], dtype=np.int64), nvars)[0]
 
 
 def canonical_codes(codes, lengths, nvars, bracelet=True):
@@ -227,7 +310,7 @@ def canonical_codes(codes, lengths, nvars, bracelet=True):
         return codes, none, none
     top = int(lengths.max(initial=0))
     powers = _code_powers(nvars, top)
-    base = np.concatenate(([0], np.cumsum(powers[:top])))[lengths]
+    base = _offsets(nvars, top)[lengths]
     lead = powers[np.maximum(lengths - 1, 0)]
     # Each step moves the last letter of every word to the front, so
     # top - 1 steps pass every rotation.  The letters moved, read in
@@ -263,7 +346,7 @@ def bracelet_classes(nvars, max_order):
     keys, _, closed = canonical_codes(
         codes, np.repeat(np.arange(1, max_order + 1), counts), nvars)
     mine = keys == codes
-    return [code_word(c, nvars) for c in codes[mine].tolist()], closed[mine]
+    return code_words(codes[mine], nvars), closed[mine]
 
 
 class MomentFunctional:
@@ -305,14 +388,15 @@ class MomentFunctional:
     def moment(self, word):
         raise NotImplementedError
 
-    def pair_moments(self, lefts, rights, us, vs):
-        """phi(lefts[u] + rights[v]) for each pair (u, v) of the index
-        arrays ``us`` and ``vs``, as a complex array: the batch through
-        which ``pairing_gather`` reads a Hankel block.  Here it is one
-        ``moment`` call per pair, in order."""
-        return np.array([self.moment(lefts[u] + rights[v])
-                         for u, v in zip(us.tolist(), vs.tolist())],
-                        dtype=complex)
+    def code_moments(self, codes, lengths):
+        """phi(w) for the words w with these codes and lengths, as a
+        complex array: the batch through which ``moment_matrix`` and
+        ``pairing_gather`` read entries of H.  The longest word is
+        checked first; here each distinct word is then decoded, in code
+        order, and read by ``word_moments``."""
+        self.check_order(int(np.max(lengths, initial=0)))
+        codes, inverse = np.unique(codes, return_inverse=True)
+        return self.word_moments(code_words(codes, self.nvars))[inverse]
 
     def word_moments(self, words):
         """phi(w) for each of ``words``, as a complex array; here one
@@ -351,7 +435,7 @@ class MomentTable(MomentFunctional):
     the index holds only the lengths read so far; it then reads each
     covered code by one gather, and canonicalizes only its longer
     codes, once per distinct word.  The grown index is published by one
-    assignment, so concurrent reads stay safe.  ``pair_moments`` and
+    assignment, so concurrent reads stay safe.  ``code_moments`` and
     ``word_moments`` answer a whole batch at once; ``moment`` is a batch
     of one word.  ``stored`` gives the stored words with their values
     and standard errors.
@@ -394,22 +478,28 @@ class MomentTable(MomentFunctional):
         self._index = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
 
     def _check_symmetry(self):
-        # reversals, conjugated, then rotations when tracial, in one batch
-        words = [code_word(c, self.nvars) for c in self._values[0].tolist()]
-        pairs = [(k, w[::-1]) for k, w in enumerate(words)]
+        # reversals, conjugated, then the rotations of each word when
+        # tracial, read in one batch; the first failure is reported
+        codes = self._values[0]
+        lengths = code_lengths(codes, self.nvars)
+        asked = [reversed_codes(codes, lengths, self.nvars)]
+        owners = [np.arange(len(codes))]
         if self.tracial:
-            pairs += [(k, r) for k, w in enumerate(words)
-                      for r in rotations(w)[1:]]
-        owners, asked = zip(*pairs)
-        read, values = self.word_moments(asked), self._values[1][list(owners)]
-        read[:len(words)] = read[:len(words)].conj()
+            asked.append(rotated_codes(codes, lengths, self.nvars))
+            owners.append(np.repeat(owners[0], np.maximum(lengths - 1, 0)))
+        asked, owners = np.concatenate(asked), np.concatenate(owners)
+        read = self._lookup(asked, lengths[owners], int(lengths.max()))
+        read[:len(codes)] = read[:len(codes)].conj()
+        values = self._values[1][owners]
         bad = np.flatnonzero(np.abs(read - values) > HERM_TOL)
         if bad.size:
-            k, flip = bad[0], bool(bad[0] < len(words))
+            k, flip = bad[0], bool(bad[0] < len(codes))
             raise InvalidStateError(
                 f"{'Hermitian symmetry' if flip else 'traciality'} fails: "
-                f"phi({list(words[owners[k]])}) = {complex(values[k])} but "
-                f"{'conj ' * flip}phi({list(asked[k])}) = {complex(read[k])}")
+                f"phi({list(code_word(codes[owners[k]], self.nvars))}) = "
+                f"{complex(values[k])} but {'conj ' * flip}"
+                f"phi({list(code_word(asked[k], self.nvars))}) = "
+                f"{complex(read[k])}")
 
     def _sorted(self, values, kind):
         words = [tuple(w) for w in values]
@@ -444,17 +534,9 @@ class MomentTable(MomentFunctional):
         order = np.argsort(codes)
         return codes[order], vals[order]
 
-    def pair_moments(self, lefts, rights, us, vs):
-        left, right = (np.fromiter(map(len, side), dtype=np.int64,
-                                   count=len(side))
-                       for side in (lefts, rights))
-        lengths = left[us] + right[vs]
-        top = int(lengths.max(initial=0))
+    def code_moments(self, codes, lengths):
+        top = int(np.max(lengths, initial=0))
         self.check_order(top)
-        # checked before the codes of the pairs are formed
-        powers = _code_powers(self.nvars, top)
-        codes = (word_codes(lefts, self.nvars)[0][us] * powers[right[vs]]
-                 + word_codes(rights, self.nvars)[0][vs])
         return self._lookup(codes, lengths, top)
 
     def _lookup(self, codes, lengths, longest):
@@ -513,8 +595,9 @@ class MomentTable(MomentFunctional):
         return slot, flip
 
     def word_moments(self, words):
-        index = np.arange(len(words))
-        return self.pair_moments(words, ((),), index, np.zeros_like(index))
+        # checked before the words are coded
+        self.check_order(max(map(len, words), default=0))
+        return self.code_moments(*word_codes(words, self.nvars))
 
     def moment(self, word):
         return complex(self.word_moments((tuple(word),))[0])
@@ -527,8 +610,7 @@ class MomentTable(MomentFunctional):
                 None if self._errors is None else self._words(*self._errors))
 
     def _words(self, codes, values):
-        return {code_word(c, self.nvars): v
-                for c, v in zip(codes.tolist(), values.tolist())}
+        return dict(zip(code_words(codes, self.nvars), values.tolist()))
 
 
 def _finite(z):
@@ -623,10 +705,11 @@ class CumulantState(MomentFunctional):
     reversal its real part.  So phi(rev w) == conj phi(w) on every word,
     and the state is tracial when the spec is ``cyclic``.
 
-    ``pair_moments`` and ``word_moments`` read a batch straight from the
-    memo, in order, and call ``moment`` only on the words still missing
-    when their turn comes, so a class filled earlier in the batch is not
-    evaluated again and a bad word raises as ``moment`` would.  Memo
+    ``word_moments`` reads a batch straight from the memo, in order, and
+    calls ``moment`` only on the words still missing when their turn
+    comes, so a class filled earlier in the batch is not evaluated again
+    and a bad word raises as ``moment`` would; ``code_moments`` decodes
+    its distinct words in code order and reads them so.  Memo
     reads take no lock: the memo only grows, one dict read is atomic,
     and each class is written under the lock.
     """
@@ -646,10 +729,6 @@ class CumulantState(MomentFunctional):
             return value
         self._check_word(word)
         return self._moment(word)
-
-    def pair_moments(self, lefts, rights, us, vs):
-        return self.word_moments(lefts[u] + rights[v]
-                                 for u, v in zip(us.tolist(), vs.tolist()))
 
     def word_moments(self, words):
         # each word is read from the memo when its turn comes, so a class
@@ -804,72 +883,158 @@ def tensor_moment(phi, q):
 _GATHER_BLOCK = 1 << 18
 
 
+class Terms(NamedTuple):
+    """``pairing_gather`` terms as arrays.  Term e stands for
+    ``coef[e]`` (l_e (x) r_e) in row ``owner[e]`` and pairs only with
+    terms of its ``key``; ``left`` holds code(l_e) and ``back`` holds
+    code(rev r_e)."""
+
+    owner: np.ndarray
+    key: np.ndarray
+    coef: np.ndarray
+    left: np.ndarray
+    back: np.ndarray
+
+
 def pairing_gather(phi, left, right, shape):
     """M[x, y] = sum of c_e conj(c_f) phi(l_e rev(l_f)) phi(rev(r_f) r_e)
-    over the terms e of row x in ``left`` and f of row y in ``right``
-    that share a key.
+    over the ``Terms`` e of row x in ``left`` and f of row y in ``right``
+    that share a key, summed key by key in the order the keys first
+    appear, then in term order; ``shape`` is (rows of ``left``, rows of
+    ``right``).
 
-    A term is (owner row, key, coefficient c, left leg l, reversed right
-    leg rev(r)) and stands for c (l (x) r); ``shape`` is (rows of
-    ``left``, rows of ``right``).  Each pair is the pairing
+    Each pair is the pairing
     <l_e (x) r_e, l_f (x) r_f> = phi(l_e rev(l_f)) phi(rev(r_f) r_e), and
     both factors are entries of H[u, v] = phi(u rev v), H[l_e, l_f] and
-    H[rev r_f, rev r_e].  The budget is checked once, for the longest
-    pair of legs that some key pairs, and only the entries of H that
-    some pair reads are asked of ``phi``.
+    H[rev r_f, rev r_e].  They are read from the moment matrix cached on
+    ``phi`` when it covers every leg, else from ``_hankel_block`` over
+    the distinct legs, after the budget is checked for the longest pair
+    of legs that some key pairs.  Each key's left terms meet its right
+    terms in blocks of about ``_GATHER_BLOCK`` pairs.
     """
-    groups = {}
-    for side, terms in enumerate((left, right)):
-        for term in terms:
-            groups.setdefault(term[1], ([], []))[side].append(term)
-    index = {}
-    arrays = [[(np.array([t[0] for t in terms]),
-                np.array([t[2] for t in terms], dtype=complex),
-                np.array([index.setdefault(t[3], len(index)) for t in terms]),
-                np.array([index.setdefault(t[4], len(index)) for t in terms]))
-               for terms in group] for group in groups.values() if all(group)]
-    legs = list(index)
-    length = np.array([len(leg) for leg in legs], dtype=int)
-    phi.check_order(int(max((max(length[la].max() + length[lb].max(),
-                              length[ra].max() + length[rb].max())
-                             for (_, _, la, ra), (_, _, lb, rb) in arrays),
-                            default=0)))
+    # the keys numbered in the order they first appear
+    order = np.fromiter(dict.fromkeys(left.key.tolist() + right.key.tolist()),
+                        dtype=np.int64)
+    rank = np.argsort(order)
+    kl, kr = (rank[np.searchsorted(order, side.key, sorter=rank)]
+              for side in (left, right))
+    sides = (left.left, left.back, right.left, right.back)
+    codes = np.concatenate(sides)
+    cuts = np.cumsum([0] + [len(side) for side in sides])
+    hankel = vars(phi).get("_moment_matrix", _NO_MATRIX)
+    if codes.max(initial=0) >= len(hankel):
+        legs, codes = np.unique(codes, return_inverse=True)
+        # which legs meet which keys on each side; u meets v through a
+        # key in H[l_e, l_f] (sides 0, 2) and H[rev r_f, rev r_e] (3, 1)
+        meets = np.zeros((4, len(order), len(legs)), dtype=bool)
+        for side, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            meets[side, kl if side < 2 else kr, codes[lo:hi]] = True
+        hankel = _hankel_block(phi, legs, meets[0].T @ meets[2]
+                               | meets[3].T @ meets[1])
+    width = len(hankel)
+    hankel = hankel.ravel()
+    la, ra, lb, rb = (codes[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    # unit coefficients, as the Jacobian terms have, change no product
+    scaled = not ((left.coef == 1).all() and (right.coef == 1).all())
 
-    needed = np.zeros((len(legs), len(legs)), dtype=bool)
-    for (_, _, la, ra), (_, _, lb, rb) in arrays:
-        for u, v in ((la, lb), (rb, ra)):
-            needed |= np.outer(np.bincount(u, minlength=len(legs)) > 0,
-                               np.bincount(v, minlength=len(legs)) > 0)
-    us, vs = np.nonzero(needed)
-    hankel = np.zeros(needed.shape, dtype=complex)
-    hankel[us, vs] = phi.pair_moments(legs, [leg[::-1] for leg in legs],
-                                      us, vs)
-
+    # the terms sorted by key, in term order within a key; each key's
+    # left terms meet its right terms in blocks
+    el, fr = np.argsort(kl, kind="stable"), np.argsort(kr, kind="stable")
+    oa, ca, ia, ja = left.owner[el], left.coef[el], la[el] * width, ra[el]
+    ob, cb, ib, jb = (right.owner[fr], right.coef[fr].conj(), lb[fr],
+                      rb[fr] * width)
+    nl, nr = (np.bincount(side, minlength=len(order)) for side in (kl, kr))
     rows, cols = shape
     out = np.zeros(rows * cols, dtype=complex)
-    for (oa, ca, la, ra), (ob, cb, lb, rb) in arrays:
-        step = max(1, _GATHER_BLOCK // len(ob))
-        for lo in range(0, len(oa), step):
-            e = slice(lo, lo + step)
-            prod = hankel[np.ix_(la[e], lb)]
-            prod *= ca[e, None]
-            prod *= cb.conj()
-            prod *= hankel[np.ix_(rb, ra[e])].T
-            np.add.at(out, (oa[e, None] * cols + ob).ravel(), prod.ravel())
+    for lo, hi, fo, fi in zip(*(bound.tolist() for bound in (
+            np.cumsum(nl) - nl, np.cumsum(nl), np.cumsum(nr) - nr,
+            np.cumsum(nr)))):
+        if fo == fi:
+            continue
+        f = slice(fo, fi)
+        step = max(1, _GATHER_BLOCK // (fi - fo))
+        for start in range(lo, hi, step):
+            e = slice(start, min(start + step, hi))
+            prod = hankel.take(ia[e, None] + ib[f])
+            if scaled:
+                prod *= ca[e, None]
+                prod *= cb[f]
+            prod *= hankel.take(ja[e, None] + jb[f])
+            np.add.at(out, (oa[e, None] * cols + ob[f]).ravel(), prod.ravel())
     return out.reshape(rows, cols)
 
 
-def tensor_terms(owner, key, q):
-    """``pairing_gather`` terms of the tensor-square element q."""
-    return [(owner, key, complex(c), a, b[::-1]) for (a, b), c in q.terms.items()]
+# the moment matrix of a state that has none cached
+_NO_MATRIX = np.zeros((0, 0), dtype=complex)
 
 
-def jacobian_terms(words):
-    """``pairing_gather`` terms of the Jacobian rows of the monomials
-    ``words``: w[:k] (x) w[k+1:] of d_{w[k]} w, owned by the index of w
-    and keyed by the letter w[k]."""
-    return [(a, letter, 1.0, w[:k], w[k + 1:][::-1])
-            for a, w in enumerate(words) for k, letter in enumerate(w)]
+def _hankel_block(phi, legs, needed):
+    """M[i, j] = H[u, v] = phi(u rev v) for the words u, v with codes
+    ``legs[i]``, ``legs[j]`` wherever ``needed[i, j]``, once the budget is
+    checked for the longest such pair: read from the moment matrix
+    cached on ``phi`` where it covers both words, the rest asked of
+    ``phi`` in one ``code_moments`` batch by the codes
+    code(u) n^|v| + code(rev v)."""
+    lengths = code_lengths(legs, phi.nvars)
+    sizes = lengths[:, None] + lengths
+    phi.check_order(int(sizes[needed].max(initial=0)))
+    block = np.zeros(needed.shape, dtype=complex)
+    cached = vars(phi).get("_moment_matrix", _NO_MATRIX)
+    if len(cached):
+        covered = np.flatnonzero(legs < len(cached))
+        inner = legs[covered]
+        block[covered[:, None], covered] = cached[inner[:, None], inner]
+        needed[covered[:, None], covered] = False
+    us, vs = np.nonzero(needed)
+    if len(us):
+        sizes = sizes[us, vs]
+        # checked before the codes of the pairs are formed
+        powers = _code_powers(phi.nvars, int(sizes.max()))
+        back = reversed_codes(legs, lengths, phi.nvars)
+        block[us, vs] = phi.code_moments(
+            legs[us] * powers[lengths[vs]] + back[vs], sizes)
+    return block
+
+
+def tensor_terms(entries, nvars):
+    """``Terms`` of the (owner, key, terms) triples ``entries``, where
+    ``terms`` maps leg pairs (a, b) to the coefficient of a (x) b, as
+    ``TensorPoly.terms`` does.  Each leg a and reversed leg rev b is
+    coded once, all in one batch."""
+    owner, key, coef, lefts, backs = [], [], [], [], []
+    for row, tag, terms in entries:
+        owner += [row] * len(terms)
+        key += [tag] * len(terms)
+        coef += map(complex, terms.values())
+        for a, b in terms:
+            lefts.append(a)
+            backs.append(b[::-1])
+    codes = word_codes(lefts + backs, nvars)[0]
+    return Terms(np.array(owner, dtype=np.int64), np.array(key, dtype=np.int64),
+                 np.array(coef, dtype=complex), codes[:len(lefts)],
+                 codes[len(lefts):])
+
+
+def jacobian_terms(codes, lengths, nvars):
+    """``Terms`` of the Jacobian rows of the monomials with these codes
+    and lengths: w[:k] (x) w[k+1:] of d_{w[k]} w, owned by the index of w
+    and keyed by the letter w[k], for every word and position at once.
+    With t the base-n value of w's letters minus one, the prefix w[:k]
+    is the quotient of t by n^(|w| - k), the letter w[k] the next digit,
+    and rev(w[k+1:]), the prefix of rev w of length |w| - k - 1, the
+    quotient of the value of rev w by n^(k + 1)."""
+    top = int(np.max(lengths, initial=0))
+    powers = _code_powers(nvars, top)
+    base = _offsets(nvars, top)
+    owner = np.repeat(np.arange(len(codes)), lengths)
+    size = lengths[owner]
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    turn = (codes - base[lengths])[owner]
+    back = (reversed_codes(codes, lengths, nvars) - base[lengths])[owner]
+    return Terms(owner, turn // powers[size - 1 - k] % nvars + 1,
+                 np.ones(len(owner), dtype=complex),
+                 base[k] + turn // powers[size - k],
+                 base[size - 1 - k] + back // powers[k + 1])
 
 
 def inner_tuple(phi, ps, rs):
@@ -884,8 +1049,8 @@ def inner_tuple(phi, ps, rs):
 
     def terms(tup):
         # right legs are empty, so each pair's right factor is phi(()) = 1
-        return [(0, i, complex(c), w, ())
-                for i, p in enumerate(tup) for w, c in p.terms.items()]
+        return tensor_terms([(0, i, {(w, ()): c for w, c in p.terms.items()})
+                             for i, p in enumerate(tup)], phi.nvars)
 
     return complex(pairing_gather(phi, terms(ps), terms(rs), (1, 1))[0, 0])
 
@@ -898,8 +1063,9 @@ def inner_matrix(phi, a, b):
         raise ValueError("tensor/state nvars mismatch")
 
     def terms(k):
-        return [t for i, row in enumerate(k.rows) for j, q in enumerate(row)
-                for t in tensor_terms(0, (i, j), q)]
+        return tensor_terms([(0, i * k.size + j, q.terms)
+                             for i, row in enumerate(k.rows)
+                             for j, q in enumerate(row)], phi.nvars)
 
     return complex(pairing_gather(phi, terms(a), terms(b), (1, 1))[0, 0])
 
@@ -912,12 +1078,17 @@ def dirichlet_gram(phi, words):
     """Hermitian Gram of Jacobian rows over monomial words.
 
     G[a, b] = sum_i (phi (x) phi)( d_i(w_b) # (d_i(w_a))* ), so that the
-    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  It is
-    the transposed ``pairing_gather`` of the Jacobian terms with
-    themselves (whose budget check asks for 2 (longest word - 1)),
-    checked Hermitian, then its upper triangle copied over the lower one.
+    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  The
+    legs of the Jacobian terms are shorter than the longest word, so
+    every entry is read from the ``moment_matrix`` to that length less
+    one, which a state not yet validated gathers and checks here (its
+    budget check asks for 2 (longest word - 1)).  G is the transposed
+    ``pairing_gather`` of the Jacobian terms with themselves, checked
+    Hermitian, then its upper triangle copied over the lower one.
     """
-    terms = jacobian_terms(words)
+    codes, lengths = word_codes(words, phi.nvars)
+    moment_matrix(phi, max(int(lengths.max(initial=0)) - 1, 0))
+    terms = jacobian_terms(codes, lengths, phi.nvars)
     gram = pairing_gather(phi, terms, terms, (len(words), len(words))).T
     # checked before the copy, which would hide the lower triangle
     _check_hermitian(gram, "Dirichlet form")
@@ -991,8 +1162,9 @@ def graded_cholesky(gram, words, what, pinv_tol, floor_is_relation=False):
 
 def moment_matrix(phi, length=None):
     """H[u, v] = phi(u rev v) over the words of length <= ``length``, in
-    graded order (a word's row is its code).  ``length`` defaults to
-    max_order // 2, lowered only as ``MAX_FORM_BYTES`` forces.  The
+    graded order (a word's row is its code), read in one ``code_moments``
+    batch of the codes code(u) n^|v| + code(rev v).  ``length`` defaults
+    to max_order // 2, lowered only as ``MAX_FORM_BYTES`` forces.  The
     ``graded_cholesky`` of H, which reads its lower triangle, must find
     no violation (a pivot in the float floor, which a finite-rank state
     reaches past its rank, is a relation); the largest H read so far is
@@ -1005,11 +1177,18 @@ def moment_matrix(phi, length=None):
     size = word_count(phi.nvars, length) + 1
     hankel = vars(phi).get("_moment_matrix")
     if hankel is None or len(hankel) < size:
-        words = words_up_to(phi.nvars, length)
-        terms = [(a, (), 1.0, w, ()) for a, w in enumerate(words)]
-        hankel = pairing_gather(phi, terms, terms, (size, size))
-        graded_cholesky(hankel, words, "moment matrix", PINV_TOL,
-                        floor_is_relation=True)
+        phi.check_order(2 * length)
+        codes = np.arange(size, dtype=np.int64)
+        lengths = code_lengths(codes, phi.nvars)
+        pairs = (codes[:, None] * _code_powers(phi.nvars, 2 * length)[lengths]
+                 + reversed_codes(codes, lengths, phi.nvars))
+        hankel = phi.code_moments(pairs.ravel(), (lengths[:, None] + lengths)
+                                  .ravel()).reshape(size, size)
+        # adding 0 reads each -0 as +0, the zero a sum from 0 leaves, so
+        # H holds the bytes of a pairing of the monomials w (x) 1
+        hankel += 0
+        graded_cholesky(hankel, words_up_to(phi.nvars, length),
+                        "moment matrix", PINV_TOL, floor_is_relation=True)
         phi._moment_matrix = hankel
     return hankel[:size, :size]
 

@@ -86,6 +86,7 @@ from .states import (
     pairing_gather,
     tensor_moment,  # re-exported; the benchmark's layer tracer wraps it here
     tensor_terms,
+    word_codes,
     words_up_to,
 )
 
@@ -101,12 +102,17 @@ class SteinProblem:
     c_i = phi((D_i v)(X)) and the centering defect ||c||_2.  The problem
     is admissible when every |c_i| is below tolerance; only admissible
     problems define a kernel in the strict sense, but the centered
-    identity holds regardless.
+    identity holds regardless.  ``kernel_defect``, when given, is the
+    ``kernel_defect`` of another problem of the same potential, which
+    depends on v alone.
     """
 
-    def __init__(self, phi, v, centering_tol=CENTERING_TOL):
+    def __init__(self, phi, v, centering_tol=CENTERING_TOL,
+                 kernel_defect=None):
         if phi.nvars != v.nvars:
             raise ValueError("state/potential nvars mismatch")
+        if kernel_defect is not None:
+            self.kernel_defect = kernel_defect
         self.phi = phi
         self.v = v
         self.n = v.nvars
@@ -277,6 +283,19 @@ class MinimalKernelResult:
         return KernelMatrix.identity(n) + jacobian(ps)
 
 
+def kernel_rhs(prob, words):
+    """r[s, b] = <A0 - I, J e_{w_b, s}>: row s of the kernel defect
+    A0 - I against the Jacobian row of w_b, entry (s, k) keyed by the
+    letter k, one ``pairing_gather`` over the monomials ``words``."""
+    n = prob.n
+    diff_terms = tensor_terms([(s, k, q.terms)
+                               for s, row in enumerate(prob.kernel_defect.rows)
+                               for k, q in enumerate(row, 1)], n)
+    return pairing_gather(prob.phi, diff_terms,
+                          jacobian_terms(*word_codes(words, n), n),
+                          (n, len(words)))
+
+
 def minimal_kernel(prob, degree, pinv_tol=PINV_TOL):
     """Least-squares minimal Stein kernel over the truncated basis.
 
@@ -297,14 +316,7 @@ def minimal_kernel(prob, degree, pinv_tol=PINV_TOL):
     m, kept, inv = forms.block(degree)
     words = forms.words[:m]
 
-    # r_s[b] = <A0 - I, J e_{w_b, s}>: row s of A0 - I against the
-    # Jacobian row of w_b, entry (s, k) keyed by the letter k
-    diff = prob.kernel_defect
-    diff_terms = [t for s, row in enumerate(diff.rows)
-                  for k, q in enumerate(row, 1) for t in tensor_terms(s, k, q)]
-    rhs = pairing_gather(phi, diff_terms, jacobian_terms(words), (n, len(words)))
-
-    y = rhs[:, kept] @ inv.T
+    y = kernel_rhs(prob, words)[:, kept] @ inv.T
     # basis.elements order is (word-major, slot-minor); word 0 is constant
     coefficients = np.zeros((len(words) + 1, n), dtype=complex)
     coefficients[kept + 1] = inv.conj().T @ y.T

@@ -11,6 +11,11 @@
   and tuple pairings and the Stein residual assembled from exact sharp
   and polynomial products, one ``TensorPoly`` or ``NcPoly`` per matrix
   entry or coordinate, against which the word-index gathers are checked;
+* the same gathers keyed by word tuples (``tuple_pairing_gather`` and
+  its term lists): legs sliced from tuples and indexed in a dict, each
+  entry of H read by ``moment``, summed in the order the code-keyed
+  gather sums, against which the moment matrix, the Dirichlet Gram and
+  the minimal-kernel right-hand side are checked byte for byte;
 * the represented minimal kernel assembled one partial derivative of
   one monomial at a time, against which I + J(P) is checked;
 * the Dirichlet Gram of the trace state of Gaussian-integer Hermitian
@@ -49,6 +54,7 @@ from freestein import (
     moment_of_poly,
     partial_derivative,
     sample_gue,
+    states,
     tensor_moment,
 )
 from freestein.matrixmodels import sample_gue_spectrum
@@ -518,3 +524,91 @@ def expand_bracelets(values):
         for w in flipped:
             out[w] = conj
     return out
+
+
+# ---------------------------------------------------------------------------
+# the word-tuple pairing path
+
+
+def tuple_pairing_gather(phi, left, right, shape):
+    """``states.pairing_gather`` on terms (owner row, key, coefficient c,
+    left leg l, reversed right leg rev(r)) with word-tuple legs.  Legs
+    are indexed in a dict, each entry of H[u, v] = phi(u rev v) that
+    some key pairs is read by ``moment(u + rev v)``, and each output
+    sums its pairs key by key, in the order the keys first appear, then
+    term by term, by ``np.add.at``, over the left terms of a key in
+    blocks of ``states._GATHER_BLOCK`` pairs.  numpy's complex products
+    can round differently with the shapes of their operands, so the
+    blocks, like the order, are those of the code path."""
+    groups = {}
+    for side, terms in enumerate((left, right)):
+        for term in terms:
+            groups.setdefault(term[1], ([], []))[side].append(term)
+    index = {}
+    arrays = [[(np.array([t[0] for t in terms]),
+                np.array([t[2] for t in terms], dtype=complex),
+                np.array([index.setdefault(t[3], len(index)) for t in terms]),
+                np.array([index.setdefault(t[4], len(index)) for t in terms]))
+               for terms in group] for group in groups.values() if all(group)]
+    legs = list(index)
+    length = np.array([len(leg) for leg in legs], dtype=int)
+    phi.check_order(int(max((max(length[la].max() + length[lb].max(),
+                                  length[ra].max() + length[rb].max())
+                             for (_, _, la, ra), (_, _, lb, rb) in arrays),
+                            default=0)))
+    needed = np.zeros((len(legs), len(legs)), dtype=bool)
+    for (_, _, la, ra), (_, _, lb, rb) in arrays:
+        for u, v in ((la, lb), (rb, ra)):
+            needed[np.ix_(u, v)] = True
+    hankel = np.zeros(needed.shape, dtype=complex)
+    for u, v in zip(*np.nonzero(needed)):
+        hankel[u, v] = phi.moment(legs[u] + legs[v][::-1])
+
+    rows, cols = shape
+    out = np.zeros(rows * cols, dtype=complex)
+    for (oa, ca, la, ra), (ob, cb, lb, rb) in arrays:
+        step = max(1, states._GATHER_BLOCK // len(ob))
+        for lo in range(0, len(oa), step):
+            e = slice(lo, lo + step)
+            prod = hankel[np.ix_(la[e], lb)]
+            prod *= ca[e, None]
+            prod *= cb.conj()
+            prod *= hankel[np.ix_(rb, ra[e])].T
+            np.add.at(out, (oa[e, None] * cols + ob).ravel(), prod.ravel())
+    return out.reshape(rows, cols)
+
+
+def tuple_jacobian_terms(words):
+    """w[:k] (x) w[k+1:] of d_{w[k]} w, owned by the index of w and keyed
+    by the letter w[k], sliced from the word tuples."""
+    return [(a, letter, 1.0, w[:k], w[k + 1:][::-1])
+            for a, w in enumerate(words) for k, letter in enumerate(w)]
+
+
+def tuple_tensor_terms(owner, key, q):
+    return [(owner, key, complex(c), a, b[::-1])
+            for (a, b), c in q.terms.items()]
+
+
+def tuple_moment_matrix(phi, length):
+    """H over the words of length <= ``length`` as the gather of the
+    monomials w (x) 1 against themselves."""
+    words = words_up_to(phi.nvars, length)
+    terms = [(a, (), 1.0, w, ()) for a, w in enumerate(words)]
+    return tuple_pairing_gather(phi, terms, terms, (len(words), len(words)))
+
+
+def tuple_dirichlet_gram(phi, words):
+    """``states.dirichlet_gram`` through the tuple gather."""
+    terms = tuple_jacobian_terms(words)
+    gram = tuple_pairing_gather(phi, terms, terms, (len(words),) * 2).T
+    gram = np.triu(gram) + np.triu(gram, 1).conj().T
+    return (gram + gram.conj().T) / 2
+
+
+def tuple_kernel_rhs(prob, words):
+    """``stein.kernel_rhs`` through the tuple gather."""
+    diff = [t for s, row in enumerate(prob.kernel_defect.rows)
+            for k, q in enumerate(row, 1) for t in tuple_tensor_terms(s, k, q)]
+    return tuple_pairing_gather(prob.phi, diff, tuple_jacobian_terms(words),
+                                (prob.n, len(words)))

@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freestein import (ComplexRational, NcPoly, centered_free_poisson,
@@ -11,6 +12,8 @@ from freestein import (ComplexRational, NcPoly, centered_free_poisson,
 from freestein import serialize
 from freestein.cli import main
 from freestein.partitions import catalan
+
+from conftest import trace_state
 
 
 def write(tmp_path, name, obj):
@@ -202,6 +205,27 @@ def test_stein_tolerances_reach_both_solves(tmp_path, capsys):
     rep = json.loads(out)
     assert (rep["gram_rank"], rep["null_dim"]) == (24, 6)
     assert rep["upper_poincare_sq"] == pytest.approx(2 ** 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("command, flag", [("poincare", "--tol-pinv"),
+                                           ("stein", "--tol-pinv"),
+                                           ("stein", "--tol-centering")])
+def test_tolerances_must_be_finite_and_nonnegative(tmp_path, capsys, command,
+                                                   flag, value):
+    # a NaN pivot tolerance would read every pivot as a relation, and a
+    # NaN centering tolerance every state as not centered
+    table = trace_state(np.random.default_rng(4), 2, 4, 6, centered=True)[0]
+    path = write(tmp_path, "table.json", serialize.table_to_obj(table))
+    argv = (command, "--state", path, "--degree", "2")
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse_error"
+    assert error["field"] == flag[2:]
+    assert error["message"] == (f"{flag} must be a finite number >= 0, "
+                                f"got {float(value)}")
 
 
 def test_poincare_takes_no_centering_tolerance(sc_cumulants, capsys):

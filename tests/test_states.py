@@ -35,7 +35,7 @@ from freestein import (
     validate_state,
 )
 from freestein.partitions import catalan
-from freestein.states import words_up_to
+from freestein.states import word_codes, words_up_to
 
 import bruteforce
 from bruteforce import bracelets_up_to
@@ -581,7 +581,7 @@ def test_concurrent_moment_reads_are_consistent():
 
         def worker(offset):
             # odd threads read through the batches, in chunks of 50 words
-            # and as Hankel blocks of (w, w) pairs
+            # and by the codes of the words w w
             try:
                 turn = words[offset:] + words[:offset]
                 if offset % 2 == 0:
@@ -592,8 +592,8 @@ def test_concurrent_moment_reads_are_consistent():
                         chunk = turn[lo:lo + 50]
                         got += shared.word_moments(chunk).tolist()
                     halves = [w for w in turn if 2 * len(w) <= 8]
-                    index = np.arange(len(halves))
-                    paired = shared.pair_moments(halves, halves, index, index)
+                    paired = shared.code_moments(
+                        *word_codes([w + w for w in halves], 2))
                     for w, value in zip(halves, paired.tolist()):
                         if value != expected[w + w]:
                             errors.append(w + w)
@@ -619,12 +619,15 @@ def test_concurrent_moment_reads_are_consistent():
 
 
 def _pair_batch(nvars, max_order):
-    """(lefts, rights, us, vs): every pair of words of length <= half the
-    order, left against reversed right, in a shuffled order."""
+    """(words, codes, lengths): the words u rev v of every pair of words
+    of length <= half the order, as ``moment_matrix`` asks them, in a
+    shuffled order."""
     legs = words_up_to(nvars, max_order // 2)
     us, vs = np.divmod(np.arange(len(legs) ** 2), len(legs))
     order = np.random.default_rng(len(legs)).permutation(len(us))
-    return legs, [w[::-1] for w in legs], us[order], vs[order]
+    words = [legs[u] + legs[v][::-1]
+             for u, v in zip(us[order].tolist(), vs[order].tolist())]
+    return (words, *word_codes(words, nvars))
 
 
 @pytest.mark.parametrize(**MODES)
@@ -632,22 +635,22 @@ def _pair_batch(nvars, max_order):
 @given(data=st.data())
 def test_batch_reads_match_the_per_entry_oracle(cyclic, data):
     spec = data.draw(symmetry_specs(cyclic))
-    batch = _pair_batch(spec.nvars, spec.max_order)
+    asked, *batch = _pair_batch(spec.nvars, spec.max_order)
     # the base class asks ``moment`` once per entry, in order
-    want = states.MomentFunctional.pair_moments(
-        CumulantState(spec), *batch).tolist()
+    want = states.MomentFunctional.word_moments(
+        CumulantState(spec), asked).tolist()
     words = words_up_to(spec.nvars, spec.max_order)
     want_words = states.MomentFunctional.word_moments(
         CumulantState(spec), words).tolist()
     # cold, warmed by a random part of the words, and warm
     cold = CumulantState(spec)
-    assert cold.pair_moments(*batch).tolist() == want
+    assert cold.code_moments(*batch).tolist() == want
     part = CumulantState(spec)
     for w in data.draw(st.lists(st.sampled_from(words), max_size=20)):
         part.moment(w)
     assert part.word_moments(words[::-1]).tolist() == want_words[::-1]
-    assert part.pair_moments(*batch).tolist() == want
-    assert cold.pair_moments(*batch).tolist() == want
+    assert part.code_moments(*batch).tolist() == want
+    assert cold.code_moments(*batch).tolist() == want
     assert cold.word_moments(words).tolist() == want_words
 
 
@@ -668,9 +671,13 @@ def test_batch_reads_raise_as_moment_does(bad, error):
             state.word_moments(words)
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
-        with pytest.raises(error) as got:
-            state.pair_moments(words, [()], np.arange(len(words)),
-                               np.zeros(len(words), dtype=int))
+        # a batch by code holds only words of letters 1..n, and checks
+        # its longest word first, as ``moment`` checks that word
+        coded = [w for w in words if w != bad or error is BudgetExceededError]
+        with pytest.raises(BudgetExceededError) as want:
+            oracle.moment(max(coded, key=len))
+        with pytest.raises(BudgetExceededError) as got:
+            state.code_moments(*word_codes(coded, 2))
         assert str(got.value) == str(want.value)
         assert vars(got.value) == vars(want.value)
 
@@ -687,12 +694,12 @@ def test_warm_batches_do_not_call_moment(monkeypatch):
 
     monkeypatch.setattr(CumulantState, "moment", counted)
     fp = centered_free_poisson(2, max_order=8)
-    batch = _pair_batch(2, 8)
-    cold = fp.pair_moments(*batch)
+    batch = _pair_batch(2, 8)[1:]
+    cold = fp.code_moments(*batch)
     assert 0 < len(calls) <= len(bracelets_up_to(2, 8, min_len=1))
     assert len(set(calls)) == len(calls)
     calls.clear()
-    assert fp.pair_moments(*batch).tolist() == cold.tolist()
+    assert fp.code_moments(*batch).tolist() == cold.tolist()
     assert fp.word_moments(words_up_to(2, 8)).size == len(words_up_to(2, 8))
     assert calls == []
 

@@ -2,8 +2,8 @@
 canonicalizer and the class enumeration ``bracelet_classes`` against the
 oracle's tuple rule ``bracelet_rep`` on every short word, the int64
 boundary, batch lookups against scalar ones (with the class index under
-a small cap too), and the
-solver and writer paths running without the word maps."""
+a small cap too), the solver and writer paths running without the word
+maps, and the code-keyed pairing path against the tuple-keyed oracle."""
 
 import json
 
@@ -12,12 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freestein import BudgetExceededError, MomentTable, serialize, states
+from freestein import (
+    BudgetExceededError,
+    CumulantState,
+    MomentTable,
+    NcPoly,
+    serialize,
+    states,
+)
 from freestein.cli import main
+from freestein.stein import SteinProblem, kernel_rhs
 from freestein.states import (
     bracelet_classes,
     canonical_codes,
     code_word,
+    dirichlet_gram,
+    inner_tuple,
+    moment_matrix,
     rotations,
     word_codes,
     words_up_to,
@@ -25,7 +36,12 @@ from freestein.states import (
 
 import bruteforce
 from bruteforce import bracelet_orbit, bracelet_rep
-from conftest import rand_hermitian, trace_state
+from conftest import (
+    rand_cumulant_spec,
+    rand_hermitian,
+    rand_selfadjoint_poly,
+    trace_state,
+)
 
 
 def test_codes_number_words_in_graded_lex_order():
@@ -93,10 +109,10 @@ def test_codes_stop_at_the_int64_boundary(n, longest):
     assert table.word_moments([(1, 1), words[0]]).tolist() == [1, 0]
     with pytest.raises(BudgetExceededError):
         table.moment(too_long)
-    # the pair is checked before its code is formed
-    half = (1,) * ((longest + 2) // 2)
+    # a pairing is checked before the codes of its pairs are formed
+    half = NcPoly.monomial((1,) * ((longest + 2) // 2), n)
     with pytest.raises(BudgetExceededError):
-        table.pair_moments([half], [half], np.zeros(1, int), np.zeros(1, int))
+        inner_tuple(table, (half,) * n, (half,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +175,9 @@ def test_batch_lookups_equal_scalar_lookups(n, order, seed, data):
         assert got.dtype == complex
         for w, value in zip(asked, got.tolist()):
             assert value == table.moment(w) == want.get(w, 0)
-        # split each asked word into a left and a reversed right leg
-        cuts = [data.draw(st.integers(0, len(w))) for w in asked]
-        lefts = [w[:k] for w, k in zip(asked, cuts)]
-        rights = [w[k:] for w, k in zip(asked, cuts)]
-        index = np.arange(len(asked))
-        paired = table.pair_moments(lefts, rights, index, index)
-        assert paired.tolist() == got.tolist()
+        # the same words asked by code, as the pairings ask
+        coded = table.code_moments(*word_codes(asked, n))
+        assert coded.tolist() == got.tolist()
         assert len(table._index[0]) <= cap
 
 
@@ -202,6 +214,14 @@ def test_lookups_check_letters_and_order():
             assert (err.value.needed, err.value.available) == (5, 4)
 
 
+def test_letters_past_int64_are_out_of_range():
+    for word in ((1, 2 ** 70), (-2 ** 70,)):
+        with pytest.raises(ValueError, match=f"letter {word[-1]} out of range"):
+            word_codes([(1,), word], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            MomentTable(2, 4, {word: 0.5})
+
+
 # ---------------------------------------------------------------------------
 # solver and writer paths never expand a class-stored table
 
@@ -235,3 +255,91 @@ def test_solvers_and_writers_read_no_word_map(tmp_path, capsys, monkeypatch,
         assert capsys.readouterr().out == want
     assert serialize.dumps(serialize.table_to_obj(word_list())) == written
     assert '"classes"' not in written
+
+
+# ---------------------------------------------------------------------------
+# the code-keyed pairing path against the tuple-keyed oracle
+
+
+@st.composite
+def pairing_cases(draw):
+    """(state, degree, potential) of 1..3 variables and degree 0..4: a
+    tracial trace-state table, a density-matrix table (not tracial), or a
+    cyclic or non-cyclic cumulant spec, with max order just enough for
+    the moment matrix to the degree and the minimal-kernel right-hand
+    side of a random self-adjoint potential of degree 2..5, whose kernel
+    legs may pass what the moment matrix covers."""
+    kind = draw(st.sampled_from(("trace", "density", "cyclic", "plain")))
+    n, degree = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    potential = rand_selfadjoint_poly(rng, n, draw(st.integers(2, 5)), terms=3)
+    order = max(2 * degree, potential.degree() + degree, 2)
+    np_rng = np.random.default_rng(rng.getrandbits(32))
+    if kind == "trace":
+        state = trace_state(np_rng, n, 3, order)[0]
+    elif kind == "density":
+        g = np_rng.standard_normal((3, 3)) + 1j * np_rng.standard_normal((3, 3))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        mats = [rand_hermitian(np_rng, 3) for _ in range(n)]
+        entries = {}
+        for w in words_up_to(n, order, min_len=1):
+            acc = rho
+            for letter in w:
+                acc = acc @ mats[letter - 1]
+            entries[w] = complex(np.trace(acc))
+        state = MomentTable(n, order, entries)
+    else:
+        state = CumulantState(rand_cumulant_spec(rng, n, order,
+                                                 cyclic=kind == "cyclic"))
+    return state, degree, potential
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30)
+@given(pairing_cases(), st.sampled_from((1, 7, states._GATHER_BLOCK)))
+def test_code_pairings_match_the_tuple_oracle_byte_for_byte(case, block):
+    phi, d, v = case
+    prob = SteinProblem(phi, v)
+    with_unit = words_up_to(phi.nvars, d)
+
+    def rhs():
+        _same_bytes(kernel_rhs(prob, with_unit[1:]),
+                    bruteforce.tuple_kernel_rhs(prob, with_unit[1:]))
+
+    # positivity checks are off, as most random specs are not states;
+    # a small block cap splits each key's pairs into many blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "graded_cholesky", lambda *a, **k: None)
+        patch.setattr(states, "_GATHER_BLOCK", block)
+        # no moment matrix yet, so every entry comes from the backend
+        rhs()
+        # the Grams cache the moment matrix to length d - 1, then it is
+        # read to length d; each covers the legs up to its length
+        for length in (d - 1, d):
+            if length == d:
+                _same_bytes(moment_matrix(phi, d),
+                            bruteforce.tuple_moment_matrix(phi, d))
+            for words in (with_unit, with_unit[1:], with_unit[::-1]):
+                _same_bytes(dirichlet_gram(phi, words),
+                            bruteforce.tuple_dirichlet_gram(phi, words))
+            rhs()
+
+
+def test_a_table_reads_its_moment_matrix_in_one_batch(monkeypatch):
+    table = trace_state(np.random.default_rng(8), 2, 4, 8)[0]
+    calls = []
+    lookup = MomentTable._lookup
+
+    def counted(self, codes, lengths, longest):
+        calls.append(len(codes))
+        return lookup(self, codes, lengths, longest)
+
+    monkeypatch.setattr(MomentTable, "_lookup", counted)
+    hankel = moment_matrix(table)
+    # one gather over the codes of all 31 x 31 pairs of words of length
+    # <= 4, not one per leg or per term
+    assert calls == [31 * 31] and hankel.shape == (31, 31)
