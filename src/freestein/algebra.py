@@ -165,8 +165,9 @@ class _SparseTerms:
     ``_show_order``, which render a key and order the keys for ``repr``,
     and its own products, involution and constructors.  The stored map
     is canonical (no zero coefficients) and must never be mutated after
-    construction.  Values of different subclasses never mix: their sums
-    are a TypeError and they compare unequal.
+    construction, so values hash by their terms.  Values of different
+    subclasses never mix: their sums are a TypeError and they compare
+    unequal.
     """
 
     __slots__ = ("nvars", "terms")
@@ -233,6 +234,9 @@ class _SparseTerms:
         if type(other) is not type(self):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((type(self), self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

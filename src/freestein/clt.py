@@ -138,15 +138,13 @@ def clt_rate_table(exp):
     const_m4 = float(np.sqrt(n * branch_m4))
     potential = quadratic_potential(n)
 
-    rows, defect = [], None
+    rows = []
     for k in exp.ks:
         state = (exp.base if k == 1
                  else CumulantState(rescale_cumulants(exp.base.spec, k)))
         m4_k = max(state.moment((i, i, i, i)).real for i in range(1, n + 1))
-        # one kernel defect of the potential serves every copy count
-        prob = SteinProblem(state, potential, kernel_defect=defect)
+        prob = SteinProblem(state, potential)
         mk = minimal_kernel(prob, exp.degree)
-        defect = prob.kernel_defect
         sigma = float(np.sqrt(max(mk.sigma_sq, 0.0)))
         bound = const / np.sqrt(k)
         bound_m4 = const_m4 / np.sqrt(k)

@@ -165,11 +165,13 @@ def poincare_lower_bound(phi, degree, pinv_tol=PINV_TOL, norm_order=None):
     over 1e8, which a relation declared by a large ``pinv_tol`` misses.
     S is read from the state's moment matrix, which a state not yet
     validated gathers and checks here over the words of degree <= d,
-    before the Dirichlet form reads its leading block.
+    after the budget checks and before the Dirichlet form reads its
+    leading block.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     phi.check_order(2 * degree)
+    check_form_budget(phi.nvars, degree)
     moment_matrix(phi, degree)
     forms = TruncatedForms.of(phi, degree, pinv_tol)
     m, kept, inv = forms.block(degree)

@@ -59,10 +59,9 @@ covers the legs, and asks the state for the rest in one batch by pair
 code, code(u rev v) = code(u) n^|v| + code(rev v), through
 ``MomentFunctional.code_moments``.  ``moment_matrix`` fills H by one
 such batch, which ``validate_state`` factors and the covariance Gram
-reads; the Dirichlet Gram reads H to the length of its legs, which it
-checks there on a state not yet validated.  None of them builds a
-symbolic product; exact ``sharp`` products are for exact output
-(``algebra``) and for the oracle in the tests.  A table answers a code
+reads.  None of them builds a symbolic product; exact ``sharp``
+products are for exact output (``algebra``) and for the oracle in the
+tests.  A table answers a code
 batch with one gather from its class index; a cumulant state decodes the
 distinct words and reads them from its memo, asking ``moment`` only for
 the misses; the base class asks ``moment`` once per distinct word.
@@ -1078,17 +1077,14 @@ def dirichlet_gram(phi, words):
     """Hermitian Gram of Jacobian rows over monomial words.
 
     G[a, b] = sum_i (phi (x) phi)( d_i(w_b) # (d_i(w_a))* ), so that the
-    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  The
-    legs of the Jacobian terms are shorter than the longest word, so
-    every entry is read from the ``moment_matrix`` to that length less
-    one, which a state not yet validated gathers and checks here (its
-    budget check asks for 2 (longest word - 1)).  G is the transposed
-    ``pairing_gather`` of the Jacobian terms with themselves, checked
-    Hermitian, then its upper triangle copied over the lower one.
+    Dirichlet energy of P = sum_b alpha_b w_b is alpha^H G alpha.  G is
+    the transposed ``pairing_gather`` of the Jacobian terms with
+    themselves, whose legs are shorter than the longest word: it reads
+    them from the moment matrix a validated state caches, else asks the
+    state for them.  G is checked Hermitian, then its upper triangle
+    copied over the lower one.
     """
-    codes, lengths = word_codes(words, phi.nvars)
-    moment_matrix(phi, max(int(lengths.max(initial=0)) - 1, 0))
-    terms = jacobian_terms(codes, lengths, phi.nvars)
+    terms = jacobian_terms(*word_codes(words, phi.nvars), phi.nvars)
     gram = pairing_gather(phi, terms, terms, (len(words), len(words))).T
     # checked before the copy, which would hide the lower triangle
     _check_hermitian(gram, "Dirichlet form")

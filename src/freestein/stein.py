@@ -57,7 +57,7 @@ alongside for comparison but can undershoot the true distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,6 +95,13 @@ AGREE_TOL = 1e-9
 BOUND_SLACK = 1e-8
 
 
+# a defect depends on v alone, so the problems of one potential (the copy
+# counts of a CLT rate table, the ops of one run) share it
+@lru_cache(maxsize=16)
+def _kernel_defect(v):
+    return explicit_kernel(v) - KernelMatrix.identity(v.nvars)
+
+
 class SteinProblem:
     """A state phi together with a potential v.
 
@@ -102,17 +109,12 @@ class SteinProblem:
     c_i = phi((D_i v)(X)) and the centering defect ||c||_2.  The problem
     is admissible when every |c_i| is below tolerance; only admissible
     problems define a kernel in the strict sense, but the centered
-    identity holds regardless.  ``kernel_defect``, when given, is the
-    ``kernel_defect`` of another problem of the same potential, which
-    depends on v alone.
+    identity holds regardless.
     """
 
-    def __init__(self, phi, v, centering_tol=CENTERING_TOL,
-                 kernel_defect=None):
+    def __init__(self, phi, v, centering_tol=CENTERING_TOL):
         if phi.nvars != v.nvars:
             raise ValueError("state/potential nvars mismatch")
-        if kernel_defect is not None:
-            self.kernel_defect = kernel_defect
         self.phi = phi
         self.v = v
         self.n = v.nvars
@@ -127,9 +129,9 @@ class SteinProblem:
 
     @cached_property
     def kernel_defect(self):
-        """A0 - I for the explicit kernel A0 of v, built once and read by
-        both ``minimal_kernel`` and ``explicit_kernel_distance_sq``."""
-        return explicit_kernel(self.v) - KernelMatrix.identity(self.n)
+        """A0 - I for the explicit kernel A0 of v, read by both
+        ``minimal_kernel`` and ``explicit_kernel_distance_sq``."""
+        return _kernel_defect(self.v)
 
     @property
     def admissible(self):

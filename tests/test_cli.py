@@ -462,6 +462,7 @@ def test_oversized_solver_basis_exits_before_any_gram(tmp_path, capsys,
     # moment matrix over the 2,047 words of length <= 10; at degree 14
     # the forms would span 32,766 words, 17 GB for the Gram alone
     monkeypatch.setattr(states, "moment_matrix", unvalidated)
+    monkeypatch.setattr(poincare, "moment_matrix", unvalidated)
     path = write(tmp_path, "zero.json", {"nvars": 2, "max_order": 40,
                                          "tracial": True, "entries": []})
     for command in ("poincare", "stein"):

@@ -195,6 +195,21 @@ def test_negative_pivot_raises_budget_error():
         poincare_lower_bound(table, 20, pinv_tol=1e-14)
 
 
+def test_oversized_degree_is_refused_before_the_moment_matrix(monkeypatch):
+    from freestein import poincare
+
+    def refuse(*args):
+        raise AssertionError("a moment matrix was built")
+
+    # the words of degree <= 14 in 2 variables would take 17 GB per form
+    monkeypatch.setattr(poincare, "moment_matrix", refuse)
+    monkeypatch.setattr(states, "moment_matrix", refuse)
+    with pytest.raises(BudgetExceededError) as info:
+        poincare_lower_bound(MomentTable(2, 40, {}, tracial=True), 14)
+    assert (info.value.needed, info.value.available) == (
+        16 * 32766 ** 2, states.MAX_FORM_BYTES)
+
+
 def test_moment_matrix_passes_states_at_the_float_floor():
     # its moment matrix over 1, t, ..., t^20 has relative pivots down to
     # 3e-14, two of them relations

@@ -399,6 +399,16 @@ def test_discrepancy_bounds_constant_potential():
     assert rep.sigma_lower_sq == pytest.approx(1.0, abs=1e-9)
 
 
+def test_problems_of_one_potential_share_its_kernel_defect():
+    sc = semicircular(2)
+    first = SteinProblem(sc, quadratic_potential(2)).kernel_defect
+    assert SteinProblem(centered_free_poisson(2), quadratic_potential(2)
+                        ).kernel_defect is first
+    quartic = quadratic_potential(2) + NcPoly.monomial((1, 1, 1, 1), 2)
+    assert (SteinProblem(sc, quartic).kernel_defect
+            == explicit_kernel(quartic) - KernelMatrix.identity(2))
+
+
 def test_discrepancy_bounds_builds_the_explicit_kernel_once(monkeypatch):
     calls = []
 
@@ -406,8 +416,10 @@ def test_discrepancy_bounds_builds_the_explicit_kernel_once(monkeypatch):
         calls.append(v)
         return explicit_kernel(v)
 
-    # the name the minimal kernel and the distance resolve at call time
+    # the name the minimal kernel and the distance resolve at call time,
+    # on a miss of the defects kept per potential
     monkeypatch.setattr(stein, "explicit_kernel", counted)
+    stein._kernel_defect.cache_clear()
     phi, _ = trace_state(np.random.default_rng(11), 2, 6, 6, centered=True)
     prob = SteinProblem(phi, quadratic_potential(2))
     rep = discrepancy_bounds(prob, 3, c_opt=2.5)

@@ -315,14 +315,15 @@ def test_code_pairings_match_the_tuple_oracle_byte_for_byte(case, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(states, "graded_cholesky", lambda *a, **k: None)
         patch.setattr(states, "_GATHER_BLOCK", block)
-        # no moment matrix yet, so every entry comes from the backend
-        rhs()
-        # the Grams cache the moment matrix to length d - 1, then it is
-        # read to length d; each covers the legs up to its length
-        for length in (d - 1, d):
+        # no moment matrix yet, so every entry comes from the backend;
+        # then one to length d - 1, which covers the Jacobian legs, and
+        # one to length d, each read where it covers the legs
+        for length in (None, d - 1, d):
             if length == d:
                 _same_bytes(moment_matrix(phi, d),
                             bruteforce.tuple_moment_matrix(phi, d))
+            elif length is not None:
+                moment_matrix(phi, max(length, 0))
             for words in (with_unit, with_unit[1:], with_unit[::-1]):
                 _same_bytes(dirichlet_gram(phi, words),
                             bruteforce.tuple_dirichlet_gram(phi, words))

@@ -63,14 +63,11 @@ def main(argv=None):
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+")
-    parser.add_argument("--workload", action="append",
-                        choices=workloads.WORKLOADS,
-                        help="a workload to digest (default: all)")
     args = parser.parse_args(argv)
 
     ok = True
     for seed in args.seeds:
-        for workload in args.workload or workloads.WORKLOADS:
+        for workload in workloads.WORKLOADS:
             with tempfile.TemporaryDirectory() as directory:
                 lines, clean = workload_digests(workloads.generate,
                                                 workload, seed, directory)
