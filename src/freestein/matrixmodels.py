@@ -37,21 +37,27 @@ table is therefore exactly tracial and Hermitian symmetric.
 The traces use that the coordinates are Hermitian (GUE draws are
 exactly so; polynomial images and the inputs of
 ``moment_table_from_matrices`` are replaced by their Hermitian parts).
-A word w = a.b is split at ceil(|w|/2) and traced as
+A class is cut, at some rotation, into two words a.b and traced as
 tr(P_a P_b) = <P_rev(b), P_a>, one contiguous inner product, where the
 product of a reversed word is the adjoint, P_rev(u) = P_u^H.  With D
 diagonal, a product 1^j u 1^k is the core P_u scaled along its rows and
 columns: only cores beginning and ending with other letters are built
 as matrices, pure powers of D stay vectors, and a trace with a diagonal
-side is a weighted diagonal sum.  A core a 1^{2j} rev(a) is the Gram
-matrix Q Q^H of Q = P_a D^j, built by ``_gram`` as a real symmetric
-rank-k update and one real GEMM, half the flops of a complex product;
-at order 8 over two coordinates a draw builds 3 complex products and 3
-Grams, where a dense letter 1 would take 19 products.  Running means
-and variances are arrays indexed by class, updated once per draw.
-Before any matrix is built, tables whose words have over
-``MAX_TABLE_LETTERS`` letters, or whose half-length products take over
-``MAX_PRODUCT_BYTES`` bytes, are refused with ``BudgetExceededError``.
+side is a weighted diagonal sum.  A Hermitian extension h 1^k rev(h)
+is the Gram matrix Q diag(lambda)^(k mod 2) Q^H of Q = P_h D^(k // 2),
+built by ``_gram`` from real symmetric rank-k updates and one real
+GEMM, half the flops of a complex product.  ``_trace_plan`` starts from
+every core of up to half the order and their extensions, and prunes
+the costliest while every class still has a cut into the rest: at order
+8 over two coordinates a draw builds 1 complex product and 4 Grams (the
+square of coordinate 2 among them), where the cut at ceil(|w|/2) took 3
+products, 3 Grams and an adjoint copy and a dense letter 1 would take
+19 products.  The products live in one buffer each, allocated on a
+table's first draw.  Running means and variances are arrays indexed by
+class, updated once per draw.  Before any matrix is built, tables whose
+words have over ``MAX_TABLE_LETTERS`` letters, or whose half-length
+products take over ``MAX_PRODUCT_BYTES`` bytes, are refused with
+``BudgetExceededError``.
 
 The output is a ``MomentTable`` carrying per-word standard errors (one
 per class) and, as the per-coordinate upper norm estimate, the largest
@@ -76,6 +82,7 @@ products and eigensolves may round differently under another.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,16 +141,18 @@ class EnsembleConfig:
         return len(self.generators)
 
 
-def sample_gue(rng, size):
+def sample_gue(rng, size, out=None):
     """One GUE draw: Hermitian, E|H_ij|^2 = 1/size off-diagonal, real
     diagonal with variance 1/size, from size^2 standard normals g scaled
     by 1 / sqrt(2 size).  The strict upper triangle of g gives the real
     parts of the entries above the diagonal, its strict lower triangle
     their imaginary parts, and sqrt 2 times its diagonal the diagonal;
-    the draw is exactly Hermitian."""
+    the draw is exactly Hermitian.  It is written into ``out`` when
+    given."""
     g = rng.standard_normal((size, size))
     g *= 1.0 / np.sqrt(2.0 * size)
-    out = np.empty((size, size), dtype=complex)
+    if out is None:
+        out = np.empty((size, size), dtype=complex)
     # filled in place, no triangle temporaries: below the diagonal each
     # entry is the conjugate of its mirror
     lower = np.tri(size, k=-1, dtype=bool)
@@ -165,10 +174,14 @@ def eval_poly_matrices(poly, mats, size):
         if not word:
             out[np.diag_indices(size)] += complex(coeff)
             continue
-        acc = mats[word[0] - 1]
-        for letter in word[1:]:
+        if len(word) == 1:
+            out += complex(coeff) * mats[word[0] - 1]
+            continue
+        acc = mats[word[0] - 1] @ mats[word[1] - 1]
+        for letter in word[2:]:
             acc = acc @ mats[letter - 1]
-        out += complex(coeff) * acc
+        acc *= complex(coeff)  # the monomial's own product, scaled in place
+        out += acc
     return out
 
 
@@ -195,34 +208,92 @@ def _hermitian_part(m):
     return out
 
 
-def _gram(q):
-    """q @ q^H for a square q, exactly Hermitian, in half the flops of
-    the complex product.  Its real part is V V^T for the interleaved
-    real view V of q, which numpy runs as one symmetric rank-k update;
-    its imaginary part is C - C^T for C = Im q (Re q)^T.  The output
-    buffer holds contiguous copies of Re q and Im q until C is built."""
+class _Buffers(dict):
+    """The arrays a trace table writes its products into, made on first
+    use and kept from draw to draw: an N x N complex buffer per core
+    word, "scaled" (N x N complex) for a D-scaled operand, the
+    temporaries of ``_gram`` and the elementwise products of the
+    traces, and "temp" (N x N real) for ``_gram`` on an operand held in
+    "scaled"."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, key):
+        shape = (self.size, self.size)
+        buf = self[key] = np.empty(shape, dtype=float if key == "temp"
+                                   else complex)
+        return buf
+
+
+def _gram(q, weights=None, out=None, bufs=None):
+    """q diag(weights) q^H for a square q (q q^H without ``weights``),
+    exactly Hermitian, in half the flops of a complex product.
+
+    ``weights`` must list its negative entries first, as coordinate 1's
+    eigenvalues do (``eigvalsh`` and ``eigh`` return them ascending).
+    With s = q diag(sqrt|weights|) and V the interleaved real view of s,
+    the real part is V_+ V_+^T - V_- V_-^T over the two contiguous column
+    blocks of nonnegative and of negative weights, symmetric rank-k
+    updates; the imaginary part is C - C^T for C = (Im s sign) (Re s)^T,
+    one real GEMM.  ``out`` first holds contiguous copies of Re s and
+    Im s, for C.  With weights, s is written to ``bufs["scaled"]``, where
+    q may also be.  When s is there, C goes to ``bufs["temp"]`` and the
+    real part to ``out`` and then ``bufs["scaled"]``; otherwise both go
+    straight to ``bufs["scaled"]``.  What is not given is allocated."""
     q = np.ascontiguousarray(q)
     m = q.shape[0]
-    out = np.empty((m, m), dtype=complex)
+    bufs = _Buffers(m) if bufs is None else bufs
+    out = np.empty((m, m), dtype=complex) if out is None else out
+    scaled = bufs["scaled"]
+    neg = 0
+    if weights is not None:
+        neg = int(np.count_nonzero(weights < 0))
+        if not (weights[:neg] < 0).all():
+            raise ValueError(
+                "gram weights must list their negative entries first")
+        q = np.multiply(q, np.sqrt(np.abs(weights)), out=scaled)
     re, im = out.view(float).reshape(2, m, m)
     np.copyto(re, q.real)
     np.copyto(im, q.imag)
-    c = im @ re.T
+    im[:, :neg] *= -1.0
+    real, c = scaled.view(float).reshape(2, m, m)
+    if q is scaled:
+        c = bufs["temp"]
+    np.matmul(im, re.T, out=c)
     v = q.view(float)
-    np.copyto(out.real, v @ v.T)
+    pos = v[:, 2 * neg:]
+    if q is scaled:
+        # out's copies are spent once C is built, and s once these are
+        np.matmul(pos, pos.T, out=re)
+        if neg:
+            lower = v[:, :2 * neg]
+            np.subtract(re, np.matmul(lower, lower.T, out=im), out=real)
+        else:
+            np.copyto(real, re)
+    else:
+        np.matmul(pos, pos.T, out=real)
+    np.copyto(out.real, real)
     np.subtract(c, c.T, out=out.imag)
     return out
 
 
-def _draw(config, rng):
+def _draw(config, rng, bufs):
     """One draw: coordinate 1 as the real vector of its eigenvalues,
-    every other coordinate as a Hermitian matrix."""
+    every other coordinate as a Hermitian matrix.  A GUE coordinate i
+    is written into ``bufs[(i,)]``, the buffer of its letter."""
     coords = []
     for gen in config.generators:
         if isinstance(gen, GueGenerator):
-            coords.append(sample_gue(rng, config.size) if coords
-                          else sample_gue_spectrum(rng, config.size))
+            letter = (len(coords) + 1,)
+            coords.append(sample_gue(rng, config.size, bufs[letter])
+                          if coords else sample_gue_spectrum(rng, config.size))
         elif isinstance(gen, PolyOfGueGenerator):
+            # a fresh array, not the letter's buffer: with the buffer, the
+            # evaluation's temporaries sat at the top of the heap, which
+            # the allocator trimmed and faulted in again on every draw
+            # (9 times the page faults of an order-6 table)
             fresh = [sample_gue(rng, config.size) for _ in range(gen.fresh_gues)]
             m = _hermitian_part(eval_poly_matrices(gen.poly, fresh,
                                                    config.size))
@@ -230,6 +301,31 @@ def _draw(config, rng):
         else:
             raise ParseError(f"unknown generator {gen!r}", field="generators")
     return coords
+
+
+class _TracePlan(NamedTuple):
+    """What ``_class_traces`` computes for the classes ``reps`` over
+    ``nvars`` coordinates, letter 1 diagonal, the same for every draw.
+
+    ``builds`` lists the dense products in the order they are built:
+    ("letter", core, i) is coordinate i; ("gram", core, half, j, odd)
+    is the Gram matrix Q diag(lambda)^odd Q^H, Q = P_half D^j, of the
+    core half 1^(2j + odd) rev(half); ("adjoint", core, rev core) is the
+    adjoint of a built product; and ("gemm", core, left, k, right) is
+    P_left D^k P_right, one complex product.  ``singles`` gives a class
+    index c and its trace: ("power", c, m) is tr D^m, ("diag", c, core,
+    q) is tr(D^q P_core), and ("pair", c, u, rev v) is tr(P_u P_v) =
+    <P_rev(v), P_u>.  ``scaled`` maps (u, rev v) to the classes with
+    traces tr(P_u D^p P_v D^q) = <P_rev(v), D^q P_u D^p>, p + q > 0, as
+    (class indices, distinct p, column of each class's p among them, q
+    per class).  Traces are taken before the division by N."""
+
+    reps: tuple
+    closed: np.ndarray
+    max_order: int
+    builds: tuple
+    singles: tuple
+    scaled: dict
 
 
 def _split(w):
@@ -246,98 +342,250 @@ def _split(w):
     return j, w[j:len(w) - k], k
 
 
-class _TracePlan(NamedTuple):
-    """What ``_class_traces`` computes for the classes ``reps`` over
-    ``nvars`` coordinates, letter 1 diagonal, the same for every draw.
-
-    ``builds`` lists the dense products in graded order: ("letter", core,
-    i) is coordinate i, ("gram", core, half, k) is the Gram matrix
-    (P_half D^k)(P_half D^k)^H of the core half 1^{2k} rev(half),
-    ("adjoint", core, rev core) the adjoint of a built product, and
-    ("gemm", core, prefix, k, i) is P_prefix D^k X_i, one complex
-    product.  ``singles`` gives a class index c and its trace: ("power",
-    c, m) is tr D^m, ("diag", c, core, q) is tr(D^q P_core), and
-    ("pair", c, u, rev v) is tr(P_u P_v) = <P_rev(v), P_u>.  ``scaled``
-    maps (u, rev v) to the classes with traces tr(P_u D^p P_v D^q) =
-    <P_rev(v), D^q P_u D^p>, p + q > 0, as (class indices, distinct p,
-    column of each class's p among them, q per class).  Traces are taken
-    before the division by N."""
-
-    reps: list
-    closed: np.ndarray
-    max_order: int
-    builds: list
-    singles: list
-    scaled: dict
+def _build_kind(w):
+    """How the core w is built: "letter" when it is one letter, "gram"
+    when it is a Hermitian extension h 1^k rev(h) (a palindrome of even
+    length or with a 1 in its middle), else "gemm", a complex product."""
+    if len(w) == 1:
+        return "letter"
+    if w == w[::-1] and (len(w) % 2 == 0 or w[len(w) // 2] == 1):
+        return "gram"
+    return "gemm"
 
 
+def _gram_half(w):
+    """(h, k) with the Hermitian extension w = h 1^k rev(h)."""
+    h = _split(w[:len(w) // 2])[1]
+    return h, len(w) - 2 * len(h)
+
+
+def _splits(w):
+    """Every (a, k, b) with the core w = a 1^k b, a and b cores, the
+    longest a first."""
+    pos = [i for i, x in enumerate(w) if x != 1]
+    return [(w[:s + 1], t - s - 1, w[t:])
+            for s, t in reversed(list(zip(pos, pos[1:])))]
+
+
+def _cuts(w):
+    """The cuts of the cyclic word w, which has a letter other than 1,
+    as (a, rev b, p, q) with tr(w) = tr(P_a D^p P_b D^q): a core a, the
+    run of p 1s after it, the core b and the run of q 1s that closes
+    the cycle.  When the cut leaves one core, rev b is None, p = 0 and
+    tr(w) = tr(D^q P_a) is a diagonal sum."""
+    size = len(w)
+    pos = [i for i, x in enumerate(w) if x != 1]
+    m = len(pos)
+    ends = pos + [i + size for i in pos]
+    twice = w + w
+    runs = [ends[i + 1] - ends[i] - 1 for i in range(m)]
+    out = []
+    for i in range(m):
+        start, stop = ends[i + 1], ends[i + m] + 1
+        out.append((twice[start:stop], None, 0, runs[i]))
+        for j in range(i + 1, i + m):
+            out.append((twice[start:ends[j] + 1],
+                        twice[ends[j + 1]:stop][::-1], runs[j % m], runs[i]))
+    return out
+
+
+def _balanced_cut(w):
+    """The cut of w itself after ceil(|w| / 2) letters, as ``_cuts``
+    gives it, or None for a power of letter 1."""
+    half = (len(w) + 1) // 2
+    ja, u, ka = _split(w[:half])
+    jb, v, kb = _split(w[half:])
+    if not u and not v:
+        return None
+    if not v:
+        return u, None, 0, ja + ka + jb
+    if not u:
+        return v, None, 0, ja + jb + kb
+    return u, v[::-1], ka + jb, kb + ja
+
+
+# build cost rank: a complex product costs more than a Gram, which costs
+# more than a coordinate
+_BUILD_RANK = {"letter": 0, "gram": 1, "gemm": 2}
+
+
+@functools.cache
 def _trace_plan(nvars, max_order):
     """The ``_TracePlan`` of the nonempty bracelet classes up to
-    ``max_order`` over ``nvars`` letters, letter 1 diagonal."""
+    ``max_order`` = L over ``nvars`` letters, letter 1 diagonal.
+
+    The candidate cores are every word of length <= ceil(L / 2) that
+    begins and ends with a letter other than 1, and their Hermitian
+    extensions h 1^k rev(h) shorter than L.  From the costliest down (a
+    complex product before a Gram, then the longer, then the larger
+    code), a core is dropped when every class is still a cut into kept
+    cores (``_cuts``) and every kept core is still built from kept ones:
+    a Gram from its half, a complex product from the cores on either
+    side of a run of 1s or as the adjoint of its reversal.  Dropping
+    only makes that harder, so one pass leaves no core that could go.
+    A letter costs nothing and stays.
+
+    Each class keeps its balanced cut (``_balanced_cut``) when its cores
+    are kept, so a table whose plan keeps them is traced as before;
+    else it takes its cheapest cut: a diagonal sum, then an inner
+    product, then a scaled group another class made, then the first
+    scaled one.  Plans are cached per (nvars, max_order)."""
     reps, closed = bracelet_classes(nvars, max_order)
-    builds = []
-    built = set()
-    for w in words_up_to(nvars, (max_order + 1) // 2, min_len=1):
-        if _split(w)[1] != w:
-            continue
-        if len(w) == 1:
-            builds.append(("letter", w, w[0] - 1))
-        elif len(w) % 2 == 0 and w == w[::-1]:
-            # half 1^{2k} rev(half), with D^k real: a Gram matrix
-            _, half, k = _split(w[:len(w) // 2])
-            builds.append(("gram", w, half, k))
-        elif w[::-1] in built:
-            builds.append(("adjoint", w, w[::-1]))
+    pool = dict.fromkeys(
+        w for w in words_up_to(nvars, (max_order + 1) // 2, min_len=1)
+        if w[0] != 1 != w[-1])
+    for h in list(pool):
+        for k in range(max_order - 2 * len(h)):
+            pool.setdefault(h + (1,) * k + h[::-1])
+    cores = sorted(pool, key=lambda w: (len(w), w))
+    bit = {w: 1 << i for i, w in enumerate(cores)}
+    kinds = {w: _build_kind(w) for w in cores}
+
+    def mask(words):
+        out = 0
+        for w in words:
+            out |= bit[w]
+        return out
+
+    def cores_of(masks):
+        used = 0
+        for m in masks:
+            used |= m
+        return [cores[i] for i in range(used.bit_length()) if used >> i & 1]
+
+    # each way to build a core as the mask of the cores it uses, and for
+    # each core the cores that one of their ways uses it in
+    recipes, dependents = {}, {w: set() for w in cores}
+    for w in cores:
+        back = w[::-1]
+        if kinds[w] == "letter":
+            ways = [()]
+        elif kinds[w] == "gram":
+            ways = [(_gram_half(w)[0],)]
         else:
-            _, prefix, k = _split(w[:-1])
-            builds.append(("gemm", w, prefix, k, w[-1] - 1))
-        built.add(w)
-    singles = []
-    scaled = {}
+            ways = [(a, b) for a, _, b in _splits(w)]
+            if back != w and back in bit:
+                ways += [(back, a, b) for a, _, b in _splits(back)]
+        recipes[w] = [mask(way) for way in ways]
+        for way in ways:
+            for part in way:
+                dependents[part].add(w)
+    # the masks of each class's cuts into candidate cores, and for each
+    # core the classes that one of their cuts uses it in; the cuts
+    # themselves are not kept, which at order 12 would hold tens of
+    # thousands of words at once
+    needs, users = [], {w: [] for w in cores}
     for c, w in enumerate(reps):
-        cut = (len(w) + 1) // 2
-        ja, u, ka = _split(w[:cut])
-        jb, v, kb = _split(w[cut:])
-        if not u and not v:
-            singles.append(("power", c, len(w)))
-        elif not v:
-            singles.append(("diag", c, u, ja + ka + jb))
-        elif not u:
-            singles.append(("diag", c, v, ja + jb + kb))
-        elif ka + jb or kb + ja:
-            scaled.setdefault((u, v[::-1]), []).append((c, ka + jb, kb + ja))
+        masks = set()
+        for a, rb, _, _ in _cuts(w) if _split(w)[1] else ():
+            if a in bit and (rb is None or rb in bit):
+                masks.add(bit[a] | bit.get(rb, 0))
+        needs.append(masks)
+        for core in cores_of(masks):
+            users[core].append(c)
+
+    dropped = 0
+    for w in sorted(cores, key=lambda w: (_BUILD_RANK[kinds[w]], len(w), w),
+                    reverse=True):
+        if kinds[w] == "letter":
+            break
+        gone = dropped | bit[w]
+        if (all(any(not m & gone for m in needs[c]) for c in users[w])
+                and all(any(not m & gone for m in recipes[y])
+                        for y in dependents[w] if not bit[y] & gone)):
+            dropped = gone
+    kept = {w for w in cores if not bit[w] & dropped}
+
+    builds, complex_built = [], set()
+    for w in cores:
+        if w not in kept:
+            continue
+        kind, back = kinds[w], w[::-1]
+        if kind == "letter":
+            builds.append(("letter", w, w[0] - 1))
+        elif kind == "gram":
+            half, k = _gram_half(w)
+            builds.append(("gram", w, half, k // 2, k % 2))
         else:
-            singles.append(("pair", c, u, v[::-1]))
+            split = next(((a, k, b) for a, k, b in _splits(w)
+                          if a in kept and b in kept), None)
+            if back != w and back in kept and (split is None
+                                               or back in complex_built):
+                builds.append(("adjoint", w, back))
+            else:
+                builds.append(("gemm", w) + split)
+                complex_built.add(w)
+    # an adjoint follows the product it copies, which has its length
+    builds.sort(key=lambda b: (len(b[1]), b[0] == "adjoint"))
+
+    singles, scaled, rest = [], {}, []
+
+    def usable(cut):
+        return cut[0] in kept and (cut[1] is None or cut[1] in kept)
+
+    def take(c, cut):
+        a, rb, p, q = cut
+        if rb is None:
+            singles.append(("diag", c, a, q))
+        elif p or q:
+            scaled.setdefault((a, rb), []).append((c, p, q))
+        else:
+            singles.append(("pair", c, a, rb))
+
+    def cost(cut):
+        a, rb, p, q = cut
+        return (0 if rb is None else 1 if not p + q
+                else 2 if (a, rb) in scaled else 3)
+
+    for c, w in enumerate(reps):
+        cut = _balanced_cut(w)
+        if cut is None:
+            singles.append(("power", c, len(w)))
+        elif usable(cut):
+            take(c, cut)
+        else:
+            rest.append(c)
+    for c in rest:
+        take(c, min(filter(usable, _cuts(reps[c])), key=cost))
     for key, jobs in scaled.items():
         idx, ps, qs = (np.array(x) for x in zip(*jobs))
         distinct, col = np.unique(ps, return_inverse=True)
         scaled[key] = (idx, distinct, col, qs)
-    return _TracePlan(reps, closed, max_order, builds, singles, scaled)
+        for array in scaled[key]:
+            array.flags.writeable = False
+    closed.flags.writeable = False
+    # cached, so shared by every caller: tuples and read-only arrays
+    return _TracePlan(tuple(reps), closed, max_order, tuple(builds),
+                      tuple(singles), scaled)
 
 
-def _class_traces(coords, plan, squares=None):
+def _class_traces(coords, plan, squares=None, bufs=None):
     """Normalized traces of the bracelet representatives ``plan.reps``
     on Hermitian ``coords``, as a complex array aligned with them.
 
     ``coords[0]`` is the real vector lambda of a diagonal coordinate D,
-    every other coordinate a dense matrix: a product 1^j u 1^k is P_u
-    scaled by lambda^j along its rows and lambda^k along its columns,
-    and is never built; pure powers of letter 1 stay vectors, and a
-    trace with a diagonal side is a weighted diagonal sum.  Only the
-    cores, products beginning and ending with other letters, are dense;
-    each is a coordinate, a Gram matrix when it is a palindrome of even
-    length (``_gram``), the adjoint of its reversal when that is built
-    (P_rev(u) = P_u^H), or one complex product.  The classes that pair
-    the same two cores through powers of D share one elementwise product
-    C = conj(P_rev(v)) * P_u, and each takes lambda^q . C lambda^p.
-    ``squares``, when given, maps a letter index i to the Gram matrix
-    ``_gram(coords[i])`` already built.  The boolean mask
-    ``plan.closed`` marks the reversal-closed classes, whose products
-    are Hermitian: their traces are taken real."""
-    size = coords[0].shape[0]
+    ascending, every other coordinate a dense matrix: a product
+    1^j u 1^k is P_u scaled by lambda^j along its rows and lambda^k
+    along its columns, and is never built; pure powers of letter 1 stay
+    vectors, and a trace with a diagonal side is a weighted diagonal
+    sum.  Only the cores of ``plan.builds``, products beginning and
+    ending with other letters, are dense: each is a coordinate, a Gram
+    matrix (``_gram``), the adjoint of its reversal, or one complex
+    product.  The classes that pair the same two cores through powers of
+    D share one elementwise product C = conj(P_rev(v)) * P_u, and each
+    takes lambda^q . C lambda^p.  ``squares``, when given, maps a letter
+    index i to the Gram matrix ``_gram(coords[i])`` already built.
+    Every product is written into its buffer of ``bufs`` (a
+    ``_Buffers``), so a table that passes the same one on every draw
+    allocates them once.  The boolean mask ``plan.closed`` marks the
+    reversal-closed classes, whose products are Hermitian: their traces
+    are taken real."""
+    lam = coords[0]
+    size = lam.shape[0]
+    bufs = _Buffers(size) if bufs is None else bufs
     pows = np.ones((plan.max_order + 1, size))
     for m in range(1, plan.max_order + 1):
-        pows[m] = pows[m - 1] * coords[0]
+        pows[m] = pows[m - 1] * lam
     prods = {(i + 1,) * 2: sq for i, sq in (squares or {}).items()}
     for kind, w, *args in plan.builds:
         if w in prods:
@@ -345,14 +593,17 @@ def _class_traces(coords, plan, squares=None):
         if kind == "letter":
             prods[w] = coords[args[0]]
         elif kind == "adjoint":
-            prods[w] = np.ascontiguousarray(prods[args[0]].conj().T)
+            prods[w] = np.conjugate(prods[args[0]].T, out=bufs[w])
         elif kind == "gram":
-            half, k = args
-            prods[w] = _gram(prods[half] * pows[k] if k else prods[half])
+            half, j, odd = args
+            q = (np.multiply(prods[half], pows[j], out=bufs["scaled"]) if j
+                 else prods[half])
+            prods[w] = _gram(q, lam if odd else None, bufs[w], bufs)
         else:
-            prefix, k, i = args
-            left = prods[prefix] * pows[k] if k else prods[prefix]
-            prods[w] = left @ coords[i]
+            left, k, right = args
+            a = (np.multiply(prods[left], pows[k], out=bufs["scaled"]) if k
+                 else prods[left])
+            prods[w] = np.matmul(a, prods[right], out=bufs[w])
     traces = np.empty(len(plan.reps), dtype=complex)
     for kind, c, *args in plan.singles:
         if kind == "power":
@@ -363,11 +614,9 @@ def _class_traces(coords, plan, squares=None):
                          else np.trace(prods[core]))
         else:
             traces[c] = np.vdot(prods[args[1]], prods[args[0]])
-    if plan.scaled:
-        # one buffer for every elementwise product, not a fresh array each
-        prod = np.empty((size, size), dtype=complex)
+    # every elementwise product goes to the scaled operands' buffer
     for (u, rv), (idx, ps, col, qs) in plan.scaled.items():
-        np.conjugate(prods[rv], out=prod)
+        prod = np.conjugate(prods[rv], out=bufs["scaled"])
         prod *= prods[u]
         weighted = (prod @ pows[ps].T)[:, col]
         traces[idx] = (pows[qs].T * weighted).sum(axis=0)
@@ -382,9 +631,10 @@ def _class_traces(coords, plan, squares=None):
 CERT_MARGIN = 1e-8
 
 
-def _norm_below(square, bound):
+def _norm_below(square, bound, work=None):
     """True when a Cholesky factorization proves ||X|| < ``bound`` for
-    the Hermitian X with ``square`` = X @ X.
+    the Hermitian X with ``square`` = X @ X.  tau^2 I - X^2 is formed in
+    ``work`` when given.
 
     tau^2 I - X^2 is positive definite exactly when ||X|| < tau; with
     tau = bound (1 - CERT_MARGIN), a factorization that succeeds proves
@@ -393,7 +643,7 @@ def _norm_below(square, bound):
     if bound <= 0.0:
         return False
     tau = bound * (1.0 - CERT_MARGIN)
-    a = -square
+    a = np.negative(square, out=work)
     a[np.diag_indices_from(a)] += tau * tau
     try:
         np.linalg.cholesky(a)
@@ -446,7 +696,9 @@ def mc_moment_table(config, max_order):
     coordinate is eigensolved only when the Cholesky certificate
     ``_norm_below`` cannot prove its norm below the running maximum
     (always on the first draw).  The squares the certificate needs are
-    handed to the traces.  A draw's arrays are released as the next
+    handed to the traces.  The products and their scratch arrays live in
+    one ``_Buffers``, allocated on the first draw and written over on
+    every later one.  A draw's other arrays are released as the next
     draw's replace them, not all before it is built: freeing them first
     let the allocator hand more of their pages back and fault them in
     again on every draw.
@@ -463,17 +715,19 @@ def mc_moment_table(config, max_order):
     msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n
 
+    bufs = _Buffers(config.size)
     # spawned one per draw: the keys of spawn(samples), in bounded memory
     root = np.random.SeedSequence(config.seed)
     for s in range(config.samples):
-        coords = _draw(config, np.random.default_rng(root.spawn(1)[0]))
+        coords = _draw(config, np.random.default_rng(root.spawn(1)[0]), bufs)
         norm_max[0] = max(norm_max[0], float(np.abs(coords[0]).max()))
-        squares = {i: _gram(coords[i]) for i in range(1, n)}
+        squares = {i: _gram(coords[i], out=bufs[(i + 1,) * 2], bufs=bufs)
+                   for i in range(1, n)}
         for i, sq in squares.items():
-            if not _norm_below(sq, norm_max[i]):
+            if not _norm_below(sq, norm_max[i], bufs["scaled"]):
                 eigs = np.linalg.eigvalsh(coords[i])
                 norm_max[i] = max(norm_max[i], float(np.abs(eigs).max()))
-        traces = _class_traces(coords, plan, squares)
+        traces = _class_traces(coords, plan, squares, bufs)
         # Welford over complex values
         d = traces - mean
         mean += d / (s + 1)
@@ -498,16 +752,20 @@ def moment_table_from_matrices(mats, max_order):
     floating point, and their spectral norms are exact upper norm
     estimates.  Useful both as a deterministic table backend and as an
     independent oracle in tests.  Matrices nearly Hermitian are replaced
-    by their Hermitian parts.  One trace is taken per bracelet class,
-    under the budget of ``mc_moment_table``, by the kernel it uses: the
-    first matrix X_1 = U diag(lambda) U^H becomes lambda and every other
-    X_i becomes U^H X_i U, which changes no trace.
+    by their Hermitian parts; a matrix with a NaN or infinite entry is
+    refused, by its index in ``mats``, before any arithmetic.  One trace
+    is taken per bracelet class, under the budget of ``mc_moment_table``,
+    by the kernel it uses: the first matrix X_1 = U diag(lambda) U^H
+    becomes lambda and every other X_i becomes U^H X_i U, which changes
+    no trace.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     size = mats[0].shape[0]
-    for m in mats:
+    for k, m in enumerate(mats):
         if m.shape != (size, size):
             raise ValueError("all matrices must share one square shape")
+        if not np.isfinite(m).all():
+            raise ValueError(f"matrix {k} has a non-finite entry")
         if np.abs(m - m.conj().T).max() > MATRIX_HERM_TOL:
             raise ValueError("matrices must be Hermitian")
     mats = [_hermitian_part(m) for m in mats]

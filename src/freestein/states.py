@@ -1088,8 +1088,18 @@ def dirichlet_gram(phi, words):
     gram = pairing_gather(phi, terms, terms, (len(words), len(words))).T
     # checked before the copy, which would hide the lower triangle
     _check_hermitian(gram, "Dirichlet form")
-    gram = np.triu(gram) + np.triu(gram, 1).conj().T
-    return (gram + gram.conj().T) / 2
+    n = len(gram)
+    lower = np.tri(n, k=-1, dtype=bool)
+    out = np.where(lower, gram.conj().T, gram)
+    # the bytes of (U + U^H) / 2 for U the upper triangle plus the
+    # conjugate transpose of the strict upper one, signed zeros
+    # included: real parts and mirrored imaginary parts are never -0,
+    # an upper imaginary -0 stays -0 only over a real part >= 0 (the
+    # complex division by 2 subtracts re * 0), and the diagonal is real
+    out.real += 0.0
+    out.imag -= np.where(lower, -0.0, out.real * 0.0)
+    out.imag.flat[::n + 1] = 0.0
+    return out
 
 
 def covariance_gram(phi, words):

@@ -16,12 +16,19 @@
   entry of H read by ``moment``, summed in the order the code-keyed
   gather sums, against which the moment matrix, the Dirichlet Gram and
   the minimal-kernel right-hand side are checked byte for byte;
+* the Hermitian copy of the Dirichlet Gram's upper triangle as the
+  triangle sum it once was (``triangle_copy``), against which the
+  one-``np.where`` copy is checked byte for byte;
 * the represented minimal kernel assembled one partial derivative of
   one monomial at a time, against which I + J(P) is checked;
 * the Dirichlet Gram of the trace state of Gaussian-integer Hermitian
   matrices in exact ``ComplexRational`` arithmetic, and its rank by
   exact elimination, against which the relations of the graded
   Cholesky are counted;
+* the balanced trace rule (``balanced_builds``), which builds every
+  core of up to half the table's order, against whose counts of
+  complex products, Grams and kept products the pruned trace plans are
+  checked;
 * Monte Carlo moment tables from the same spawned sample streams and
   the same realization, a GUE coordinate 1 a dense diagonal matrix of
   its eigenvalues, one ``einsum`` trace per word from identity-started
@@ -333,6 +340,31 @@ def einsum_word_traces(mats, size, max_order, words):
     return traces
 
 
+def balanced_builds(nvars, max_order):
+    """The dense products of the balanced trace rule, the cost reference
+    of ``matrixmodels._trace_plan``: every word of length
+    <= ceil(L / 2) that begins and ends with a letter other than 1 is
+    built, as ("letter", w) for one letter, ("gram", w) for a palindrome
+    of even length, ("adjoint", w) when its reversal is built, else
+    ("gemm", w), one complex product; each class is then cut after
+    ceil(|w| / 2) letters."""
+    builds, built = [], set()
+    for w in words_up_to(nvars, (max_order + 1) // 2, min_len=1):
+        if w[0] == 1 or w[-1] == 1:
+            continue
+        if len(w) == 1:
+            kind = "letter"
+        elif len(w) % 2 == 0 and w == w[::-1]:
+            kind = "gram"
+        elif w[::-1] in built:
+            kind = "adjoint"
+        else:
+            kind = "gemm"
+        builds.append((kind, w))
+        built.add(w)
+    return builds
+
+
 def mc_draws(config):
     """Per sample, the coordinates ``mc_moment_table`` realizes from the
     same spawned streams: coordinate 1 as the dense diagonal matrix of
@@ -596,6 +628,14 @@ def tuple_moment_matrix(phi, length):
     words = words_up_to(phi.nvars, length)
     terms = [(a, (), 1.0, w, ()) for a, w in enumerate(words)]
     return tuple_pairing_gather(phi, terms, terms, (len(words), len(words)))
+
+
+def triangle_copy(gram):
+    """The Hermitian copy ``states.dirichlet_gram`` makes of its gather,
+    in the three numpy steps it once took: the upper triangle plus the
+    conjugated strict upper one, averaged with its adjoint."""
+    gram = np.triu(gram) + np.triu(gram, 1).conj().T
+    return (gram + gram.conj().T) / 2
 
 
 def tuple_dirichlet_gram(phi, words):

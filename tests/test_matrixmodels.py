@@ -4,6 +4,7 @@ the word traces against the per-word ``einsum`` oracle."""
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from freestein import (
 )
 from freestein import cli, matrixmodels, serialize
 from freestein.matrixmodels import eval_poly_matrices
-from freestein.states import words_up_to
+from freestein.states import rotations, words_up_to
 
 import bruteforce
 from conftest import rand_hermitian
@@ -155,10 +156,14 @@ def test_diagonal_basis_has_the_law_of_dense_gues():
             assert abs(got[w] - mean[k]) <= 5 * combined
 
 
-@pytest.mark.parametrize("n, order", [(1, 9), (2, 8), (3, 6)])
+@pytest.mark.parametrize("n, order", [(1, 9), (2, 6), (2, 8), (2, 10),
+                                      (3, 6), (4, 4)])
 def test_diagonal_kernel_matches_einsum_oracle(n, order, np_rng):
     size = 9
-    lam = 1.5 * np_rng.standard_normal(size)
+    # ascending, as eigenvalues come, and of both signs, so that the
+    # weighted Grams of odd runs of 1s split their columns
+    lam = np.sort(np_rng.uniform(-2.0, 2.0, size))
+    assert lam[0] < 0 < lam[-1]
     others = [rand_hermitian(np_rng, size) for _ in range(n - 1)]
     plan = matrixmodels._trace_plan(n, order)
     got = matrixmodels._class_traces([lam] + others, plan)
@@ -173,22 +178,81 @@ def test_diagonal_kernel_matches_einsum_oracle(n, order, np_rng):
 def test_gram_matches_the_complex_product(size, np_rng):
     general = (np_rng.standard_normal((size, size))
                + 1j * np_rng.standard_normal((size, size)))
+    signed = np.sort(np_rng.standard_normal(size))
+    signed[size // 2] = 0.0
+    weightings = (None, signed, -np.abs(signed[::-1]) - 0.5,
+                  np.abs(signed) + 0.5, np.zeros(size))
     for q in (rand_hermitian(np_rng, size), general):
-        got = matrixmodels._gram(q)
-        want = q @ q.conj().T
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.array_equal(got, got.conj().T)
+        for weights in weightings:
+            got = matrixmodels._gram(q, weights)
+            w = np.ones(size) if weights is None else weights
+            want = (q * w) @ q.conj().T
+            # the error bound of a sum of products: u times the sum of
+            # the products' moduli
+            scale = (np.abs(q) * np.abs(w)) @ np.abs(q).T
+            assert np.abs(got - want).max() <= 1e-13 * scale.max()
+            assert np.array_equal(got, got.conj().T)
+    if size > 1:
+        with pytest.raises(ValueError, match="negative entries first"):
+            matrixmodels._gram(general, np.linspace(1.0, -1.0, size))
 
 
 def test_trace_plan_builds_even_palindromes_as_grams():
-    # a 1^{2j} rev(a) is (P_a D^j)(P_a D^j)^H; a core with an odd run
-    # of 1s in its middle, such as 212 = X D X, is not a Gram matrix
+    # order 8 over two coordinates: the Grams X X^H = 22 and
+    # P_22 P_22^H = 2222, the weighted Grams X D X = 212 and
+    # P_22 D P_22^H = 22122, and one complex product, 222; the balanced
+    # rule built 3 complex products, 3 Grams and an adjoint copy
     built = {}
-    for kind, w, *_ in matrixmodels._trace_plan(2, 8).builds:
+    for kind, w, *args in matrixmodels._trace_plan(2, 8).builds:
+        if kind == "gram" and args[-1]:
+            kind = "weighted gram"
         built.setdefault(kind, []).append(w)
-    assert built["gram"] == [(2, 2), (2, 1, 1, 2), (2, 2, 2, 2)]
-    assert built["gemm"] == [(2, 1, 2), (2, 2, 2), (2, 1, 2, 2)]
-    assert built["adjoint"] == [(2, 2, 1, 2)]
+    assert built == {"letter": [(2,)], "gram": [(2, 2), (2, 2, 2, 2)],
+                     "weighted gram": [(2, 1, 2), (2, 2, 1, 2, 2)],
+                     "gemm": [(2, 2, 2)]}
+
+
+def _count(builds, *kinds):
+    return sum(kind in kinds for kind, *_ in builds)
+
+
+@pytest.mark.parametrize("n, order", [(n, order) for n in (1, 2, 3)
+                                      for order in range(1, 9)]
+                         + [(4, order) for order in range(1, 6)])
+def test_pruned_plan_traces_every_class_and_builds_no_more(n, order):
+    plan = matrixmodels._trace_plan(n, order)
+    built = set()
+    for kind, w, *args in plan.builds:
+        # every product is built from cores built before it
+        needs = args[::2] if kind == "gemm" else args[:1]
+        assert kind == "letter" or built.issuperset(needs)
+        built.add(w)
+    # every class is traced once, by a rotation of its representative
+    # cut into built cores
+    words = {}
+    for kind, c, *args in plan.singles:
+        assert c not in words
+        if kind == "power":
+            words[c] = (1,) * args[0]
+        elif kind == "diag":
+            assert args[0] in built
+            words[c] = args[0] + (1,) * args[1]
+        else:
+            assert {args[0], args[1]} <= built
+            words[c] = args[0] + args[1][::-1]
+    for (u, rv), (idx, ps, col, qs) in plan.scaled.items():
+        assert {u, rv} <= built
+        for c, p, q in zip(idx.tolist(), ps[col].tolist(), qs.tolist()):
+            assert c not in words
+            words[c] = u + (1,) * p + rv[::-1] + (1,) * q
+    assert sorted(words) == list(range(len(plan.reps)))
+    for c, w in words.items():
+        assert w in rotations(plan.reps[c])
+    # never more complex products, dense products (complex products
+    # and Grams) or kept products than the balanced rule
+    balanced = bruteforce.balanced_builds(n, order)
+    for kinds in (("gemm",), ("gemm", "gram"), ("gemm", "gram", "adjoint")):
+        assert _count(plan.builds, *kinds) <= _count(balanced, *kinds)
 
 
 def test_poly_of_gue_matches_free_poisson():
@@ -229,6 +293,23 @@ def test_trace_state_exactness(np_rng):
 def test_trace_state_rejects_non_hermitian():
     with pytest.raises(ValueError):
         moment_table_from_matrices([np.array([[0.0, 1.0], [0.0, 0.0]])], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_trace_state_refuses_non_finite_matrices(bad, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolved a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    mats = [np.eye(3), np.diag([1.0, 2.0, 3.0]).astype(complex)]
+    mats[1][0, 2] = mats[1][2, 0] = bad
+    # refused before the Hermitian check, whose subtraction of infinities
+    # would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="matrix 1 has a non-finite entry"):
+            moment_table_from_matrices(mats, 4)
 
 
 def _close(got, want):
@@ -418,7 +499,8 @@ def test_norm_certificate_never_changes_output(max_order, monkeypatch,
         assert len(calls) == 30 + records[1]
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(matrixmodels, "_norm_below", lambda square, bound: False)
+            m.setattr(matrixmodels, "_norm_below",
+                      lambda square, bound, work=None: False)
             assert cli.main(argv) == 0
         assert len(calls) == 60
         assert capsys.readouterr().out == certified
@@ -446,6 +528,26 @@ def test_constant_coordinate_ties_the_max_in_every_sample(monkeypatch):
     assert len(calls) == 6
     assert table.norm_upper == (2.0,)
     assert table.moment((1, 1, 1, 1)) == 16.0
+
+
+def test_trace_buffers_are_made_once_per_table(monkeypatch):
+    # every product, the dense coordinate and the scratch arrays are
+    # allocated on the first draw and written over on the later ones
+    made = []
+    missing = matrixmodels._Buffers.__missing__
+
+    def counted(self, key):
+        made.append(key)
+        return missing(self, key)
+
+    monkeypatch.setattr(matrixmodels._Buffers, "__missing__", counted)
+    cfg = EnsembleConfig(size=12, samples=4, seed=5,
+                         generators=(GueGenerator(), GueGenerator()))
+    mc_moment_table(cfg, 8)
+    products = [w for kind, w, *_ in matrixmodels._trace_plan(2, 8).builds
+                if kind != "letter"]
+    assert sorted(made, key=str) == sorted(
+        products + [(2,), "scaled", "temp"], key=str)
 
 
 def test_seed_streams_take_bounded_memory():

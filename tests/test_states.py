@@ -523,6 +523,27 @@ def test_every_state_is_exactly_hermitian(rng, np_rng):
         assert _reversal_defects(phi) == []
 
 
+def test_dirichlet_gram_copies_the_upper_triangle_as_the_triangle_sum(
+        monkeypatch, np_rng):
+    # a gather Hermitian only within the check's tolerance, with signed
+    # zeros in every part of both triangles: the copy keeps the bytes of
+    # the triangle sum, lower triangle unread
+    n = 12
+    a = np_rng.standard_normal((n, n)) + 1j * np_rng.standard_normal((n, n))
+    gram = a + a.conj().T
+    for part in (gram.real, gram.imag):
+        for zero in (0.0, -0.0):
+            part[np_rng.random((n, n)) < 0.2] = zero
+    lower = np.tri(n, k=-1, dtype=bool)
+    gram = np.where(lower, gram.conj().T, gram)
+    gram.real[lower] += 1e-12 * np_rng.standard_normal(lower.sum())
+    gram.imag.flat[::n + 1] = 1e-12
+    monkeypatch.setattr(states, "pairing_gather", lambda *args: gram.T)
+    got = states.dirichlet_gram(semicircular(1), words_up_to(1, n, min_len=1))
+    assert got.tobytes() == bruteforce.triangle_copy(gram).tobytes()
+    assert np.array_equal(got, got.conj().T)
+
+
 def test_check_state_raises_the_violations():
     check_state(semicircular(2))
     indef = MomentTable(1, 4, {(1, 1): -1.0})
