@@ -37,7 +37,7 @@ from .algebra import quadratic_potential
 from .errors import InadmissibleProblemError
 # poincare_lower_bound is unused; the benchmark's layer tracer wraps it here
 from .poincare import poincare_lower_bound, voiculescu_bound
-from .states import CumulantSpec, CumulantState
+from .states import CumulantState
 from .stein import SteinProblem, minimal_kernel
 
 BASE_TOL = 1e-9
@@ -48,24 +48,24 @@ def rescale_cumulants(base, k):
     """Cumulant spec of k^{-1/2} (X^(1) + ... + X^(k)) for free iid copies.
 
     kappa_Y(w) = k^{1 - |w|/2} kappa_X(w); order-2 cumulants are fixed.
-    The spec is derived from the already checked ``base``: its words are
-    kept, a value that underflows to 0 is dropped, and the ``cyclic``
-    flag carries over.  Every word of one length gets the same real
-    positive factor, so equal values stay equal and conjugate values
-    stay conjugate: the rescaled values are exactly Hermitian, and
-    exactly cyclic when the base is.  Rounding can make two distinct
-    values equal, never two equal ones distinct, so a base that is not
-    cyclic does not become so by accident of rounding; the flag stays
-    that of the exact rescaled cumulants.
+    The spec shares the checked ``base``'s words, block trie and
+    ``cyclic`` flag and scales its value array (``CumulantSpec._scaled``):
+    one real positive factor per length keeps the values exactly
+    Hermitian, and exactly cyclic when the base is, and rounding can
+    make two distinct values equal, never two equal ones distinct.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return base
-    factor = {m: float(k) ** (1.0 - m / 2.0) for m in set(map(len, base.kappa))}
-    kappa = {w: scaled for w, v in base.kappa.items()
-             if (scaled := v * factor[len(w)])}
-    return CumulantSpec._raw(base.nvars, kappa, base.max_order, base.cyclic)
+    return base._scaled(lambda m: float(k) ** (1.0 - m / 2.0))
+
+
+def _max_m4(phi):
+    """The largest phi(t_i^4), read in one batch."""
+    n = phi.nvars
+    return max(phi.word_moments([(i,) * 4 for i in range(1, n + 1)])
+               .real.tolist())
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def theorem_constant(base):
     m4 and the m4 branch.
     """
     n = base.nvars
-    m4 = max(base.moment((i, i, i, i)).real for i in range(1, n + 1))
+    m4 = _max_m4(base)
     branch_m4 = (n + n * m4 - 1) / 2.0
     branch_c = np.inf
     if base.norm_upper is not None:
@@ -142,7 +142,7 @@ def clt_rate_table(exp):
     for k in exp.ks:
         state = (exp.base if k == 1
                  else CumulantState(rescale_cumulants(exp.base.spec, k)))
-        m4_k = max(state.moment((i, i, i, i)).real for i in range(1, n + 1))
+        m4_k = _max_m4(state)
         prob = SteinProblem(state, potential)
         mk = minimal_kernel(prob, exp.degree)
         sigma = float(np.sqrt(max(mk.sigma_sq, 0.0)))

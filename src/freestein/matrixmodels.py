@@ -55,9 +55,9 @@ products, 3 Grams and an adjoint copy and a dense letter 1 would take
 19 products.  The products live in one buffer each, allocated on a
 table's first draw.  Running means and variances are arrays indexed by
 class, updated once per draw.  Before any matrix is built, tables whose
-words have over ``MAX_TABLE_LETTERS`` letters, or whose half-length
-products take over ``MAX_PRODUCT_BYTES`` bytes, are refused with
-``BudgetExceededError``.
+words have over ``MAX_TABLE_LETTERS`` letters, or whose kept products
+and scratch arrays take over ``MAX_PRODUCT_BYTES`` bytes, are refused
+with ``BudgetExceededError``.
 
 The output is a ``MomentTable`` carrying per-word standard errors (one
 per class) and, as the per-coordinate upper norm estimate, the largest
@@ -654,8 +654,7 @@ def _norm_below(square, bound, work=None):
 
 # caps on a trace table, checked before any matrix is built: the letters
 # of all its words (the code of every word is canonicalized to find the
-# class representatives), and the bytes of the half-length products
-# kept per sample
+# class representatives), and the bytes of the N x N arrays it keeps
 MAX_TABLE_LETTERS = 1 << 20
 MAX_PRODUCT_BYTES = 1 << 30
 # largest entry of X - X^H that ``moment_table_from_matrices`` accepts
@@ -663,6 +662,12 @@ MATRIX_HERM_TOL = 1e-12
 
 
 def _check_trace_budget(nvars, size, max_order):
+    """The ``_trace_plan`` of a table of order ``max_order`` over
+    ``nvars`` coordinates of size N = ``size``, once its letters and
+    the bytes of the N x N arrays its ``_Buffers`` hold pass the caps:
+    one complex array per product the plan builds, per square the norm
+    certificate builds and per coordinate past the first, and 1.5 more
+    for "scaled" and "temp"."""
     letters = 0
     for k in range(1, max_order + 1):
         letters += k * nvars ** k
@@ -672,15 +677,18 @@ def _check_trace_budget(nvars, size, max_order):
                 f"coordinates has more than {MAX_TABLE_LETTERS} letters",
                 needed=letters, available=MAX_TABLE_LETTERS,
             )
-    prods = word_count(nvars, (max_order + 1) // 2)
-    nbytes = prods * size * size * 16
+    plan = _trace_plan(nvars, max_order)
+    kept = {build[1] for build in plan.builds if build[0] != "letter"}
+    arrays = len(kept | {(i, i) for i in range(2, nvars + 1)}) + nvars + 0.5
+    nbytes = int(arrays * 16 * size * size)
     if nbytes > MAX_PRODUCT_BYTES:
         raise BudgetExceededError(
             f"a trace table of order {max_order} over {nvars} coordinates "
-            f"keeps {prods} products of size {size}, {nbytes} bytes; the "
+            f"keeps {arrays} N x N arrays at N = {size}, {nbytes} bytes; the "
             f"cap is {MAX_PRODUCT_BYTES}",
             needed=nbytes, available=MAX_PRODUCT_BYTES,
         )
+    return plan
 
 
 def mc_moment_table(config, max_order):
@@ -709,8 +717,7 @@ def mc_moment_table(config, max_order):
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = config.nvars
-    _check_trace_budget(n, config.size, max_order)
-    plan = _trace_plan(n, max_order)
+    plan = _check_trace_budget(n, config.size, max_order)
     mean = np.zeros(len(plan.reps), dtype=complex)
     msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n
@@ -770,10 +777,9 @@ def moment_table_from_matrices(mats, max_order):
             raise ValueError("matrices must be Hermitian")
     mats = [_hermitian_part(m) for m in mats]
     n = len(mats)
-    _check_trace_budget(n, size, max_order)
+    plan = _check_trace_budget(n, size, max_order)
     lam, u = np.linalg.eigh(mats[0])
     rotated = [_hermitian_part(u.conj().T @ m @ u) for m in mats[1:]]
-    plan = _trace_plan(n, max_order)
     traces = _class_traces([lam] + rotated, plan)
     norms = (float(np.abs(lam).max()),) + tuple(
         float(np.abs(np.linalg.eigvalsh(m)).max()) for m in mats[1:])

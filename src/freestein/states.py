@@ -1,78 +1,47 @@
 """Moment functionals (noncommutative distributions) and their pairings.
 
-A state is determined by its word moments phi(t_{i1}...t_{im}).  Two
-backends live here:
+A state is determined by its word moments phi(t_{i1}...t_{im}), read by
+the integer codes of the words (``word_codes``).  Both backends store
+one value per class of words whose values agree up to conjugation, by
+one class rule on codes, ``canonical_codes``, and answer a batch of
+codes by one gather through a class index:
 
-* ``MomentTable`` -- explicit moments up to a max order, stored as the
-  sorted integer codes of its words (see ``word_codes``) and their
-  values.  A tracial table with Hermitian symmetry is fixed by one value
-  per bracelet class (the words reachable by rotation and reversal), and
-  ``MomentTable.from_bracelets`` stores just that, never expanded to
-  words.  Its one class rule is ``canonical_codes``, integer arithmetic
-  on codes alone: ``bracelet_classes`` runs it over every code to
-  enumerate the classes a trace table stores, and a table runs it once
-  over the codes of every word up to the longest length it has read,
-  whose index then answers each batch by one gather (see
-  ``MomentTable``);
+* ``MomentTable`` -- explicit moments up to a max order, by the sorted
+  codes of its stored words; ``MomentTable.from_bracelets`` stores one
+  value per bracelet class (the words reachable by rotation and
+  reversal), never expanded to words;
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
-  cumulants by the moment-cumulant formula
-  ``phi(w) = sum over pi in NC(|w|) of prod over blocks B of kappa(w|B)``.
-  It is evaluated without enumerating NC(|w|): grouping the partitions
-  by the block B that holds the first letter gives
-  ``phi(w) = sum over B of kappa(w|B) * prod over the gaps of B of phi(gap)``,
-  whose gaps are contiguous subwords held in one per-state memo.  Only
-  blocks whose letters spell a prefix of a stored cumulant word are
-  tried.  A spec's cumulants are exactly Hermitian and reversal maps
-  NC(m) to itself, so phi(rev w) = conj phi(w) and the recursion runs
-  once per reversal class, or, when the spec is ``cyclic`` (kappa is
-  exactly invariant under rotation, which permutes NC(m), so phi is
-  tracial), once per bracelet class.  ``moments_to_cumulants`` solves
-  the same recursion for kappa.
+  cumulants by the moment-cumulant formula, grouped by the block B of
+  the first letter: ``phi(w) = sum over B of kappa(w|B) * prod over the
+  gaps of B of phi(gap)``, evaluated once per class (bracelet classes
+  when the spec is ``cyclic``, else reversal classes) with the gaps read
+  by code.  ``moments_to_cumulants`` solves the recursion for kappa.
 
-(The third backend, Monte Carlo over matrix ensembles, produces a
-``MomentTable``; see ``matrixmodels``.)
+(The Monte Carlo backend, ``matrixmodels``, produces a ``MomentTable``.)
 
-On top of a state the module provides the evaluation pairings used by
-the rest of the library:
+On top of a state: ``moment_of_poly`` phi(p(X)), ``tensor_moment``
+(phi (x) phi)(q(X)), ``inner_tuple`` <p, r> = sum_i phi(p_i r_i*) and
+``inner_matrix`` <A, B> = (phi (x) phi) Tr(A # B*), linear in the first
+slot and conjugate-linear in the second, and the Gram assemblies of the
+Stein and Poincare solvers.  The inner products and every Gram over
+words are one numpy gather, ``pairing_gather``: with the sharp product
+(p1 (x) p2) # (q1 (x) q2) = p1 q1 (x) q2 p2,
 
-* ``moment_of_poly``      phi(p(X)),
-* ``tensor_moment``       (phi (x) phi)(q(X)) for tensor-square elements,
-* ``inner_tuple``         <p, r> = sum_i phi(p_i r_i*),
-* ``inner_matrix``        <A, B> = (phi (x) phi) Tr(A # B*),
+    <p (x) q, u (x) v> = phi(p rev u) * phi(rev v q),
 
-all linear in the first slot and conjugate-linear in the second, plus
-the Gram assemblies shared by the Stein and Poincare solvers.  The
-inner products and every Gram over words are one numpy gather,
-``pairing_gather``.  With the sharp product (p1 (x) p2) # (q1 (x) q2) = p1 q1 (x) q2 p2,
+and both factors are entries of the moment matrix H[u, v] = phi(u rev v).
+Its terms are integer arrays keyed by word code (``Terms``,
+``jacobian_terms``, ``tensor_terms``); it reads the H that
+``moment_matrix`` caches on a validated state where that covers the
+legs, and asks the state for the rest in one ``code_moments`` batch by
+pair code code(u rev v) = code(u) n^|v| + code(rev v).  Exact ``sharp``
+products are for exact output (``algebra``) and the test oracles.
 
-    <p (x) q, u (x) v> = (phi (x) phi)((p (x) q) # (u (x) v)*)
-                       = phi(p rev u) * phi(rev v q),
-
-and both factors are entries of one moment matrix H[u, v] = phi(u rev v),
-the source of every pair value.  The gather takes its terms as integer
-arrays keyed by word code (``Terms``): the Jacobian terms w[:k] (x)
-w[k+1:] of the Dirichlet Gram come from the codes of the basis words by
-arithmetic alone (``jacobian_terms``), and each leg of a tensor or tuple
-pairing is coded once (``tensor_terms``).  It reads the pair values from
-the H that ``moment_matrix`` caches on a validated state where that H
-covers the legs, and asks the state for the rest in one batch by pair
-code, code(u rev v) = code(u) n^|v| + code(rev v), through
-``MomentFunctional.code_moments``.  ``moment_matrix`` fills H by one
-such batch, which ``validate_state`` factors and the covariance Gram
-reads.  None of them builds a symbolic product; exact ``sharp``
-products are for exact output (``algebra``) and for the oracle in the
-tests.  A table answers a code
-batch with one gather from its class index; a cumulant state decodes the
-distinct words and reads them from its memo, asking ``moment`` only for
-the misses; the base class asks ``moment`` once per distinct word.
-Lists of words are read through ``word_moments``.
-
-Symbolic inputs are exact; evaluation is double-precision complex.
-A cumulant state's memo only grows, each class written under a lock,
-and a table is read-only, so every functional is safe for concurrent
-reads.
-High-level helpers precompute the word length they need and raise
-``BudgetExceededError`` before touching the backend.
+Symbolic inputs are exact; evaluation is double-precision complex.  A
+table is read-only and a cumulant state's classes only fill, so every
+functional is safe for concurrent reads.  High-level helpers
+precompute the word length they need and raise ``BudgetExceededError``
+before touching the backend.
 """
 
 from __future__ import annotations
@@ -99,12 +68,6 @@ def words_up_to(nvars, max_len, min_len=0):
     return out
 
 
-def rotations(word):
-    m = len(word)
-    twice = word + word
-    return [twice[k:k + m] for k in range(m)]
-
-
 # HERM_TOL is the tolerance of every Hermitian check and of the unit and
 # cyclic checks; PSD_TOL and PINV_TOL are those of ``graded_cholesky``
 HERM_TOL = 1e-8
@@ -114,27 +77,6 @@ PINV_TOL = 5e-14
 # cap on the 16 m^2 bytes of a complex form over m words, which a Gram,
 # its factor and inverse each take (1,092 words at n = 3, d = 6: 19 MB)
 MAX_FORM_BYTES = 1 << 27
-
-
-def _orbit(word, cyclic):
-    """(forward, reversed) words of the class of ``word`` under reversal
-    and, when ``cyclic``, rotation.  ``forward`` starts with ``word``;
-    ``reversed`` is empty when the class is closed under reversal."""
-    forward = (rotations(word) or [word]) if cyclic else [word]
-    back = word[::-1]
-    # the rotation classes of a word and of its reversal are equal or
-    # disjoint
-    if back in forward:
-        return forward, []
-    return forward, rotations(back) if cyclic else [back]
-
-
-def _least(rots, flipped):
-    forward = min(rots)
-    backward = min(flipped, default=forward)
-    if backward < forward:
-        return backward, True
-    return forward, False
 
 
 class BraceletError(ValueError):
@@ -288,7 +230,7 @@ def code_word(code, nvars):
     return code_words(np.array([code], dtype=np.int64), nvars)[0]
 
 
-def canonical_codes(codes, lengths, nvars, bracelet=True):
+def canonical_codes(codes, lengths, nvars, bracelet=True, reversal=False):
     """(class codes, flipped, closed) of the words with these codes and
     lengths, by integer arithmetic on the queries alone.
 
@@ -299,13 +241,19 @@ def canonical_codes(codes, lengths, nvars, bracelet=True):
     the least rotation of the word or of its reversal; ``flipped`` says
     it came from the reversal only, so phi(word) = conj phi(class) in
     such a state, and ``closed`` says the class holds the reversal of
-    its words.  Without ``bracelet`` each word is its own class.  Raises
-    ``BudgetExceededError`` as ``word_codes`` does.
+    its words.  Without ``bracelet`` but with ``reversal`` the class is
+    the word and its reversal, represented by the lesser code, as a
+    Hermitian state that need not be tracial has it; with neither, each
+    word is its own class.  Raises ``BudgetExceededError`` as
+    ``word_codes`` does.
     """
     codes = np.asarray(codes, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    none = np.zeros(codes.shape, dtype=bool)
     if not bracelet:
+        if reversal:
+            back = reversed_codes(codes, lengths, nvars)
+            return np.minimum(codes, back), back < codes, back == codes
+        none = np.zeros(codes.shape, dtype=bool)
         return codes, none, none
     top = int(lengths.max(initial=0))
     powers = _code_powers(nvars, top)
@@ -612,14 +560,21 @@ class MomentTable(MomentFunctional):
         return dict(zip(code_words(codes, self.nvars), values.tolist()))
 
 
-def _finite(z):
-    # math, unlike cmath, is loaded with numpy already
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block
 # choices for each new class of words of length m
 MAX_CUMULANT_ORDER = 16
+# cap on the codes a cumulant state's class index covers: every word over
+# 3 letters to length 12 (797,161 codes) in 5 MB, the codes a moment
+# matrix of that order asks anyway.  Past it, classes are canonicalized
+# and evaluated one by one as they are read.
+_CLASS_INDEX_CODES = 1 << 20
+# classes whose subword keys ``_class_index`` forms at once
+_GAP_ROWS = 1 << 12
+# _TRI[b] + a - 1 is the place of the subword w[a:b], 1 <= a <= b, in
+# the gap list ``_first_block_sum`` reads
+_TRI = tuple(b * (b - 1) // 2 for b in range(MAX_CUMULANT_ORDER + 2))
+# the value of a class not yet evaluated
+_MISSING = complex(math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -628,8 +583,10 @@ class CumulantSpec:
 
     Words absent from ``kappa`` have cumulant 0.  ``max_order`` caps the
     word length the induced moment functional will evaluate (it bounds
-    the moment recursion, not the stored words).  ``blocks`` is the
-    letter trie of the cumulant words that the recursion walks.  A
+    the moment recursion, not the stored words, whose codes must fit in
+    64 bits).  ``words`` and ``values`` list the nonzero cumulants, and
+    ``blocks`` is their ``_block_trie``.  Letters, finiteness, Hermitian
+    symmetry and cyclicity are checked on the word codes at once.  A
     kappa(w) more than ``HERM_TOL`` from conj kappa(rev w) raises
     ``InvalidStateError``; each word stores the exactly Hermitian part
     (kappa(w) + conj kappa(rev w)) / 2, which is kappa(w) when that
@@ -643,181 +600,390 @@ class CumulantSpec:
     max_order: int = 12
 
     def __post_init__(self):
-        if self.nvars < 1:
+        n = self.nvars
+        if n < 1:
             raise ValueError("nvars must be >= 1")
         if not 1 <= self.max_order <= MAX_CUMULANT_ORDER:
             raise ValueError(f"max_order must lie in 1..{MAX_CUMULANT_ORDER}")
-        clean = {}
-        for w, v in self.kappa.items():
-            w = tuple(w)
-            if not w:
-                raise ValueError("cumulant words must be nonempty")
-            for letter in w:
-                if not 1 <= letter <= self.nvars:
-                    raise ValueError(f"letter {letter} out of range 1..{self.nvars}")
-            v = complex(v)
-            if not _finite(v):
-                raise ValueError(f"cumulant of word {list(w)} is not finite, "
-                                 f"got {v}")
-            if v != 0:
-                clean[w] = v
-        kappa = dict(clean)
-        for w, v in clean.items():
-            back = clean.get(w[::-1], 0j).conjugate()
-            if v != back:
-                if abs(v - back) > HERM_TOL:
-                    raise InvalidStateError(
-                        f"cumulants are not Hermitian: kappa({list(w)}) = "
-                        f"{v} but conj kappa({list(w[::-1])}) = {back}")
-                # a word and its reversal get conjugate parts, bit for bit
-                kappa[w] = part = (v + back) / 2
-                kappa[w[::-1]] = part.conjugate()
-        kappa = {w: v for w, v in kappa.items() if v}
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "blocks", _block_trie(kappa))
-        # one-step rotation generates every rotation
-        object.__setattr__(self, "cyclic", all(
-            kappa.get(w[1:] + w[:1], 0j) == v for w, v in kappa.items()))
+        words = [tuple(w) for w in self.kappa]
+        if not all(words):
+            raise ValueError("cumulant words must be nonempty")
+        codes, lengths = word_codes(words, n)
+        values = np.fromiter(map(complex, self.kappa.values()), dtype=complex,
+                             count=len(words))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"cumulant of word {list(words[bad[0]])} is not "
+                             f"finite, got {complex(values[bad[0]])}")
+        keep = values != 0
+        words = list(itertools.compress(words, keep.tolist()))
+        codes, lengths, values = codes[keep], lengths[keep], values[keep]
+        back = _values_at(codes, values, reversed_codes(codes, lengths, n))
+        if (values != back.conj()).any():
+            words, values = _hermitian_parts(words, values.tolist())
+            codes, lengths = word_codes(words, n)
+        # one-step rotations w[1:] + w[:1], which generate every rotation
+        top = int(lengths.max(initial=0))
+        base = _offsets(n, top)[lengths]
+        first, rest = np.divmod(codes - base, _code_powers(n, top)[
+            np.maximum(lengths - 1, 0)])
+        turned = _values_at(codes, values, base + rest * n + first)
+        self._set(kappa=dict(zip(words, values.tolist())), words=tuple(words),
+                  values=values, blocks=_block_trie(words),
+                  cyclic=bool((turned == values).all()))
 
-    @classmethod
-    def _raw(cls, nvars, kappa, max_order, cyclic):
-        # internal: ``kappa`` already canonical (exactly Hermitian nonzero
-        # values on nonempty words of letters 1..nvars), ``cyclic`` exact
-        spec = object.__new__(cls)
-        for name, value in (("nvars", nvars), ("kappa", kappa),
-                            ("max_order", max_order), ("cyclic", cyclic),
-                            ("blocks", _block_trie(kappa))):
-            object.__setattr__(spec, name, value)
-        return spec
+    def _set(self, **fields):
+        fields["values"].flags.writeable = False
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def value(self, word):
         return self.kappa.get(tuple(word), 0j)
+
+    def _scaled(self, factor):
+        """The spec of factor(|w|) kappa(w) for a real positive
+        ``factor``: the same words, trie and ``cyclic``, one array of new
+        values.  A value that underflows to 0 leaves ``kappa`` and stays
+        in the trie, read as 0."""
+        lengths = np.fromiter(map(len, self.words), dtype=np.int64,
+                              count=len(self.words))
+        scale = [factor(m) for m in range(lengths.max(initial=0) + 1)]
+        values = self.values * np.array(scale)[lengths]
+        spec = object.__new__(type(self))
+        spec._set(nvars=self.nvars, max_order=self.max_order,
+                  kappa={w: v for w, v in zip(self.words, values.tolist())
+                         if v},
+                  words=self.words, values=values, blocks=self.blocks,
+                  cyclic=self.cyclic)
+        return spec
+
+
+def _values_at(codes, values, asked):
+    """The values of the ``asked`` codes among ``codes``, 0 where absent."""
+    if not len(codes):
+        return np.zeros(asked.shape, dtype=complex)
+    order = np.argsort(codes)
+    at = order[np.minimum(np.searchsorted(codes, asked, sorter=order),
+                          len(codes) - 1)]
+    return np.where(codes[at] == asked, values[at], 0)
+
+
+def _hermitian_parts(words, values):
+    """(words, values) of the nonzero Hermitian parts of the cumulants,
+    formed word by word in order; a pair more than ``HERM_TOL`` apart
+    raises ``InvalidStateError``."""
+    clean = dict(zip(words, values))
+    kappa = dict(clean)
+    for w, v in clean.items():
+        back = clean.get(w[::-1], 0j).conjugate()
+        if v != back:
+            if abs(v - back) > HERM_TOL:
+                raise InvalidStateError(
+                    f"cumulants are not Hermitian: kappa({list(w)}) = "
+                    f"{v} but conj kappa({list(w[::-1])}) = {back}")
+            # a word and its reversal get conjugate parts, bit for bit
+            kappa[w] = part = (v + back) / 2
+            kappa[w[::-1]] = part.conjugate()
+    kappa = {w: v for w, v in kappa.items() if v}
+    return list(kappa), np.array(list(kappa.values()), dtype=complex)
+
+
+class _ClassIndex(NamedTuple):
+    """By code, the ``slot`` and ``flip`` of the words of length <=
+    ``top``; by slot, in code order, the representative's word, whether
+    it is ``closed``, and the keys 2 slot + flip of its subwords
+    (``_subword_codes``), an empty one's 1."""
+
+    top: int
+    slot: np.ndarray
+    flip: np.ndarray
+    words: list
+    closed: list
+    gaps: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _class_index(nvars, cyclic, top):
+    """The read-only ``_ClassIndex`` of the bracelet classes when
+    ``cyclic``, else the reversal classes, over ``nvars`` letters.  A
+    slot is a rank in code order, so the index of a shorter top is a
+    prefix of this one."""
+    codes = np.arange(word_count(nvars, top) + 1, dtype=np.int64)
+    keys, flip, closed = canonical_codes(codes, code_lengths(codes, nvars),
+                                         nvars, cyclic, reversal=True)
+    reps = codes[keys == codes]
+    slot = np.searchsorted(reps, keys).astype(np.int32)
+    gaps = np.ones((len(reps), _TRI[top + 1]), dtype=np.int32)
+    for lo in range(0, len(reps), _GAP_ROWS):
+        part = reps[lo:lo + _GAP_ROWS]
+        sub = _subword_codes(part, code_lengths(part, nvars), nvars)[0]
+        gaps[lo:lo + _GAP_ROWS, :sub.shape[1]] = np.maximum(
+            2 * slot[sub] + flip[sub], 1)
+    for array in (slot, flip, gaps):
+        array.flags.writeable = False
+    return _ClassIndex(top, slot, flip, code_words(reps, nvars),
+                       closed[keys == codes].tolist(), gaps)
+
+
+def _subword_codes(codes, lengths, nvars):
+    """(codes, lengths) of the subwords w[a:b], 1 <= a <= b <= T, of the
+    words w with these codes and lengths, T the longest: one row per
+    word, by b and then a, whose first |w| (|w| + 1) / 2 are w's own and
+    the rest 0.  code(w[a:b]) = code(w[:b]) - code(w[:a]) n^(b - a), and
+    the prefix w[:j] is the offset of length j plus t // n^(|w| - j), t
+    the base-n value of w's letters minus one."""
+    top = int(np.max(lengths, initial=0))
+    powers, offsets = _code_powers(nvars, top), _offsets(nvars, top)
+    ends = np.repeat(np.arange(1, top + 1), np.arange(1, top + 1))
+    starts = np.arange(len(ends)) - ends * (ends - 1) // 2 + 1
+    short = lengths[:, None] - np.arange(top + 1)
+    prefix = offsets + ((codes - offsets[lengths])[:, None]
+                        // powers[np.maximum(short, 0)])
+    sub = prefix[:, ends] - prefix[:, starts] * powers[ends - starts]
+    sub[ends > lengths[:, None]] = 0
+    return sub, np.broadcast_to(ends - starts, sub.shape)
 
 
 class CumulantState(MomentFunctional):
     """Moment functional generated by free cumulants.
 
-    A memo miss evaluates the first-block recursion once, on the least
-    word of the asked word's class (its reversals and, for a ``cyclic``
-    spec, rotations), and stores the whole class: each rotation gets the
-    value, each reversed rotation its conjugate, and a class closed under
-    reversal its real part.  So phi(rev w) == conj phi(w) on every word,
-    and the state is tracial when the spec is ``cyclic``.
-
-    ``word_moments`` reads a batch straight from the memo, in order, and
-    calls ``moment`` only on the words still missing when their turn
-    comes, so a class filled earlier in the batch is not evaluated again
-    and a bad word raises as ``moment`` would; ``code_moments`` decodes
-    its distinct words in code order and reads them so.  Memo
-    reads take no lock: the memo only grows, one dict read is atomic,
-    and each class is written under the lock.
+    Reversal maps NC(m) to itself and a spec's cumulants are exactly
+    Hermitian, so phi(rev w) = conj phi(w); a ``cyclic`` spec's phi is
+    also tracial.  The state keeps one value per class, bracelet classes
+    for a cyclic spec and reversal classes otherwise, read by word code
+    through a shared ``_class_index`` grown by length as reads ask, up
+    to ``_CLASS_INDEX_CODES`` codes; longer words are canonicalized as
+    read, their classes taking slots past the index.  A class is
+    evaluated once, on its representative, by ``_first_block_sum``, its
+    gap subwords read by key, a missing one evaluated first.  A batch is
+    one gather; its missing classes are evaluated in slot order (code
+    order within the index), each through ``moment``, so a wrapper of
+    ``moment`` sees one call per class.  ``_memo`` is a read-only view of
+    the evaluated classes.  Reads take no lock: a value is stored after
+    its conjugate, and the index and values only grow, under the lock.
     """
 
     def __init__(self, spec, norm_upper=None):
         super().__init__(spec.nvars, spec.max_order, spec.cyclic, norm_upper)
         self.spec = spec
-        self._memo = {(): 1.0 + 0j}
+        # cumulants by trie position; an inner node's -1 reads 0
+        self._kappa = spec.values.tolist() + [0j]
+        # the value and conjugate of each class slot; slot 0 is the empty
+        # word, whose conjugate place holds the float 1.0 of an empty gap
+        self._both = [1.0 + 0j, 1.0]
+        self._index = None
+        # classes past the index: slot by code, (word, closed) by slot
+        self._far, self._far_reps = {}, []
+        self._jobs = {}  # the class slots a batch hands ``moment``, by word
         self._lock = threading.Lock()
+        top = 0
+        while (top < self.max_order
+               and word_count(self.nvars, top + 1) <= _CLASS_INDEX_CODES):
+            top += 1
+        self._index_top = top
+        # an index of at most _INDEX_CODES codes is built whole at once
+        self._whole = word_count(self.nvars, top) <= _INDEX_CODES
+
+    @property
+    def _memo(self):
+        return _EvaluatedClasses(self)
 
     def moment(self, word):
         word = tuple(word)
-        # the memo holds only checked words and their subwords, so a hit
-        # needs no check
-        value = self._memo.get(word)
-        if value is not None:
-            return value
+        job = self._jobs.pop(word, None)
+        if job is not None:
+            return self._evaluate(job)
         self._check_word(word)
-        return self._moment(word)
+        key = self._key(word)
+        if self._both[key] is _MISSING:
+            self._evaluate(key >> 1)
+        return self._both[key]
 
     def word_moments(self, words):
-        # each word is read from the memo when its turn comes, so a class
-        # filled by an earlier miss of the batch is a hit, and only a miss
-        # is asked of ``moment``, which checks it; the words are never
-        # held all at once
-        get = self._memo.get
-        values = []
-        for word in map(tuple, words):
-            value = get(word)
-            values.append(self.moment(word) if value is None else value)
-        return np.array(values, dtype=complex)
+        # a bad word raises as ``moment`` would: the first too long, else
+        # the first with a letter out of range
+        if max(map(len, words), default=0) > self.max_order:
+            for word in words:
+                self._check_word(word)
+        return self.code_moments(*word_codes(words, self.nvars))
 
-    def _moment(self, word):
-        # subwords of a checked word, and the words of its class, need no
-        # check; the lock serializes the writes of a class and is never
-        # held across the recursion
-        value = self._memo.get(word)
-        if value is not None:
-            return value
-        spec = self.spec
-        forward, flipped = _orbit(word, spec.cyclic)
-        least, from_flipped = _least(forward, flipped)
-        value = _first_block_sum(spec.blocks, least, self._moment)
-        if not _finite(value):
+    def code_moments(self, codes, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.check_order(int(np.max(lengths, initial=0)))
+        slot, flip = self._classes(np.asarray(codes, dtype=np.int64), lengths)
+        found = np.array(self._both[::2])[slot]
+        missing = np.isnan(found)
+        if missing.any():
+            # a set, not np.unique, which would load numpy.ma on first use
+            for s in sorted(set(slot[missing].tolist())):
+                word = self._class(s)[0]
+                if self._both[2 * s] is _MISSING:
+                    self._jobs[word] = s
+                    self.moment(word)
+            found = np.array(self._both[::2])[slot]
+        np.conjugate(found, out=found, where=flip)
+        return found
+
+    def _key(self, word):
+        """2 slot + flip of the class of the checked ``word``."""
+        code, n = 0, self.nvars
+        for letter in word:
+            code = code * n + letter
+        index = self._grown(len(word))
+        if code < len(index.slot):
+            return 2 * int(index.slot[code]) + bool(index.flip[code])
+        _code_powers(n, len(word))  # refuses a code past 64 bits
+        slot, flip = self._classes(np.array([code]), np.array([len(word)]))
+        return 2 * int(slot[0]) + bool(flip[0])
+
+    def _grown(self, longest):
+        """The class index over the words of length at most ``longest``
+        and ``_index_top``, the values grown to its classes."""
+        top = self._index_top if self._whole else min(longest,
+                                                       self._index_top)
+        if self._index is None or top > self._index.top:
+            index = _class_index(self.nvars, self.spec.cyclic, top)
+            with self._lock:
+                # no class is past the index until it reaches its top
+                if self._index is None or top > self._index.top:
+                    grow = len(index.words) - len(self._both) // 2
+                    self._both += [_MISSING, _MISSING] * grow
+                    self._index = index
+        return self._index
+
+    def _classes(self, codes, lengths):
+        """(slot, flip) of the words with these codes and lengths, read
+        from the index grown to cover them as far as it may; a word past
+        it is canonicalized, and a class new to the state takes the next
+        slot."""
+        index = self._grown(int(np.max(lengths, initial=0)))
+        covered = codes < len(index.slot)
+        at = np.where(covered, codes, 0)
+        slot, flip = index.slot[at], index.flip[at]
+        if not covered.all():
+            rest = ~covered
+            far, first, repeat = np.unique(codes[rest], return_index=True,
+                                           return_inverse=True)
+            keys, turned, closed = canonical_codes(
+                far, lengths[rest][first], self.nvars, self.spec.cyclic,
+                reversal=True)
+            with self._lock:
+                for key, shut in zip(keys.tolist(), closed.tolist()):
+                    if key not in self._far:
+                        self._far[key] = len(self._both) // 2
+                        self._far_reps.append((code_word(key, self.nvars),
+                                               shut))
+                        self._both += [_MISSING, _MISSING]
+            slot[rest] = np.array([self._far[key] for key in keys.tolist()],
+                                  dtype=np.int32)[repeat]
+            flip[rest] = turned[repeat]
+        return slot, flip
+
+    def _class(self, slot):
+        """(representative, closed, keys of its subwords) of a slot."""
+        index = self._index
+        if slot < len(index.words):
+            word = index.words[slot]
+            return (word, index.closed[slot],
+                    index.gaps[slot, :_TRI[len(word) + 1]].tolist())
+        word, closed = self._far_reps[slot - len(index.words)]
+        sub, sizes = _subword_codes(*word_codes([word], self.nvars),
+                                    self.nvars)
+        slots, flips = self._classes(sub.ravel(), sizes.ravel())
+        return word, closed, np.maximum(2 * slots + flips, 1).tolist()
+
+    def _evaluate(self, slot):
+        word, closed, keys = self._class(slot)
+        both = self._both
+        gaps = [both[key] for key in keys]
+        if _MISSING in gaps:  # shorter classes, evaluated first
+            for key in keys:
+                if both[key] is _MISSING:
+                    self._evaluate(key >> 1)
+            gaps = [both[key] for key in keys]
+        value = _first_block_sum(self.spec.blocks, self._kappa, word, gaps)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise BudgetExceededError(
                 f"moment of word {list(word)} overflows double precision")
-        if from_flipped:
-            value = value.conjugate()
-        elif not flipped:
+        if closed:
             value = complex(value.real)
-        conj = value.conjugate()
-        with self._lock:
-            for w in forward:
-                self._memo[w] = value
-            for w in flipped:
-                self._memo[w] = conj
+        both[2 * slot + 1] = value.conjugate()
+        both[2 * slot] = value
         return value
 
 
-def _block_trie(kappa):
-    """Letter trie of cumulant words, ``{letter: [kappa, children]}``.
+class _EvaluatedClasses:
+    """``word in view`` says whether the class of ``word`` holds its
+    value in ``state``; ``len(view)`` counts those classes, the empty
+    word's included."""
 
-    Inner nodes carry kappa 0.  A block whose letters leave the trie has
-    cumulant 0 however it is extended, so the recursion drops it there.
+    def __init__(self, state):
+        self._state = state
+
+    def __contains__(self, word):
+        state, word = self._state, tuple(word)
+        try:
+            state._check_word(word)
+            return state._both[state._key(word)] is not _MISSING
+        except (ValueError, BudgetExceededError):
+            return False
+
+    def __len__(self):
+        return sum(value is not _MISSING for value in self._state._both[::2])
+
+
+def _block_trie(words):
+    """Letter trie of cumulant words, ``{letter: [index, children]}``,
+    where ``index`` is the position in ``words`` of the word a node
+    spells, or -1 for an inner node, whose cumulant is 0.  A block whose
+    letters leave the trie has cumulant 0 however it is extended, so the
+    recursion drops it there.
     """
     root = {}
-    for word, value in kappa.items():
+    for index, word in enumerate(words):
         node = root
         for letter in word[:-1]:
             child = node.get(letter)
             if child is None:
-                child = node[letter] = [0j, {}]
+                child = node[letter] = [-1, {}]
             node = child[1]
         leaf = node.get(word[-1])
         if leaf is None:
-            node[word[-1]] = [value, {}]
+            node[word[-1]] = [index, {}]
         else:
-            leaf[0] = value
+            leaf[0] = index
     return root
 
 
-def _first_block_sum(blocks, word, moment):
+def _first_block_sum(blocks, kappa, word, gaps):
     """Sum over blocks B holding position 0 of the nonempty ``word``:
-    kappa(word|B) times the product of ``moment`` over the gaps B leaves.
+    kappa(word|B) times the product of the moments of the gaps B leaves.
 
-    ``blocks`` is a ``_block_trie``; ``moment`` is only called on the
-    nonempty gaps, which are proper contiguous subwords.  With the
-    cumulants of ``blocks`` this is the moment-cumulant formula phi(w),
-    grouped by the block of the first letter (Nica-Speicher, Lecture 11).
-    The blocks are walked depth first by an explicit stack, so no
-    closure refers to itself and keeps ``moment``'s owner alive.
+    ``blocks`` is a ``_block_trie`` indexing ``kappa`` (-1 reads 0);
+    ``gaps`` holds phi(word[a:b]) at ``_TRI[b] + a - 1``, 1.0 if a = b.
+    This is the moment-cumulant formula grouped by the block of the first
+    letter (Nica-Speicher, Lecture 11), walked depth first, the least
+    next position first, a block dropped where a gap reads 0.
     """
-    m = len(word)
+    m, tri = len(word), _TRI
     total = 0j
+    tail = tri[m]
     first = blocks.get(word[0])
     # (trie node of the block's last letter, its position, product of the
-    # block's inner gaps); the least next position is popped first
+    # block's inner gaps)
     stack = [(first, 0, 1.0 + 0j)] if first is not None else []
+    pop, push = stack.pop, stack.append
     while stack:
-        (value, children), last, acc = stack.pop()
+        (index, children), last, acc = pop()
+        value = kappa[index]
         if value:
-            tail = moment(word[last + 1:]) if last + 1 < m else 1.0
-            total += value * acc * tail
+            total += value * acc * gaps[tail + last]
         for q in range(m - 1, last, -1):
-            child = children.get(word[q])
-            if child is not None:
-                gap = moment(word[last + 1:q]) if q > last + 1 else 1.0
-                if gap:
-                    stack.append((child, q, acc * gap))
+            gap = gaps[tri[q] + last]
+            if gap:
+                child = children.get(word[q])
+                if child is not None:
+                    push((child, q, acc * gap))
     return total
 
 
@@ -833,18 +999,27 @@ def moments_to_cumulants(phi, max_order):
     kappa(w) = phi(w) - sum over blocks B holding the first letter,
     B not all of w, of kappa(w|B) times the moments of the gaps B
     leaves: the first-block recursion solved for its one term of full
-    length.  Inverse of ``cumulants_to_moment`` up to double-precision
-    rounding.
+    length, reading each word and its subwords in one batch.  Inverse of
+    ``cumulants_to_moment`` up to double-precision rounding.
     """
     phi.check_order(max_order)
-    kappa = {}
+    if max_order > MAX_CUMULANT_ORDER:
+        raise ValueError(f"max_order must lie in 1..{MAX_CUMULANT_ORDER}")
+    words, values = [], []
     for m in range(1, max_order + 1):
-        blocks = _block_trie(kappa)  # only cumulants shorter than m
+        blocks, kappa = _block_trie(words), values + [0j]  # shorter only
+        spans = [(a, b) for b in range(1, m + 1) for a in range(1, b + 1)]
         for word in itertools.product(range(1, phi.nvars + 1), repeat=m):
-            val = phi.moment(word) - _first_block_sum(blocks, word, phi.moment)
+            read = phi.word_moments([word] + [word[a:b] for a, b in spans])
+            gaps = [1.0 if a == b else g
+                    for (a, b), g in zip(spans, read[1:].tolist())]
+            val = complex(read[0]) - _first_block_sum(blocks, kappa, word,
+                                                      gaps)
             if val != 0:
-                kappa[word] = val
-    return CumulantSpec(phi.nvars, kappa, max_order=max_order)
+                words.append(word)
+                values.append(val)
+    return CumulantSpec(phi.nvars, dict(zip(words, values)),
+                        max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@
 * the JSON writer as one recursive append per token, one ``json.dumps``
   per key and string, against which the join-per-container writer is
   checked byte for byte;
+* the moments of a cumulant spec from a memo keyed by word tuple
+  (``WordMemoState``): each miss runs the first-block recursion on the
+  least word of its class, with gaps sliced from tuples and read back
+  from the memo, and writes every word of the class; against it the
+  class store of ``states.CumulantState``, keyed by word code, is
+  checked byte for byte;
 * the bracelet class rule on word tuples (``bracelet_orbit``,
   ``bracelet_rep``, ``bracelets_up_to``) and the word map of a
   bracelet-class table expanded class by class by that rule, against
@@ -65,7 +71,14 @@ from freestein import (
     tensor_moment,
 )
 from freestein.matrixmodels import sample_gue_spectrum
-from freestein.states import HERM_TOL, BraceletError, rotations, words_up_to
+from freestein.states import HERM_TOL, BraceletError, words_up_to
+
+
+def rotations(word):
+    """The rotations w[k:] + w[:k], k = 0..|w| - 1, of ``word``."""
+    m = len(word)
+    twice = word + word
+    return [twice[k:k + m] for k in range(m)]
 
 
 def set_partitions(m):
@@ -652,3 +665,71 @@ def tuple_kernel_rhs(prob, words):
             for k, q in enumerate(row, 1) for t in tuple_tensor_terms(s, k, q)]
     return tuple_pairing_gather(prob.phi, diff, tuple_jacobian_terms(words),
                                 (prob.n, len(words)))
+
+
+# ---------------------------------------------------------------------------
+# cumulant moments from a word-keyed memo
+
+
+class WordMemoState:
+    """phi of ``spec`` by a memo keyed by word tuple.  A miss evaluates
+    the first-block recursion on the least word of the asked word's
+    class (its reversals and, for a ``cyclic`` spec, rotations) and
+    stores every word of the class: each rotation the value, each
+    reversed rotation its conjugate, a class closed under reversal its
+    real part.  Words are not checked."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.memo = {(): 1.0 + 0j}
+        self.evaluations = 0
+        self.blocks = {}
+        for word, value in spec.kappa.items():
+            node = self.blocks
+            for letter in word[:-1]:
+                node = node.setdefault(letter, [0j, {}])[1]
+            node.setdefault(word[-1], [0j, {}])[0] = value
+
+    def moment(self, word):
+        word = tuple(word)
+        value = self.memo.get(word)
+        if value is not None:
+            return value
+        cyclic = self.spec.cyclic
+        forward = (rotations(word) or [word]) if cyclic else [word]
+        back = word[::-1]
+        flipped = ([] if back in forward
+                   else rotations(back) if cyclic else [back])
+        least, backward = min(forward), min(flipped, default=None)
+        from_flipped = backward is not None and backward < least
+        value = self._first_block_sum(backward if from_flipped else least)
+        self.evaluations += 1
+        if from_flipped:
+            value = value.conjugate()
+        elif not flipped:
+            value = complex(value.real)
+        for w in forward:
+            self.memo[w] = value
+        for w in flipped:
+            self.memo[w] = value.conjugate()
+        return value
+
+    def _first_block_sum(self, word):
+        # blocks holding position 0, least next position first; a block
+        # is dropped where its letters leave the trie or a gap reads 0
+        m = len(word)
+        total = 0j
+        first = self.blocks.get(word[0])
+        stack = [(first, 0, 1.0 + 0j)] if first is not None else []
+        while stack:
+            (value, children), last, acc = stack.pop()
+            if value:
+                tail = self.moment(word[last + 1:]) if last + 1 < m else 1.0
+                total += value * acc * tail
+            for q in range(m - 1, last, -1):
+                child = children.get(word[q])
+                if child is not None:
+                    gap = self.moment(word[last + 1:q]) if q > last + 1 else 1.0
+                    if gap:
+                        stack.append((child, q, acc * gap))
+        return total

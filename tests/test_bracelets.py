@@ -20,7 +20,6 @@ from freestein import (
 from freestein.states import (
     BraceletError,
     bracelet_classes,
-    rotations,
     words_up_to,
 )
 
@@ -30,6 +29,7 @@ from bruteforce import (
     bracelet_rep,
     bracelets_up_to,
     expand_bracelets,
+    rotations,
 )
 from conftest import rand_hermitian
 

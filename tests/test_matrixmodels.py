@@ -24,9 +24,10 @@ from freestein import (
 )
 from freestein import cli, matrixmodels, serialize
 from freestein.matrixmodels import eval_poly_matrices
-from freestein.states import rotations, words_up_to
+from freestein.states import words_up_to
 
 import bruteforce
+from bruteforce import rotations
 from conftest import rand_hermitian
 
 
@@ -457,6 +458,22 @@ def test_trace_budget_fails_before_sampling(monkeypatch, tmp_path, capsys):
     path = _ensemble_file(tmp_path, coordinates=2)
     assert cli.main(["mc", "--ensemble", path, "--max-order", "30"]) == 4
     assert "budget_exceeded" in capsys.readouterr().err
+
+
+def test_trace_budget_charges_the_arrays_a_table_keeps():
+    # order 8 over two coordinates keeps 5 products, the dense
+    # coordinate and 1.5 N x N of scratch: 7.5 N x N complex arrays
+    plan = matrixmodels._check_trace_budget(2, 2991, 8)
+    built = [b[1] for b in plan.builds if b[0] != "letter"]
+    assert len(built) == 5
+    assert 7.5 * 16 * 2991 ** 2 <= matrixmodels.MAX_PRODUCT_BYTES
+    with pytest.raises(BudgetExceededError, match="7.5 N x N arrays") as err:
+        matrixmodels._check_trace_budget(2, 2992, 8)
+    assert err.value.needed == 7.5 * 16 * 2992 ** 2
+    # one coordinate keeps no product, only the scratch
+    matrixmodels._check_trace_budget(1, 6688, 12)
+    with pytest.raises(BudgetExceededError, match="1.5 N x N arrays"):
+        matrixmodels._check_trace_budget(1, 6689, 12)
 
 
 def _count_eigvalsh(monkeypatch):

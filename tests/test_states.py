@@ -132,15 +132,20 @@ def test_class_moments_match_oracle(cyclic, data):
             <= 1e-12
 
 
-def test_one_recursion_per_class(monkeypatch, rng):
+def _count_recursions(monkeypatch):
     calls = []
     first_block_sum = states._first_block_sum
 
-    def counted(blocks, word, moment):
+    def counted(blocks, kappa, word, gaps):
         calls.append(word)
-        return first_block_sum(blocks, word, moment)
+        return first_block_sum(blocks, kappa, word, gaps)
 
     monkeypatch.setattr(states, "_first_block_sum", counted)
+    return calls
+
+
+def test_one_recursion_per_class(monkeypatch, rng):
+    calls = _count_recursions(monkeypatch)
     words = words_up_to(2, 8, min_len=1)
     fp = centered_free_poisson(2, 8)
     for w in words:
@@ -156,6 +161,60 @@ def test_one_recursion_per_class(monkeypatch, rng):
     for w in words:
         state.moment(w)
     assert sorted(calls) == sorted({min(w, w[::-1]) for w in words})
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "words"])
+def test_class_store_holds_one_value_per_class(monkeypatch, rng, batch):
+    # after every word up to max_order is read, the evaluations and the
+    # stored class values (the empty word's besides) equal the classes
+    calls = _count_recursions(monkeypatch)
+    spec = rand_cumulant_spec(rng, 3, 5)
+    assert not spec.cyclic
+    words = words_up_to(3, 5, min_len=1)
+    reversal = len({min(w, w[::-1]) for w in words})
+    for state, classes in ((centered_free_poisson(2, 8), 84),
+                           (CumulantState(spec), reversal)):
+        calls.clear()
+        words = words_up_to(state.nvars, state.max_order, min_len=1)
+        if batch:
+            state.word_moments(words[::-1])
+        else:
+            for w in words[::-1]:
+                state.moment(w)
+        assert len(calls) == len(state._memo) - 1 == classes
+        assert all(w in state._memo for w in words)
+    assert len(bracelets_up_to(2, 8, min_len=1)) == 84
+
+
+@pytest.mark.parametrize("cap", [states._CLASS_INDEX_CODES, 40, 1])
+def test_class_store_matches_the_word_memo(monkeypatch, rng, cap):
+    # byte for byte, signed zeros included, on every word, in and past
+    # the class index, against a memo keyed by word tuple
+    monkeypatch.setattr(states, "_CLASS_INDEX_CODES", cap)
+    specs = [rand_cumulant_spec(rng, n, order, cyclic=cyclic)
+             for n, order in ((1, 8), (2, 6), (3, 4)) for cyclic in (True, False)]
+    specs += [centered_free_poisson(2, 6).spec, _dense_hermitian_spec(2, 6, 3)]
+    for spec in specs:
+        words = words_up_to(spec.nvars, spec.max_order)
+        oracle = bruteforce.WordMemoState(spec)
+        want = [repr(oracle.moment(w)) for w in words]
+        state = CumulantState(spec)
+        assert list(map(repr, state.word_moments(words).tolist())) == want
+        lone = CumulantState(spec)
+        assert [repr(lone.moment(w)) for w in words[::-1]] == want[::-1]
+        assert len(state._memo) == len(lone._memo) == oracle.evaluations + 1
+
+
+def test_lone_long_moment_at_many_letters_runs_past_the_index():
+    # 20 letters: the class index stops at length 4, and a word of length
+    # 12 evaluates only the classes its gaps reach
+    kappa = {(i, i): 1.0 for i in range(1, 21)}
+    kappa.update({(i, j, i): 0.1 for i in (1, 2, 3) for j in (1, 2, 3)})
+    spec = CumulantSpec(20, kappa, max_order=12)
+    word = (1, 2, 1, 1, 3, 1, 2, 2, 1, 3, 3, 1)
+    state = CumulantState(spec)
+    assert state.moment(word) == bruteforce.WordMemoState(spec).moment(word)
+    assert state._index.top == 4 and len(state._memo) < 100
 
 
 def test_cumulant_state_dies_with_its_last_reference():
@@ -233,10 +292,13 @@ def test_overflowing_moment_is_refused_before_the_memo():
     state = CumulantState(CumulantSpec(1, {(1, 1): 1.0, (1,) * 4: 1e200},
                                        max_order=8))
     assert state.moment((1,) * 4) == 1e200 + 2
-    with pytest.raises(BudgetExceededError,
-                       match=r"word \[1, 1, 1, 1, 1, 1, 1, 1\] overflows"):
-        state.moment((1,) * 8)
-    assert (1,) * 8 not in state._memo
+    for read in (state.moment, lambda w: state.word_moments([w])):
+        with pytest.raises(BudgetExceededError,
+                           match=r"word \[1, 1, 1, 1, 1, 1, 1, 1\] overflows"):
+            read((1,) * 8)
+        # the class of t^8 holds no value; those of t^0..t^7 do
+        assert (1,) * 8 not in state._memo
+        assert len(state._memo) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +788,14 @@ def test_warm_batches_do_not_call_moment(monkeypatch):
 
 
 def test_block_trie_shares_prefixes():
-    trie = states._block_trie({(1, 2): 1.0, (1,): 2.0, (1, 2, 2): 3j,
-                               (2,): 4.0})
-    assert trie == {1: [2.0, {2: [1.0, {2: [3j, {}]}]}], 2: [4.0, {}]}
+    # each node holds the position of its word, an inner node -1
+    trie = states._block_trie([(1, 2), (1,), (1, 2, 2), (2,)])
+    assert trie == {1: [1, {2: [0, {2: [2, {}]}]}], 2: [3, {}]}
+    spec = CumulantSpec(2, {(1, 2, 2): 3j, (2, 2, 1): -3j, (1,): 2.0})
+    assert spec.words == ((1, 2, 2), (2, 2, 1), (1,))
+    assert spec.values.tolist() == [3j, -3j, 2]
+    assert spec.blocks == {1: [2, {2: [-1, {2: [0, {}]}]}],
+                           2: [-1, {2: [-1, {1: [1, {}]}]}]}
 
 
 def test_order_cap_moments_in_bounded_memory(rng):

@@ -29,13 +29,12 @@ from freestein.states import (
     dirichlet_gram,
     inner_tuple,
     moment_matrix,
-    rotations,
     word_codes,
     words_up_to,
 )
 
 import bruteforce
-from bruteforce import bracelet_orbit, bracelet_rep
+from bruteforce import bracelet_orbit, bracelet_rep, rotations
 from conftest import (
     rand_cumulant_spec,
     rand_hermitian,
@@ -75,6 +74,13 @@ def test_canonicalizer_matches_bracelet_rep_on_every_word(n, order):
     keys, flipped, closed = canonical_codes(codes, lengths, n, bracelet=False)
     assert keys.tolist() == codes.tolist()
     assert not flipped.any() and not closed.any()
+    # a reversal class is a word and its reversal, by the lesser code
+    keys, flipped, closed = canonical_codes(codes, lengths, n, bracelet=False,
+                                            reversal=True)
+    assert [code_word(key, n) for key in keys.tolist()] == [
+        min(w, w[::-1]) for w in words]
+    assert flipped.tolist() == [w[::-1] < w for w in words]
+    assert closed.tolist() == [w[::-1] == w for w in words]
 
 
 @pytest.mark.parametrize("n, longest", [(2, 62), (3, 39)])
