@@ -3,13 +3,13 @@
 A state is determined by its word moments phi(t_{i1}...t_{im}), read by
 the integer codes of the words (``word_codes``).  Both backends store
 one value per class of words whose values agree up to conjugation, by
-one class rule on codes, ``canonical_codes``, and answer a batch of
-codes by one gather through a class index:
+one class rule on codes, ``canonical_codes``, and read a batch of codes
+by one gather through one class index per letters and mode, bracelet
+or reversal classes, grown only as far as batches pay for; past it, a
+code is canonicalized once per distinct code:
 
 * ``MomentTable`` -- explicit moments up to a max order, by the sorted
-  codes of its stored words; ``MomentTable.from_bracelets`` stores one
-  value per bracelet class (the words reachable by rotation and
-  reversal), never expanded to words;
+  codes of its stored words, a bracelet table's one per class;
 * ``CumulantState`` -- moments generated from a ``CumulantSpec`` of free
   cumulants by the moment-cumulant formula, grouped by the block B of
   the first letter: ``phi(w) = sum over B of kappa(w|B) * prod over the
@@ -199,10 +199,21 @@ def reversed_codes(codes, lengths, nvars):
     base = _offsets(nvars, top)[lengths]
     turn, back = codes - base, np.zeros_like(codes)
     for _ in range(top):
-        turn, last = np.divmod(turn, nvars)
+        rest = turn // nvars  # faster than np.divmod on small arrays
         back *= nvars
-        back += last
+        back += turn - rest * nvars
+        turn = rest
     return base + back // powers[top - lengths]
+
+
+def _turns(turn, lead, nvars, steps):
+    """The base-n values ``turn`` of words w, with n^(|w| - 1) = ``lead``,
+    after each of ``steps`` steps that move every word's last letter to
+    its front."""
+    for _ in range(steps):
+        rest = turn // nvars
+        turn = rest + (turn - rest * nvars) * lead
+        yield turn
 
 
 def rotated_codes(codes, lengths, nvars):
@@ -211,15 +222,13 @@ def rotated_codes(codes, lengths, nvars):
     k.  Step s moves the last letter of every word to the front, which
     makes the rotation k = |w| - s."""
     top = int(np.max(lengths, initial=0))
-    powers = _code_powers(nvars, top)
     base = _offsets(nvars, top)[lengths]
-    lead = powers[np.maximum(lengths - 1, 0)]
     count = np.maximum(lengths - 1, 0)
     starts = np.cumsum(count) - count
-    turn, out = codes - base, np.empty(int(count.sum()), dtype=np.int64)
-    for step in range(1, top):
-        rest = turn // nvars
-        turn = rest + (turn - rest * nvars) * lead
+    out = np.empty(int(count.sum()), dtype=np.int64)
+    turns = _turns(codes - base, _code_powers(nvars, top)[count], nvars,
+                   top - 1)
+    for step, turn in enumerate(turns, 1):
         live = np.flatnonzero(lengths > step)
         out[starts[live] + lengths[live] - step - 1] = (base + turn)[live]
     return out
@@ -230,7 +239,7 @@ def code_word(code, nvars):
     return code_words(np.array([code], dtype=np.int64), nvars)[0]
 
 
-def canonical_codes(codes, lengths, nvars, bracelet=True, reversal=False):
+def canonical_codes(codes, lengths, nvars, bracelet=True):
     """(class codes, flipped, closed) of the words with these codes and
     lengths, by integer arithmetic on the queries alone.
 
@@ -241,43 +250,23 @@ def canonical_codes(codes, lengths, nvars, bracelet=True, reversal=False):
     the least rotation of the word or of its reversal; ``flipped`` says
     it came from the reversal only, so phi(word) = conj phi(class) in
     such a state, and ``closed`` says the class holds the reversal of
-    its words.  Without ``bracelet`` but with ``reversal`` the class is
-    the word and its reversal, represented by the lesser code, as a
-    Hermitian state that need not be tracial has it; with neither, each
-    word is its own class.  Raises ``BudgetExceededError`` as
+    its words.  Without ``bracelet`` the class is the word and its
+    reversal, represented by the lesser code, as a Hermitian state that
+    need not be tracial has it.  Raises ``BudgetExceededError`` as
     ``word_codes`` does.
     """
     codes = np.asarray(codes, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
+    back = reversed_codes(codes, lengths, nvars)
     if not bracelet:
-        if reversal:
-            back = reversed_codes(codes, lengths, nvars)
-            return np.minimum(codes, back), back < codes, back == codes
-        none = np.zeros(codes.shape, dtype=bool)
-        return codes, none, none
+        return np.minimum(codes, back), back < codes, back == codes
     top = int(lengths.max(initial=0))
-    powers = _code_powers(nvars, top)
     base = _offsets(nvars, top)[lengths]
-    lead = powers[np.maximum(lengths - 1, 0)]
-    # Each step moves the last letter of every word to the front, so
-    # top - 1 steps pass every rotation.  The letters moved, read in
-    # turn for top steps, spell the reversal followed by top - L
-    # letters more, which the last division drops.
-    turn = codes - base  # the base-n value of the letters minus one
-    least, back = turn.copy(), np.zeros_like(turn)
-    for _ in range(top):
-        rest = turn // nvars
-        last = turn - rest * nvars
-        turn = rest + last * lead
-        np.minimum(least, turn, out=least)
-        back *= nvars
-        back += last
-    back //= powers[top - lengths]
-    mirror, turn = back.copy(), back
-    for _ in range(top - 1):
-        rest = turn // nvars
-        turn = rest + (turn - rest * nvars) * lead
-        np.minimum(mirror, turn, out=mirror)
+    lead = _code_powers(nvars, top)[np.maximum(lengths - 1, 0)]
+    # top - 1 steps pass every rotation of every word
+    least, mirror = (
+        functools.reduce(np.minimum, _turns(t, lead, nvars, top - 1), t)
+        for t in (codes - base, back - base))
     return base + np.minimum(least, mirror), mirror < least, mirror == least
 
 
@@ -286,14 +275,11 @@ def bracelet_classes(nvars, max_order):
     words of length <= ``max_order``: the representatives in
     graded-lexicographic order, and a boolean mask of the classes closed
     under reversal.  The codes 1..code(n...n) number exactly those
-    words, so this is ``canonical_codes`` over that range, whose size
-    the caller bounds."""
-    counts = _code_powers(nvars, max_order)[1:]
-    codes = np.arange(1, word_count(nvars, max_order) + 1, dtype=np.int64)
-    keys, _, closed = canonical_codes(
-        codes, np.repeat(np.arange(1, max_order + 1), counts), nvars)
-    mine = keys == codes
-    return code_words(codes[mine], nvars), closed[mine]
+    words, so these are the classes of ``_class_index``, whose size the
+    caller bounds."""
+    reps = _class_index(nvars, True, max_order).reps[1:]
+    closed = canonical_codes(reps, code_lengths(reps, nvars), nvars)[2]
+    return code_words(reps, nvars), closed
 
 
 class MomentFunctional:
@@ -325,9 +311,6 @@ class MomentFunctional:
 
     def _check_word(self, word):
         self.check_order(len(word))
-        self._check_letters(word)
-
-    def _check_letters(self, word):
         for letter in word:
             if not 1 <= letter <= self.nvars:
                 raise ValueError(f"letter {letter} out of range 1..{self.nvars}")
@@ -339,25 +322,114 @@ class MomentFunctional:
         """phi(w) for the words w with these codes and lengths, as a
         complex array: the batch through which ``moment_matrix`` and
         ``pairing_gather`` read entries of H.  The longest word is
-        checked first; here each distinct word is then decoded, in code
-        order, and read by ``word_moments``."""
+        checked first; the backend's ``_read`` then reads the batch."""
+        lengths = np.asarray(lengths, dtype=np.int64)
         self.check_order(int(np.max(lengths, initial=0)))
+        return self._read(np.asarray(codes, dtype=np.int64), lengths)
+
+    def _read(self, codes, lengths):
+        # each distinct word decoded, in code order, and read by ``moment``
         codes, inverse = np.unique(codes, return_inverse=True)
-        return self.word_moments(code_words(codes, self.nvars))[inverse]
+        return np.array([self.moment(w) for w in code_words(
+            codes, self.nvars)], dtype=complex)[inverse]
 
     def word_moments(self, words):
-        """phi(w) for each of ``words``, as a complex array; here one
-        ``moment`` call per word, in order."""
-        return np.array([self.moment(w) for w in words], dtype=complex)
+        """phi(w) for each of ``words``, as a complex array, read by
+        ``code_moments``.  A bad word raises as ``moment`` would: the
+        first too long, else the first with a letter out of range."""
+        if max(map(len, words), default=0) > self.max_order:
+            for word in words:
+                self._check_word(word)
+        return self.code_moments(*word_codes(words, self.nvars))
 
 
-# cap on the codes a table's class index covers.  Building the index
-# costs about what one canonicalizing batch of the same codes does
-# (0.15-0.3 us a code), so it pays once the reads have asked each code,
-# as a Gram block of that length does.  2^14 codes cover the largest
-# table the benchmark reads (n = 3, order 8: 9,841 codes) and bound the
-# index to 80 KB and a first read that builds all of it to about 3 ms.
-_INDEX_CODES = 1 << 14
+# cap on the codes of a view of a class index, 5 bytes each: every word
+# over 3 letters to length 12 (797,161 codes), which a moment matrix of
+# that order asks anyway
+_INDEX_CAP = 1 << 20
+
+
+class _ClassIndex(NamedTuple):
+    """By code, the ``slot`` and ``flip`` of the words of length <=
+    ``top``; by slot, the code of the representative (``reps``)."""
+
+    top: int
+    slot: np.ndarray
+    flip: np.ndarray
+    reps: np.ndarray
+
+
+_NO_INDEX = _ClassIndex(-1, np.empty(0, dtype=np.int32),
+                        np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
+# the largest index built, by (nvars, bracelet), for the eight made last
+_INDEXES = {}
+_INDEX_LOCK = threading.Lock()
+
+
+def _class_index(nvars, bracelet, top):
+    """The read-only ``_ClassIndex`` of the bracelet classes when
+    ``bracelet``, else the reversal classes, of the words of length <=
+    ``top`` over ``nvars`` letters.  A slot is the rank of its
+    representative in code order, so this is a prefix of the largest
+    index built, which grows by appending the lengths it lacks."""
+    size = word_count(nvars, top) + 1
+    whole = _INDEXES.get((nvars, bracelet), _NO_INDEX)
+    if whole.top < top:
+        with _INDEX_LOCK:
+            whole = _INDEXES.get((nvars, bracelet), _NO_INDEX)
+            if whole.top < top:
+                codes = np.arange(len(whole.slot), size, dtype=np.int64)
+                keys, flip, _ = canonical_codes(
+                    codes, code_lengths(codes, nvars), nvars, bracelet)
+                # a key is a code of the same length, so its slot is the
+                # count of the representatives up to it
+                mine = keys == codes
+                slot = (mine.cumsum() + len(whole.reps) - 1)[keys - codes[0]]
+                whole = _ClassIndex(
+                    top, np.concatenate((whole.slot, slot), dtype=np.int32),
+                    np.concatenate((whole.flip, flip)),
+                    np.concatenate((whole.reps, codes[mine])))
+                for array in whole[1:]:
+                    array.flags.writeable = False
+            _INDEXES[nvars, bracelet] = whole
+            if len(_INDEXES) > 8:
+                del _INDEXES[next(iter(_INDEXES))]
+    return _ClassIndex(top, whole.slot[:size], whole.flip[:size],
+                       whole.reps[:np.searchsorted(whole.reps, size)])
+
+
+def _grown_index(index, nvars, bracelet, lengths):
+    """``index``, or the longer view a batch of words of these lengths
+    pays for: to the longest m for which it asks as many words of
+    lengths top < l <= m as the built index lacks codes up to m (a code
+    costs about as much to build as to canonicalize), within
+    ``_INDEX_CAP`` codes."""
+    asked = np.cumsum(np.bincount(lengths))
+    built = _INDEXES.get((nvars, bracelet), _NO_INDEX).top
+    have, top = word_count(nvars, max(index.top, built)), index.top
+    for m in range(index.top + 1, len(asked)):
+        size = word_count(nvars, m)
+        if size < _INDEX_CAP and asked[m] - asked[index.top] >= size - have:
+            top = m
+    return index if top == index.top else _class_index(nvars, bracelet, top)
+
+
+def _index_slots(index, codes, lengths, nvars, bracelet):
+    """(slot, flip, far) of a batch read through ``index``: slot 0 for a
+    code past it, and then far = (rest, keys, closed, repeat), the mask
+    of those codes and, canonicalized once per distinct code, their
+    class keys and closed flags, with the inverse that spreads them."""
+    rest = codes >= len(index.slot)
+    if not rest.any():
+        return index.slot[codes], index.flip[codes], None
+    at = np.where(rest, 0, codes)
+    slot, flip = index.slot[at], index.flip[at]
+    codes, first, repeat = np.unique(codes[rest], return_index=True,
+                                     return_inverse=True)
+    keys, turned, closed = canonical_codes(codes, lengths[rest][first], nvars,
+                                           bracelet)
+    flip[rest] = turned[repeat]
+    return slot, flip, (rest, keys, closed, repeat)
 
 
 class MomentTable(MomentFunctional):
@@ -365,27 +437,22 @@ class MomentTable(MomentFunctional):
 
     The table keeps the sorted codes of its stored words (see
     ``word_codes``) with their values, and with their standard errors
-    when ``stderr`` maps words to Monte Carlo standard errors.  A table
-    built by ``from_bracelets`` stores one word per bracelet class and
-    is never expanded: a word reads the value of its class by
-    ``canonical_codes``, conjugated when the word is flipped.  A
-    word-list table stores every word and its classes are the identity;
-    when built, it raises ``InvalidStateError`` unless each stored
-    word's reversal reads its conjugate and, when ``tracial``, each
-    rotation its value, within ``HERM_TOL``.  Values must be finite.
+    when ``stderr`` maps words to Monte Carlo standard errors.  A
+    word-list table stores every word and needs no class index: a code
+    is looked up in the stored codes, an absent one reading 0.  When
+    built, it raises ``InvalidStateError`` unless each stored word's
+    reversal reads its conjugate and, when ``tracial``, each rotation
+    its value, within ``HERM_TOL``.  Values must be finite.
 
-    Reads go through a class index: for every code up to that of
-    (n, ..., n) of length L, the slot of its class among the stored
-    codes (-1, read as 0, for an absent class) and its flip flag.  A
-    batch first grows L to its longest word, up to the longest length
-    <= ``max_order`` whose codes number at most ``_INDEX_CODES``, so
-    the index holds only the lengths read so far; it then reads each
-    covered code by one gather, and canonicalizes only its longer
-    codes, once per distinct word.  The grown index is published by one
-    assignment, so concurrent reads stay safe.  ``code_moments`` and
-    ``word_moments`` answer a whole batch at once; ``moment`` is a batch
-    of one word.  ``stored`` gives the stored words with their values
-    and standard errors.
+    A table built by ``from_bracelets`` stores one word per bracelet
+    class and is never expanded: a word reads the value of its class,
+    conjugated when flipped, by one gather, slot -> position -> value,
+    through a view of the bracelet class index (``_grown_index``) and
+    one int32 position per slot into the stored values, -1 if absent.
+    A code past the view looks its class key up in the stored codes.
+    The view is published with its positions by one assignment, so
+    concurrent reads stay safe.  ``moment`` is a batch of one word;
+    ``stored`` gives the stored words, values and standard errors.
     """
 
     def __init__(self, nvars, max_order, entries, tracial=False,
@@ -404,7 +471,8 @@ class MomentTable(MomentFunctional):
         part.  Raises ``BraceletError`` on a key that is not its class
         representative, or on a reversal-closed class whose value has an
         imaginary part over ``HERM_TOL``."""
-        table = cls(nvars, max_order, {}, tracial=True, norm_upper=norm_upper)
+        table = cls.__new__(cls)
+        MomentFunctional.__init__(table, nvars, max_order, True, norm_upper)
         table._store(values, stderr, bracelet=True)
         return table
 
@@ -414,15 +482,11 @@ class MomentTable(MomentFunctional):
         entries.setdefault((), 1.0 + 0j)
         self._values = self._sorted(entries, complex)
         self._errors = self._sorted(stderr, float) if stderr else None
-        # the stored values with a 0 after them, which slot -1 reads
-        self._cells = np.append(self._values[1], 0)
-        # the longest length whose codes the index may cover
-        top = 0
-        while (top < self.max_order
-               and word_count(self.nvars, top + 1) < _INDEX_CODES):
-            top += 1
-        self._index_top = top
-        self._index = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
+        # each stored value and its conjugate, then the 0s of position -1
+        values = self._values[1]
+        self._cells = np.append(np.stack((values, values.conj()), 1), [0, 0])
+        if bracelet:  # slot 0, the empty word's, holds the first value
+            self._view = _class_index(self.nvars, True, 0), np.int32([0])
 
     def _check_symmetry(self):
         # reversals, conjugated, then the rotations of each word when
@@ -435,8 +499,8 @@ class MomentTable(MomentFunctional):
             asked.append(rotated_codes(codes, lengths, self.nvars))
             owners.append(np.repeat(owners[0], np.maximum(lengths - 1, 0)))
         asked, owners = np.concatenate(asked), np.concatenate(owners)
-        read = self._lookup(asked, lengths[owners], int(lengths.max()))
-        read[:len(codes)] = read[:len(codes)].conj()
+        read = self._cells[2 * self._positions(asked)
+                           + (np.arange(len(asked)) < len(codes))]
         values = self._values[1][owners]
         bad = np.flatnonzero(np.abs(read - values) > HERM_TOL)
         if bad.size:
@@ -481,70 +545,31 @@ class MomentTable(MomentFunctional):
         order = np.argsort(codes)
         return codes[order], vals[order]
 
-    def code_moments(self, codes, lengths):
-        top = int(np.max(lengths, initial=0))
-        self.check_order(top)
-        return self._lookup(codes, lengths, top)
+    def _read(self, codes, lengths):
+        if not self.bracelet:
+            return self._cells[2 * self._positions(codes)]
+        index, pos = self._view
+        grown = _grown_index(index, self.nvars, True, lengths)
+        if grown is not index:
+            self._view = index, pos = grown, np.concatenate((
+                pos, self._positions(grown.reps[len(pos):])))
+        slot, flip, far = _index_slots(index, codes, lengths, self.nvars, True)
+        at = pos[slot]
+        if far is not None:
+            rest, keys, _, repeat = far
+            at[rest] = self._positions(keys)[repeat]
+        return self._cells[2 * at + flip]
 
-    def _lookup(self, codes, lengths, longest):
-        slot, flip = self._grown(longest)
-        covered = codes < len(slot)
-        at = np.where(covered, codes, 0)
-        slot, flip = slot[at], flip[at]
-        if not covered.all():
-            # codes past the index: one canonicalization per distinct word
-            rest = ~covered
-            codes, first, repeat = np.unique(codes[rest], return_index=True,
-                                             return_inverse=True)
-            far, turned = self._slots(codes, lengths[rest][first])
-            slot[rest], flip[rest] = far[repeat], turned[repeat]
-        found = self._cells[slot]
-        np.conjugate(found, out=found, where=flip)
-        return found
-
-    def _slots(self, codes, lengths):
-        """(slot, flip) of the words with these codes and lengths: the
-        position of the code of each word's class among the stored codes,
-        -1 when the class is absent, and whether the value is conjugated.
-        This is the class rule, ``canonical_codes``; the index is built
-        from it."""
+    def _positions(self, keys):
+        """The int32 position of each code of ``keys`` among the stored
+        codes, -1 where it is absent."""
         stored = self._values[0]
-        keys, flipped, _ = canonical_codes(codes, lengths, self.nvars,
-                                           self.bracelet)
         # a binary search over sorted keys is several times faster
         order = np.argsort(keys)
-        at = np.empty_like(order)
+        at = np.empty(len(keys), dtype=np.int32)
         at[order] = np.searchsorted(stored, keys[order])
         np.minimum(at, len(stored) - 1, out=at)
-        found = stored[at] == keys
-        # an absent class reads 0, never its conjugate -0j
-        return np.where(found, at, -1), flipped & found
-
-    def _grown(self, longest):
-        """The class index, grown to cover every word of length at most
-        ``longest`` and ``_index_top``."""
-        slot, flip = self._index
-        top = min(longest, self._index_top)
-        size = word_count(self.nvars, top) + 1
-        if size <= len(slot):
-            return slot, flip
-        # Codes are graded, so the words of length <= m are exactly the
-        # codes 0..code(n...n) of length m, and growing appends codes.
-        # Concurrent reads may each grow the index; the builds agree on
-        # the codes they share, and each is published by one assignment.
-        codes = np.arange(len(slot), size, dtype=np.int64)
-        # the last code of each length, where searchsorted finds lengths
-        ends = [word_count(self.nvars, m) for m in range(top + 1)]
-        more, turned = self._slots(codes, np.searchsorted(ends, codes))
-        slot = np.concatenate((slot, more), dtype=np.int32)
-        flip = np.concatenate((flip, turned))
-        self._index = slot, flip
-        return slot, flip
-
-    def word_moments(self, words):
-        # checked before the words are coded
-        self.check_order(max(map(len, words), default=0))
-        return self.code_moments(*word_codes(words, self.nvars))
+        return np.where(stored[at] == keys, at, np.int32(-1))
 
     def moment(self, word):
         return complex(self.word_moments((tuple(word),))[0])
@@ -563,12 +588,7 @@ class MomentTable(MomentFunctional):
 # cap on CumulantSpec.max_order: a dense spec costs up to 2^(m-1) block
 # choices for each new class of words of length m
 MAX_CUMULANT_ORDER = 16
-# cap on the codes a cumulant state's class index covers: every word over
-# 3 letters to length 12 (797,161 codes) in 5 MB, the codes a moment
-# matrix of that order asks anyway.  Past it, classes are canonicalized
-# and evaluated one by one as they are read.
-_CLASS_INDEX_CODES = 1 << 20
-# classes whose subword keys ``_class_index`` forms at once
+# classes whose subword keys ``_class_parts`` forms at once
 _GAP_ROWS = 1 << 12
 # _TRI[b] + a - 1 is the place of the subword w[a:b], 1 <= a <= b, in
 # the gap list ``_first_block_sum`` reads
@@ -688,41 +708,25 @@ def _hermitian_parts(words, values):
     return list(kappa), np.array(list(kappa.values()), dtype=complex)
 
 
-class _ClassIndex(NamedTuple):
-    """By code, the ``slot`` and ``flip`` of the words of length <=
-    ``top``; by slot, in code order, the representative's word, whether
-    it is ``closed``, and the keys 2 slot + flip of its subwords
-    (``_subword_codes``), an empty one's 1."""
-
-    top: int
-    slot: np.ndarray
-    flip: np.ndarray
-    words: list
-    closed: list
-    gaps: np.ndarray
-
-
 @functools.lru_cache(maxsize=8)
-def _class_index(nvars, cyclic, top):
-    """The read-only ``_ClassIndex`` of the bracelet classes when
-    ``cyclic``, else the reversal classes, over ``nvars`` letters.  A
-    slot is a rank in code order, so the index of a shorter top is a
-    prefix of this one."""
-    codes = np.arange(word_count(nvars, top) + 1, dtype=np.int64)
-    keys, flip, closed = canonical_codes(codes, code_lengths(codes, nvars),
-                                         nvars, cyclic, reversal=True)
-    reps = codes[keys == codes]
-    slot = np.searchsorted(reps, keys).astype(np.int32)
+def _class_parts(nvars, bracelet, top):
+    """What the cumulant recursion reads of the classes of
+    ``_class_index(nvars, bracelet, top)``, by slot: the representative's
+    word, whether its class is ``closed``, and the keys 2 slot + flip of
+    its subwords (``_subword_codes``), an empty one's 1.  Tables never
+    build it."""
+    index = _class_index(nvars, bracelet, top)
+    reps = index.reps
+    lengths = code_lengths(reps, nvars)
+    closed = canonical_codes(reps, lengths, nvars, bracelet)[2]
     gaps = np.ones((len(reps), _TRI[top + 1]), dtype=np.int32)
     for lo in range(0, len(reps), _GAP_ROWS):
-        part = reps[lo:lo + _GAP_ROWS]
-        sub = _subword_codes(part, code_lengths(part, nvars), nvars)[0]
+        sub = _subword_codes(reps[lo:lo + _GAP_ROWS],
+                             lengths[lo:lo + _GAP_ROWS], nvars)[0]
         gaps[lo:lo + _GAP_ROWS, :sub.shape[1]] = np.maximum(
-            2 * slot[sub] + flip[sub], 1)
-    for array in (slot, flip, gaps):
-        array.flags.writeable = False
-    return _ClassIndex(top, slot, flip, code_words(reps, nvars),
-                       closed[keys == codes].tolist(), gaps)
+            2 * index.slot[sub] + index.flip[sub], 1)
+    gaps.flags.writeable = False
+    return code_words(reps, nvars), closed.tolist(), gaps
 
 
 def _subword_codes(codes, lengths, nvars):
@@ -751,16 +755,17 @@ class CumulantState(MomentFunctional):
     Hermitian, so phi(rev w) = conj phi(w); a ``cyclic`` spec's phi is
     also tracial.  The state keeps one value per class, bracelet classes
     for a cyclic spec and reversal classes otherwise, read by word code
-    through a shared ``_class_index`` grown by length as reads ask, up
-    to ``_CLASS_INDEX_CODES`` codes; longer words are canonicalized as
-    read, their classes taking slots past the index.  A class is
-    evaluated once, on its representative, by ``_first_block_sum``, its
-    gap subwords read by key, a missing one evaluated first.  A batch is
-    one gather; its missing classes are evaluated in slot order (code
-    order within the index), each through ``moment``, so a wrapper of
-    ``moment`` sees one call per class.  ``_memo`` is a read-only view of
-    the evaluated classes.  Reads take no lock: a value is stored after
-    its conjugate, and the index and values only grow, under the lock.
+    through a view of the class index of that mode (``_grown_index``): a
+    class in the view by its slot, one past it by its code, copied to
+    its slot when the view grows over it.  A class is evaluated once, on
+    its representative, by ``_first_block_sum``, its gap subwords read
+    by key (``_class_parts``) or, past the view, by code, a missing one
+    evaluated first.  A batch is one gather; its missing classes are
+    evaluated in code order, each through ``moment``, so a wrapper of
+    ``moment`` sees one call per class.  ``_memo`` is a read-only view
+    of the evaluated classes.  Reads take no lock: a value is stored
+    after its conjugate, and the view and values only grow, under the
+    lock.
     """
 
     def __init__(self, spec, norm_upper=None):
@@ -771,18 +776,11 @@ class CumulantState(MomentFunctional):
         # the value and conjugate of each class slot; slot 0 is the empty
         # word, whose conjugate place holds the float 1.0 of an empty gap
         self._both = [1.0 + 0j, 1.0]
-        self._index = None
-        # classes past the index: slot by code, (word, closed) by slot
-        self._far, self._far_reps = {}, []
-        self._jobs = {}  # the class slots a batch hands ``moment``, by word
+        self._index = _class_index(self.nvars, spec.cyclic, 0)
+        self._parts = None  # ``_class_parts``, built to evaluate
+        self._far = {}  # the values of classes past the view, by code
+        self._jobs = {}  # the evaluations a batch hands ``moment``, by word
         self._lock = threading.Lock()
-        top = 0
-        while (top < self.max_order
-               and word_count(self.nvars, top + 1) <= _CLASS_INDEX_CODES):
-            top += 1
-        self._index_top = top
-        # an index of at most _INDEX_CODES codes is built whole at once
-        self._whole = word_count(self.nvars, top) <= _INDEX_CODES
 
     @property
     def _memo(self):
@@ -794,106 +792,89 @@ class CumulantState(MomentFunctional):
         if job is not None:
             return self._evaluate(job)
         self._check_word(word)
-        key = self._key(word)
-        if self._both[key] is _MISSING:
-            self._evaluate(key >> 1)
-        return self._both[key]
-
-    def word_moments(self, words):
-        # a bad word raises as ``moment`` would: the first too long, else
-        # the first with a letter out of range
-        if max(map(len, words), default=0) > self.max_order:
-            for word in words:
-                self._check_word(word)
-        return self.code_moments(*word_codes(words, self.nvars))
-
-    def code_moments(self, codes, lengths):
-        lengths = np.asarray(lengths, dtype=np.int64)
-        self.check_order(int(np.max(lengths, initial=0)))
-        slot, flip = self._classes(np.asarray(codes, dtype=np.int64), lengths)
-        found = np.array(self._both[::2])[slot]
-        missing = np.isnan(found)
-        if missing.any():
-            # a set, not np.unique, which would load numpy.ma on first use
-            for s in sorted(set(slot[missing].tolist())):
-                word = self._class(s)[0]
-                if self._both[2 * s] is _MISSING:
-                    self._jobs[word] = s
-                    self.moment(word)
-            found = np.array(self._both[::2])[slot]
-        np.conjugate(found, out=found, where=flip)
-        return found
-
-    def _key(self, word):
-        """2 slot + flip of the class of the checked ``word``."""
         code, n = 0, self.nvars
         for letter in word:
             code = code * n + letter
-        index = self._grown(len(word))
+        index = self._index
         if code < len(index.slot):
-            return 2 * int(index.slot[code]) + bool(index.flip[code])
-        _code_powers(n, len(word))  # refuses a code past 64 bits
-        slot, flip = self._classes(np.array([code]), np.array([len(word)]))
-        return 2 * int(slot[0]) + bool(flip[0])
+            key = 2 * int(index.slot[code]) + bool(index.flip[code])
+            if self._both[key] is _MISSING:
+                self._evaluate(key >> 1)
+            return self._both[key]
+        return complex(self._read(*word_codes([word], n), False)[0])
 
-    def _grown(self, longest):
-        """The class index over the words of length at most ``longest``
-        and ``_index_top``, the values grown to its classes."""
-        top = self._index_top if self._whole else min(longest,
-                                                       self._index_top)
-        if self._index is None or top > self._index.top:
-            index = _class_index(self.nvars, self.spec.cyclic, top)
-            with self._lock:
-                # no class is past the index until it reaches its top
-                if self._index is None or top > self._index.top:
-                    grow = len(index.words) - len(self._both) // 2
-                    self._both += [_MISSING, _MISSING] * grow
-                    self._index = index
-        return self._index
+    def _read(self, codes, lengths, queue=True):
+        """phi of these words; each missing class is evaluated, in code
+        order, by ``moment`` on its representative with the evaluation
+        queued, or at once without ``queue``."""
+        n, cyclic = self.nvars, self.spec.cyclic
+        index = _grown_index(self._index, n, cyclic, lengths)
+        self._grow(index)
+        slot, flip, far = _index_slots(index, codes, lengths, n, cyclic)
+        found = np.array(self._both[::2])[slot]
+        jobs = [(self._class(s)[0], s)
+                for s in sorted(set(slot[np.isnan(found)].tolist()))]
+        if far is not None:
+            rest, keys, closed, repeat = far
+            for key, shut in sorted(set(zip(keys.tolist(), closed.tolist()))):
+                if self._class_value(key) is _MISSING:
+                    word = code_word(key, n)
+                    jobs.append((word, functools.partial(
+                        self._evaluate_far, word, key, shut)))
+        for word, job in jobs:
+            if queue:
+                self._jobs[word] = job
+                self.moment(word)
+            else:
+                self._evaluate(job)
+        if jobs:
+            found = np.array(self._both[::2])[slot]
+        if far is not None:
+            found[rest] = np.array(list(map(self._class_value,
+                                            keys.tolist())))[repeat]
+        np.conjugate(found, out=found, where=flip)
+        return found
 
-    def _classes(self, codes, lengths):
-        """(slot, flip) of the words with these codes and lengths, read
-        from the index grown to cover them as far as it may; a word past
-        it is canonicalized, and a class new to the state takes the next
-        slot."""
-        index = self._grown(int(np.max(lengths, initial=0)))
-        covered = codes < len(index.slot)
-        at = np.where(covered, codes, 0)
-        slot, flip = index.slot[at], index.flip[at]
-        if not covered.all():
-            rest = ~covered
-            far, first, repeat = np.unique(codes[rest], return_index=True,
-                                           return_inverse=True)
-            keys, turned, closed = canonical_codes(
-                far, lengths[rest][first], self.nvars, self.spec.cyclic,
-                reversal=True)
-            with self._lock:
-                for key, shut in zip(keys.tolist(), closed.tolist()):
-                    if key not in self._far:
-                        self._far[key] = len(self._both) // 2
-                        self._far_reps.append((code_word(key, self.nvars),
-                                               shut))
-                        self._both += [_MISSING, _MISSING]
-            slot[rest] = np.array([self._far[key] for key in keys.tolist()],
-                                  dtype=np.int32)[repeat]
-            flip[rest] = turned[repeat]
-        return slot, flip
+    def _grow(self, index):
+        """Publish a longer view ``index``, copying far classes it covers."""
+        with self._lock:
+            if index.top > self._index.top:
+                self._both += [_MISSING, _MISSING] * (len(index.reps)
+                                                      - len(self._both) // 2)
+                for code, value in self._far.items():
+                    if code < len(index.slot):
+                        self._put(int(index.slot[code]), value)
+                self._index = index
+
+    def _put(self, slot, value):
+        both = self._both
+        both[2 * slot + 1] = value.conjugate()
+        both[2 * slot] = value
 
     def _class(self, slot):
         """(representative, closed, keys of its subwords) of a slot."""
+        parts = self._parts
+        if parts is None or slot >= len(parts[0]):
+            # those of the process's index, which the view is a prefix of
+            key = self.nvars, self.spec.cyclic
+            top = min(_INDEXES.get(key, _NO_INDEX).top, self.max_order)
+            parts = self._parts = _class_parts(*key, max(top, self._index.top))
+        word = parts[0][slot]
+        return word, parts[1][slot], parts[2][slot, :_TRI[len(word) + 1]]
+
+    def _class_value(self, code):
+        """The value of the class whose representative has code ``code``,
+        ``_MISSING`` before it is evaluated."""
         index = self._index
-        if slot < len(index.words):
-            word = index.words[slot]
-            return (word, index.closed[slot],
-                    index.gaps[slot, :_TRI[len(word) + 1]].tolist())
-        word, closed = self._far_reps[slot - len(index.words)]
-        sub, sizes = _subword_codes(*word_codes([word], self.nvars),
-                                    self.nvars)
-        slots, flips = self._classes(sub.ravel(), sizes.ravel())
-        return word, closed, np.maximum(2 * slots + flips, 1).tolist()
+        if code < len(index.slot):
+            return self._both[2 * int(index.slot[code])]
+        return self._far.get(code, _MISSING)
 
     def _evaluate(self, slot):
+        if callable(slot):  # the evaluation of a class past the view
+            return slot()
         word, closed, keys = self._class(slot)
+        keys = keys.tolist()
         both = self._both
         gaps = [both[key] for key in keys]
         if _MISSING in gaps:  # shorter classes, evaluated first
@@ -901,21 +882,35 @@ class CumulantState(MomentFunctional):
                 if both[key] is _MISSING:
                     self._evaluate(key >> 1)
             gaps = [both[key] for key in keys]
+        value = self._sum(word, closed, gaps)
+        self._put(slot, value)
+        return value
+
+    def _evaluate_far(self, word, code, closed):
+        # the gaps read by code, an empty one as the float 1.0
+        sub, sizes = _subword_codes(np.array([code]), np.array([len(word)]),
+                                    self.nvars)
+        gaps = self._read(sub[0], sizes[0], False).tolist()
+        value = self._sum(word, closed, [gap if size else 1.0 for gap, size
+                                         in zip(gaps, sizes[0].tolist())])
+        with self._lock:
+            self._far[code] = value
+            if code < len(self._index.slot):  # the view grew over it
+                self._put(int(self._index.slot[code]), value)
+        return value
+
+    def _sum(self, word, closed, gaps):
         value = _first_block_sum(self.spec.blocks, self._kappa, word, gaps)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise BudgetExceededError(
                 f"moment of word {list(word)} overflows double precision")
-        if closed:
-            value = complex(value.real)
-        both[2 * slot + 1] = value.conjugate()
-        both[2 * slot] = value
-        return value
+        return complex(value.real) if closed else value
 
 
 class _EvaluatedClasses:
     """``word in view`` says whether the class of ``word`` holds its
-    value in ``state``; ``len(view)`` counts those classes, the empty
-    word's included."""
+    value in ``state``, and ``len(view)`` counts those classes, the
+    empty word's included; neither grows the view nor stores a value."""
 
     def __init__(self, state):
         self._state = state
@@ -924,12 +919,16 @@ class _EvaluatedClasses:
         state, word = self._state, tuple(word)
         try:
             state._check_word(word)
-            return state._both[state._key(word)] is not _MISSING
+            key = canonical_codes(*word_codes([word], state.nvars),
+                                  state.nvars, state.spec.cyclic)[0]
         except (ValueError, BudgetExceededError):
             return False
+        return state._class_value(int(key[0])) is not _MISSING
 
     def __len__(self):
-        return sum(value is not _MISSING for value in self._state._both[::2])
+        state = self._state
+        return (sum(value is not _MISSING for value in state._both[::2])
+                + sum(code >= len(state._index.slot) for code in state._far))
 
 
 def _block_trie(words):

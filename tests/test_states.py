@@ -186,11 +186,11 @@ def test_class_store_holds_one_value_per_class(monkeypatch, rng, batch):
     assert len(bracelets_up_to(2, 8, min_len=1)) == 84
 
 
-@pytest.mark.parametrize("cap", [states._CLASS_INDEX_CODES, 40, 1])
+@pytest.mark.parametrize("cap", [states._INDEX_CAP, 40, 1])
 def test_class_store_matches_the_word_memo(monkeypatch, rng, cap):
     # byte for byte, signed zeros included, on every word, in and past
     # the class index, against a memo keyed by word tuple
-    monkeypatch.setattr(states, "_CLASS_INDEX_CODES", cap)
+    monkeypatch.setattr(states, "_INDEX_CAP", cap)
     specs = [rand_cumulant_spec(rng, n, order, cyclic=cyclic)
              for n, order in ((1, 8), (2, 6), (3, 4)) for cyclic in (True, False)]
     specs += [centered_free_poisson(2, 6).spec, _dense_hermitian_spec(2, 6, 3)]
@@ -200,21 +200,51 @@ def test_class_store_matches_the_word_memo(monkeypatch, rng, cap):
         want = [repr(oracle.moment(w)) for w in words]
         state = CumulantState(spec)
         assert list(map(repr, state.word_moments(words).tolist())) == want
+        assert len(state._index.slot) <= cap
         lone = CumulantState(spec)
         assert [repr(lone.moment(w)) for w in words[::-1]] == want[::-1]
         assert len(state._memo) == len(lone._memo) == oracle.evaluations + 1
 
 
-def test_lone_long_moment_at_many_letters_runs_past_the_index():
-    # 20 letters: the class index stops at length 4, and a word of length
-    # 12 evaluates only the classes its gaps reach
-    kappa = {(i, i): 1.0 for i in range(1, 21)}
+def _many_letters():
+    """A non-cyclic spec over 30 letters, to order 12, and a long word
+    whose gaps reach few classes."""
+    kappa = {(i, i): 1.0 for i in range(1, 31)}
     kappa.update({(i, j, i): 0.1 for i in (1, 2, 3) for j in (1, 2, 3)})
-    spec = CumulantSpec(20, kappa, max_order=12)
-    word = (1, 2, 1, 1, 3, 1, 2, 2, 1, 3, 3, 1)
+    return (CumulantSpec(30, kappa, max_order=12),
+            (1, 2, 1, 1, 3, 1, 2, 2, 1, 3, 3, 1))
+
+
+def test_lone_long_moment_at_many_letters_runs_past_the_index(monkeypatch):
+    # one word of length 12 pays for no length of the class index (30
+    # codes of length 1 against the 12 gaps of that length it reads), so
+    # it and the classes its gaps reach are canonicalized and evaluated
+    # one by one
+    monkeypatch.setattr(states, "_INDEXES", {})
+    spec, word = _many_letters()
     state = CumulantState(spec)
-    assert state.moment(word) == bruteforce.WordMemoState(spec).moment(word)
-    assert state._index.top == 4 and len(state._memo) < 100
+    assert (repr(state.moment(word))
+            == repr(bruteforce.WordMemoState(spec).moment(word)))
+    assert state._index.top == 0 and len(state._both) == 2
+    assert states._INDEXES[30, False].top == 0
+    assert 1 < len(state._memo) < 100
+
+
+def test_memo_membership_grows_nothing(monkeypatch):
+    monkeypatch.setattr(states, "_INDEXES", {})
+    spec, word = _many_letters()
+    state = CumulantState(spec)
+    index, cells = state._index, len(state._both)
+    for _ in range(2):
+        assert word not in state._memo and (1, 1) not in state._memo
+        assert state._index is index and len(state._both) == cells
+        assert not state._far and len(state._memo) == 1
+    state.moment(word)
+    # the class holds the reversal too, and the read grew nothing
+    assert word in state._memo and word[::-1] in state._memo
+    assert (4, 5) not in state._memo
+    assert state._index is index and len(state._both) == cells
+    assert states._INDEXES[30, False].top == 0
 
 
 def test_cumulant_state_dies_with_its_last_reference():

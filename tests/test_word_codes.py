@@ -6,6 +6,7 @@ a small cap too), the solver and writer paths running without the word
 maps, and the code-keyed pairing path against the tuple-keyed oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,13 +71,8 @@ def test_canonicalizer_matches_bracelet_rep_on_every_word(n, order):
     reps, closed = bracelet_classes(n, order)
     assert reps == bruteforce.bracelets_up_to(n, order, min_len=1)
     assert closed.tolist() == [not bracelet_orbit(w)[1] for w in reps]
-    # a word-list table is its own class
-    keys, flipped, closed = canonical_codes(codes, lengths, n, bracelet=False)
-    assert keys.tolist() == codes.tolist()
-    assert not flipped.any() and not closed.any()
     # a reversal class is a word and its reversal, by the lesser code
-    keys, flipped, closed = canonical_codes(codes, lengths, n, bracelet=False,
-                                            reversal=True)
+    keys, flipped, closed = canonical_codes(codes, lengths, n, bracelet=False)
     assert [code_word(key, n) for key in keys.tolist()] == [
         min(w, w[::-1]) for w in words]
     assert flipped.tolist() == [w[::-1] < w for w in words]
@@ -110,8 +106,9 @@ def test_codes_stop_at_the_int64_boundary(n, longest):
         canonical_codes([0], [longest + 1], n)
     table = MomentTable.from_bracelets(n, 2 * longest, {(1, 1): 1.0})
     assert table.moment(words[1]) == 0
-    # the class index stops at its cap; longer words are read past it
-    assert len(table._index[0]) <= states._INDEX_CODES < codes[1]
+    # the view of the class index stays within its cap; longer words
+    # are read past it
+    assert len(table._view[0].slot) <= states._INDEX_CAP < codes[1]
     assert table.word_moments([(1, 1), words[0]]).tolist() == [1, 0]
     with pytest.raises(BudgetExceededError):
         table.moment(too_long)
@@ -163,49 +160,77 @@ def _tables(n, order, seed):
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
        st.data())
 def test_batch_lookups_equal_scalar_lookups(n, order, seed, data):
-    # a small index cap sends the longer codes down the canonicalizing
-    # path, beside the codes the index covers in the same batch
-    cap = data.draw(st.sampled_from((1, 5, 40, states._INDEX_CODES)))
+    # a first batch of every word up to some length pays for the view of
+    # the class index to that length, within the cap, so the batches
+    # after it read short codes through the view and longer ones past
+    # it; a small cap sends more codes down the far path
+    cap = data.draw(st.sampled_from((1, 5, 40, states._INDEX_CAP)))
     all_words = words_up_to(n, order)
+    tables = _tables(n, order, seed)
+    # a sparse word-list table whose codes run far past the cap
+    sparse = {(1,) * 40: 0.5}
+    tables.append((MomentTable(2, 40, sparse, tracial=True),
+                   {(): 1 + 0j, **sparse}))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(states, "_INDEX_CODES", cap)
-        tables = _tables(n, order, seed)
-    for table, want in tables:
-        stored = sorted(want, key=lambda w: (len(w), w))
-        # stored words, their rotations and reversals, and any word
-        picks = data.draw(st.lists(st.sampled_from(stored), max_size=8))
-        asked = (picks + [r for w in picks for r in rotations(w)]
-                 + [w[::-1] for w in picks]
-                 + data.draw(st.lists(st.sampled_from(all_words), max_size=8)))
-        got = table.word_moments(asked)
-        assert got.dtype == complex
-        for w, value in zip(asked, got.tolist()):
-            assert value == table.moment(w) == want.get(w, 0)
-        # the same words asked by code, as the pairings ask
-        coded = table.code_moments(*word_codes(asked, n))
-        assert coded.tolist() == got.tolist()
-        assert len(table._index[0]) <= cap
+        patch.setattr(states, "_INDEX_CAP", cap)
+        for table, want in tables:
+            words = words_up_to(table.nvars, data.draw(st.integers(0, order)))
+            table.word_moments(words)
+            stored = sorted(want, key=lambda w: (len(w), w))
+            # stored words, their rotations and reversals, and any word
+            picks = data.draw(st.lists(st.sampled_from(stored), max_size=8))
+            asked = (picks + [r for w in picks for r in rotations(w)]
+                     + [w[::-1] for w in picks]
+                     + data.draw(st.lists(st.sampled_from(all_words),
+                                          max_size=8)))
+            asked = [w for w in asked if max(w, default=1) <= table.nvars]
+            tracemalloc.start()
+            got = table.word_moments(asked)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert got.dtype == complex
+            for w, value in zip(asked, got.tolist()):
+                assert value == table.moment(w) == want.get(w, 0)
+            # the same words asked by code, as the pairings ask
+            coded = table.code_moments(*word_codes(asked, table.nvars))
+            assert coded.tolist() == got.tolist()
+            if table.bracelet:
+                assert len(table._view[0].slot) <= cap
+            else:
+                # no class index, and nothing allocated by code range
+                assert not hasattr(table, "_view") and peak < 1 << 20
 
 
-def test_index_grows_with_the_longest_word_read():
-    # a short first read of a long table maps only the short codes
+def test_view_grows_only_as_batches_pay(monkeypatch):
+    monkeypatch.setattr(states, "_INDEXES", {})
     table = MomentTable.from_bracelets(2, 40, {(1, 1): 1.0, (1, 2, 2): 0.5})
+    # a lone read pays for no length: it is read past the view
     assert table.moment((1, 1)) == 1
-    short = table._index[0]
-    assert len(short) == 7  # the codes of the words of length <= 2
-    # a longer read appends the codes up to its length
-    assert table.word_moments([(2, 1, 2), (2,)]).tolist() == [0.5, 0]
-    assert len(table._index[0]) == 15
-    assert table._index[0][:7].tolist() == short.tolist()
-    # a shorter one leaves the index as it is
-    grown = table._index
-    assert table.moment((1, 2)) == 0
-    assert table._index is grown
-    # a read past the cap grows the index to the cap alone
-    assert table.moment((1,) * 40) == 0
-    top = table._index_top
-    assert (len(table._index[0]) == states.word_count(2, top) + 1
-            <= states._INDEX_CODES < states.word_count(2, top + 1) + 1)
+    assert table._view[0].top == 0
+    # every word of length <= 2 pays for the codes up to length 2
+    assert table.word_moments(words_up_to(2, 2)).tolist() == [1, 0, 0, 1,
+                                                              0, 0, 0]
+    short = table._view[0].slot
+    assert len(short) == 7
+    # the 8 words of length 3 pay for the 8 codes of that length, which
+    # are appended
+    read = table.word_moments(words_up_to(2, 3, min_len=3)).tolist()
+    assert read == [0, 0, 0, 0.5, 0, 0.5, 0.5, 0]
+    assert len(table._view[0].slot) == 15
+    assert table._view[0].slot[:7].tolist() == short.tolist()
+    # a shorter read leaves the view as it is, and so does a lone read
+    # past it
+    grown = table._view
+    assert table.moment((1, 2)) == 0 and table.moment((1,) * 40) == 0
+    assert table._view is grown
+    # another table of the same letters reads the index built for the
+    # first: its view grows for free to the longest word read
+    other = MomentTable.from_bracelets(2, 40, {(1, 2): 0.25})
+    assert other.moment((2, 1)) == 0.25 and len(other._view[0].slot) == 7
+    # a batch grows the view to the cap at most
+    monkeypatch.setattr(states, "_INDEX_CAP", 100)
+    assert len(other.word_moments(words_up_to(2, 7))) == 255
+    assert other._view[0].top == 5  # 63 codes; length 6 would take 127
 
 
 def test_lookups_check_letters_and_order():
@@ -339,13 +364,13 @@ def test_code_pairings_match_the_tuple_oracle_byte_for_byte(case, block):
 def test_a_table_reads_its_moment_matrix_in_one_batch(monkeypatch):
     table = trace_state(np.random.default_rng(8), 2, 4, 8)[0]
     calls = []
-    lookup = MomentTable._lookup
+    lookup = MomentTable.code_moments
 
-    def counted(self, codes, lengths, longest):
+    def counted(self, codes, lengths):
         calls.append(len(codes))
-        return lookup(self, codes, lengths, longest)
+        return lookup(self, codes, lengths)
 
-    monkeypatch.setattr(MomentTable, "_lookup", counted)
+    monkeypatch.setattr(MomentTable, "code_moments", counted)
     hankel = moment_matrix(table)
     # one gather over the codes of all 31 x 31 pairs of words of length
     # <= 4, not one per leg or per term

@@ -1,12 +1,12 @@
-"""Wall time and peak RSS of cold n = 3, d = 6 solves, one case per process.
+"""Wall time and peak RSS of cold reads and solves, one case per process.
 
-    python3 tools/scale_rows.py            # every case, a, b and c
+    python3 tools/scale_rows.py            # every case, a, b, c and d
     python3 tools/scale_rows.py --case a   # one case, in this process
 
-Each case runs in a fresh interpreter with one BLAS thread.  It builds a
-state over 3 letters to order 12, then times a cold
+Each case runs in a fresh interpreter with one BLAS thread.  Cases a, b
+and c build a state over 3 letters to order 12, then time a cold
 ``poincare_lower_bound`` plus ``minimal_kernel`` (quadratic potential)
-at degree 6, the 1,092 words of degree <= 6, and reports that wall time
+at degree 6, the 1,092 words of degree <= 6, and report that wall time
 and the process's peak RSS (which includes building the state):
 
 * a -- ``centered_free_poisson(3, 12)``, a cumulant state, with its
@@ -18,9 +18,14 @@ and the process's peak RSS (which includes building the state):
 * c -- case a as a class-stored ``MomentTable``, one value per bracelet
   class, evaluated before the timer starts.
 
+Case d times one cold ``CumulantState.moment`` of a word of length 12
+over 30 letters (a non-cyclic spec to order 12: kappa(i, i) = 1 and
+kappa(i, j, i) = 0.1 for i, j <= 3), which must not build the class
+index of those letters, and prints the value read.
+
 One line is printed per case:
 
-    <case> wall_s <seconds> peak_rss_mb <MB> [evaluations <k> stored <k> classes <k>]
+    <case> wall_s <seconds> peak_rss_mb <MB> [evaluations <k> stored <k> classes <k> | value <repr>]
 """
 
 import argparse
@@ -31,7 +36,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CASES = ("a", "b", "c")
+CASES = ("a", "b", "c", "d")
 NVARS, ORDER, DEGREE = 3, 12, 6
 
 
@@ -54,7 +59,26 @@ def _state(case, states):
     return phi
 
 
+def _lone_read():
+    """(state, word) of case d."""
+    from freestein import CumulantSpec, CumulantState
+
+    kappa = {(i, i): 1.0 for i in range(1, 31)}
+    kappa.update({(i, j, i): 0.1 for i in (1, 2, 3) for j in (1, 2, 3)})
+    return (CumulantState(CumulantSpec(30, kappa, max_order=12)),
+            (1, 2, 1, 1, 3, 1, 2, 2, 1, 3, 3, 1))
+
+
 def run_case(case):
+    if case == "d":
+        phi, word = _lone_read()
+        start = time.perf_counter()
+        value = phi.moment(word)
+        wall = time.perf_counter() - start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"d wall_s {wall:.4f} peak_rss_mb {peak:.1f} value {value!r}",
+              flush=True)
+        return
     from freestein import (SteinProblem, minimal_kernel, poincare_lower_bound,
                            quadratic_potential, states)
 
