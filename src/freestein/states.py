@@ -209,11 +209,12 @@ def reversed_codes(codes, lengths, nvars):
 def _turns(turn, lead, nvars, steps):
     """The base-n values ``turn`` of words w, with n^(|w| - 1) = ``lead``,
     after each of ``steps`` steps that move every word's last letter to
-    its front."""
+    its front, each yielded with the letters that step moved."""
     for _ in range(steps):
         rest = turn // nvars
-        turn = rest + (turn - rest * nvars) * lead
-        yield turn
+        last = turn - rest * nvars
+        turn = rest + last * lead
+        yield turn, last
 
 
 def rotated_codes(codes, lengths, nvars):
@@ -228,7 +229,7 @@ def rotated_codes(codes, lengths, nvars):
     out = np.empty(int(count.sum()), dtype=np.int64)
     turns = _turns(codes - base, _code_powers(nvars, top)[count], nvars,
                    top - 1)
-    for step, turn in enumerate(turns, 1):
+    for step, (turn, _) in enumerate(turns, 1):
         live = np.flatnonzero(lengths > step)
         out[starts[live] + lengths[live] - step - 1] = (base + turn)[live]
     return out
@@ -257,16 +258,27 @@ def canonical_codes(codes, lengths, nvars, bracelet=True):
     """
     codes = np.asarray(codes, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    back = reversed_codes(codes, lengths, nvars)
     if not bracelet:
+        back = reversed_codes(codes, lengths, nvars)
         return np.minimum(codes, back), back < codes, back == codes
     top = int(lengths.max(initial=0))
+    powers = _code_powers(nvars, top)
     base = _offsets(nvars, top)[lengths]
-    lead = _code_powers(nvars, top)[np.maximum(lengths - 1, 0)]
-    # top - 1 steps pass every rotation of every word
-    least, mirror = (
-        functools.reduce(np.minimum, _turns(t, lead, nvars, top - 1), t)
-        for t in (codes - base, back - base))
+    lead = powers[np.maximum(lengths - 1, 0)]
+    # Each step moves the last letter of every word to the front, so
+    # top - 1 steps pass every rotation.  The letters moved, read in
+    # turn for top steps, spell the reversal followed by top - L
+    # letters more, which the last division drops.
+    turn = codes - base  # the base-n value of the letters minus one
+    least, back = turn.copy(), np.zeros_like(turn)
+    for turn, last in _turns(turn, lead, nvars, top):
+        np.minimum(least, turn, out=least)
+        back *= nvars
+        back += last
+    back //= powers[top - lengths]
+    mirror = back.copy()
+    for turn, _ in _turns(back, lead, nvars, top - 1):
+        np.minimum(mirror, turn, out=mirror)
     return base + np.minimum(least, mirror), mirror < least, mirror == least
 
 
@@ -335,8 +347,8 @@ class MomentFunctional:
 
     def word_moments(self, words):
         """phi(w) for each of ``words``, as a complex array, read by
-        ``code_moments``.  A bad word raises as ``moment`` would: the
-        first too long, else the first with a letter out of range."""
+        ``code_moments``.  A bad word raises as ``moment`` on each word
+        in turn would: the first word too long or with a bad letter."""
         if max(map(len, words), default=0) > self.max_order:
             for word in words:
                 self._check_word(word)
@@ -792,16 +804,22 @@ class CumulantState(MomentFunctional):
         if job is not None:
             return self._evaluate(job)
         self._check_word(word)
-        code, n = 0, self.nvars
+        key = self._cell(word)
+        if key is None:
+            return complex(self._read(*word_codes([word], self.nvars),
+                                      False)[0])
+        if self._both[key] is _MISSING:
+            self._evaluate(key >> 1)
+        return self._both[key]
+
+    def _cell(self, word):
+        """2 slot + flip of the checked ``word``'s class, None past the view."""
+        code, n, index = 0, self.nvars, self._index
         for letter in word:
             code = code * n + letter
-        index = self._index
         if code < len(index.slot):
-            key = 2 * int(index.slot[code]) + bool(index.flip[code])
-            if self._both[key] is _MISSING:
-                self._evaluate(key >> 1)
-            return self._both[key]
-        return complex(self._read(*word_codes([word], n), False)[0])
+            return 2 * int(index.slot[code]) + bool(index.flip[code])
+        return None
 
     def _read(self, codes, lengths, queue=True):
         """phi of these words; each missing class is evaluated, in code
@@ -811,7 +829,7 @@ class CumulantState(MomentFunctional):
         index = _grown_index(self._index, n, cyclic, lengths)
         self._grow(index)
         slot, flip, far = _index_slots(index, codes, lengths, n, cyclic)
-        found = np.array(self._both[::2])[slot]
+        found = self._gather(slot)
         jobs = [(self._class(s)[0], s)
                 for s in sorted(set(slot[np.isnan(found)].tolist()))]
         if far is not None:
@@ -828,12 +846,21 @@ class CumulantState(MomentFunctional):
             else:
                 self._evaluate(job)
         if jobs:
-            found = np.array(self._both[::2])[slot]
+            found = self._gather(slot)
         if far is not None:
             found[rest] = np.array(list(map(self._class_value,
                                             keys.tolist())))[repeat]
         np.conjugate(found, out=found, where=flip)
         return found
+
+    def _gather(self, slot):
+        """The values of these class slots; a batch of fewer slots than
+        half the classes reads them one by one, not through a copy of
+        every value."""
+        both = self._both
+        if 4 * len(slot) < len(both):
+            return np.array([both[2 * s] for s in slot.tolist()], dtype=complex)
+        return np.array(both[::2])[slot]
 
     def _grow(self, index):
         """Publish a longer view ``index``, copying far classes it covers."""
@@ -919,11 +946,14 @@ class _EvaluatedClasses:
         state, word = self._state, tuple(word)
         try:
             state._check_word(word)
-            key = canonical_codes(*word_codes([word], state.nvars),
-                                  state.nvars, state.spec.cyclic)[0]
+            key = state._cell(word)
+            if key is None:  # past the view, by the code of its class
+                code = canonical_codes(*word_codes([word], state.nvars),
+                                       state.nvars, state.spec.cyclic)[0]
+                return state._class_value(int(code[0])) is not _MISSING
         except (ValueError, BudgetExceededError):
             return False
-        return state._class_value(int(key[0])) is not _MISSING
+        return state._both[key] is not _MISSING
 
     def __len__(self):
         state = self._state

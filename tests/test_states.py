@@ -245,6 +245,20 @@ def test_memo_membership_grows_nothing(monkeypatch):
     assert (4, 5) not in state._memo
     assert state._index is index and len(state._both) == cells
     assert states._INDEXES[30, False].top == 0
+    # in the view, a class is in the memo once evaluated, not before
+    state = semicircular(2, max_order=6)
+    state.word_moments([(1, 2)] * 6)  # pays for the words to length 2
+    assert state._index.top == 2
+    assert (2, 1) in state._memo and (1, 2, 1) not in state._memo
+    # the empty word, (1, 2) and its gap (2,), evaluated first
+    assert (2,) in state._memo and (1,) not in state._memo
+    assert len(state._memo) == 3
+    # a word whose code passes 64 bits is not in the memo, as a word out
+    # of the budget is not; reading it raises
+    state = CumulantState(CumulantSpec(40, {(1, 1): 1.0}, max_order=12))
+    assert (1,) * 12 not in state._memo and (1,) * 13 not in state._memo
+    with pytest.raises(BudgetExceededError):
+        state.moment((1,) * 12)
 
 
 def test_cumulant_state_dies_with_its_last_reference():
@@ -749,12 +763,11 @@ def _pair_batch(nvars, max_order):
 def test_batch_reads_match_the_per_entry_oracle(cyclic, data):
     spec = data.draw(symmetry_specs(cyclic))
     asked, *batch = _pair_batch(spec.nvars, spec.max_order)
-    # the base class asks ``moment`` once per entry, in order
-    want = states.MomentFunctional.word_moments(
-        CumulantState(spec), asked).tolist()
+    # the oracle reads each entry on its own, from a memo keyed by word
+    oracle = bruteforce.WordMemoState(spec)
+    want = [oracle.moment(w) for w in asked]
     words = words_up_to(spec.nvars, spec.max_order)
-    want_words = states.MomentFunctional.word_moments(
-        CumulantState(spec), words).tolist()
+    want_words = [oracle.moment(w) for w in words]
     # cold, warmed by a random part of the words, and warm
     cold = CumulantState(spec)
     assert cold.code_moments(*batch).tolist() == want
@@ -779,7 +792,8 @@ def test_batch_reads_raise_as_moment_does(bad, error):
             for w in words_up_to(2, 6):
                 state.moment(w)
         with pytest.raises(error) as want:
-            states.MomentFunctional.word_moments(oracle, words)
+            for w in words:  # word by word, as a caller of ``moment``
+                oracle.moment(w)
         with pytest.raises(error) as got:
             state.word_moments(words)
         assert str(got.value) == str(want.value)
