@@ -176,7 +176,7 @@ def _state_flags(p):
     p.add_argument("--ensemble", default=None,
                    help="ensemble config JSON (runs Monte Carlo first)")
     p.add_argument("--seed", type=int, default=None,
-                   help="override the ensemble config seed")
+                   help="override the ensemble config seed (needs --ensemble)")
 
 
 def _read_json(path, what):
@@ -197,7 +197,9 @@ def _load_state(args, degree, norm_order=None):
         raise ParseError(
             "exactly one of --state, --cumulants, --ensemble is required",
             field="state")
-    which = picked[0]
+    which, seed = picked[0], getattr(args, "seed", None)
+    if seed is not None and which != "ensemble":
+        raise ParseError("--seed needs --ensemble", field="seed")
     obj = _read_json(getattr(args, which), which)
     if which == "state":
         phi = serialize.table_from_obj(obj)
@@ -205,7 +207,6 @@ def _load_state(args, degree, norm_order=None):
         phi = serialize.cumulant_state_from_obj(obj)
     else:
         config = serialize.ensemble_from_obj(obj)
-        seed = getattr(args, "seed", None)
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         phi = mc_moment_table(config, max(8, 2 * degree, norm_order or 0))

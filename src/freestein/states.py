@@ -14,8 +14,9 @@ code is canonicalized once per distinct code:
   cumulants by the moment-cumulant formula, grouped by the block B of
   the first letter: ``phi(w) = sum over B of kappa(w|B) * prod over the
   gaps of B of phi(gap)``, evaluated once per class (bracelet classes
-  when the spec is ``cyclic``, else reversal classes) with the gaps read
-  by code.  ``moments_to_cumulants`` solves the recursion for kappa.
+  when the spec is ``cyclic``, else reversal classes) with the blocks'
+  cumulants and the gaps both read by code.  ``moments_to_cumulants``
+  solves the recursion for kappa.
 
 (The Monte Carlo backend, ``matrixmodels``, produces a ``MomentTable``.)
 
@@ -617,12 +618,13 @@ class CumulantSpec:
     word length the induced moment functional will evaluate (it bounds
     the moment recursion, not the stored words, whose codes must fit in
     64 bits).  ``words`` and ``values`` list the nonzero cumulants, and
-    ``blocks`` is their ``_block_trie``.  Letters, finiteness, Hermitian
-    symmetry and cyclicity are checked on the word codes at once.  A
-    kappa(w) more than ``HERM_TOL`` from conj kappa(rev w) raises
-    ``InvalidStateError``; each word stores the exactly Hermitian part
-    (kappa(w) + conj kappa(rev w)) / 2, which is kappa(w) when that
-    already is.  ``cyclic`` says kappa(w[1:] + w[:1]) == kappa(w)
+    ``blocks`` maps their codes to their positions and the codes of
+    their other prefixes to -1 (``_block_codes``).  Letters, finiteness,
+    Hermitian symmetry and cyclicity are checked on the word codes at
+    once.  A kappa(w) more than ``HERM_TOL`` from conj kappa(rev w)
+    raises ``InvalidStateError``; each word stores the exactly Hermitian
+    part (kappa(w) + conj kappa(rev w)) / 2, which is kappa(w) when that
+    already is.  ``cyclic`` says kappa(w[-1:] + w[:-1]) == kappa(w)
     exactly; rotation permutes the noncrossing partitions and rotates
     block subwords, so cyclic cumulants induce a tracial state.
     """
@@ -654,14 +656,14 @@ class CumulantSpec:
         if (values != back.conj()).any():
             words, values = _hermitian_parts(words, values.tolist())
             codes, lengths = word_codes(words, n)
-        # one-step rotations w[1:] + w[:1], which generate every rotation
+        # one-step rotations w[-1:] + w[:-1], which generate every rotation
         top = int(lengths.max(initial=0))
         base = _offsets(n, top)[lengths]
-        first, rest = np.divmod(codes - base, _code_powers(n, top)[
-            np.maximum(lengths - 1, 0)])
-        turned = _values_at(codes, values, base + rest * n + first)
+        turn = next(_turns(codes - base, _code_powers(n, top)[
+            np.maximum(lengths - 1, 0)], n, 1))[0]
+        turned = _values_at(codes, values, base + turn)
         self._set(kappa=dict(zip(words, values.tolist())), words=tuple(words),
-                  values=values, blocks=_block_trie(words),
+                  values=values, blocks=_block_codes(codes, n),
                   cyclic=bool((turned == values).all()))
 
     def _set(self, **fields):
@@ -674,9 +676,9 @@ class CumulantSpec:
 
     def _scaled(self, factor):
         """The spec of factor(|w|) kappa(w) for a real positive
-        ``factor``: the same words, trie and ``cyclic``, one array of new
-        values.  A value that underflows to 0 leaves ``kappa`` and stays
-        in the trie, read as 0."""
+        ``factor``: the same words, ``blocks`` and ``cyclic``, one array
+        of new values.  A value that underflows to 0 leaves ``kappa`` and
+        stays in ``blocks``, read as 0."""
         lengths = np.fromiter(map(len, self.words), dtype=np.int64,
                               count=len(self.words))
         scale = [factor(m) for m in range(lengths.max(initial=0) + 1)]
@@ -760,6 +762,21 @@ def _subword_codes(codes, lengths, nvars):
     return sub, np.broadcast_to(ends - starts, sub.shape)
 
 
+def _block_codes(codes, nvars):
+    """The ``blocks`` map of cumulant words with these codes: each word's
+    code to its position, and each code of a shorter nonempty prefix that
+    is no word to -1.  A word's prefixes are found a letter at a time,
+    code(w[:-1]) = (code(w) - 1) // n, up to the first already found."""
+    blocks = {}
+    for code in codes.tolist():
+        code = (code - 1) // nvars
+        while code and code not in blocks:
+            blocks[code] = -1
+            code = (code - 1) // nvars
+    blocks.update(zip(codes.tolist(), range(len(codes))))
+    return blocks
+
+
 class CumulantState(MomentFunctional):
     """Moment functional generated by free cumulants.
 
@@ -783,8 +800,7 @@ class CumulantState(MomentFunctional):
     def __init__(self, spec, norm_upper=None):
         super().__init__(spec.nvars, spec.max_order, spec.cyclic, norm_upper)
         self.spec = spec
-        # cumulants by trie position; an inner node's -1 reads 0
-        self._kappa = spec.values.tolist() + [0j]
+        self._kappa = spec.values.tolist()
         # the value and conjugate of each class slot; slot 0 is the empty
         # word, whose conjugate place holds the float 1.0 of an empty gap
         self._both = [1.0 + 0j, 1.0]
@@ -927,7 +943,8 @@ class CumulantState(MomentFunctional):
         return value
 
     def _sum(self, word, closed, gaps):
-        value = _first_block_sum(self.spec.blocks, self._kappa, word, gaps)
+        value = _first_block_sum(self.spec.blocks, self._kappa, self.nvars,
+                                 word, gaps)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise BudgetExceededError(
                 f"moment of word {list(word)} overflows double precision")
@@ -961,58 +978,39 @@ class _EvaluatedClasses:
                 + sum(code >= len(state._index.slot) for code in state._far))
 
 
-def _block_trie(words):
-    """Letter trie of cumulant words, ``{letter: [index, children]}``,
-    where ``index`` is the position in ``words`` of the word a node
-    spells, or -1 for an inner node, whose cumulant is 0.  A block whose
-    letters leave the trie has cumulant 0 however it is extended, so the
-    recursion drops it there.
-    """
-    root = {}
-    for index, word in enumerate(words):
-        node = root
-        for letter in word[:-1]:
-            child = node.get(letter)
-            if child is None:
-                child = node[letter] = [-1, {}]
-            node = child[1]
-        leaf = node.get(word[-1])
-        if leaf is None:
-            node[word[-1]] = [index, {}]
-        else:
-            leaf[0] = index
-    return root
-
-
-def _first_block_sum(blocks, kappa, word, gaps):
+def _first_block_sum(blocks, kappa, nvars, word, gaps):
     """Sum over blocks B holding position 0 of the nonempty ``word``:
     kappa(word|B) times the product of the moments of the gaps B leaves.
 
-    ``blocks`` is a ``_block_trie`` indexing ``kappa`` (-1 reads 0);
-    ``gaps`` holds phi(word[a:b]) at ``_TRI[b] + a - 1``, 1.0 if a = b.
-    This is the moment-cumulant formula grouped by the block of the first
-    letter (Nica-Speicher, Lecture 11), walked depth first, the least
-    next position first, a block dropped where a gap reads 0.
+    ``blocks`` (``_block_codes``) maps a block's word code to its place
+    in ``kappa``, -1 for none; ``gaps`` holds phi(word[a:b]) at
+    ``_TRI[b] + a - 1``, 1.0 if a = b.  This is the moment-cumulant
+    formula grouped by the block of the first letter (Nica-Speicher,
+    Lecture 11), walked depth first, the least next position first: a
+    block of code c grows by position q to code c n + word[q], and is
+    dropped where that code is not in ``blocks`` or a gap reads 0.
     """
     m, tri = len(word), _TRI
     total = 0j
     tail = tri[m]
     first = blocks.get(word[0])
-    # (trie node of the block's last letter, its position, product of the
-    # block's inner gaps)
-    stack = [(first, 0, 1.0 + 0j)] if first is not None else []
-    pop, push = stack.pop, stack.append
+    # (code of the block's word, its position in kappa, the position of
+    # its last letter, product of the block's inner gaps)
+    stack = [(word[0], first, 0, 1.0 + 0j)] if first is not None else []
+    pop, push, get = stack.pop, stack.append, blocks.get
     while stack:
-        (index, children), last, acc = pop()
-        value = kappa[index]
+        code, at, last, acc = pop()
+        value = kappa[at] if at >= 0 else 0
         if value:
             total += value * acc * gaps[tail + last]
+        code *= nvars
         for q in range(m - 1, last, -1):
             gap = gaps[tri[q] + last]
             if gap:
-                child = children.get(word[q])
-                if child is not None:
-                    push((child, q, acc * gap))
+                child = code + word[q]
+                at = get(child)
+                if at is not None:
+                    push((child, at, q, acc * gap))
     return total
 
 
@@ -1034,21 +1032,20 @@ def moments_to_cumulants(phi, max_order):
     phi.check_order(max_order)
     if max_order > MAX_CUMULANT_ORDER:
         raise ValueError(f"max_order must lie in 1..{MAX_CUMULANT_ORDER}")
-    words, values = [], []
+    n, words, values = phi.nvars, [], []
     for m in range(1, max_order + 1):
-        blocks, kappa = _block_trie(words), values + [0j]  # shorter only
+        blocks = _block_codes(word_codes(words, n)[0], n)  # shorter only
         spans = [(a, b) for b in range(1, m + 1) for a in range(1, b + 1)]
-        for word in itertools.product(range(1, phi.nvars + 1), repeat=m):
+        for word in itertools.product(range(1, n + 1), repeat=m):
             read = phi.word_moments([word] + [word[a:b] for a, b in spans])
             gaps = [1.0 if a == b else g
                     for (a, b), g in zip(spans, read[1:].tolist())]
-            val = complex(read[0]) - _first_block_sum(blocks, kappa, word,
+            val = complex(read[0]) - _first_block_sum(blocks, values, n, word,
                                                       gaps)
             if val != 0:
                 words.append(word)
                 values.append(val)
-    return CumulantSpec(phi.nvars, dict(zip(words, values)),
-                        max_order=max_order)
+    return CumulantSpec(n, dict(zip(words, values)), max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("command", ["stein", "poincare"])
+def test_seed_needs_an_ensemble(sc_cumulants, capsys, command):
+    # a seed without an ensemble to draw would be ignored
+    code, out, err = run(capsys, command, "--cumulants", sc_cumulants,
+                         "--seed", "3")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert (error["code"], error["field"]) == ("parse_error", "seed")
+    assert error["message"] == "--seed needs --ensemble"
+
+
 def test_poincare_report(sc_cumulants, capsys):
     code, out, _ = run(capsys, "poincare", "--cumulants", sc_cumulants,
                        "--degree", "3")

@@ -58,7 +58,7 @@ def test_rescale_matches_a_rebuilt_spec(rng, cyclic):
         for k in (1, 2, 4, 8):
             got, want = rescale_cumulants(base, k), _rebuilt(base, k)
             assert got.kappa == want.kappa
-            # the base's words and trie, one array of scaled values
+            # the base's words and block map, one array of scaled values
             assert got.blocks is base.blocks and got.words == want.words
             assert got.values.tolist() == want.values.tolist()
             assert got.cyclic == want.cyclic
@@ -70,7 +70,7 @@ def test_rescale_drops_a_value_that_underflows():
     base = CumulantSpec(1, {(1, 1): 1.0, (1, 1, 1): 5e-324}, max_order=6)
     got, want = rescale_cumulants(base, 8), _rebuilt(base, 8)
     assert got.kappa == want.kappa == {(1, 1): 1 + 0j}
-    # the word stays in the shared trie, its value 0
+    # the word stays in the shared block map, its value 0
     assert got.blocks is base.blocks and got.words == ((1, 1), (1, 1, 1))
     assert got.values.tolist() == [1, 0]
     _assert_same_moments(got, want)

@@ -136,9 +136,9 @@ def _count_recursions(monkeypatch):
     calls = []
     first_block_sum = states._first_block_sum
 
-    def counted(blocks, kappa, word, gaps):
+    def counted(blocks, kappa, nvars, word, gaps):
         calls.append(word)
-        return first_block_sum(blocks, kappa, word, gaps)
+        return first_block_sum(blocks, kappa, nvars, word, gaps)
 
     monkeypatch.setattr(states, "_first_block_sum", counted)
     return calls
@@ -193,7 +193,13 @@ def test_class_store_matches_the_word_memo(monkeypatch, rng, cap):
     monkeypatch.setattr(states, "_INDEX_CAP", cap)
     specs = [rand_cumulant_spec(rng, n, order, cyclic=cyclic)
              for n, order in ((1, 8), (2, 6), (3, 4)) for cyclic in (True, False)]
-    specs += [centered_free_poisson(2, 6).spec, _dense_hermitian_spec(2, 6, 3)]
+    # words whose prefixes (2,), (1, 2), (2, 2), (2, 1) and (2, 1, 1) are
+    # not stored, which the recursion walks through
+    sparse = CumulantSpec(2, {(1,): 0.2, (1, 1): 1.0, (1, 2, 2): 0.3j,
+                              (2, 2, 1): -0.3j, (2, 1, 1, 2): 0.1}, 6)
+    assert list(sparse.blocks.values()).count(-1) == 5
+    specs += [centered_free_poisson(2, 6).spec, _dense_hermitian_spec(2, 6, 3),
+              sparse]
     for spec in specs:
         words = words_up_to(spec.nvars, spec.max_order)
         oracle = bruteforce.WordMemoState(spec)
@@ -831,15 +837,19 @@ def test_warm_batches_do_not_call_moment(monkeypatch):
     assert calls == []
 
 
-def test_block_trie_shares_prefixes():
-    # each node holds the position of its word, an inner node -1
-    trie = states._block_trie([(1, 2), (1,), (1, 2, 2), (2,)])
-    assert trie == {1: [1, {2: [0, {2: [2, {}]}]}], 2: [3, {}]}
+def test_block_codes_map_words_and_their_prefixes():
+    # each stored word's code maps to its position, each shorter prefix
+    # that is no stored word to -1, and no other code is in the map
     spec = CumulantSpec(2, {(1, 2, 2): 3j, (2, 2, 1): -3j, (1,): 2.0})
     assert spec.words == ((1, 2, 2), (2, 2, 1), (1,))
     assert spec.values.tolist() == [3j, -3j, 2]
-    assert spec.blocks == {1: [2, {2: [-1, {2: [0, {}]}]}],
-                           2: [-1, {2: [-1, {1: [1, {}]}]}]}
+
+    def code(*word):
+        return int(word_codes([word], 2)[0][0])
+
+    assert spec.blocks == {code(1, 2, 2): 0, code(2, 2, 1): 1, code(1): 2,
+                           code(1, 2): -1, code(2): -1, code(2, 2): -1}
+    assert CumulantSpec(2, {}).blocks == {}
 
 
 def test_order_cap_moments_in_bounded_memory(rng):

@@ -1,6 +1,6 @@
 """Wall time and peak RSS of cold reads and solves, one case per process.
 
-    python3 tools/scale_rows.py            # every case, a, b, c and d
+    python3 tools/scale_rows.py            # every case, a to e
     python3 tools/scale_rows.py --case a   # one case, in this process
 
 Each case runs in a fresh interpreter with one BLAS thread.  Cases a, b
@@ -23,9 +23,15 @@ over 30 letters (a non-cyclic spec to order 12: kappa(i, i) = 1 and
 kappa(i, j, i) = 0.1 for i, j <= 3), which must not build the class
 index of those letters, and prints the value read.
 
+Case e builds a dense ``CumulantSpec`` under ``tracemalloc``, every word
+of length 3..12 over 3 letters (797,148 cumulants, 0.5^|w| each), and
+reports the memory the spec holds once its input dict is dropped, and
+the traced peak of generating and building it.
+
 One line is printed per case:
 
     <case> wall_s <seconds> peak_rss_mb <MB> [evaluations <k> stored <k> classes <k> | value <repr>]
+    e traced_mb <MB> peak_mb <MB>
 """
 
 import argparse
@@ -36,7 +42,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CASES = ("a", "b", "c", "d")
+CASES = ("a", "b", "c", "d", "e")
 NVARS, ORDER, DEGREE = 3, 12, 6
 
 
@@ -69,7 +75,29 @@ def _lone_read():
             (1, 2, 1, 1, 3, 1, 2, 2, 1, 3, 3, 1))
 
 
+def _dense_spec_memory():
+    """(held, peak) traced MB of case e's spec."""
+    import itertools
+    import tracemalloc
+
+    from freestein import CumulantSpec
+
+    tracemalloc.start()
+    kappa = {w: 0.5 ** m for m in range(3, ORDER + 1)
+             for w in itertools.product(range(1, NVARS + 1), repeat=m)}
+    spec = CumulantSpec(NVARS, kappa, max_order=ORDER)
+    del kappa
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(spec.words) == 797148
+    return held / 2**20, peak / 2**20
+
+
 def run_case(case):
+    if case == "e":
+        held, peak = _dense_spec_memory()
+        print(f"e traced_mb {held:.1f} peak_mb {peak:.1f}", flush=True)
+        return
     if case == "d":
         phi, word = _lone_read()
         start = time.perf_counter()
