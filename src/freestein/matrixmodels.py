@@ -16,14 +16,15 @@ X_1 = U diag(lambda) U^H, the tuple (U^H X_i U)_{i >= 2} has the law of
 (X_i)_{i >= 2} and is independent of lambda: replacing X_1 by
 D = diag(lambda) leaves the joint law of every word trace unchanged.
 A GUE coordinate 1 takes lambda from the beta = 2 Hermite tridiagonal
-model of Dumitriu and Edelman (``sample_gue_spectrum``), with one real
-eigensolve and no dense complex draw; a polynomial coordinate 1 is
-drawn densely and keeps only the eigenvalues of its Hermitian part.
-So a seed gives a different realization, of the same law, than a dense
-draw of every coordinate would.  ``moment_table_from_matrices`` uses
-the identity exactly rather than in law, since a trace does not change
-under unitary conjugation: it eigendecomposes its first matrix once and
-conjugates the others by the eigenvectors.
+model of Dumitriu and Edelman (``sample_gue_spectrum``), solved as a
+tridiagonal by LAPACK ``dsterf`` in O(N^2), with no N x N array; a
+polynomial coordinate 1 is drawn densely and keeps only the
+eigenvalues of its Hermitian part.  So a seed gives a different
+realization, of the same law, than a dense draw of every coordinate
+would.  ``moment_table_from_matrices`` uses the identity exactly
+rather than in law, since a trace does not change under unitary
+conjugation: it eigendecomposes its first matrix once and conjugates
+the others by the eigenvectors.
 
 Trace states are tracial and, the coordinates being Hermitian,
 Hermitian symmetric: tr(rotation of w) = tr(w) and tr(rev w) =
@@ -69,22 +70,31 @@ as a Gram (it is also the trace products' (i, i) entry, so order >= 3
 pays no extra product).  When a Cholesky factorization of
 tau^2 I - X^2 succeeds, with tau the running maximum shrunk by
 ``CERT_MARGIN``, ||X|| lies below the maximum and the draw cannot
-change it; otherwise the draw is eigensolved.  The margin dwarfs the
-factorization's backward error (about N u ||X||^2; Higham, *Accuracy
-and Stability of Numerical Algorithms*, 2nd ed., section 10.1), so the
-maximum is the float the full eigensolve of every draw gives.  For iid
-draws the maximum moves about ln(samples) + 0.58 times, so most draws
-are certified.
+change it; otherwise the draw is eigensolved.  LAPACK ``zpotrf``
+factors tau^2 I - X^2 in the scratch buffer it is formed in.  The
+margin dwarfs the factorization's backward error (about N u ||X||^2;
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+section 10.1), so the maximum is the float the full eigensolve of
+every draw gives.  For iid draws the maximum moves about
+ln(samples) + 0.58 times, so most draws are certified.
 
 Tables are byte-identical run to run at a fixed BLAS thread count; the
 products and eigensolves may round differently under another.
+
+``dsterf`` and ``zpotrf`` are called through ``ctypes`` from the LAPACK
+numpy links, when it exports them under names that fix 64-bit integers
+(``_lapack``, looked up on first use), as the OpenBLAS of numpy's
+wheels does.  Elsewhere the dense tridiagonal goes to
+``np.linalg.eigvalsh`` and the certificate to ``np.linalg.cholesky``,
+which give the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -185,18 +195,75 @@ def eval_poly_matrices(poly, mats, size):
     return out
 
 
+class _Lapack(NamedTuple):
+    """The LAPACK routines called directly, as ctypes functions taking
+    int64 (ILP64) integers: ``dsterf``, the root-free QL eigenvalues of a
+    real symmetric tridiagonal matrix, and ``zpotrf``, the complex
+    Cholesky factorization."""
+
+    sterf: Callable
+    potrf: Callable
+
+
+# symbol names whose integer width the name fixes: the "64_" suffix of
+# the ILP64 builds, with and without the scipy-openblas prefix
+_LAPACK_NAMES = ("scipy_{}_64_", "{}_64_")
+
+
+@functools.cache
+def _lapack():
+    """The ``_Lapack`` of the library numpy's linear algebra links, or
+    None when it has no symbol of a fixed integer width; looked up on
+    first use.  ``dlsym`` on the extension module also searches the
+    libraries it depends on, where the OpenBLAS of a numpy wheel is."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    routines = []
+    for routine in ("dsterf", "zpotrf"):
+        found = (getattr(lib, name.format(routine), None)
+                 for name in _LAPACK_NAMES)
+        fn = next((fn for fn in found if fn is not None), None)
+        if fn is None:
+            return None
+        fn.restype = None
+        routines.append(fn)
+    sterf, potrf = routines
+    sterf.argtypes = [ctypes.c_void_p] * 4
+    # the trailing hidden length of the character argument uplo
+    potrf.argtypes = ([ctypes.c_char_p] + [ctypes.c_void_p] * 4
+                      + [ctypes.c_size_t])
+    return _Lapack(sterf, potrf)
+
+
 def sample_gue_spectrum(rng, size):
     """The eigenvalues, ascending, of one GUE draw in the convention of
     ``sample_gue``, from the beta = 2 Hermite tridiagonal model: a real
     symmetric tridiagonal matrix with N(0, 1) diagonal and off-diagonal
     chi_{2(N-1)}, ..., chi_2 / sqrt 2 (Dumitriu and Edelman, *Matrix
     models for beta ensembles*, J. Math. Phys. 43, 2002), scaled by
-    1 / sqrt(size).  One real eigensolve, no dense complex draw."""
+    1 / sqrt(size).  No dense complex draw, and no dense matrix at all
+    where ``_lapack`` resolves: LAPACK ``dsterf`` solves the tridiagonal
+    itself in O(N^2) (Parlett, *The Symmetric Eigenvalue Problem*, SIAM
+    1998, ch. 8).  It is the routine ``eigvalsh`` ends in, after a
+    tridiagonal reduction that leaves this matrix unchanged, so the
+    eigenvalues are those of ``eigvalsh`` of the dense tridiagonal, the
+    path taken where ``_lapack`` does not resolve."""
     diag = rng.standard_normal(size)
     off = np.sqrt(rng.chisquare(2.0 * np.arange(size - 1, 0, -1)) / 2)
-    tri = np.diag(diag)
-    tri.flat[size::size + 1] = off  # the subdiagonal
-    return np.linalg.eigvalsh(tri) / np.sqrt(size)
+    lapack = _lapack()
+    if lapack is None:
+        tri = np.diag(diag)
+        tri.flat[size::size + 1] = off  # the subdiagonal
+        return np.linalg.eigvalsh(tri) / np.sqrt(size)
+    info = ctypes.c_int64()
+    lapack.sterf(ctypes.byref(ctypes.c_int64(size)), diag.ctypes.data,
+                 off.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dsterf failed with info = {info.value}")
+    diag /= np.sqrt(size)
+    return diag
 
 
 def _hermitian_part(m):
@@ -293,11 +360,16 @@ def _draw(config, rng, bufs):
             # a fresh array, not the letter's buffer: with the buffer, the
             # evaluation's temporaries sat at the top of the heap, which
             # the allocator trimmed and faulted in again on every draw
-            # (9 times the page faults of an order-6 table)
-            fresh = [sample_gue(rng, config.size) for _ in range(gen.fresh_gues)]
-            m = _hermitian_part(eval_poly_matrices(gen.poly, fresh,
-                                                   config.size))
-            coords.append(m if coords else np.linalg.eigvalsh(m))
+            # (9 times the page faults of an order-6 table).  The inputs
+            # are a temporary list, released before the next generator's
+            # are drawn
+            m = _hermitian_part(eval_poly_matrices(
+                gen.poly, [sample_gue(rng, config.size)
+                           for _ in range(gen.fresh_gues)], config.size))
+            if not coords:
+                # rebound, so the dense draw is not held past its spectrum
+                m = np.linalg.eigvalsh(m)
+            coords.append(m)
         else:
             raise ParseError(f"unknown generator {gen!r}", field="generators")
     return coords
@@ -634,22 +706,34 @@ CERT_MARGIN = 1e-8
 def _norm_below(square, bound, work=None):
     """True when a Cholesky factorization proves ||X|| < ``bound`` for
     the Hermitian X with ``square`` = X @ X.  tau^2 I - X^2 is formed in
-    ``work`` when given.
+    ``work`` when given (a C-ordered array of the shape of ``square``),
+    and ``square`` is left as it is.
 
     tau^2 I - X^2 is positive definite exactly when ||X|| < tau; with
     tau = bound (1 - CERT_MARGIN), a factorization that succeeds proves
     it up to a backward error the margin covers.  A zero bound proves
-    nothing."""
+    nothing.  Where ``_lapack`` resolves, LAPACK ``zpotrf`` factors the
+    formed array in place, with no copy; elsewhere
+    ``np.linalg.cholesky`` factors a copy."""
     if bound <= 0.0:
         return False
     tau = bound * (1.0 - CERT_MARGIN)
     a = np.negative(square, out=work)
     a[np.diag_indices_from(a)] += tau * tau
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    lapack = _lapack()
+    if lapack is None:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    # read in column-major order, the C-ordered a is its transpose, the
+    # conjugate of the Hermitian a, which is positive definite with it
+    size, info = ctypes.byref(ctypes.c_int64(a.shape[0])), ctypes.c_int64()
+    lapack.potrf(b"L", size, a.ctypes.data, size, ctypes.byref(info), 1)
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"zpotrf failed with info = {info.value}")
+    return info.value == 0
 
 
 # caps on a trace table, checked before any matrix is built: the letters
@@ -661,13 +745,17 @@ MAX_PRODUCT_BYTES = 1 << 30
 MATRIX_HERM_TOL = 1e-12
 
 
-def _check_trace_budget(nvars, size, max_order):
+def _check_trace_budget(nvars, size, max_order, generators=()):
     """The ``_trace_plan`` of a table of order ``max_order`` over
     ``nvars`` coordinates of size N = ``size``, once its letters and
-    the bytes of the N x N arrays its ``_Buffers`` hold pass the caps:
-    one complex array per product the plan builds, per square the norm
+    the bytes of the N x N arrays it holds at once pass the caps: one
+    complex array per product the plan builds, per square the norm
     certificate builds and per coordinate past the first, and 1.5 more
-    for "scaled" and "temp"."""
+    for "scaled" and "temp", the arrays of its ``_Buffers``.  A draw of
+    a polynomial of k fresh GUE inputs among ``generators`` holds those
+    k and, while it evaluates them, 3 more: the sum, and a monomial's
+    product with the next one it makes.  The generators are drawn one
+    at a time, so the largest k is charged."""
     letters = 0
     for k in range(1, max_order + 1):
         letters += k * nvars ** k
@@ -680,6 +768,8 @@ def _check_trace_budget(nvars, size, max_order):
     plan = _trace_plan(nvars, max_order)
     kept = {build[1] for build in plan.builds if build[0] != "letter"}
     arrays = len(kept | {(i, i) for i in range(2, nvars + 1)}) + nvars + 0.5
+    arrays += max((gen.fresh_gues + 3 for gen in generators
+                   if isinstance(gen, PolyOfGueGenerator)), default=0)
     nbytes = int(arrays * 16 * size * size)
     if nbytes > MAX_PRODUCT_BYTES:
         raise BudgetExceededError(
@@ -703,21 +793,25 @@ def mc_moment_table(config, max_order):
     the draws, exactly as if every draw were eigensolved: any other
     coordinate is eigensolved only when the Cholesky certificate
     ``_norm_below`` cannot prove its norm below the running maximum
-    (always on the first draw).  The squares the certificate needs are
-    handed to the traces.  The products and their scratch arrays live in
-    one ``_Buffers``, allocated on the first draw and written over on
-    every later one.  A draw's other arrays are released as the next
-    draw's replace them, not all before it is built: freeing them first
-    let the allocator hand more of their pages back and fault them in
-    again on every draw.
+    (always on the first draw).  A GUE coordinate 1 takes no eigensolve
+    of a dense matrix: ``sample_gue_spectrum`` solves its tridiagonal
+    model.  The squares the certificate needs are handed to the
+    traces, and the certificate factors in the "scaled" buffer.  The
+    products and their scratch arrays live in one ``_Buffers``,
+    allocated on the first draw and written over on every later one.
+    A draw's other arrays are released as the next draw's replace them,
+    not all before it is built: freeing them first let the allocator
+    hand more of their pages back and fault them in again on every
+    draw.
 
     Raises ``BudgetExceededError`` before sampling when the table's
-    words have over ``MAX_TABLE_LETTERS`` letters or its products over
-    ``MAX_PRODUCT_BYTES`` bytes."""
+    words have over ``MAX_TABLE_LETTERS`` letters, or its products and
+    a polynomial generator's fresh inputs over ``MAX_PRODUCT_BYTES``
+    bytes."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = config.nvars
-    plan = _check_trace_budget(n, config.size, max_order)
+    plan = _check_trace_budget(n, config.size, max_order, config.generators)
     mean = np.zeros(len(plan.reps), dtype=complex)
     msq = np.zeros(len(plan.reps))
     norm_max = [0.0] * n

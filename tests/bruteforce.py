@@ -70,7 +70,6 @@ from freestein import (
     states,
     tensor_moment,
 )
-from freestein.matrixmodels import sample_gue_spectrum
 from freestein.states import HERM_TOL, BraceletError, words_up_to
 
 
@@ -378,20 +377,29 @@ def balanced_builds(nvars, max_order):
     return builds
 
 
+def gue_spectrum(rng, size):
+    """``sample_gue_spectrum`` by ``np.linalg.eigvalsh`` of the dense
+    tridiagonal model, from the same draws of ``rng``."""
+    diag = rng.standard_normal(size)
+    off = np.sqrt(rng.chisquare(2.0 * np.arange(size - 1, 0, -1)) / 2)
+    tri = np.diag(diag) + np.diag(off, -1)
+    return np.linalg.eigvalsh(tri) / np.sqrt(size)
+
+
 def mc_draws(config):
     """Per sample, the coordinates ``mc_moment_table`` realizes from the
     same spawned streams: coordinate 1 as the dense diagonal matrix of
-    its eigenvalues (a GUE's from the tridiagonal model, a polynomial
-    one's from ``eigvalsh`` of its Hermitian part), every other
-    coordinate dense, polynomial ones by ``poly_matrix`` and their
-    Hermitian parts."""
+    its eigenvalues (a GUE's by ``gue_spectrum``, a polynomial one's
+    from ``eigvalsh`` of its Hermitian part), every other coordinate
+    dense, polynomial ones by ``poly_matrix`` and their Hermitian
+    parts."""
     size = config.size
     for ss in np.random.SeedSequence(config.seed).spawn(config.samples):
         rng = np.random.default_rng(ss)
         mats = []
         for gen in config.generators:
             if isinstance(gen, GueGenerator):
-                m = sample_gue(rng, size) if mats else sample_gue_spectrum(rng, size)
+                m = sample_gue(rng, size) if mats else gue_spectrum(rng, size)
             else:
                 fresh = [sample_gue(rng, size) for _ in range(gen.fresh_gues)]
                 m = poly_matrix(gen.poly, fresh, size)

@@ -4,6 +4,7 @@ Each command runs as ``python -m freestein.cli`` in a fresh process
 under ``OPENBLAS_NUM_THREADS`` = ``OMP_NUM_THREADS`` = 1 and then 2, at
 the sizes of the benchmark: a two-variable free family given by its
 cumulants, and the trace state of three 16 x 16 Hermitian matrices.
+The GUE spectra of the Monte Carlo backend are hashed the same way.
 """
 
 import os
@@ -25,7 +26,7 @@ def _run(argv, threads):
                OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-m", "freestein.cli", *argv],
+    done = subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout
@@ -70,5 +71,23 @@ MC = "mc", "--ensemble", "ensemble", "--max-order", "6"
         "certificates reduce in a thread-dependent order")),
 ], ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
 def test_output_bytes_do_not_depend_on_blas_threads(inputs, argv):
-    argv = [inputs.get(arg, arg) for arg in argv]
+    argv = ["-m", "freestein.cli"] + [inputs.get(arg, arg) for arg in argv]
     assert _run(argv, 1) == _run(argv, 2)
+
+
+# sha256 of five draws of sample_gue_spectrum at each size
+SPECTRA = """
+import hashlib
+import numpy as np
+from freestein.matrixmodels import sample_gue_spectrum
+digest = hashlib.sha256()
+rng = np.random.default_rng(61)
+for size in (64, 100, 200, 333, 500):
+    for _ in range(5):
+        digest.update(sample_gue_spectrum(rng, size).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_gue_spectra_do_not_depend_on_blas_threads():
+    assert _run(["-c", SPECTRA], 1) == _run(["-c", SPECTRA], 2)

@@ -127,6 +127,41 @@ def test_tridiagonal_spectrum_has_the_gue_law():
     assert gap <= 5 * spread / np.sqrt(draws)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 100, 200, 333])
+def test_spectrum_equals_dense_tridiagonal_eigvalsh(size):
+    # dsterf is the routine eigvalsh ends in, and the tridiagonal
+    # reduction before it leaves the model unchanged: equal bytes
+    for seed in range(5):
+        got = matrixmodels.sample_gue_spectrum(np.random.default_rng(seed), size)
+        want = bruteforce.gue_spectrum(np.random.default_rng(seed), size)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_direct_lapack_resolves_on_scipy_openblas():
+    # a numpy wheel links scipy-openblas, whose ILP64 symbols carry the
+    # width in their names; a build that took the fallback there would
+    # pass every other test unnoticed
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
+    assert matrixmodels._lapack() is not None
+    assert all(name.endswith("_64_") for name in matrixmodels._LAPACK_NAMES)
+
+
+def test_mc_writes_the_same_bytes_without_direct_lapack(monkeypatch, tmp_path,
+                                                         capsys):
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({
+        "N": 40, "samples": 12, "seed": 23,
+        "generators": [{"kind": "gue"}, {"kind": "gue"}]}))
+    argv = ["mc", "--ensemble", str(path), "--max-order", "6"]
+    assert cli.main(argv) == 0
+    direct = capsys.readouterr().out
+    monkeypatch.setattr(matrixmodels, "_lapack", lambda: None)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == direct
+
+
 def test_diagonal_basis_has_the_law_of_dense_gues():
     # the word traces of (diag(eigenvalues of X), Y) and of a dense pair
     # (X, Y) have one joint law, for X a GUE or g^2 - 1 of one and Y an
@@ -476,6 +511,20 @@ def test_trace_budget_charges_the_arrays_a_table_keeps():
         matrixmodels._check_trace_budget(1, 6689, 12)
 
 
+def test_trace_budget_charges_polynomial_inputs(monkeypatch):
+    # a draw holds all 60 fresh inputs of the generator at once, and 3
+    # arrays more while it evaluates them: with the scratch, 64.5 N x N
+    # complex arrays, 1.25 GB at N = 1,100
+    _refuse_sampling(monkeypatch, "the budget")
+    linear = PolyOfGueGenerator(
+        NcPoly(60, {(i,): 1 for i in range(1, 61)}), 60)
+    config = EnsembleConfig(size=1100, samples=2, seed=1, generators=(linear,))
+    with pytest.raises(BudgetExceededError, match="64.5 N x N arrays"):
+        mc_moment_table(config, 2)
+    # without the generator, the same table charges only the scratch
+    matrixmodels._check_trace_budget(1, 1100, 2)
+
+
 def _count_eigvalsh(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -509,17 +558,18 @@ def test_norm_certificate_never_changes_output(max_order, monkeypatch,
         calls.clear()
         assert cli.main(argv) == 0
         certified = capsys.readouterr().out
-        # coordinate 1 takes one eigensolve per draw, of its tridiagonal
-        # model or of its dense Hermitian part; coordinate 2 one per
-        # record
+        # a polynomial coordinate 1 takes one eigensolve of its dense
+        # Hermitian part per draw, a GUE one none where dsterf solves its
+        # tridiagonal model; coordinate 2 takes one per record
+        spectra = 30 if generators[0] is poly or not matrixmodels._lapack() else 0
         assert all(2 <= r < 30 for r in records)
-        assert len(calls) == 30 + records[1]
+        assert len(calls) == spectra + records[1]
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(matrixmodels, "_norm_below",
                       lambda square, bound, work=None: False)
             assert cli.main(argv) == 0
-        assert len(calls) == 60
+        assert len(calls) == spectra + 30
         assert capsys.readouterr().out == certified
 
 
@@ -533,6 +583,30 @@ def test_norm_certificate_edge_cases():
     assert matrixmodels._norm_below(square, 3.0 * (1 + 1e-7))
     # the certificate leaves its square untouched
     assert np.array_equal(square, x @ x)
+
+
+def _cholesky_proves(square, bound):
+    """``_norm_below`` by ``np.linalg.cholesky`` of a copy."""
+    tau = bound * (1.0 - matrixmodels.CERT_MARGIN)
+    try:
+        np.linalg.cholesky(tau * tau * np.eye(len(square)) - square)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 48, 200])
+def test_norm_certificate_agrees_with_numpy_cholesky(size, np_rng):
+    for _ in range(4):
+        x = sample_gue(np_rng, size)
+        square = x @ x
+        kept = square.copy()
+        norm = float(np.abs(np.linalg.eigvalsh(x)).max())
+        for factor in (1 - 1e-9, 1 + 1e-9, 1 - 1e-7, 1 + 1e-7):
+            proved = matrixmodels._norm_below(square, norm * factor)
+            assert proved == _cholesky_proves(square, norm * factor)
+            assert proved == (factor > 1 + 1e-8)
+            assert np.array_equal(square, kept)
 
 
 def test_constant_coordinate_ties_the_max_in_every_sample(monkeypatch):

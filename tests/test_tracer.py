@@ -9,7 +9,7 @@ keeps the Gram that ``dirichlet_gram(phi, words)`` returns.  It wraps
 ``matrixmodels.eval_poly_matrices``, and ``numpy.linalg.eigvalsh``,
 which the Monte Carlo backend must call through those module
 attributes (the eigensolve of coordinate 1's tridiagonal model
-included).  These tests run traced CLI ops so that renaming any of
+included, where LAPACK ``dsterf`` is not called directly).  These tests run traced CLI ops so that renaming any of
 them fails here, not only in ``bench/run.py --trace 1``.
 """
 
@@ -21,7 +21,8 @@ import numpy as np
 
 import bruteforce
 from conftest import trace_state
-from freestein import centered_free_poisson, cli, semicircular, serialize, states
+from freestein import (centered_free_poisson, cli, matrixmodels, semicircular,
+                       serialize, states)
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "bench", "tracer.py")
@@ -112,13 +113,14 @@ def test_tracer_records_mc_samples(tmp_path, capsys):
     assert code == 0
     calls = tracer.calls_by_layer()
     assert calls["matrixmodels.mc_table"] == 1
-    # coordinate 1 is drawn as eigenvalues, by one eigensolve of its
-    # tridiagonal model and no dense draw; coordinate 2 is one dense draw
+    # coordinate 1 is drawn as eigenvalues, by dsterf on its tridiagonal
+    # model, no eigvalsh and no dense draw; coordinate 2 is one dense draw
     # per sample, eigensolved only where it sets a new running max (the
     # Cholesky certificate proves every other one below it)
     assert calls["matrixmodels.sample"] == samples
     config = serialize.ensemble_from_obj(json.loads(path.read_text()))
     records = bruteforce.norm_records(config)[1]
     assert 1 <= records < samples
-    assert calls["matrixmodels.norm_eig"] == samples + records
+    spectra = 0 if matrixmodels._lapack() else samples
+    assert calls["matrixmodels.norm_eig"] == spectra + records
     assert tracer.counts["matrixmodels.samples"] == samples

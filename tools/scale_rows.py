@@ -1,9 +1,10 @@
 """Wall time and peak RSS of cold reads and solves, one case per process.
 
-    python3 tools/scale_rows.py            # every case, a to e
+    python3 tools/scale_rows.py            # every case, a to f
     python3 tools/scale_rows.py --case a   # one case, in this process
 
-Each case runs in a fresh interpreter with one BLAS thread.  Cases a, b
+Each case runs with one BLAS thread, in a fresh interpreter unless
+``--case`` names it.  Cases a, b
 and c build a state over 3 letters to order 12, then time a cold
 ``poincare_lower_bound`` plus ``minimal_kernel`` (quadratic potential)
 at degree 6, the 1,092 words of degree <= 6, and report that wall time
@@ -28,10 +29,16 @@ of length 3..12 over 3 letters (797,148 cumulants, 0.5^|w| each), and
 reports the memory the spec holds once its input dict is dropped, and
 the traced peak of generating and building it.
 
+Case f samples one Monte Carlo table, ``mc_moment_table`` of two GUE
+coordinates at N = 200, order 8, 20 draws, once its trace plan is
+cached, and reports the wall time per draw and the minor page faults
+of the table (``getrusage``).
+
 One line is printed per case:
 
     <case> wall_s <seconds> peak_rss_mb <MB> [evaluations <k> stored <k> classes <k> | value <repr>]
     e traced_mb <MB> peak_mb <MB>
+    f ms_per_draw <ms> minor_faults <count> peak_rss_mb <MB>
 """
 
 import argparse
@@ -42,8 +49,10 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CASES = ("a", "b", "c", "d", "e")
+CASES = ("a", "b", "c", "d", "e", "f")
 NVARS, ORDER, DEGREE = 3, 12, 6
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
 
 
 def _state(case, states):
@@ -93,7 +102,29 @@ def _dense_spec_memory():
     return held / 2**20, peak / 2**20
 
 
+def _mc_table():
+    """(seconds per draw, minor page faults) of case f's table."""
+    from freestein import matrixmodels
+
+    config = matrixmodels.EnsembleConfig(
+        size=200, samples=20, seed=5151,
+        generators=(matrixmodels.GueGenerator(),) * 2)
+    matrixmodels._trace_plan(2, 8)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    matrixmodels.mc_moment_table(config, 8)
+    wall = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return wall / config.samples, faults
+
+
 def run_case(case):
+    if case == "f":
+        per_draw, faults = _mc_table()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"f ms_per_draw {per_draw * 1e3:.2f} minor_faults {faults} "
+              f"peak_rss_mb {peak:.1f}", flush=True)
+        return
     if case == "e":
         held, peak = _dense_spec_memory()
         print(f"e traced_mb {held:.1f} peak_mb {peak:.1f}", flush=True)
@@ -137,11 +168,12 @@ def main(argv=None):
     parser.add_argument("--case", choices=CASES)
     args = parser.parse_args(argv)
     if args.case:
+        # before numpy is imported, which reads them once
+        os.environ.update(ONE_THREAD)
         sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
         run_case(args.case)
         return 0
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, **ONE_THREAD)
     for case in CASES:
         done = subprocess.run([sys.executable, os.path.abspath(__file__),
                                "--case", case], env=env, check=False)
