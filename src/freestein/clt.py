@@ -37,7 +37,7 @@ from .algebra import quadratic_potential
 from .errors import InadmissibleProblemError
 # poincare_lower_bound is unused; the benchmark's layer tracer wraps it here
 from .poincare import poincare_lower_bound, voiculescu_bound
-from .states import CumulantState
+from .states import CumulantState, max_fourth_moment
 from .stein import SteinProblem, minimal_kernel
 
 BASE_TOL = 1e-9
@@ -59,13 +59,6 @@ def rescale_cumulants(base, k):
     if k == 1:
         return base
     return base._scaled(lambda m: float(k) ** (1.0 - m / 2.0))
-
-
-def _max_m4(phi):
-    """The largest phi(t_i^4), read in one batch."""
-    n = phi.nvars
-    return max(phi.word_moments([(i,) * 4 for i in range(1, n + 1)])
-               .real.tolist())
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ def theorem_constant(base):
     m4 and the m4 branch.
     """
     n = base.nvars
-    m4 = _max_m4(base)
+    m4 = max_fourth_moment(base)
     branch_m4 = (n + n * m4 - 1) / 2.0
     branch_c = np.inf
     if base.norm_upper is not None:
@@ -142,7 +135,7 @@ def clt_rate_table(exp):
     for k in exp.ks:
         state = (exp.base if k == 1
                  else CumulantState(rescale_cumulants(exp.base.spec, k)))
-        m4_k = _max_m4(state)
+        m4_k = max_fourth_moment(state)
         prob = SteinProblem(state, potential)
         mk = minimal_kernel(prob, exp.degree)
         sigma = float(np.sqrt(max(mk.sigma_sq, 0.0)))

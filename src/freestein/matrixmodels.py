@@ -51,14 +51,12 @@ GEMM, half the flops of a complex product.  ``_trace_plan`` starts from
 every core of up to half the order and their extensions, and prunes
 the costliest while every class still has a cut into the rest: at order
 8 over two coordinates a draw builds 1 complex product and 4 Grams (the
-square of coordinate 2 among them), where the cut at ceil(|w|/2) took 3
-products, 3 Grams and an adjoint copy and a dense letter 1 would take
-19 products.  The products live in one buffer each, allocated on a
-table's first draw.  Running means and variances are arrays indexed by
-class, updated once per draw.  Before any matrix is built, tables whose
-words have over ``MAX_TABLE_LETTERS`` letters, or whose kept products
-and scratch arrays take over ``MAX_PRODUCT_BYTES`` bytes, are refused
-with ``BudgetExceededError``.
+square of coordinate 2 among them).  The products live in one buffer
+each, allocated on a table's first draw.  Running means and variances
+are arrays indexed by class, updated once per draw.  Before any matrix
+is built, tables whose words have over ``MAX_TABLE_LETTERS`` letters,
+or whose kept products, scratch arrays and draw temporaries take over
+``MAX_PRODUCT_BYTES`` bytes, are refused with ``BudgetExceededError``.
 
 The output is a ``MomentTable`` carrying per-word standard errors (one
 per class) and, as the per-coordinate upper norm estimate, the largest
@@ -751,11 +749,13 @@ def _check_trace_budget(nvars, size, max_order, generators=()):
     the bytes of the N x N arrays it holds at once pass the caps: one
     complex array per product the plan builds, per square the norm
     certificate builds and per coordinate past the first, and 1.5 more
-    for "scaled" and "temp", the arrays of its ``_Buffers``.  A draw of
-    a polynomial of k fresh GUE inputs among ``generators`` holds those
-    k and, while it evaluates them, 3 more: the sum, and a monomial's
-    product with the next one it makes.  The generators are drawn one
-    at a time, so the largest k is charged."""
+    for "scaled" and "temp", the arrays of its ``_Buffers``.  The
+    generators are drawn one at a time, so the largest a draw holds
+    while it makes one coordinate is charged: a GUE coordinate past the
+    first takes N^2 real normals and a bool triangle mask, 9/16 of an
+    array; a polynomial of k fresh GUE inputs takes those k and, while
+    it evaluates them, 3 more: the sum, and a monomial's product with
+    the next one it makes."""
     letters = 0
     for k in range(1, max_order + 1):
         letters += k * nvars ** k
@@ -768,8 +768,9 @@ def _check_trace_budget(nvars, size, max_order, generators=()):
     plan = _trace_plan(nvars, max_order)
     kept = {build[1] for build in plan.builds if build[0] != "letter"}
     arrays = len(kept | {(i, i) for i in range(2, nvars + 1)}) + nvars + 0.5
-    arrays += max((gen.fresh_gues + 3 for gen in generators
-                   if isinstance(gen, PolyOfGueGenerator)), default=0)
+    arrays += max((gen.fresh_gues + 3 if isinstance(gen, PolyOfGueGenerator)
+                   else 0.5625 * bool(i) for i, gen in enumerate(generators)),
+                  default=0)
     nbytes = int(arrays * 16 * size * size)
     if nbytes > MAX_PRODUCT_BYTES:
         raise BudgetExceededError(
@@ -806,8 +807,7 @@ def mc_moment_table(config, max_order):
 
     Raises ``BudgetExceededError`` before sampling when the table's
     words have over ``MAX_TABLE_LETTERS`` letters, or its products and
-    a polynomial generator's fresh inputs over ``MAX_PRODUCT_BYTES``
-    bytes."""
+    a draw's temporaries over ``MAX_PRODUCT_BYTES`` bytes."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = config.nvars

@@ -45,6 +45,7 @@ from .states import (
     coordinate_moments,
     covariance_gram,
     dirichlet_gram,
+    form_bytes,
     graded_cholesky,
     moment_matrix,
     operator_norm_estimate,
@@ -60,7 +61,7 @@ HYPOTHESIS_TOL = 1e-8
 def check_form_budget(nvars, degree):
     """Raise ``BudgetExceededError`` when forms over the words of degree
     <= ``degree`` in ``nvars`` variables pass ``MAX_FORM_BYTES``."""
-    size = 16 * word_count(nvars, degree) ** 2
+    size = form_bytes(nvars, degree)
     if size > MAX_FORM_BYTES:
         raise BudgetExceededError(
             f"forms over the words of degree <= {degree} in {nvars} "

@@ -15,8 +15,8 @@ code is canonicalized once per distinct code:
   the first letter: ``phi(w) = sum over B of kappa(w|B) * prod over the
   gaps of B of phi(gap)``, evaluated once per class (bracelet classes
   when the spec is ``cyclic``, else reversal classes) with the blocks'
-  cumulants and the gaps both read by code.  ``moments_to_cumulants``
-  solves the recursion for kappa.
+  cumulants, from the spec's one store, and the gaps both read by code.
+  ``moments_to_cumulants`` solves the recursion for kappa.
 
 (The Monte Carlo backend, ``matrixmodels``, produces a ``MomentTable``.)
 
@@ -52,6 +52,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -75,9 +76,15 @@ HERM_TOL = 1e-8
 PSD_TOL = 1e-8
 PINV_TOL = 5e-14
 
-# cap on the 16 m^2 bytes of a complex form over m words, which a Gram,
-# its factor and inverse each take (1,092 words at n = 3, d = 6: 19 MB)
+# cap on the ``form_bytes`` of a Gram, its factor and inverse each
+# (1,092 words at n = 3, d = 6: 19 MB)
 MAX_FORM_BYTES = 1 << 27
+
+
+def form_bytes(nvars, length):
+    """The 16 m^2 bytes of a complex form over the m nonempty words of
+    length <= ``length``."""
+    return 16 * word_count(nvars, length) ** 2
 
 
 class BraceletError(ValueError):
@@ -445,6 +452,17 @@ def _index_slots(index, codes, lengths, nvars, bracelet):
     return slot, flip, (rest, keys, closed, repeat)
 
 
+def _positions(stored, keys):
+    """The int32 position of each code of ``keys`` among the sorted codes
+    ``stored``, -1 where it is absent."""
+    # a binary search over sorted keys is several times faster
+    order = np.argsort(keys)
+    at = np.empty(len(keys), dtype=np.int32)
+    at[order] = np.searchsorted(stored, keys[order])
+    np.minimum(at, len(stored) - 1, out=at)
+    return np.where(stored[at] == keys, at, np.int32(-1))
+
+
 class MomentTable(MomentFunctional):
     """Explicit moment table; absent words within the order budget are 0.
 
@@ -512,7 +530,7 @@ class MomentTable(MomentFunctional):
             asked.append(rotated_codes(codes, lengths, self.nvars))
             owners.append(np.repeat(owners[0], np.maximum(lengths - 1, 0)))
         asked, owners = np.concatenate(asked), np.concatenate(owners)
-        read = self._cells[2 * self._positions(asked)
+        read = self._cells[2 * _positions(codes, asked)
                            + (np.arange(len(asked)) < len(codes))]
         values = self._values[1][owners]
         bad = np.flatnonzero(np.abs(read - values) > HERM_TOL)
@@ -559,30 +577,20 @@ class MomentTable(MomentFunctional):
         return codes[order], vals[order]
 
     def _read(self, codes, lengths):
+        stored = self._values[0]
         if not self.bracelet:
-            return self._cells[2 * self._positions(codes)]
+            return self._cells[2 * _positions(stored, codes)]
         index, pos = self._view
         grown = _grown_index(index, self.nvars, True, lengths)
         if grown is not index:
             self._view = index, pos = grown, np.concatenate((
-                pos, self._positions(grown.reps[len(pos):])))
+                pos, _positions(stored, grown.reps[len(pos):])))
         slot, flip, far = _index_slots(index, codes, lengths, self.nvars, True)
         at = pos[slot]
         if far is not None:
             rest, keys, _, repeat = far
-            at[rest] = self._positions(keys)[repeat]
+            at[rest] = _positions(stored, keys)[repeat]
         return self._cells[2 * at + flip]
-
-    def _positions(self, keys):
-        """The int32 position of each code of ``keys`` among the stored
-        codes, -1 where it is absent."""
-        stored = self._values[0]
-        # a binary search over sorted keys is several times faster
-        order = np.argsort(keys)
-        at = np.empty(len(keys), dtype=np.int32)
-        at[order] = np.searchsorted(stored, keys[order])
-        np.minimum(at, len(stored) - 1, out=at)
-        return np.where(stored[at] == keys, at, np.int32(-1))
 
     def moment(self, word):
         return complex(self.word_moments((tuple(word),))[0])
@@ -610,40 +618,37 @@ _TRI = tuple(b * (b - 1) // 2 for b in range(MAX_CUMULANT_ORDER + 2))
 _MISSING = complex(math.nan, math.nan)
 
 
-@dataclass(frozen=True)
 class CumulantSpec:
     """Free cumulant values kappa(i1,...,im) indexed by words.
 
     Words absent from ``kappa`` have cumulant 0.  ``max_order`` caps the
     word length the induced moment functional will evaluate (it bounds
     the moment recursion, not the stored words, whose codes must fit in
-    64 bits).  ``words`` and ``values`` list the nonzero cumulants, and
-    ``blocks`` maps their codes to their positions and the codes of
-    their other prefixes to -1 (``_block_codes``).  Letters, finiteness,
-    Hermitian symmetry and cyclicity are checked on the word codes at
-    once.  A kappa(w) more than ``HERM_TOL`` from conj kappa(rev w)
-    raises ``InvalidStateError``; each word stores the exactly Hermitian
-    part (kappa(w) + conj kappa(rev w)) / 2, which is kappa(w) when that
-    already is.  ``cyclic`` says kappa(w[-1:] + w[:-1]) == kappa(w)
-    exactly; rotation permutes the noncrossing partitions and rotates
-    block subwords, so cyclic cumulants induce a tracial state.
+    64 bits).  A spec keeps one store: ``words`` and ``values`` list the
+    nonzero cumulants, and ``blocks`` maps their codes to their
+    positions and the codes of their other prefixes to -1
+    (``_block_codes``); ``kappa`` and ``value`` read them, and equality
+    compares ``nvars``, ``max_order`` and ``kappa``.  Letters,
+    finiteness, Hermitian symmetry and cyclicity are checked on the word
+    codes at once.  A kappa(w) more than ``HERM_TOL`` from conj
+    kappa(rev w) raises ``InvalidStateError``; each word stores the
+    exactly Hermitian part (kappa(w) + conj kappa(rev w)) / 2, which is
+    kappa(w) when that already is.  ``cyclic`` says kappa(w[-1:] +
+    w[:-1]) == kappa(w) exactly; rotation permutes the noncrossing
+    partitions and rotates block subwords, so cyclic cumulants induce a
+    tracial state.
     """
 
-    nvars: int
-    kappa: dict
-    max_order: int = 12
-
-    def __post_init__(self):
-        n = self.nvars
-        if n < 1:
+    def __init__(self, nvars, kappa, max_order=12):
+        if nvars < 1:
             raise ValueError("nvars must be >= 1")
-        if not 1 <= self.max_order <= MAX_CUMULANT_ORDER:
+        if not 1 <= max_order <= MAX_CUMULANT_ORDER:
             raise ValueError(f"max_order must lie in 1..{MAX_CUMULANT_ORDER}")
-        words = [tuple(w) for w in self.kappa]
+        words = [tuple(w) for w in kappa]
         if not all(words):
             raise ValueError("cumulant words must be nonempty")
-        codes, lengths = word_codes(words, n)
-        values = np.fromiter(map(complex, self.kappa.values()), dtype=complex,
+        codes, lengths = word_codes(words, nvars)
+        values = np.fromiter(map(complex, kappa.values()), dtype=complex,
                              count=len(words))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
@@ -652,27 +657,47 @@ class CumulantSpec:
         keep = values != 0
         words = list(itertools.compress(words, keep.tolist()))
         codes, lengths, values = codes[keep], lengths[keep], values[keep]
-        back = _values_at(codes, values, reversed_codes(codes, lengths, n))
-        if (values != back.conj()).any():
+
+        def read(asked):  # their values, 0 (position -1) where absent
+            order = np.argsort(codes)
+            return np.append(values[order], 0)[_positions(codes[order], asked)]
+
+        if (values != read(reversed_codes(codes, lengths, nvars)).conj()).any():
             words, values = _hermitian_parts(words, values.tolist())
-            codes, lengths = word_codes(words, n)
+            codes, lengths = word_codes(words, nvars)
         # one-step rotations w[-1:] + w[:-1], which generate every rotation
         top = int(lengths.max(initial=0))
-        base = _offsets(n, top)[lengths]
-        turn = next(_turns(codes - base, _code_powers(n, top)[
-            np.maximum(lengths - 1, 0)], n, 1))[0]
-        turned = _values_at(codes, values, base + turn)
-        self._set(kappa=dict(zip(words, values.tolist())), words=tuple(words),
-                  values=values, blocks=_block_codes(codes, n),
-                  cyclic=bool((turned == values).all()))
+        base = _offsets(nvars, top)[lengths]
+        turn = next(_turns(codes - base, _code_powers(nvars, top)[
+            np.maximum(lengths - 1, 0)], nvars, 1))[0]
+        turned = read(base + turn)
+        values.flags.writeable = False
+        self.nvars, self.max_order = nvars, max_order
+        self.words, self.values = tuple(words), values
+        self.blocks = _block_codes(codes, nvars)
+        self.cyclic = bool((turned == values).all())
 
-    def _set(self, **fields):
-        fields["values"].flags.writeable = False
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    @property
+    def kappa(self):
+        """The nonzero cumulants, a read-only map built on each read."""
+        return MappingProxyType({w: v for w, v in zip(
+            self.words, self.values.tolist()) if v})
+
+    def __eq__(self, other):
+        if not isinstance(other, CumulantSpec):
+            return NotImplemented
+        return ((self.nvars, self.max_order, self.kappa)
+                == (other.nvars, other.max_order, other.kappa))
 
     def value(self, word):
-        return self.kappa.get(tuple(word), 0j)
+        """kappa(word) through ``blocks``, 0 for a word with no cumulant."""
+        code, n = 0, self.nvars
+        for letter in word:
+            if not 1 <= letter <= n:
+                return 0j
+            code = code * n + letter
+        at = self.blocks.get(code, -1)
+        return complex(self.values[at]) if at >= 0 else 0j
 
     def _scaled(self, factor):
         """The spec of factor(|w|) kappa(w) for a real positive
@@ -683,23 +708,10 @@ class CumulantSpec:
                               count=len(self.words))
         scale = [factor(m) for m in range(lengths.max(initial=0) + 1)]
         values = self.values * np.array(scale)[lengths]
-        spec = object.__new__(type(self))
-        spec._set(nvars=self.nvars, max_order=self.max_order,
-                  kappa={w: v for w, v in zip(self.words, values.tolist())
-                         if v},
-                  words=self.words, values=values, blocks=self.blocks,
-                  cyclic=self.cyclic)
+        values.flags.writeable = False
+        spec = object.__new__(CumulantSpec)
+        vars(spec).update(vars(self), values=values)
         return spec
-
-
-def _values_at(codes, values, asked):
-    """The values of the ``asked`` codes among ``codes``, 0 where absent."""
-    if not len(codes):
-        return np.zeros(asked.shape, dtype=complex)
-    order = np.argsort(codes)
-    at = order[np.minimum(np.searchsorted(codes, asked, sorter=order),
-                          len(codes) - 1)]
-    return np.where(codes[at] == asked, values[at], 0)
 
 
 def _hermitian_parts(words, values):
@@ -788,13 +800,14 @@ class CumulantState(MomentFunctional):
     class in the view by its slot, one past it by its code, copied to
     its slot when the view grows over it.  A class is evaluated once, on
     its representative, by ``_first_block_sum``, its gap subwords read
-    by key (``_class_parts``) or, past the view, by code, a missing one
-    evaluated first.  A batch is one gather; its missing classes are
-    evaluated in code order, each through ``moment``, so a wrapper of
-    ``moment`` sees one call per class.  ``_memo`` is a read-only view
-    of the evaluated classes.  Reads take no lock: a value is stored
-    after its conjugate, and the view and values only grow, under the
-    lock.
+    by key (``_class_parts``) or, past the view, by code, as a batch.
+    Every read, the gap reads of an evaluation included, evaluates its
+    missing classes in code order, each by one ``moment`` call on its
+    representative, with the (code, closed) of its job waiting in
+    ``_jobs``; so a wrapper of ``moment`` sees one call per class
+    evaluated.  ``_memo`` is a read-only view of the evaluated classes.
+    Reads take no lock: a value is stored after its conjugate, and the
+    view and values only grow, under the lock.
     """
 
     def __init__(self, spec, norm_upper=None):
@@ -807,7 +820,7 @@ class CumulantState(MomentFunctional):
         self._index = _class_index(self.nvars, spec.cyclic, 0)
         self._parts = None  # ``_class_parts``, built to evaluate
         self._far = {}  # the values of classes past the view, by code
-        self._jobs = {}  # the evaluations a batch hands ``moment``, by word
+        self._jobs = {}  # (code, closed) of each class queued, by its word
         self._lock = threading.Lock()
 
     @property
@@ -818,14 +831,11 @@ class CumulantState(MomentFunctional):
         word = tuple(word)
         job = self._jobs.pop(word, None)
         if job is not None:
-            return self._evaluate(job)
+            return self._evaluate(word, *job)
         self._check_word(word)
         key = self._cell(word)
-        if key is None:
-            return complex(self._read(*word_codes([word], self.nvars),
-                                      False)[0])
-        if self._both[key] is _MISSING:
-            self._evaluate(key >> 1)
+        if key is None or self._both[key] is _MISSING:
+            return complex(self._read(*word_codes([word], self.nvars))[0])
         return self._both[key]
 
     def _cell(self, word):
@@ -837,30 +847,23 @@ class CumulantState(MomentFunctional):
             return 2 * int(index.slot[code]) + bool(index.flip[code])
         return None
 
-    def _read(self, codes, lengths, queue=True):
-        """phi of these words; each missing class is evaluated, in code
-        order, by ``moment`` on its representative with the evaluation
-        queued, or at once without ``queue``."""
+    def _read(self, codes, lengths):
+        """phi of these words, their missing classes evaluated first."""
         n, cyclic = self.nvars, self.spec.cyclic
         index = _grown_index(self._index, n, cyclic, lengths)
         self._grow(index)
         slot, flip, far = _index_slots(index, codes, lengths, n, cyclic)
         found = self._gather(slot)
-        jobs = [(self._class(s)[0], s)
+        jobs = [self._class(s)[:2] + (index.reps.item(s),)
                 for s in sorted(set(slot[np.isnan(found)].tolist()))]
         if far is not None:
             rest, keys, closed, repeat = far
-            for key, shut in sorted(set(zip(keys.tolist(), closed.tolist()))):
-                if self._class_value(key) is _MISSING:
-                    word = code_word(key, n)
-                    jobs.append((word, functools.partial(
-                        self._evaluate_far, word, key, shut)))
-        for word, job in jobs:
-            if queue:
-                self._jobs[word] = job
-                self.moment(word)
-            else:
-                self._evaluate(job)
+            jobs += [(code_word(key, n), shut, key) for key, shut in
+                     sorted(set(zip(keys.tolist(), closed.tolist())))
+                     if self._class_value(key) is _MISSING]
+        for word, closed, code in jobs:
+            self._jobs[word] = code, closed
+            self.moment(word)
         if jobs:
             found = self._gather(slot)
         if far is not None:
@@ -913,42 +916,40 @@ class CumulantState(MomentFunctional):
             return self._both[2 * int(index.slot[code])]
         return self._far.get(code, _MISSING)
 
-    def _evaluate(self, slot):
-        if callable(slot):  # the evaluation of a class past the view
-            return slot()
-        word, closed, keys = self._class(slot)
-        keys = keys.tolist()
-        both = self._both
-        gaps = [both[key] for key in keys]
-        if _MISSING in gaps:  # shorter classes, evaluated first
-            for key in keys:
-                if both[key] is _MISSING:
-                    self._evaluate(key >> 1)
+    def _evaluate(self, word, code, closed):
+        """Evaluate and store the class of representative ``word`` and code
+        ``code``: the first-block sum over its gaps, read by key in the
+        view, else by code."""
+        index = self._index
+        if code < len(index.slot):
+            slot = int(index.slot[code])
+            keys = self._class(slot)[2].tolist()
+            both = self._both
             gaps = [both[key] for key in keys]
-        value = self._sum(word, closed, gaps)
-        self._put(slot, value)
-        return value
-
-    def _evaluate_far(self, word, code, closed):
-        # the gaps read by code, an empty one as the float 1.0
-        sub, sizes = _subword_codes(np.array([code]), np.array([len(word)]),
-                                    self.nvars)
-        gaps = self._read(sub[0], sizes[0], False).tolist()
-        value = self._sum(word, closed, [gap if size else 1.0 for gap, size
-                                         in zip(gaps, sizes[0].tolist())])
-        with self._lock:
-            self._far[code] = value
-            if code < len(self._index.slot):  # the view grew over it
-                self._put(int(self._index.slot[code]), value)
-        return value
-
-    def _sum(self, word, closed, gaps):
+            if _MISSING in gaps:  # shorter classes, read first
+                reps = index.reps[[key >> 1 for key in keys
+                                   if both[key] is _MISSING]]
+                self._read(reps, code_lengths(reps, self.nvars))
+                gaps = [both[key] for key in keys]
+        else:  # an empty gap read as the float 1.0
+            sub, sizes = _subword_codes(np.array([code]),
+                                        np.array([len(word)]), self.nvars)
+            gaps = [gap if size else 1.0 for gap, size in zip(
+                self._read(sub[0], sizes[0]).tolist(), sizes[0].tolist())]
         value = _first_block_sum(self.spec.blocks, self._kappa, self.nvars,
                                  word, gaps)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise BudgetExceededError(
                 f"moment of word {list(word)} overflows double precision")
-        return complex(value.real) if closed else value
+        value = complex(value.real) if closed else value
+        if code < len(index.slot):
+            self._put(slot, value)
+            return value
+        with self._lock:
+            self._far[code] = value
+            if code < len(self._index.slot):  # the view grew over it
+                self._put(int(self._index.slot[code]), value)
+        return value
 
 
 class _EvaluatedClasses:
@@ -1379,7 +1380,7 @@ def moment_matrix(phi, length=None):
     length."""
     if length is None:
         length = phi.max_order // 2
-        while 16 * word_count(phi.nvars, length) ** 2 > MAX_FORM_BYTES:
+        while form_bytes(phi.nvars, length) > MAX_FORM_BYTES:
             length -= 1
     size = word_count(phi.nvars, length) + 1
     hankel = vars(phi).get("_moment_matrix")
@@ -1409,6 +1410,12 @@ def coordinate_moments(phi):
                           + [(i, j) for i in letters for j in letters])
     values = values.tolist()
     return values[:n], [values[n * i:n * (i + 1)] for i in letters]
+
+
+def max_fourth_moment(phi):
+    """The largest phi(t_i^4), i = 1..n, read in one batch."""
+    return max(phi.word_moments([(i,) * 4 for i in range(1, phi.nvars + 1)])
+               .real.tolist())
 
 
 # ---------------------------------------------------------------------------

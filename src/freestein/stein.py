@@ -82,6 +82,7 @@ from .states import (
     inner_matrix,
     inner_tuple,
     jacobian_terms,
+    max_fourth_moment,
     moment_of_poly,
     pairing_gather,
     tensor_moment,  # re-exported; the benchmark's layer tracer wraps it here
@@ -208,9 +209,7 @@ def explicit_kernel_distance_sq(prob):
             f"closed-form distance {closed!r} and pairing distance "
             f"{generic!r} disagree beyond {AGREE_TOL:.1e}")
 
-    phi.check_order(4)
-    m4 = max(m.real for m in
-             phi.word_moments([(i,) * 4 for i in range(1, n + 1)]).tolist())
+    m4 = max_fourth_moment(phi)
     return ExplicitKernelDistance(
         distance_sq=generic,
         closed_form_sq=closed,

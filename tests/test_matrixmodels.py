@@ -511,6 +511,28 @@ def test_trace_budget_charges_the_arrays_a_table_keeps():
         matrixmodels._check_trace_budget(1, 6689, 12)
 
 
+@pytest.mark.parametrize("nvars,order", [(2, 8), (3, 6)])
+def test_trace_budget_charges_what_a_draw_holds(monkeypatch, nvars, order):
+    # a warm table's traced peak, in N x N complex arrays, passes what
+    # the budget charges by less than a tenth of one: the GUE draws of
+    # coordinates past the first hold N^2 normals and a triangle mask
+    size = 200
+    config = EnsembleConfig(size=size, samples=2, seed=3,
+                            generators=(GueGenerator(),) * nvars)
+    mc_moment_table(config, order)  # the plan and class index cached
+    tracemalloc.start()
+    try:
+        mc_moment_table(config, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(matrixmodels, "MAX_PRODUCT_BYTES", 0)
+    with pytest.raises(BudgetExceededError) as err:
+        mc_moment_table(config, order)
+    array = 16 * size * size
+    assert 0 <= peak / array - err.value.needed / array < 0.1
+
+
 def test_trace_budget_charges_polynomial_inputs(monkeypatch):
     # a draw holds all 60 fresh inputs of the generator at once, and 3
     # arrays more while it evaluates them: with the scratch, 64.5 N x N

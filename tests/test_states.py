@@ -236,6 +236,35 @@ def test_lone_long_moment_at_many_letters_runs_past_the_index(monkeypatch):
     assert 1 < len(state._memo) < 100
 
 
+def test_lone_far_read_evaluates_each_class_by_one_moment_call(monkeypatch):
+    # past the view, the gap reads of an evaluation queue their classes
+    # as a batch read does: after the caller's own read, a wrapper of
+    # ``moment`` sees each class the read evaluates once, on its
+    # representative (the lesser of a word and its reversal)
+    monkeypatch.setattr(states, "_INDEXES", {})
+    spec, word = _many_letters()
+    reps, todo = set(), {min(word, word[::-1])}
+    while todo:  # the classes of the gaps w[a:b], 1 <= a < b, in turn
+        reps |= todo
+        todo = {min(g, g[::-1]) for u in todo for b in range(2, len(u) + 1)
+                for a in range(1, b) for g in [u[a:b]]} - reps
+    assert len(reps) == 49
+    seen, evaluated = [], _count_recursions(monkeypatch)
+    moment = CumulantState.moment
+
+    def wrapped(self, w):
+        seen.append(tuple(w))
+        return moment(self, w)
+
+    monkeypatch.setattr(CumulantState, "moment", wrapped)
+    state = CumulantState(spec)
+    assert (repr(state.moment(word))
+            == repr(bruteforce.WordMemoState(spec).moment(word)))
+    assert seen[0] == word
+    assert sorted(seen[1:]) == sorted(evaluated) == sorted(reps)
+    assert len(state._memo) == 50 and state._index.top == 0
+
+
 def test_memo_membership_grows_nothing(monkeypatch):
     monkeypatch.setattr(states, "_INDEXES", {})
     spec, word = _many_letters()
@@ -593,6 +622,28 @@ def test_symmetry_is_checked_past_the_positivity_family():
             r"kappa\(\[1, 1, 2, 2, 2\]\) = \(0\.1\+0j\) but conj "
             r"kappa\(\[2, 2, 2, 1, 1\]\)")):
         CumulantSpec(2, kappa, max_order=6)
+
+
+def test_spec_reads_agree_with_its_kappa(rng):
+    # ``value`` reads the blocks, ``kappa`` is built from the arrays:
+    # they agree on every word, and the kappa builds an equal spec, also
+    # for a rescaled spec whose underflowed value stays in the blocks
+    from freestein import rescale_cumulants
+
+    specs = [rand_cumulant_spec(rng, nvars, order, cyclic=cyclic)
+             for nvars, order in ((1, 8), (2, 6), (3, 4))
+             for cyclic in (True, False)]
+    base = CumulantSpec(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2, 1): 5e-324},
+                        max_order=6)
+    specs.append(rescale_cumulants(base, 8))
+    assert (1, 2, 1) in specs[-1].words and (1, 2, 1) not in specs[-1].kappa
+    for spec in specs:
+        kappa = spec.kappa
+        for w in words_up_to(spec.nvars, spec.max_order) + [(1, 0), (9,)]:
+            assert spec.value(w) == kappa.get(w, 0j)
+        assert CumulantSpec(spec.nvars, kappa, max_order=spec.max_order) \
+            == spec
+    assert specs[-1] != base and specs[0] != specs[1]
 
 
 def test_specs_store_the_hermitian_part(rng):
