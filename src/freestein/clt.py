@@ -48,9 +48,9 @@ def rescale_cumulants(base, k):
     """Cumulant spec of k^{-1/2} (X^(1) + ... + X^(k)) for free iid copies.
 
     kappa_Y(w) = k^{1 - |w|/2} kappa_X(w); order-2 cumulants are fixed.
-    The spec shares the checked ``base``'s words, block code map and
-    ``cyclic`` flag and scales its value array (``CumulantSpec._scaled``):
-    one real positive factor per length keeps the values exactly
+    The spec keeps the checked ``base``'s codes and ``cyclic`` flag in a
+    new block map of scaled values (``CumulantSpec._scaled``): one real
+    positive factor per length keeps the values exactly
     Hermitian, and exactly cyclic when the base is, and rounding can
     make two distinct values equal, never two equal ones distinct.
     """

@@ -334,14 +334,13 @@ def table_from_obj(obj, path="state."):
 
 
 def cumulants_to_obj(spec, norm_upper=None):
-    kappa = spec.kappa  # built from the spec's arrays on each read
     obj = {
         "nvars": spec.nvars,
         "max_order": spec.max_order,
         "tracial": spec.cyclic,
-        "kappa": [{"word": list(w), "re": float(kappa[w].real),
-                   "im": float(kappa[w].imag)}
-                  for w in sorted(kappa, key=word_key)],
+        # in code order, which is graded-lexicographic (``word_key``)
+        "kappa": [{"word": list(w), "re": float(v.real), "im": float(v.imag)}
+                  for w, v in spec.kappa.items()],
     }
     if norm_upper is not None:
         obj["norm_upper"] = [float(x) for x in norm_upper]

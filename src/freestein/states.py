@@ -15,7 +15,7 @@ code is canonicalized once per distinct code:
   the first letter: ``phi(w) = sum over B of kappa(w|B) * prod over the
   gaps of B of phi(gap)``, evaluated once per class (bracelet classes
   when the spec is ``cyclic``, else reversal classes) with the blocks'
-  cumulants, from the spec's one store, and the gaps both read by code.
+  cumulants, from the spec's one map, and the gaps both read by code.
   ``moments_to_cumulants`` solves the recursion for kappa.
 
 (The Monte Carlo backend, ``matrixmodels``, produces a ``MomentTable``.)
@@ -624,11 +624,11 @@ class CumulantSpec:
     Words absent from ``kappa`` have cumulant 0.  ``max_order`` caps the
     word length the induced moment functional will evaluate (it bounds
     the moment recursion, not the stored words, whose codes must fit in
-    64 bits).  A spec keeps one store: ``words`` and ``values`` list the
-    nonzero cumulants, and ``blocks`` maps their codes to their
-    positions and the codes of their other prefixes to -1
-    (``_block_codes``); ``kappa`` and ``value`` read them, and equality
-    compares ``nvars``, ``max_order`` and ``kappa``.  Letters,
+    64 bits).  A spec keeps one store, ``blocks`` (``_block_codes``): the
+    code of each word with a nonzero cumulant maps to that cumulant, the
+    code of each other prefix of such a word to 0j.  ``value`` reads it,
+    ``kappa`` decodes its nonzero entries, and equality compares
+    ``nvars``, ``max_order`` and those entries.  Letters,
     finiteness, Hermitian symmetry and cyclicity are checked on the word
     codes at once.  A kappa(w) more than ``HERM_TOL`` from conj
     kappa(rev w) raises ``InvalidStateError``; each word stores the
@@ -670,24 +670,31 @@ class CumulantSpec:
         base = _offsets(nvars, top)[lengths]
         turn = next(_turns(codes - base, _code_powers(nvars, top)[
             np.maximum(lengths - 1, 0)], nvars, 1))[0]
-        turned = read(base + turn)
-        values.flags.writeable = False
         self.nvars, self.max_order = nvars, max_order
-        self.words, self.values = tuple(words), values
-        self.blocks = _block_codes(codes, nvars)
-        self.cyclic = bool((turned == values).all())
+        self.blocks = _block_codes(codes, values.tolist(), nvars)
+        self.cyclic = bool((read(base + turn) == values).all())
+
+    def _arrays(self):
+        """(codes, values) of every entry of ``blocks``, in its order."""
+        blocks = self.blocks
+        return (np.fromiter(blocks, dtype=np.int64, count=len(blocks)),
+                np.fromiter(blocks.values(), dtype=complex, count=len(blocks)))
 
     @property
     def kappa(self):
-        """The nonzero cumulants, a read-only map built on each read."""
-        return MappingProxyType({w: v for w, v in zip(
-            self.words, self.values.tolist()) if v})
+        """The nonzero cumulants in code order, a read-only map built anew."""
+        codes, values = self._arrays()
+        order = np.argsort(codes)
+        order = order[values[order] != 0]
+        return MappingProxyType(dict(zip(code_words(codes[order], self.nvars),
+                                         values[order].tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, CumulantSpec):
             return NotImplemented
-        return ((self.nvars, self.max_order, self.kappa)
-                == (other.nvars, other.max_order, other.kappa))
+        key = [(s.nvars, s.max_order, {c: v for c, v in s.blocks.items() if v})
+               for s in (self, other)]
+        return key[0] == key[1]
 
     def value(self, word):
         """kappa(word) through ``blocks``, 0 for a word with no cumulant."""
@@ -696,21 +703,19 @@ class CumulantSpec:
             if not 1 <= letter <= n:
                 return 0j
             code = code * n + letter
-        at = self.blocks.get(code, -1)
-        return complex(self.values[at]) if at >= 0 else 0j
+        return self.blocks.get(code, 0j)
 
     def _scaled(self, factor):
         """The spec of factor(|w|) kappa(w) for a real positive
-        ``factor``: the same words, ``blocks`` and ``cyclic``, one array
-        of new values.  A value that underflows to 0 leaves ``kappa`` and
-        stays in ``blocks``, read as 0."""
-        lengths = np.fromiter(map(len, self.words), dtype=np.int64,
-                              count=len(self.words))
+        ``factor``: the same codes and ``cyclic``, a new ``blocks`` of
+        scaled values.  A value that underflows to 0 leaves ``kappa`` and
+        stays in ``blocks`` as 0."""
+        codes, values = self._arrays()
+        lengths = code_lengths(codes, self.nvars)
         scale = [factor(m) for m in range(lengths.max(initial=0) + 1)]
-        values = self.values * np.array(scale)[lengths]
-        values.flags.writeable = False
+        values = (values * np.array(scale)[lengths]).tolist()
         spec = object.__new__(CumulantSpec)
-        vars(spec).update(vars(self), values=values)
+        vars(spec).update(vars(self), blocks=dict(zip(self.blocks, values)))
         return spec
 
 
@@ -774,18 +779,17 @@ def _subword_codes(codes, lengths, nvars):
     return sub, np.broadcast_to(ends - starts, sub.shape)
 
 
-def _block_codes(codes, nvars):
-    """The ``blocks`` map of cumulant words with these codes: each word's
-    code to its position, and each code of a shorter nonempty prefix that
-    is no word to -1.  A word's prefixes are found a letter at a time,
-    code(w[:-1]) = (code(w) - 1) // n, up to the first already found."""
+def _block_codes(codes, values, nvars):
+    """``blocks`` of words with these codes and cumulants: each code to its
+    value, each other nonempty prefix's code to 0j, found a letter at a
+    time, code(w[:-1]) = (code(w) - 1) // n, to the first already found."""
     blocks = {}
     for code in codes.tolist():
         code = (code - 1) // nvars
         while code and code not in blocks:
-            blocks[code] = -1
+            blocks[code] = 0j
             code = (code - 1) // nvars
-    blocks.update(zip(codes.tolist(), range(len(codes))))
+    blocks.update(zip(codes.tolist(), values))
     return blocks
 
 
@@ -799,8 +803,9 @@ class CumulantState(MomentFunctional):
     through a view of the class index of that mode (``_grown_index``): a
     class in the view by its slot, one past it by its code, copied to
     its slot when the view grows over it.  A class is evaluated once, on
-    its representative, by ``_first_block_sum``, its gap subwords read
-    by key (``_class_parts``) or, past the view, by code, as a batch.
+    its representative, by ``_first_block_sum`` on the spec's ``blocks``
+    (no copy), its gap subwords read by key (``_class_parts``) or, past
+    the view, by code, as a batch.
     Every read, the gap reads of an evaluation included, evaluates its
     missing classes in code order, each by one ``moment`` call on its
     representative, with the (code, closed) of its job waiting in
@@ -813,7 +818,6 @@ class CumulantState(MomentFunctional):
     def __init__(self, spec, norm_upper=None):
         super().__init__(spec.nvars, spec.max_order, spec.cyclic, norm_upper)
         self.spec = spec
-        self._kappa = spec.values.tolist()
         # the value and conjugate of each class slot; slot 0 is the empty
         # word, whose conjugate place holds the float 1.0 of an empty gap
         self._both = [1.0 + 0j, 1.0]
@@ -936,8 +940,7 @@ class CumulantState(MomentFunctional):
                                         np.array([len(word)]), self.nvars)
             gaps = [gap if size else 1.0 for gap, size in zip(
                 self._read(sub[0], sizes[0]).tolist(), sizes[0].tolist())]
-        value = _first_block_sum(self.spec.blocks, self._kappa, self.nvars,
-                                 word, gaps)
+        value = _first_block_sum(self.spec.blocks, self.nvars, word, gaps)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise BudgetExceededError(
                 f"moment of word {list(word)} overflows double precision")
@@ -979,29 +982,28 @@ class _EvaluatedClasses:
                 + sum(code >= len(state._index.slot) for code in state._far))
 
 
-def _first_block_sum(blocks, kappa, nvars, word, gaps):
+def _first_block_sum(blocks, nvars, word, gaps):
     """Sum over blocks B holding position 0 of the nonempty ``word``:
     kappa(word|B) times the product of the moments of the gaps B leaves.
 
-    ``blocks`` (``_block_codes``) maps a block's word code to its place
-    in ``kappa``, -1 for none; ``gaps`` holds phi(word[a:b]) at
-    ``_TRI[b] + a - 1``, 1.0 if a = b.  This is the moment-cumulant
-    formula grouped by the block of the first letter (Nica-Speicher,
-    Lecture 11), walked depth first, the least next position first: a
-    block of code c grows by position q to code c n + word[q], and is
-    dropped where that code is not in ``blocks`` or a gap reads 0.
+    ``blocks`` (``_block_codes``) maps a block's word code to its
+    cumulant; ``gaps`` holds phi(word[a:b]) at ``_TRI[b] + a - 1``, 1.0
+    if a = b.  This is the moment-cumulant formula grouped by the block
+    of the first letter (Nica-Speicher, Lecture 11), walked depth first,
+    the least next position first: a block of code c grows by position q
+    to code c n + word[q], whose one lookup gives its cumulant or, not
+    in ``blocks``, drops it, as a gap that reads 0 does.
     """
     m, tri = len(word), _TRI
     total = 0j
     tail = tri[m]
     first = blocks.get(word[0])
-    # (code of the block's word, its position in kappa, the position of
-    # its last letter, product of the block's inner gaps)
+    # (code of the block's word, its cumulant, the position of its last
+    # letter, product of the block's inner gaps)
     stack = [(word[0], first, 0, 1.0 + 0j)] if first is not None else []
     pop, push, get = stack.pop, stack.append, blocks.get
     while stack:
-        code, at, last, acc = pop()
-        value = kappa[at] if at >= 0 else 0
+        code, value, last, acc = pop()
         if value:
             total += value * acc * gaps[tail + last]
         code *= nvars
@@ -1009,9 +1011,9 @@ def _first_block_sum(blocks, kappa, nvars, word, gaps):
             gap = gaps[tri[q] + last]
             if gap:
                 child = code + word[q]
-                at = get(child)
-                if at is not None:
-                    push((child, at, q, acc * gap))
+                value = get(child)
+                if value is not None:
+                    push((child, value, q, acc * gap))
     return total
 
 
@@ -1033,20 +1035,18 @@ def moments_to_cumulants(phi, max_order):
     phi.check_order(max_order)
     if max_order > MAX_CUMULANT_ORDER:
         raise ValueError(f"max_order must lie in 1..{MAX_CUMULANT_ORDER}")
-    n, words, values = phi.nvars, [], []
-    for m in range(1, max_order + 1):
-        blocks = _block_codes(word_codes(words, n)[0], n)  # shorter only
+    n, kappa = phi.nvars, {}
+    for m in range(1, max_order + 1):  # blocks of the shorter words
+        blocks = _block_codes(word_codes(kappa, n)[0], kappa.values(), n)
         spans = [(a, b) for b in range(1, m + 1) for a in range(1, b + 1)]
         for word in itertools.product(range(1, n + 1), repeat=m):
             read = phi.word_moments([word] + [word[a:b] for a, b in spans])
             gaps = [1.0 if a == b else g
                     for (a, b), g in zip(spans, read[1:].tolist())]
-            val = complex(read[0]) - _first_block_sum(blocks, values, n, word,
-                                                      gaps)
+            val = complex(read[0]) - _first_block_sum(blocks, n, word, gaps)
             if val != 0:
-                words.append(word)
-                values.append(val)
-    return CumulantSpec(n, dict(zip(words, values)), max_order=max_order)
+                kappa[word] = val
+    return CumulantSpec(n, kappa, max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

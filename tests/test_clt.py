@@ -58,9 +58,9 @@ def test_rescale_matches_a_rebuilt_spec(rng, cyclic):
         for k in (1, 2, 4, 8):
             got, want = rescale_cumulants(base, k), _rebuilt(base, k)
             assert got.kappa == want.kappa
-            # the base's words and block map, one array of scaled values
-            assert got.blocks is base.blocks and got.words == want.words
-            assert got.values.tolist() == want.values.tolist()
+            # the base's codes, each mapped to its scaled value
+            assert list(got.blocks) == list(base.blocks)
+            assert got.blocks == want.blocks
             assert got.cyclic == want.cyclic
             assert got.max_order == want.max_order
             _assert_same_moments(got, want)
@@ -70,9 +70,10 @@ def test_rescale_drops_a_value_that_underflows():
     base = CumulantSpec(1, {(1, 1): 1.0, (1, 1, 1): 5e-324}, max_order=6)
     got, want = rescale_cumulants(base, 8), _rebuilt(base, 8)
     assert got.kappa == want.kappa == {(1, 1): 1 + 0j}
-    # the word stays in the shared block map, its value 0
-    assert got.blocks is base.blocks and got.words == ((1, 1), (1, 1, 1))
-    assert got.values.tolist() == [1, 0]
+    # the word stays in the block map, its value 0; codes 1, 2 and 3 are
+    # (1,), (1, 1) and (1, 1, 1)
+    assert list(got.blocks) == list(base.blocks)
+    assert got.blocks == {1: 0, 2: 1, 3: 0}
     _assert_same_moments(got, want)
 
 

@@ -136,9 +136,9 @@ def _count_recursions(monkeypatch):
     calls = []
     first_block_sum = states._first_block_sum
 
-    def counted(blocks, kappa, nvars, word, gaps):
+    def counted(blocks, nvars, word, gaps):
         calls.append(word)
-        return first_block_sum(blocks, kappa, nvars, word, gaps)
+        return first_block_sum(blocks, nvars, word, gaps)
 
     monkeypatch.setattr(states, "_first_block_sum", counted)
     return calls
@@ -197,7 +197,7 @@ def test_class_store_matches_the_word_memo(monkeypatch, rng, cap):
     # not stored, which the recursion walks through
     sparse = CumulantSpec(2, {(1,): 0.2, (1, 1): 1.0, (1, 2, 2): 0.3j,
                               (2, 2, 1): -0.3j, (2, 1, 1, 2): 0.1}, 6)
-    assert list(sparse.blocks.values()).count(-1) == 5
+    assert list(sparse.blocks.values()).count(0j) == 5
     specs += [centered_free_poisson(2, 6).spec, _dense_hermitian_spec(2, 6, 3),
               sparse]
     for spec in specs:
@@ -625,9 +625,9 @@ def test_symmetry_is_checked_past_the_positivity_family():
 
 
 def test_spec_reads_agree_with_its_kappa(rng):
-    # ``value`` reads the blocks, ``kappa`` is built from the arrays:
+    # ``value`` reads the blocks, ``kappa`` decodes their nonzero codes:
     # they agree on every word, and the kappa builds an equal spec, also
-    # for a rescaled spec whose underflowed value stays in the blocks
+    # for a rescaled spec whose underflowed value stays in the blocks as 0
     from freestein import rescale_cumulants
 
     specs = [rand_cumulant_spec(rng, nvars, order, cyclic=cyclic)
@@ -636,7 +636,9 @@ def test_spec_reads_agree_with_its_kappa(rng):
     base = CumulantSpec(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2, 1): 5e-324},
                         max_order=6)
     specs.append(rescale_cumulants(base, 8))
-    assert (1, 2, 1) in specs[-1].words and (1, 2, 1) not in specs[-1].kappa
+    underflowed = int(word_codes([(1, 2, 1)], 2)[0][0])
+    assert specs[-1].blocks[underflowed] == 0
+    assert (1, 2, 1) not in specs[-1].kappa
     for spec in specs:
         kappa = spec.kappa
         for w in words_up_to(spec.nvars, spec.max_order) + [(1, 0), (9,)]:
@@ -889,18 +891,37 @@ def test_warm_batches_do_not_call_moment(monkeypatch):
 
 
 def test_block_codes_map_words_and_their_prefixes():
-    # each stored word's code maps to its position, each shorter prefix
-    # that is no stored word to -1, and no other code is in the map
+    # each stored word's code maps to its cumulant, each shorter prefix
+    # that is no stored word to 0, and no other code is in the map
     spec = CumulantSpec(2, {(1, 2, 2): 3j, (2, 2, 1): -3j, (1,): 2.0})
-    assert spec.words == ((1, 2, 2), (2, 2, 1), (1,))
-    assert spec.values.tolist() == [3j, -3j, 2]
 
     def code(*word):
         return int(word_codes([word], 2)[0][0])
 
-    assert spec.blocks == {code(1, 2, 2): 0, code(2, 2, 1): 1, code(1): 2,
-                           code(1, 2): -1, code(2): -1, code(2, 2): -1}
+    assert spec.blocks == {code(1, 2, 2): 3j, code(2, 2, 1): -3j, code(1): 2,
+                           code(1, 2): 0, code(2): 0, code(2, 2): 0}
+    assert list(spec.kappa.items()) == [((1,), 2), ((1, 2, 2), 3j),
+                                        ((2, 2, 1), -3j)]
     assert CumulantSpec(2, {}).blocks == {}
+
+
+def test_a_state_holds_no_copy_of_its_cumulants():
+    # a state reads its spec's block map in place: one on a dense spec of
+    # 29,511 cumulants holds less than one complex per cumulant
+    import itertools
+    import tracemalloc
+
+    spec = CumulantSpec(3, {w: 0.5 ** m for m in range(3, 10) for w in
+                            itertools.product((1, 2, 3), repeat=m)}, 9)
+    assert len(spec.kappa) == 29511
+    tracemalloc.start()
+    try:
+        state = CumulantState(spec)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert state.spec is spec
+    assert held < 0.1 * 2**20
 
 
 def test_order_cap_moments_in_bounded_memory(rng):

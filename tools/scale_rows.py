@@ -26,8 +26,9 @@ index of those letters, and prints the value read.
 
 Case e builds a dense ``CumulantSpec`` under ``tracemalloc``, every word
 of length 3..12 over 3 letters (797,148 cumulants, 0.5^|w| each), and
-reports the memory the spec holds once its input dict is dropped, and
-the traced peak of generating and building it.
+reports the memory the spec holds once its input dict is dropped, the
+traced peak of generating and building it, and the memory one
+``CumulantState`` built on the spec holds.
 
 Case f samples one Monte Carlo table, ``mc_moment_table`` of two GUE
 coordinates at N = 200, order 8, 20 draws, once its trace plan is
@@ -37,7 +38,7 @@ of the table (``getrusage``).
 One line is printed per case:
 
     <case> wall_s <seconds> peak_rss_mb <MB> [evaluations <k> stored <k> classes <k> | value <repr>]
-    e traced_mb <MB> peak_mb <MB>
+    e traced_mb <MB> peak_mb <MB> state_mb <MB>
     f ms_per_draw <ms> minor_faults <count> peak_rss_mb <MB>
 """
 
@@ -85,11 +86,12 @@ def _lone_read():
 
 
 def _dense_spec_memory():
-    """(held, peak) traced MB of case e's spec."""
+    """(held, peak) traced MB of case e's spec, and the traced MB one
+    state on it holds."""
     import itertools
     import tracemalloc
 
-    from freestein import CumulantSpec
+    from freestein import CumulantSpec, CumulantState
 
     tracemalloc.start()
     kappa = {w: 0.5 ** m for m in range(3, ORDER + 1)
@@ -97,9 +99,12 @@ def _dense_spec_memory():
     spec = CumulantSpec(NVARS, kappa, max_order=ORDER)
     del kappa
     held, peak = tracemalloc.get_traced_memory()
+    state = CumulantState(spec)
+    state_held = tracemalloc.get_traced_memory()[0] - held
     tracemalloc.stop()
-    assert len(spec.words) == 797148
-    return held / 2**20, peak / 2**20
+    assert state.spec is spec
+    assert sum(1 for value in spec.blocks.values() if value) == 797148
+    return held / 2**20, peak / 2**20, state_held / 2**20
 
 
 def _mc_table():
@@ -126,8 +131,9 @@ def run_case(case):
               f"peak_rss_mb {peak:.1f}", flush=True)
         return
     if case == "e":
-        held, peak = _dense_spec_memory()
-        print(f"e traced_mb {held:.1f} peak_mb {peak:.1f}", flush=True)
+        held, peak, state = _dense_spec_memory()
+        print(f"e traced_mb {held:.1f} peak_mb {peak:.1f} "
+              f"state_mb {state:.3f}", flush=True)
         return
     if case == "d":
         phi, word = _lone_read()
